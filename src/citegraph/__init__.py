@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .corpus import (IngestReport, PaperRecord, PartialDate, build_text,
                      normalize_citations, parse_pub_date, parse_records)
-from .graph import CitationGraph, NodeSet, build_graph
+from .graph import CitationGraph, build_graph
 from .embed import EmbeddingMatrix, cosine, embed_corpus, hash_embed, load_embeddings
 from .gat import (GatLayer, GatWeights, ScorerParams, TrainConfig,
                   TrainingQuery, attention_coefficients, gat_layer_forward,

@@ -96,20 +96,20 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    if args.k < 1:
-        raise UsageError("k must be >= 1")
-    if not 0.0 <= args.sigma <= 1.0:
-        raise UsageError("sigma must be in [0, 1]")
-    if args.hops < 1:
-        raise UsageError("hops must be >= 1")
-    if not 0.0 <= args.alpha <= 1.0:
-        raise UsageError("alpha must be in [0, 1]")
+    """Check the merged settings; the config classes own k, sigma, hops,
+    alpha and max_frontier, and are built here once for the commands."""
     if args.dim < 1:
         raise UsageError("dim must be >= 1")
     if args.subset < 1 or args.llm_subset < 1:
         raise UsageError("subset sizes must be >= 1")
-    if args.max_frontier < 1:
-        raise UsageError("max_frontier must be >= 1")
+    try:
+        args.retriever = retrievermod.RetrieverConfig(
+            hops=args.hops, prune_threshold=args.sigma, top_k=args.k,
+            max_frontier=args.max_frontier,
+            fallback_to_dense=args.dense_fallback)
+        args.hybrid = baselines.HybridConfig(alpha=args.alpha)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -139,12 +139,6 @@ def _get_weights(args, dim: int):
         return gat.load_weights(args.weights)
     return (gat.init_gat_weights(dim, seed=args.seed),
             gat.init_scorer(dim, dim, seed=args.seed))
-
-
-def _retriever_config(args) -> retrievermod.RetrieverConfig:
-    return retrievermod.RetrieverConfig(
-        hops=args.hops, prune_threshold=args.sigma, top_k=args.k,
-        max_frontier=args.max_frontier, fallback_to_dense=args.dense_fallback)
 
 
 def _llm_client(args):
@@ -197,19 +191,20 @@ def _drop_self(ranked: RankedList, own_id: str, k: int) -> RankedList:
 
 
 def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
-                    sigma: float = 0.5, hops: int = 3, alpha: float = 0.5,
+                    retriever: retrievermod.RetrieverConfig | None = None,
+                    hybrid: baselines.HybridConfig | None = None,
                     seed: int = 0, subset: int = 1000, llm_subset: int = 100,
                     dim: int = embed.DEFAULT_DIM, k1: float = 1.2,
-                    b: float = 0.75, max_frontier: int = 2048,
-                    dense_fallback: bool = True, embeddings=None,
+                    b: float = 0.75, embeddings=None,
                     weights=None, scorer=None, llm_client=None,
                     llm_model: str = "default") -> dict:
     """Run each requested method over a seeded query subset and score it.
 
     Queries are held-out corpus papers; each query's relevant set is its
     own citation list restricted to corpus members, and the paper itself
-    is removed from every method's candidates. Returns a mapping with the
-    per-method EvalReports and the run metadata.
+    is removed from every method's candidates. attn runs with `retriever`
+    (default: the stock settings at depth k), hybrid with `hybrid`.
+    Returns a mapping with the per-method EvalReports and the run metadata.
     """
     for method in methods:
         if method not in METHODS:
@@ -221,10 +216,8 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
     if weights is None or scorer is None:
         weights = gat.init_gat_weights(embeddings.dim, seed=seed)
         scorer = gat.init_scorer(embeddings.dim, embeddings.dim, seed=seed)
-    rcfg = retrievermod.RetrieverConfig(
-        hops=hops, prune_threshold=sigma, top_k=k,
-        max_frontier=max_frontier, fallback_to_dense=dense_fallback)
-    hycfg = baselines.HybridConfig(alpha=alpha)
+    rcfg = retriever or retrievermod.RetrieverConfig(top_k=k)
+    hycfg = hybrid or baselines.HybridConfig()
 
     if "attn+llm" in methods and llm_client is None:
         raise UsageError("attn+llm needs a chat client: pass --llm-mock or "
@@ -406,12 +399,12 @@ def cmd_retrieve(args) -> int:
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
     weights, scorer = _get_weights(args, embeddings.dim)
-    rcfg = _retriever_config(args)
     query_id, query_text, query = _query_vector(args, records, graph, embeddings)
     seed_node = retrievermod.select_seed(query, embeddings, graph)
     sub = retrievermod.retrieve_subgraph(graph, embeddings, query, seed_node,
-                                         weights, scorer, rcfg)
-    ranked = retrievermod.decode_and_rank(sub, query, embeddings, rcfg)
+                                         weights, scorer, args.retriever)
+    ranked = retrievermod.decode_and_rank(sub, query, embeddings,
+                                          args.retriever)
     result = retrievermod.retrieval_to_json(query_id, sub, ranked, graph)
     if args.rerank:
         client = _llm_client(args)
@@ -444,10 +437,9 @@ def cmd_evaluate(args) -> int:
     weights, scorer = _get_weights(args, embeddings.dim)
     client = _llm_client(args) if "attn+llm" in methods else None
     result = evaluate_corpus(
-        records, methods=methods, k=args.k, sigma=args.sigma, hops=args.hops,
-        alpha=args.alpha, seed=args.seed, subset=args.subset,
+        records, methods=methods, k=args.k, retriever=args.retriever,
+        hybrid=args.hybrid, seed=args.seed, subset=args.subset,
         llm_subset=args.llm_subset, dim=args.dim, k1=args.k1, b=args.b,
-        max_frontier=args.max_frontier, dense_fallback=args.dense_fallback,
         embeddings=embeddings, weights=weights, scorer=scorer,
         llm_client=client, llm_model=args.model)
     table = comparison_table(result)

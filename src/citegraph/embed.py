@@ -118,7 +118,7 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
 
     Format: header line "<count>\\t<dim>", then one "<paper_id>\\t<f1>\\t..."
     line per paper. Every graph node must have exactly one row; ids not in
-    the graph are ignored. Rows are L2-normalized.
+    the graph are ignored. Values must be finite. Rows are L2-normalized.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -143,7 +143,11 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
             pid = parts[0]
             if pid in rows:
                 raise ValueError(f"duplicate embedding row for id {pid!r}")
-            rows[pid] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            row = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            if not np.isfinite(row).all():
+                raise ValueError(
+                    f"line {line_no}: non-finite value in row for id {pid!r}")
+            rows[pid] = row
     if lines != count:
         raise ValueError(f"header declared {count} rows, file has {lines}")
     missing = [pid for pid in graph.node_ids if pid not in rows]

@@ -6,6 +6,14 @@ aggregates with an ELU activation. Relevance against a query is a single
 logistic unit over the concatenated [node state ; query] vector, which
 keeps training analytic: the scorer is fit by full-batch gradient descent
 on binary cross-entropy with the layer weights frozen.
+
+A layer runs on a CSR adjacency (a `CitationGraph`, or the local `Csr` of
+one retrieval hop). Self-loops are merged into its sorted rows, the
+logits of all edges are computed at once, and the softmax is one segment
+pass over that edge list: `np.maximum.reduceat` and `np.add.reduceat` at
+the row starts (the sparse form of graph attention, Velickovic et al.
+2018). Only the aggregation loops over rows: row i's weights times its
+neighbors' projected states.
 """
 from __future__ import annotations
 
@@ -17,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .embed import EmbeddingMatrix
-from .graph import CitationGraph
+from .graph import CitationGraph, Csr, row_of
 
 # open-interval bounds for logistic outputs: strictly inside (0, 1) even
 # when the logit saturates in float64
@@ -110,7 +118,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_states(graph: CitationGraph, states: np.ndarray,
+def _check_states(graph: CitationGraph | Csr, states: np.ndarray,
                   layer: GatLayer) -> np.ndarray:
     H = np.asarray(states, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != graph.node_count:
@@ -122,21 +130,22 @@ def _check_states(graph: CitationGraph, states: np.ndarray,
     return H
 
 
-def _attention_rows(graph: CitationGraph, Wh: np.ndarray,
-                    layer: GatLayer) -> list[tuple[np.ndarray, np.ndarray]]:
-    src = Wh @ layer.a_src
-    dst = Wh @ layer.a_dst
-    rows = []
-    for i in range(graph.node_count):
-        js = np.array(sorted(set(graph.neighbors(i, "both")) | {i}), dtype=np.intp)
-        e = leaky_relu(src[i] + dst[js], layer.leaky_slope)
-        e = e - e.max()  # softmax with max subtraction
-        w = np.exp(e)
-        rows.append((js, w / w.sum()))
-    return rows
+def _attention(graph: CitationGraph | Csr, Wh: np.ndarray,
+               layer: GatLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge-list softmax over neighbors plus self, as (indptr, cols, alpha)."""
+    n = graph.node_count
+    keys = np.concatenate([row_of(graph.indptr) * n + graph.indices,
+                           np.arange(n) * (n + 1)])
+    rows, cols = np.divmod(np.sort(keys), max(n, 1))
+    indptr = graph.indptr + np.arange(n + 1)  # one self-loop per row
+    e = leaky_relu((Wh @ layer.a_src)[rows] + (Wh @ layer.a_dst)[cols],
+                   layer.leaky_slope)
+    e = e - np.maximum.reduceat(e, indptr[:-1])[rows]  # max subtraction
+    w = np.exp(e)
+    return indptr, cols, w / np.add.reduceat(w, indptr[:-1])[rows]
 
 
-def attention_coefficients(graph: CitationGraph, states: np.ndarray,
+def attention_coefficients(graph: CitationGraph | Csr, states: np.ndarray,
                            layer: GatLayer) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-node attention over undirected neighbors plus a self-loop.
 
@@ -145,18 +154,21 @@ def attention_coefficients(graph: CitationGraph, states: np.ndarray,
     normalized over j; every row sums to 1.
     """
     H = _check_states(graph, states, layer)
-    return _attention_rows(graph, H @ layer.W, layer)
+    indptr, cols, alpha = _attention(graph, H @ layer.W, layer)
+    bounds = indptr.tolist()
+    return [(cols[s:e], alpha[s:e]) for s, e in zip(bounds, bounds[1:])]
 
 
-def gat_layer_forward(graph: CitationGraph, states: np.ndarray,
+def gat_layer_forward(graph: CitationGraph | Csr, states: np.ndarray,
                       layer: GatLayer) -> np.ndarray:
     """One layer: h'_i = ELU(sum_j alpha_ij W h_j), j over neighbors + self."""
     H = _check_states(graph, states, layer)
     Wh = H @ layer.W
-    rows = _attention_rows(graph, Wh, layer)
+    indptr, cols, alpha = _attention(graph, Wh, layer)
     out = np.empty((graph.node_count, layer.d_out), dtype=np.float64)
-    for i, (js, alpha) in enumerate(rows):
-        out[i] = alpha @ Wh[js]
+    bounds = indptr.tolist()
+    for i, (s, e) in enumerate(zip(bounds, bounds[1:])):
+        out[i] = alpha[s:e] @ Wh[cols[s:e]]
     return elu(out)
 
 

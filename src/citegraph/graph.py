@@ -1,173 +1,149 @@
-"""Immutable homogeneous citation graph with dense integer indexing.
+"""Immutable homogeneous citation graph in compressed sparse row (CSR) form.
 
 Nodes are papers, directed edges are citations whose target is also in
 the corpus. String ids appear only at the boundary; all traversal works
-on dense indices. Frontier expansion treats edges as undirected: being
-cited is as informative as citing when recommending related work.
+on dense indices. An adjacency is a pair of integer arrays, `indptr` of
+length n + 1 and `indices`, where row v is indices[indptr[v]:indptr[v+1]];
+every row is sorted, duplicate-free and self-loop-free. The graph holds
+two: the citations each paper makes (`out_indptr`/`out_indices`) and the
+undirected adjacency (`indptr`/`indices`). Frontier expansion and
+attention use the undirected one: being cited is as informative as citing
+when recommending related work. The CGR1 snapshot stores exactly the
+out-degrees and the flat out-adjacency, so it loads with `np.frombuffer`.
 """
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import PaperRecord
 
 
-class NodeSet:
-    """Set of node indices with O(1) membership and insertion-order iteration."""
+class Csr(NamedTuple):
+    """Undirected adjacency over local node indices, as CSR arrays."""
 
-    __slots__ = ("_order", "_members")
+    indptr: np.ndarray
+    indices: np.ndarray
 
-    def __init__(self, items: Iterable[int] = ()):
-        self._order: list[int] = []
-        self._members: set[int] = set()
-        for item in items:
-            self.add(item)
+    @property
+    def node_count(self) -> int:
+        return len(self.indptr) - 1
 
-    def add(self, index: int) -> bool:
-        """Insert an index; returns False if it was already present."""
-        if index in self._members:
-            return False
-        self._members.add(index)
-        self._order.append(index)
-        return True
 
-    def __contains__(self, index: object) -> bool:
-        return index in self._members
+def _from_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays from ascending, unique edge keys u * n + v."""
+    rows, cols = np.divmod(keys, max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._order)
 
-    def __len__(self) -> int:
-        return len(self._order)
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Distinct values, ascending (numpy's hashing np.unique is slower here)."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NodeSet):
-            return self._members == other._members
-        if isinstance(other, (set, frozenset)):
-            return self._members == other
-        return NotImplemented
 
-    def __repr__(self) -> str:
-        return f"NodeSet({self._order!r})"
+def row_of(indptr: np.ndarray) -> np.ndarray:
+    """Row index of every entry of a CSR adjacency."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self._members)
+
+def _gather_rows(indptr: np.ndarray, indices: np.ndarray,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated CSR rows: position in `rows` of every entry, and entries."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    pos = np.repeat(np.arange(len(rows)), lengths)
+    first = np.cumsum(lengths) - lengths  # where each row begins in the output
+    return pos, indices[starts[pos] + np.arange(len(pos)) - first[pos]]
 
 
 @dataclass(frozen=True, eq=False)
 class CitationGraph:
-    """Directed citation graph; immutable after construction.
+    """Directed citation graph plus its undirected view; immutable.
 
-    out_edges[u] lists the papers u cites, in_edges[v] the papers citing v;
-    both are sorted, duplicate-free, self-loop-free and mutually transposed.
+    out_indptr/out_indices list the papers each paper cites; indptr/indices
+    list each paper's undirected neighbors (cited or citing).
     """
 
     node_ids: tuple[str, ...]
     index_of: dict[str, int]
-    out_edges: tuple[tuple[int, ...], ...]
-    in_edges: tuple[tuple[int, ...], ...]
-    edge_count: int
+    out_indptr: np.ndarray
+    out_indices: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def node_count(self) -> int:
         return len(self.node_ids)
 
+    @property
+    def edge_count(self) -> int:
+        return len(self.out_indices)
+
     def __len__(self) -> int:
         return len(self.node_ids)
 
-    def _check_index(self, v: int) -> None:
+    def neighbors(self, v: int, direction: str = "out") -> np.ndarray:
+        """Sorted neighbor indices of v: cited ("out") or undirected ("both")."""
         if not 0 <= v < len(self.node_ids):
             raise IndexError(f"node index {v} out of range [0, {len(self.node_ids)})")
-
-    def neighbors(self, v: int, direction: str = "out") -> tuple[int, ...]:
-        """Sorted, duplicate-free neighbor indices of v in the given direction."""
-        self._check_index(v)
         if direction == "out":
-            return self.out_edges[v]
-        if direction == "in":
-            return self.in_edges[v]
+            return self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]]
         if direction == "both":
-            return tuple(sorted(set(self.out_edges[v]) | set(self.in_edges[v])))
-        raise ValueError(f"direction must be out, in or both, got {direction!r}")
+            return self.indices[self.indptr[v]:self.indptr[v + 1]]
+        raise ValueError(f"direction must be out or both, got {direction!r}")
 
-    def k_hop_frontier(self, sources: Iterable[int], k: int) -> NodeSet:
-        """All nodes within undirected distance k of any source; k=0 is the sources."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        result = NodeSet()
-        for s in sources:
-            self._check_index(s)
-            result.add(s)
-        frontier: list[int] = list(result)
-        for _ in range(k):
-            discovered = {
-                w
-                for u in frontier
-                for w in self.neighbors(u, "both")
-                if w not in result
-            }
-            frontier = sorted(discovered)
-            for w in frontier:
-                result.add(w)
-            if not frontier:
-                break
-        return result
+    def frontier(self, sources: np.ndarray, visited: np.ndarray) -> np.ndarray:
+        """Undirected neighbors of `sources` not marked in `visited`, ascending."""
+        _, found = _gather_rows(self.indptr, self.indices, sources)
+        return _unique(found[~visited[found]])
 
-    def induced_subgraph(self, nodes: Iterable[int]) -> tuple["CitationGraph", list[int]]:
-        """Subgraph on `nodes` with dense relabeling.
+    def induced_subgraph(self, nodes: np.ndarray) -> Csr:
+        """Undirected adjacency among distinct `nodes`, relabeled to positions.
 
-        Keeps exactly the edges with both endpoints in `nodes`. Returns the
-        new graph plus a back-map: new index -> index in this graph. Node
-        order follows the iteration order of `nodes`.
+        Keeps exactly the edges with both endpoints in `nodes`; local index i
+        is nodes[i], and rows are sorted by local index.
         """
-        back_map: list[int] = []
-        new_index: dict[int, int] = {}
-        for v in nodes:
-            self._check_index(v)
-            if v in new_index:
-                continue
-            new_index[v] = len(back_map)
-            back_map.append(v)
-        out_lists: list[tuple[int, ...]] = []
-        for v in back_map:
-            out_lists.append(tuple(sorted(
-                new_index[w] for w in self.out_edges[v] if w in new_index
-            )))
-        sub = _from_adjacency(tuple(self.node_ids[v] for v in back_map), out_lists)
-        return sub, back_map
+        m = len(nodes)
+        local = np.full(self.node_count, -1, dtype=np.int64)
+        local[nodes] = np.arange(m)
+        pos, found = _gather_rows(self.indptr, self.indices, nodes)
+        cols = local[found]
+        inside = cols >= 0
+        return Csr(*_from_keys(np.sort(pos[inside] * m + cols[inside]), m))
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Directed edges as (u, v) index pairs, ascending by u then v."""
-        for u, targets in enumerate(self.out_edges):
-            for v in targets:
-                yield u, v
+    def edges(self, among: np.ndarray | None = None) -> list[tuple[int, int]]:
+        """Directed edges (u, v) ascending by u then v; with `among`, only
+        those with both endpoints in it."""
+        n = self.node_count
+        nodes = np.arange(n) if among is None else _unique(among)
+        inside = np.zeros(n, dtype=bool)
+        inside[nodes] = True
+        pos, targets = _gather_rows(self.out_indptr, self.out_indices, nodes)
+        keep = inside[targets]
+        return list(zip(nodes[pos[keep]].tolist(), targets[keep].tolist()))
 
 
-def _from_adjacency(node_ids: tuple[str, ...],
-                    out_lists: Sequence[Sequence[int]]) -> CitationGraph:
+def _graph(node_ids: tuple[str, ...], index_of: dict[str, int],
+           out_keys: np.ndarray) -> CitationGraph:
+    """Graph from ascending, unique, self-loop-free edge keys u * n + v."""
     n = len(node_ids)
-    index_of = {pid: i for i, pid in enumerate(node_ids)}
-    if len(index_of) != n:
-        raise ValueError("duplicate node ids")
-    incoming: list[list[int]] = [[] for _ in range(n)]
-    edge_count = 0
-    out_edges: list[tuple[int, ...]] = []
-    for u, targets in enumerate(out_lists):
-        deduped = sorted(set(targets))
-        if deduped and (deduped[0] < 0 or deduped[-1] >= n):
-            raise ValueError("edge target out of range")
-        if u in deduped:
-            raise ValueError(f"self-loop at node {u}")
-        out_edges.append(tuple(deduped))
-        edge_count += len(deduped)
-        for v in deduped:
-            incoming[v].append(u)
-    in_edges = tuple(tuple(sorted(srcs)) for srcs in incoming)
+    out_indptr, out_indices = _from_keys(out_keys, n)
+    reverse = out_indices * n + row_of(out_indptr)
+    indptr, indices = _from_keys(_unique(np.concatenate([out_keys, reverse])), n)
+    for array in (out_indptr, out_indices, indptr, indices):
+        array.flags.writeable = False  # neighbors() hands out views
     return CitationGraph(node_ids=node_ids, index_of=index_of,
-                         out_edges=tuple(out_edges), in_edges=in_edges,
-                         edge_count=edge_count)
+                         out_indptr=out_indptr, out_indices=out_indices,
+                         indptr=indptr, indices=indices)
 
 
 def build_graph(records: Sequence[PaperRecord]) -> CitationGraph:
@@ -184,12 +160,14 @@ def build_graph(records: Sequence[PaperRecord]) -> CitationGraph:
         if pid in index_of:
             raise ValueError(f"duplicate paper id {pid!r}")
         index_of[pid] = i
-    out_lists = []
-    for u, record in enumerate(records):
-        targets = {index_of[c] for c in record.citations if c in index_of}
-        targets.discard(u)
-        out_lists.append(sorted(targets))
-    return _from_adjacency(node_ids, out_lists)
+    n = len(node_ids)
+    targets = [[index_of.get(c, -1) for c in r.citations] for r in records]
+    src = np.repeat(np.arange(n), np.fromiter(map(len, targets), dtype=np.int64,
+                                              count=n))
+    dst = np.fromiter(itertools.chain.from_iterable(targets), dtype=np.int64,
+                      count=len(src))
+    keep = (dst >= 0) & (dst != src)
+    return _graph(node_ids, index_of, _unique(src[keep] * n + dst[keep]))
 
 
 _MAGIC = b"CGR1"
@@ -204,11 +182,8 @@ def save_snapshot(graph: CitationGraph, path: str) -> None:
             raw = pid.encode("utf-8")
             fh.write(struct.pack("<Q", len(raw)))
             fh.write(raw)
-        fh.write(struct.pack(f"<{graph.node_count}Q",
-                             *(len(t) for t in graph.out_edges)))
-        flat = [v for targets in graph.out_edges for v in targets]
-        if flat:
-            fh.write(struct.pack(f"<{len(flat)}Q", *flat))
+        fh.write(np.diff(graph.out_indptr).astype("<u8").tobytes())
+        fh.write(graph.out_indices.astype("<u8").tobytes())
 
 
 def load_snapshot(path: str) -> CitationGraph:
@@ -217,29 +192,38 @@ def load_snapshot(path: str) -> CitationGraph:
     if data[:4] != _MAGIC:
         raise ValueError("not a citation-graph snapshot (bad magic)")
     try:
-        offset = 4
-        node_count, edge_count = struct.unpack_from("<QQ", data, offset)
-        offset += 16
+        n, edge_count = struct.unpack_from("<QQ", data, 4)
+        offset = 20
         ids = []
-        for _ in range(node_count):
+        for _ in range(n):  # each length prefix locates the next id
             (length,) = struct.unpack_from("<Q", data, offset)
-            offset += 8
-            ids.append(data[offset:offset + length].decode("utf-8"))
-            offset += length
-        degrees = struct.unpack_from(f"<{node_count}Q", data, offset)
-        offset += 8 * node_count
-        flat = struct.unpack_from(f"<{sum(degrees)}Q", data, offset)
-    except (struct.error, UnicodeDecodeError, OverflowError, MemoryError) as exc:
+            ids.append(data[offset + 8:offset + 8 + length].decode("utf-8"))
+            offset += 8 + length
+        degrees = np.frombuffer(data, dtype="<u8", count=n, offset=offset)
+        offset += 8 * n
+        room = (len(data) - offset) // 8
+        # bounding each degree first keeps the sum from wrapping around
+        if n and (degrees.max() > room or degrees.sum() > room):
+            raise ValueError("adjacency data shorter than the degrees declare")
+        flat = np.frombuffer(data, dtype="<u8", count=int(degrees.sum()),
+                             offset=offset)
+    except (struct.error, ValueError, OverflowError, MemoryError) as exc:
         raise ValueError(f"truncated or corrupt snapshot: {exc}") from exc
-    out_lists: list[tuple[int, ...]] = []
-    pos = 0
-    for d in degrees:
-        out_lists.append(flat[pos:pos + d])
-        pos += d
-    graph = _from_adjacency(tuple(ids), out_lists)
-    if graph.edge_count != edge_count:
+    if len(flat) != edge_count:
         raise ValueError("snapshot edge count does not match adjacency data")
-    return graph
+    index_of = {pid: i for i, pid in enumerate(ids)}
+    if len(index_of) != n:
+        raise ValueError("duplicate node ids")
+    if len(flat) and flat.max() >= n:
+        raise ValueError("edge target out of range")
+    rows = np.repeat(np.arange(n), degrees.astype(np.int64))
+    targets = flat.astype(np.int64)
+    if (rows == targets).any():
+        raise ValueError(f"self-loop at node {rows[rows == targets][0]}")
+    keys = rows * n + targets
+    if (np.diff(keys) <= 0).any():
+        raise ValueError("snapshot adjacency rows must be sorted and duplicate-free")
+    return _graph(tuple(ids), index_of, keys)
 
 
 def write_edge_list(graph: CitationGraph, path: str) -> None:

@@ -206,9 +206,10 @@ def rerank(client, request: RerankRequest, original: RankedList) -> RankedList:
         raise ValueError("request candidates and ranked list differ in length")
     if not original.items:
         return original
+    prompt = build_prompt(request)
     try:
-        reply = client.complete(build_prompt(request), request.model,
-                                request.temperature, request.max_tokens)
+        reply = client.complete(prompt, request.model, request.temperature,
+                                request.max_tokens)
     except Exception:
         return dataclasses.replace(original, fallback=True)
     permutation, parse_fallback = parse_ranking(reply, len(original.items))

@@ -8,6 +8,10 @@ frontier nodes scoring at least the pruning threshold. Kept-node states
 carry forward between hops, so the seed accumulates as many layers as
 hops run. Each node is scored once, at the hop it first appears; the seed
 is never pruned. Retrieval is a pure function of its inputs.
+
+Everything runs on the graph's CSR arrays: the frontier gathers the kept
+nodes' rows through a boolean visited mask, and each hop's subgraph is a
+local `Csr` whose index i is the i-th node of kept + frontier.
 """
 from __future__ import annotations
 
@@ -15,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import EmbeddingMatrix, cosine
+from .embed import EmbeddingMatrix
 from .gat import GatWeights, ScorerParams, gat_layer_forward, relevance_scores
-from .graph import CitationGraph, NodeSet
+from .graph import CitationGraph
 from .ranking import RankedItem, RankedList
 
 
@@ -66,9 +70,6 @@ class RetrievedSubgraph:
     edges: list[tuple[int, int]] = field(default_factory=list)
     trace: list[HopTrace] = field(default_factory=list)
 
-    def kept(self) -> NodeSet:
-        return NodeSet(self.nodes)
-
 
 def select_seed(query: np.ndarray, embeddings: EmbeddingMatrix,
                 graph: CitationGraph) -> int:
@@ -96,63 +97,44 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
         raise IndexError(f"seed index {seed} out of range")
     query = np.asarray(query, dtype=np.float64)
 
-    kept: list[int] = [seed]
-    kept_set: set[int] = {seed}
-    visited: set[int] = {seed}
+    kept = np.array([seed])
+    H_kept = embeddings.vectors[kept]  # states of the kept nodes, in order
+    visited = np.zeros(graph.node_count, dtype=bool)
+    visited[seed] = True
     scores: dict[int, float] = {seed: 1.0}
     hop_of: dict[int, int] = {seed: 0}
-    states: dict[int, np.ndarray] = {seed: np.array(embeddings.row(seed))}
     trace: list[HopTrace] = []
 
     for hop in range(1, config.hops + 1):
-        frontier = sorted({
-            w
-            for u in kept
-            for w in graph.neighbors(u, "both")
-            if w not in visited
-        })
-        if not frontier:
+        frontier = graph.frontier(kept, visited)
+        if not len(frontier):
             trace.append(HopTrace(hop=hop, expanded=0, pruned=0))
             break
-        visited.update(frontier)
+        visited[frontier] = True
 
-        sub_nodes = kept + frontier
-        sub, _ = graph.induced_subgraph(sub_nodes)
-        H = np.stack([
-            states[u] if u in kept_set else embeddings.row(u)
-            for u in sub_nodes
-        ])
+        sub = graph.induced_subgraph(np.concatenate([kept, frontier]))
+        H = np.concatenate([H_kept, embeddings.vectors[frontier]])
         layer = weights.layers[min(hop, len(weights.layers)) - 1]
         H_next = gat_layer_forward(sub, H, layer)
-        frontier_scores = relevance_scores(
-            H_next[len(kept):], query, scorer)
+        frontier_scores = relevance_scores(H_next[len(kept):], query, scorer)
 
-        survivors = [
-            (frontier[i], float(frontier_scores[i]))
-            for i in range(len(frontier))
-            if frontier_scores[i] >= config.prune_threshold
-        ]
-        if len(survivors) > config.max_frontier:
-            survivors.sort(key=lambda t: (-t[1], t[0]))
-            survivors = sorted(survivors[:config.max_frontier])
+        passed = np.flatnonzero(frontier_scores >= config.prune_threshold)
+        if len(passed) > config.max_frontier:  # best scores, ties to lower index
+            best = np.argsort(-frontier_scores[passed], kind="stable")
+            passed = np.sort(passed[best[:config.max_frontier]])
         trace.append(HopTrace(hop=hop, expanded=len(frontier),
-                              pruned=len(frontier) - len(survivors)))
+                              pruned=len(frontier) - len(passed)))
 
-        survivor_set = {v for v, _ in survivors}
-        for pos, u in enumerate(sub_nodes):
-            if u in kept_set or u in survivor_set:
-                states[u] = H_next[pos]
-        for v, score in survivors:  # ascending node index
-            kept.append(v)
-            kept_set.add(v)
-            scores[v] = score
-            hop_of[v] = hop
+        survivors = frontier[passed]  # ascending node index
+        scores.update(zip(survivors.tolist(), frontier_scores[passed].tolist()))
+        hop_of.update(dict.fromkeys(survivors.tolist(), hop))
+        H_kept = np.concatenate([H_next[:len(kept)], H_next[len(kept) + passed]])
+        kept = np.concatenate([kept, survivors])
 
-    edges = [(u, v) for u in sorted(kept_set)
-             for v in graph.neighbors(u, "out") if v in kept_set]
-    return RetrievedSubgraph(seed=seed, nodes=kept, scores=scores,
-                             hops=hop_of, states=states, edges=edges,
-                             trace=trace)
+    nodes = kept.tolist()
+    return RetrievedSubgraph(seed=seed, nodes=nodes, scores=scores,
+                             hops=hop_of, states=dict(zip(nodes, H_kept)),
+                             edges=graph.edges(kept), trace=trace)
 
 
 def decode_and_rank(subgraph: RetrievedSubgraph, query: np.ndarray,
@@ -169,23 +151,27 @@ def decode_and_rank(subgraph: RetrievedSubgraph, query: np.ndarray,
     """
     query = np.asarray(query, dtype=np.float64)
     scored: list[tuple[int, float, str]] = []
-    for u in subgraph.nodes:
-        if u == subgraph.seed:
-            continue
-        state = subgraph.states[u]
-        decoded = state if decoder is None else state @ decoder
-        scored.append((u, cosine(decoded, query), "graph"))
-    scored.sort(key=lambda t: (-t[1], t[0]))
-    scored = scored[:config.top_k]
+    nodes = [u for u in subgraph.nodes if u != subgraph.seed]
+    if nodes:
+        decoded = np.stack([subgraph.states[u] for u in nodes])
+        if decoder is not None:
+            decoded = decoded @ decoder
+        # cosine per row, 0 where either vector is zero (as embed.cosine)
+        norms = np.linalg.norm(decoded, axis=1) * np.linalg.norm(query)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = np.where(norms > 0.0,
+                           np.clip(decoded @ query / norms, -1.0, 1.0), 0.0)
+        order = np.lexsort((nodes, -cos))[:config.top_k].tolist()
+        scored = [(nodes[i], float(cos[i]), "graph") for i in order]
 
     if len(scored) < config.top_k and config.fallback_to_dense:
         dense = embeddings.scores(query)
-        present = {u for u, _, _ in scored} | {subgraph.seed}
-        pool = sorted((i for i in range(embeddings.node_count)
-                       if i not in present),
-                      key=lambda i: (-dense[i], i))
-        for i in pool[:config.top_k - len(scored)]:
-            scored.append((i, float(dense[i]), "dense-fallback"))
+        pool = np.ones(embeddings.node_count, dtype=bool)
+        pool[[u for u, _, _ in scored] + [subgraph.seed]] = False
+        pool = np.flatnonzero(pool)
+        best = pool[np.argsort(-dense[pool], kind="stable")]
+        scored += [(i, float(dense[i]), "dense-fallback")
+                   for i in best[:config.top_k - len(scored)].tolist()]
         scored.sort(key=lambda t: (-t[1], t[0]))
 
     return RankedList(items=[

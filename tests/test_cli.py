@@ -108,6 +108,22 @@ def test_embed_validation_failure(tmp_path, corpus_path):
                    "--embeddings", tsv) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_embed_nonfinite_value_is_data_error(tmp_path, corpus_path, capsys,
+                                             bad):
+    tsv = tmp_path / "emb.tsv"
+    assert run_cli("embed", "--corpus", corpus_path, "--output", tsv,
+                   "--dim", "4") == 0
+    lines = tsv.read_text().splitlines()
+    pid, *values = lines[3].split("\t")
+    lines[3] = "\t".join([pid, bad] + values[1:])
+    tsv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("embed", "--corpus", corpus_path, "--embeddings", tsv) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and repr(pid) in err and "non-finite" in err
+
+
 def test_train_writes_loadable_weights(tmp_path, corpus_path, capsys):
     weights_path = tmp_path / "weights.json"
     assert run_cli("train", "--corpus", corpus_path, "--output", weights_path,

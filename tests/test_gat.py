@@ -63,6 +63,10 @@ def test_attention_rows_sum_to_one_property():
         H = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-2, 3)
         for _, alpha in attention_coefficients(g, H, layer):
             assert alpha.sum() == pytest.approx(1.0, abs=1e-6)
+        _, expected = oracle_gat_forward(n, edges, H, layer.W, layer.a_src,
+                                         layer.a_dst, layer.leaky_slope)
+        assert np.allclose(gat_layer_forward(g, H, layer), expected,
+                           atol=1e-6)
 
 
 def test_attention_rejects_nonfinite_states():

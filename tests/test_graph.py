@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from citegraph.corpus import PaperRecord
-from citegraph.graph import (NodeSet, build_graph, load_snapshot,
+from citegraph.graph import (build_graph, load_snapshot, row_of,
                              save_snapshot, write_edge_list)
 from helpers import oracle_bfs_ball, random_digraph
 
@@ -24,7 +26,7 @@ def test_build_drops_dangling_citations():
     g = make_graph({"p1": ["p2", "pX"], "p2": [], "p3": []})
     assert g.node_count == 3
     assert g.edge_count == 1
-    assert g.out_edges[0] == (1,)
+    assert list(g.neighbors(0)) == [1]
 
 
 def test_build_edgeless():
@@ -41,16 +43,16 @@ def test_build_duplicate_ids_error():
 def test_build_parallel_edges_collapse_and_no_self_loop():
     g = make_graph({"a": ["b", "b", "a"], "b": []})
     assert g.edge_count == 1
-    assert g.out_edges[0] == (1,)
+    assert list(g.neighbors(0)) == [1]
 
 
 def test_neighbors_directions():
     g = make_graph({"a": ["b"], "b": [], "c": [], "d": ["b"]})
-    assert g.neighbors(2, "out") == ()
-    assert g.neighbors(2, "in") == ()
-    assert g.neighbors(2, "both") == ()
-    assert g.neighbors(1, "in") == (0, 3)
-    assert g.neighbors(0, "both") == (1,)
+    assert list(g.neighbors(2, "out")) == []
+    assert list(g.neighbors(2, "both")) == []
+    assert list(g.neighbors(1, "out")) == []
+    assert list(g.neighbors(1, "both")) == [0, 3]
+    assert list(g.neighbors(0, "both")) == [1]
     with pytest.raises(IndexError):
         g.neighbors(9)
     with pytest.raises(ValueError):
@@ -67,7 +69,6 @@ def test_neighbors_matches_bruteforce_scan():
             out = sorted({t for s, t in edge_set if s == v})
             inc = sorted({s for s, t in edge_set if t == v})
             assert list(g.neighbors(v, "out")) == out
-            assert list(g.neighbors(v, "in")) == inc
             assert list(g.neighbors(v, "both")) == sorted(set(out) | set(inc))
 
 
@@ -78,23 +79,36 @@ def test_transpose_consistency_property():
         g = graph_from_edges(n, edges)
         for u in range(n):
             for v in g.neighbors(u, "out"):
-                assert u in g.neighbors(v, "in")
+                assert u in g.neighbors(v, "both")
+                assert v in g.neighbors(u, "both")
         for v in range(n):
-            for u in g.neighbors(v, "in"):
-                assert v in g.neighbors(u, "out")
+            for u in g.neighbors(v, "both"):
+                assert v in g.neighbors(u, "both")
+                assert v in g.neighbors(u, "out") or u in g.neighbors(v, "out")
+
+
+def k_hop(g, sources, k):
+    """Nodes within undirected distance k of `sources`, ring by ring."""
+    visited = np.zeros(g.node_count, dtype=bool)
+    visited[sources] = True
+    ring = np.asarray(sources)
+    for _ in range(k):
+        ring = g.frontier(ring, visited)
+        visited[ring] = True
+    return set(np.flatnonzero(visited).tolist())
 
 
 def test_k_hop_zero_is_sources():
     g = make_graph({"a": ["b"], "b": ["c"], "c": []})
-    assert g.k_hop_frontier([0], 0) == {0}
+    assert k_hop(g, [0], 0) == {0}
 
 
 def test_k_hop_path_graph():
     g = make_graph({"a": ["b"], "b": ["c"], "c": []})
-    assert g.k_hop_frontier([0], 1) == {0, 1}
-    assert g.k_hop_frontier([0], 2) == {0, 1, 2}
+    assert k_hop(g, [0], 1) == {0, 1}
+    assert k_hop(g, [0], 2) == {0, 1, 2}
     # undirected expansion: c reaches b then a
-    assert g.k_hop_frontier([2], 2) == {0, 1, 2}
+    assert k_hop(g, [2], 2) == {0, 1, 2}
 
 
 def test_k_hop_matches_bfs_oracle():
@@ -105,7 +119,7 @@ def test_k_hop_matches_bfs_oracle():
         sources = [int(i) for i in
                    rng.choice(n, size=min(2, n), replace=False)]
         for k in range(4):
-            assert g.k_hop_frontier(sources, k) == \
+            assert k_hop(g, sources, k) == \
                 oracle_bfs_ball(n, edges, sources, k)
 
 
@@ -114,35 +128,32 @@ def test_k_hop_monotone_in_k():
     for _ in range(10):
         n, edges = random_digraph(rng, max_nodes=18)
         g = graph_from_edges(n, edges)
-        prev = g.k_hop_frontier([0], 0).as_set()
+        prev = k_hop(g, [0], 0)
         for k in range(1, 5):
-            cur = g.k_hop_frontier([0], k).as_set()
+            cur = k_hop(g, [0], k)
             assert prev <= cur
             prev = cur
 
 
-def test_k_hop_negative_k():
-    g = make_graph({"a": []})
-    with pytest.raises(ValueError):
-        g.k_hop_frontier([0], -1)
+def pairs(csr):
+    return list(zip(row_of(csr.indptr).tolist(), csr.indices.tolist()))
 
 
 def test_induced_subgraph_full_copy():
     rng = np.random.default_rng(7)
     n, edges = random_digraph(rng, max_nodes=12)
     g = graph_from_edges(n, edges)
-    sub, back = g.induced_subgraph(range(n))
-    assert sub.edge_count == g.edge_count
-    assert back == list(range(n))
-    assert list(sub.edges()) == list(g.edges())
+    sub = g.induced_subgraph(np.arange(n))
+    assert sub.node_count == n
+    assert np.array_equal(sub.indptr, g.indptr)
+    assert np.array_equal(sub.indices, g.indices)
 
 
 def test_induced_subgraph_empty():
     g = make_graph({"a": ["b"], "b": []})
-    sub, back = g.induced_subgraph([])
+    sub = g.induced_subgraph(np.array([], dtype=np.int64))
     assert sub.node_count == 0
-    assert sub.edge_count == 0
-    assert back == []
+    assert pairs(sub) == []
 
 
 def test_induced_subgraph_matches_edge_filter_oracle():
@@ -151,33 +162,26 @@ def test_induced_subgraph_matches_edge_filter_oracle():
         n, edges = random_digraph(rng, max_nodes=15)
         g = graph_from_edges(n, edges)
         size = int(rng.integers(0, n + 1))
-        nodes = sorted(int(i) for i in rng.choice(n, size=size, replace=False))
-        sub, back = g.induced_subgraph(nodes)
-        assert back == nodes
-        local = {orig: i for i, orig in enumerate(nodes)}
-        expected = sorted((local[u], local[v]) for u, v in set(edges)
-                          if u in local and v in local)
-        assert sorted(sub.edges()) == expected
-        # ids carried through
-        assert [sub.node_ids[i] for i in range(len(nodes))] == \
-            [g.node_ids[v] for v in nodes]
+        nodes = rng.choice(n, size=size, replace=False)
+        sub = g.induced_subgraph(nodes)
+        local = {int(orig): i for i, orig in enumerate(nodes)}
+        expected = sorted({pair for u, v in edges if u in local and v in local
+                           for pair in ((local[u], local[v]),
+                                        (local[v], local[u]))})
+        assert sub.node_count == size
+        assert pairs(sub) == expected  # rows in order, each row ascending
 
 
 def test_induced_subgraph_preserves_nodeset_order():
     g = make_graph({"a": ["b"], "b": ["c"], "c": []})
-    sub, back = g.induced_subgraph(NodeSet([2, 0]))
-    assert back == [2, 0]
-    assert sub.node_ids == ("c", "a")
+    sub = g.induced_subgraph(np.array([2, 1, 0]))  # c, b, a
+    assert pairs(sub) == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
-def test_nodeset_insertion_order_and_membership():
-    ns = NodeSet([3, 1, 3, 2])
-    assert list(ns) == [3, 1, 2]
-    assert 1 in ns and 5 not in ns
-    assert len(ns) == 3
-    assert ns == {1, 2, 3}
-    assert not ns.add(2)
-    assert ns.add(7)
+def test_edges_among_keeps_inner_edges():
+    g = make_graph({"a": ["b", "c"], "b": ["c"], "c": ["a"]})
+    assert g.edges() == [(0, 1), (0, 2), (1, 2), (2, 0)]
+    assert g.edges(np.array([2, 0])) == [(0, 2), (2, 0)]
 
 
 def test_snapshot_round_trip(tmp_path):
@@ -188,8 +192,9 @@ def test_snapshot_round_trip(tmp_path):
     save_snapshot(g, str(path))
     loaded = load_snapshot(str(path))
     assert loaded.node_ids == g.node_ids
-    assert loaded.out_edges == g.out_edges
-    assert loaded.in_edges == g.in_edges
+    assert loaded.index_of == g.index_of
+    for name in ("out_indptr", "out_indices", "indptr", "indices"):
+        assert np.array_equal(getattr(loaded, name), getattr(g, name))
     assert loaded.edge_count == g.edge_count
 
 
@@ -208,6 +213,51 @@ def test_snapshot_truncated_is_value_error(tmp_path):
     clipped.write_bytes(path.read_bytes()[:-6])
     with pytest.raises(ValueError, match="truncated or corrupt"):
         load_snapshot(str(clipped))
+
+
+def snapshot_bytes(ids, degrees, flat, edge_count=None):
+    """CGR1 bytes written field by field, valid or not."""
+    parts = [b"CGR1", struct.pack("<QQ", len(ids), sum(degrees)
+                                  if edge_count is None else edge_count)]
+    for pid in ids:
+        parts += [struct.pack("<Q", len(pid)), pid.encode("utf-8")]
+    parts.append(struct.pack(f"<{len(degrees)}Q", *degrees))
+    parts.append(struct.pack(f"<{len(flat)}Q", *flat))
+    return b"".join(parts)
+
+
+def test_snapshot_bytes_helper_writes_loadable_layout(tmp_path):
+    path = tmp_path / "ok.cgr"
+    path.write_bytes(snapshot_bytes(["a", "b", "c"], [2, 0, 1], [1, 2, 0]))
+    g = load_snapshot(str(path))
+    assert g.edges() == [(0, 1), (0, 2), (2, 0)]
+    resaved = tmp_path / "resaved.cgr"
+    save_snapshot(g, str(resaved))
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("degrees,flat,edge_count", [
+    ([1, 0, 0], [3], None),        # target out of range
+    ([1, 0, 0], [0], None),        # self-loop
+    ([2, 0, 0], [1, 1], None),     # duplicate target
+    ([5, 0, 0], [1], 5),           # degree sum larger than the data
+], ids=["target-out-of-range", "self-loop", "duplicate-target",
+        "degrees-exceed-data"])
+def test_snapshot_corrupt_adjacency_is_value_error(tmp_path, degrees, flat,
+                                                  edge_count):
+    path = tmp_path / "corrupt.cgr"
+    path.write_bytes(snapshot_bytes(["a", "b", "c"], degrees, flat, edge_count))
+    with pytest.raises(ValueError):
+        load_snapshot(str(path))
+
+
+def test_snapshot_huge_id_length_is_value_error(tmp_path):
+    data = bytearray(snapshot_bytes(["a", "b"], [1, 0], [1]))
+    data[20:28] = struct.pack("<Q", 2 ** 64 - 1)  # first id's length prefix
+    path = tmp_path / "huge.cgr"
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="truncated or corrupt"):
+        load_snapshot(str(path))
 
 
 def test_edge_list_export(tmp_path):

@@ -170,6 +170,17 @@ def test_rerank_network_failure_returns_original_with_flag():
     assert out.fallback
 
 
+def test_rerank_prompt_bug_propagates(monkeypatch):
+    import citegraph.rerank as rerank_module
+
+    def broken_prompt(request):
+        raise RuntimeError("prompt bug")
+
+    monkeypatch.setattr(rerank_module, "build_prompt", broken_prompt)
+    with pytest.raises(RuntimeError, match="prompt bug"):
+        rerank(MockClient(), request_for(3), ranked(3))
+
+
 def test_rerank_empty_list_passthrough():
     empty = RankedList(items=[])
     assert rerank(MockClient(), RerankRequest("q", []), empty) is empty
