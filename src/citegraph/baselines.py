@@ -1,4 +1,15 @@
-"""Retrieval baselines: BM25, dense cosine scan, and their hybrid blend."""
+"""Retrieval baselines: BM25, dense cosine scan, and their hybrid blend.
+
+Each baseline scores every document and ranks with `ranking.top_k`. BM25
+postings live in one flat (P, 2) array of (doc index, term frequency)
+rows, grouped by term and ascending by doc within a term; `postings` maps
+each term to its slice (a view, so `len()` is the document frequency).
+A query concatenates its terms' slices in token order, computes every
+posting's idf * tf / (tf + norm[doc]) at once, and sums per document with
+`np.bincount` (eager scoring, as in BM25S, Lu 2024). bincount adds weights
+in input order, so each document gets its terms in the order a loop over
+query tokens and postings adds them: the scores are bit-identical to it.
+"""
 from __future__ import annotations
 
 import math
@@ -8,19 +19,16 @@ from typing import Sequence
 import numpy as np
 
 from .embed import EmbeddingMatrix, tokenize
-from .ranking import RankedItem, RankedList
+from .ranking import RankedList, top_k
 
 
 @dataclass
 class Bm25Index:
-    """Inverted index with the statistics BM25 needs.
+    """Inverted index: term -> (df, 2) array of (doc index, tf) rows, plus
+    the per-document token counts."""
 
-    postings maps a term to (doc index, term frequency) pairs sorted by
-    doc index; doc_lengths holds per-document token counts.
-    """
-
-    postings: dict[str, list[tuple[int, int]]]
-    doc_lengths: list[int]
+    postings: dict[str, np.ndarray]
+    doc_lengths: np.ndarray
     avg_doc_length: float
     doc_count: int
     ids: tuple[str, ...]
@@ -40,27 +48,30 @@ class HybridConfig:
 def bm25_build(texts: Sequence[str], ids: Sequence[str] | None = None,
                k1: float = 1.2, b: float = 0.75) -> Bm25Index:
     """Index a corpus of texts (tokenizer shared with the hash embedder)."""
-    if len(texts) == 0:
+    n = len(texts)
+    if n == 0:
         raise ValueError("cannot build a BM25 index over an empty corpus")
-    if ids is None:
-        ids = tuple(str(i) for i in range(len(texts)))
-    else:
-        ids = tuple(ids)
-        if len(ids) != len(texts):
-            raise ValueError("ids and texts must have equal length")
-    postings: dict[str, list[tuple[int, int]]] = {}
-    doc_lengths: list[int] = []
-    for d, text in enumerate(texts):
-        tokens = tokenize(text)
-        doc_lengths.append(len(tokens))
-        counts: dict[str, int] = {}
-        for tok in tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-        for term, tf in counts.items():
-            postings.setdefault(term, []).append((d, tf))
+    if not (k1 >= 0.0 and 0.0 <= b <= 1.0):
+        raise ValueError("BM25 needs k1 >= 0 and b in [0, 1]")
+    ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
+    if len(ids) != n:
+        raise ValueError("ids and texts must have equal length")
+    vocab: dict[str, int] = {}  # term -> id, in first-appearance order
+    rows = [np.array([vocab.setdefault(t, len(vocab)) for t in tokenize(text)],
+                     dtype=np.int64) for text in texts]
+    doc_lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    term = np.concatenate(rows)
+    # one key per token, term-major, so sorting groups each term's docs
+    keys = np.sort(term * n + np.repeat(np.arange(n), doc_lengths))
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # per (term, doc)
+    term_of, doc_of = np.divmod(keys[first], n)
+    flat = np.stack([doc_of, np.diff(first, append=len(keys))], axis=1)
+    flat.setflags(write=False)
+    ends = np.cumsum(np.bincount(term_of, minlength=len(vocab)))
+    postings = dict(zip(vocab, np.split(flat, ends[:-1])))
     return Bm25Index(postings=postings, doc_lengths=doc_lengths,
-                     avg_doc_length=sum(doc_lengths) / len(texts),
-                     doc_count=len(texts), ids=ids, k1=k1, b=b)
+                     avg_doc_length=int(doc_lengths.sum()) / n,
+                     doc_count=n, ids=ids, k1=k1, b=b)
 
 
 def idf(index: Bm25Index, term: str) -> float:
@@ -74,48 +85,33 @@ def bm25_scores(index: Bm25Index, query_text: str) -> np.ndarray:
 
     Sums over query tokens as given (a repeated token counts each time).
     """
-    scores = np.zeros(index.doc_count, dtype=np.float64)
-    avg = index.avg_doc_length
-    for term in tokenize(query_text):
-        posting = index.postings.get(term)
-        if not posting:
-            continue
-        term_idf = idf(index, term)
-        for d, tf in posting:
-            ratio = index.doc_lengths[d] / avg if avg > 0.0 else 0.0
-            denom = tf + index.k1 * (1.0 - index.b + index.b * ratio)
-            scores[d] += term_idf * tf / denom
-    return scores
+    terms = [t for t in tokenize(query_text) if t in index.postings]
+    if not terms:  # also covers an all-empty corpus, whose avg length is 0
+        return np.zeros(index.doc_count, dtype=np.float64)
+    slices = [index.postings[t] for t in terms]
+    hits = np.concatenate(slices)
+    docs, tf = hits[:, 0], hits[:, 1]
+    term_idf = np.repeat([idf(index, t) for t in terms],
+                         [len(s) for s in slices])
+    ratio = index.doc_lengths[docs] / index.avg_doc_length
+    norm = index.k1 * (1.0 - index.b + index.b * ratio)
+    return np.bincount(docs, term_idf * tf / (tf + norm),
+                       minlength=index.doc_count)
 
 
 def bm25_rank(index: Bm25Index, query_text: str, k: int) -> RankedList:
     """Top-k documents with positive BM25 score, ties by doc index."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     scores = bm25_scores(index, query_text)
-    order = sorted((d for d in range(index.doc_count) if scores[d] > 0.0),
-                   key=lambda d: (-scores[d], d))
-    return RankedList(items=[
-        RankedItem(id=index.ids[d], score=float(scores[d]), provenance="bm25")
-        for d in order[:k]
-    ])
+    return top_k(scores, index.ids, k, "bm25", candidates=scores > 0.0)
 
 
 def dense_rank(query: np.ndarray, embeddings: EmbeddingMatrix,
                k: int) -> RankedList:
     """Top-k documents by exact cosine scan, ties by doc index."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     q = np.asarray(query, dtype=np.float64)
     if np.linalg.norm(q) == 0.0:
         raise ValueError("degenerate query: zero vector")
-    scores = embeddings.scores(q)
-    order = np.argsort(-scores, kind="stable")[:k]
-    return RankedList(items=[
-        RankedItem(id=embeddings.ids[int(d)], score=float(scores[int(d)]),
-                   provenance="dense")
-        for d in order
-    ])
+    return top_k(embeddings.scores(q), embeddings.ids, k, "dense")
 
 
 def _min_max(values: np.ndarray) -> np.ndarray:
@@ -126,41 +122,37 @@ def _min_max(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
+def hybrid_scores(bm25: np.ndarray, dense: np.ndarray,
+                  config: HybridConfig) -> np.ndarray:
+    """alpha * bm25 + (1 - alpha) * dense, each side min-max normalized to
+    [0, 1] over the whole corpus first."""
+    return config.alpha * _min_max(bm25) + (1.0 - config.alpha) * _min_max(dense)
+
+
 def hybrid_rank(bm25_list: RankedList, dense_list: RankedList,
                 config: HybridConfig, k: int,
                 universe: Sequence[str] | None = None) -> RankedList:
-    """Blend full-corpus BM25 and dense rankings: alpha*bm25 + (1-alpha)*dense.
+    """Blend full-corpus BM25 and dense rankings with `hybrid_scores`.
 
-    Each side is min-max normalized to [0, 1] per query before blending;
-    documents missing from a list contribute raw score 0 on that side
+    Documents missing from a list contribute raw score 0 on that side
     (BM25 omits zero-score docs). `universe` fixes the candidate id order
     used for tie-breaking; it defaults to the dense list's order. Ids
     outside the universe are a mismatch error.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if universe is None:
-        universe = [item.id for item in dense_list.items]
+        universe = dense_list.ids()
     positions = {pid: i for i, pid in enumerate(universe)}
     if len(positions) != len(universe):
         raise ValueError("universe contains duplicate ids")
+    sides = []
     for name, lst in (("bm25", bm25_list), ("dense", dense_list)):
-        unknown = [it.id for it in lst.items if it.id not in positions]
-        if unknown:
-            raise ValueError(
-                f"mismatched universes: {name} list has ids outside the "
-                f"candidate universe, e.g. {unknown[0]!r}")
-
-    raw_b = np.zeros(len(universe), dtype=np.float64)
-    raw_d = np.zeros(len(universe), dtype=np.float64)
-    for item in bm25_list.items:
-        raw_b[positions[item.id]] = item.score
-    for item in dense_list.items:
-        raw_d[positions[item.id]] = item.score
-    combined = config.alpha * _min_max(raw_b) + (1.0 - config.alpha) * _min_max(raw_d)
-
-    order = sorted(range(len(universe)), key=lambda i: (-combined[i], i))
-    return RankedList(items=[
-        RankedItem(id=universe[i], score=float(combined[i]), provenance="hybrid")
-        for i in order[:k]
-    ])
+        raw = np.zeros(len(universe), dtype=np.float64)
+        for item in lst.items:
+            if item.id not in positions:
+                raise ValueError(
+                    f"mismatched universes: {name} list has ids outside the "
+                    f"candidate universe, e.g. {item.id!r}")
+            raw[positions[item.id]] = item.score
+        sides.append(raw)
+    return top_k(hybrid_scores(sides[0], sides[1], config), universe, k,
+                 "hybrid")

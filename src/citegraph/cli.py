@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines, corpus, embed, gat, metrics, rerank
 from . import graph as graphmod
 from . import retriever as retrievermod
-from .ranking import RankedItem, RankedList
+from .ranking import RankedItem, RankedList, top_k
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -195,7 +195,7 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
                     hybrid: baselines.HybridConfig | None = None,
                     seed: int = 0, subset: int = 1000, llm_subset: int = 100,
                     dim: int = embed.DEFAULT_DIM, k1: float = 1.2,
-                    b: float = 0.75, embeddings=None,
+                    b: float = 0.75, graph=None, embeddings=None,
                     weights=None, scorer=None, llm_client=None,
                     llm_model: str = "default") -> dict:
     """Run each requested method over a seeded query subset and score it.
@@ -204,13 +204,15 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
     own citation list restricted to corpus members, and the paper itself
     is removed from every method's candidates. attn runs with `retriever`
     (default: the stock settings at depth k), hybrid with `hybrid`.
+    `graph` is the records' citation graph, built here when omitted.
     Returns a mapping with the per-method EvalReports and the run metadata.
     """
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r}; "
                              f"choose from {', '.join(METHODS)}")
-    graph = graphmod.build_graph(records)
+    if graph is None:
+        graph = graphmod.build_graph(records)
     if embeddings is None:
         embeddings = embed.embed_corpus(records, dim=dim, seed=seed)
     if weights is None or scorer is None:
@@ -231,7 +233,6 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
     needs_bm25 = any(m in ("bm25", "hybrid") for m in methods)
     index = (baselines.bm25_build(texts, ids=graph.node_ids, k1=k1, b=b)
              if needs_bm25 else None)
-    n = graph.node_count
 
     def attn_rank(qidx: int):
         query = embeddings.row(qidx)
@@ -247,10 +248,10 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
         elif method == "dense":
             ranked = baselines.dense_rank(embeddings.row(qidx), embeddings, k + 1)
         elif method == "hybrid":
-            full_b = baselines.bm25_rank(index, texts[qidx], n)
-            full_d = baselines.dense_rank(embeddings.row(qidx), embeddings, n)
-            ranked = baselines.hybrid_rank(full_b, full_d, hycfg, k + 1,
-                                           universe=graph.node_ids)
+            blend = baselines.hybrid_scores(
+                baselines.bm25_scores(index, texts[qidx]),
+                embeddings.scores(embeddings.row(qidx)), hycfg)
+            ranked = top_k(blend, graph.node_ids, k + 1, "hybrid")
         elif method == "attn":
             _, ranked = attn_rank(qidx)
         else:  # attn+llm
@@ -417,12 +418,9 @@ def cmd_retrieve(args) -> int:
         reranked = rerank.rerank(client, request, ranked)
         result["rerank"] = {"fallback": reranked.fallback,
                             "candidates": reranked.to_dicts()}
-    payload = json.dumps(result, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            fh.write("\n")
-    print(payload)
+        _write_json(args.output, result)
+    print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -440,7 +438,7 @@ def cmd_evaluate(args) -> int:
         records, methods=methods, k=args.k, retriever=args.retriever,
         hybrid=args.hybrid, seed=args.seed, subset=args.subset,
         llm_subset=args.llm_subset, dim=args.dim, k1=args.k1, b=args.b,
-        embeddings=embeddings, weights=weights, scorer=scorer,
+        graph=graph, embeddings=embeddings, weights=weights, scorer=scorer,
         llm_client=client, llm_model=args.model)
     table = comparison_table(result)
     print(table)
@@ -493,16 +491,11 @@ def cmd_rerank(args) -> int:
         triplets=[],
         model=args.model)
     reranked = rerank.rerank(client, request, original)
-    payload = json.dumps({
-        "query_id": query_id,
-        "fallback": reranked.fallback,
-        "candidates": reranked.to_dicts(),
-    }, indent=2, sort_keys=True)
+    result = {"query_id": query_id, "fallback": reranked.fallback,
+              "candidates": reranked.to_dicts()}
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            fh.write("\n")
-    print(payload)
+        _write_json(args.output, result)
+    print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -31,16 +31,15 @@ def tokenize(text: str) -> list[str]:
 class EmbeddingMatrix:
     """Dense vectors aligned with a graph's node order.
 
-    `ids[i]` names the paper whose vector is `vectors[i]`. When
-    `normalized` is true every non-zero row has unit L2 norm, so the dot
-    product with a unit query is its cosine similarity. Zero rows (papers
-    with no usable text) are allowed and score 0 against everything.
+    `ids[i]` names the paper whose vector is `vectors[i]`. Every non-zero
+    row has unit L2 norm, so the dot product with a unit query is its
+    cosine similarity. Zero rows (papers with no usable text) are allowed
+    and score 0 against everything.
     """
 
     ids: tuple[str, ...]
     vectors: np.ndarray
     dim: int
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -64,14 +63,7 @@ class EmbeddingMatrix:
         qn = np.linalg.norm(q)
         if qn == 0.0:
             return np.zeros(self.node_count)
-        q = q / qn
-        if self.normalized:
-            dots = self.vectors @ q
-        else:
-            norms = np.linalg.norm(self.vectors, axis=1)
-            norms[norms == 0.0] = 1.0
-            dots = (self.vectors @ q) / norms
-        return np.clip(dots, -1.0, 1.0)
+        return np.clip(self.vectors @ (q / qn), -1.0, 1.0)
 
 
 def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -110,7 +102,7 @@ def embed_corpus(records: Sequence[PaperRecord], dim: int = DEFAULT_DIM,
     for i, record in enumerate(records):
         vectors[i] = hash_embed(build_text(record), dim, seed)
     return EmbeddingMatrix(ids=tuple(r.id for r in records), vectors=vectors,
-                           dim=dim, normalized=True)
+                           dim=dim)
 
 
 def load_embeddings(path: str, graph) -> EmbeddingMatrix:
@@ -158,7 +150,7 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
     matrix = np.stack([rows[pid] for pid in graph.node_ids])
     return EmbeddingMatrix(ids=tuple(graph.node_ids),
                            vectors=l2_normalize_rows(matrix),
-                           dim=dim, normalized=True)
+                           dim=dim)
 
 
 def write_embeddings(path: str, matrix: EmbeddingMatrix) -> None:

@@ -317,18 +317,35 @@ def save_weights(path: str, weights: GatWeights, scorer: ScorerParams) -> None:
         fh.write("\n")
 
 
+def _entry(obj, key, where: str):
+    try:
+        return obj[key]
+    except (KeyError, IndexError, TypeError):
+        raise ValueError(f"missing key {where!r}") from None
+
+
+def _weight(obj, key, where: str) -> np.ndarray:
+    """obj[key] as a finite float64 array; errors name the key path."""
+    value = _entry(obj, key, where)
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: not numeric") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where}: non-finite value")
+    return arr
+
+
 def load_weights(path: str) -> tuple[GatWeights, ScorerParams]:
+    """Read `save_weights` output; a bad entry fails naming its key."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     slope = float(obj.get("leaky_slope", 0.2))
     layers = tuple(
-        GatLayer(W=np.array(l["W"], dtype=np.float64),
-                 a_src=np.array(l["a_src"], dtype=np.float64),
-                 a_dst=np.array(l["a_dst"], dtype=np.float64),
-                 leaky_slope=slope)
-        for l in obj["layers"]
-    )
-    weights = GatWeights(layers=layers, dims=tuple(obj["dims"]))
-    scorer = ScorerParams(u=np.array(obj["scorer"]["u"], dtype=np.float64),
-                          b=float(obj["scorer"]["b"]))
-    return weights, scorer
+        GatLayer(*(_weight(entry, name, f"layers[{i}].{name}")
+                   for name in ("W", "a_src", "a_dst")), leaky_slope=slope)
+        for i, entry in enumerate(_entry(obj, "layers", "layers")))
+    weights = GatWeights(layers=layers, dims=tuple(_entry(obj, "dims", "dims")))
+    scorer = _entry(obj, "scorer", "scorer")
+    return weights, ScorerParams(u=_weight(scorer, "u", "scorer.u"),
+                                 b=float(_weight(scorer, "b", "scorer.b")))

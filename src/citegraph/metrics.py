@@ -130,36 +130,23 @@ def evaluate(run: Mapping[str, RankedList | Sequence[str]], judgments,
     """Mean metrics over all queries in `run`.
 
     Every query must have a judgment; queries whose relevant set is empty
-    are excluded from the means and counted in excluded_count.
+    have no per-query row, are excluded from the means and counted in
+    excluded_count.
     """
-    jmap = _judgment_map(judgments)
-    excluded = 0
-    recalls: list[float] = []
-    precisions: list[float] = []
-    ranks: list[Optional[int]] = []
-    ndcgs: list[float] = []
-    for qid, ranked in run.items():
-        if qid not in jmap:
-            raise KeyError(f"no judgment for query {qid!r}")
-        relevant = jmap[qid]
-        if not relevant:
-            excluded += 1
-            continue
-        recalls.append(recall_at_k(ranked, relevant, k))
-        precisions.append(precision_at_k(ranked, relevant, k))
-        ranks.append(first_relevant_rank(ranked, relevant))
-        ndcgs.append(ndcg_at_k(ranked, relevant, k))
-    if not recalls:
+    rows = per_query_metrics(run, judgments, k)
+    if not rows:
         raise ValueError("no evaluable queries (all had empty relevant sets)")
-    n = len(recalls)
+    n = len(rows)
+    means = {key: sum(row[key] for row in rows) / n
+             for key in ("recall", "precision", "rr", "ndcg")}
     return EvalReport(
         k=k,
-        recall_at_k=sum(recalls) / n,
-        precision_at_k=sum(precisions) / n,
-        mrr=mrr(ranks),
-        ndcg_at_k=sum(ndcgs) / n,
+        recall_at_k=means["recall"],
+        precision_at_k=means["precision"],
+        mrr=means["rr"],
+        ndcg_at_k=means["ndcg"],
         query_count=n,
-        excluded_count=excluded,
+        excluded_count=len(run) - n,
     )
 
 

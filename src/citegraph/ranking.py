@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -45,3 +47,17 @@ class RankedList:
             {"id": it.id, "score": it.score, "provenance": it.provenance}
             for it in self.items
         ]
+
+
+def top_k(scores: np.ndarray, ids: Sequence[str], k: int, provenance: str,
+          candidates: np.ndarray | None = None) -> RankedList:
+    """Best k by score, ties to the lower index; `candidates` masks the pool."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pool = (np.arange(len(scores)) if candidates is None
+            else np.flatnonzero(candidates))
+    best = pool[np.argsort(-scores[pool], kind="stable")[:k]]
+    return RankedList(items=[
+        RankedItem(id=ids[i], score=float(scores[i]), provenance=provenance)
+        for i in best.tolist()
+    ])

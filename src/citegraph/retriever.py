@@ -138,24 +138,22 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
 
 
 def decode_and_rank(subgraph: RetrievedSubgraph, query: np.ndarray,
-                    embeddings: EmbeddingMatrix, config: RetrieverConfig,
-                    decoder: np.ndarray | None = None) -> RankedList:
-    """Rank kept nodes (seed excluded) by cosine of decoded state vs query.
+                    embeddings: EmbeddingMatrix,
+                    config: RetrieverConfig) -> RankedList:
+    """Rank kept nodes (seed excluded) by cosine of final state vs query.
 
-    The decoder maps final states back to embedding width; with equal
-    widths it is the identity and `decoder` may be omitted. When fewer than
-    top_k candidates survive and dense fallback is enabled, the remaining
-    slots are filled with the highest raw-cosine nodes not already present
-    (never the seed), flagged "dense-fallback"; the combined list is
-    ordered by score with index tie-breaks.
+    Final states have the embedding width (each hop stacks them with
+    embedding rows), so they are compared with the query as they are.
+    When fewer than top_k candidates survive and dense fallback is
+    enabled, the remaining slots are filled with the highest raw-cosine
+    nodes not already present (never the seed), flagged "dense-fallback";
+    the combined list is ordered by score with index tie-breaks.
     """
     query = np.asarray(query, dtype=np.float64)
     scored: list[tuple[int, float, str]] = []
     nodes = [u for u in subgraph.nodes if u != subgraph.seed]
     if nodes:
         decoded = np.stack([subgraph.states[u] for u in nodes])
-        if decoder is not None:
-            decoded = decoded @ decoder
         # cosine per row, 0 where either vector is zero (as embed.cosine)
         norms = np.linalg.norm(decoded, axis=1) * np.linalg.norm(query)
         with np.errstate(divide="ignore", invalid="ignore"):

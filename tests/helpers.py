@@ -7,6 +7,7 @@ used to check.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -155,6 +156,29 @@ def oracle_retrieve(n, edges, vectors, query, seed, layers, u, b, sigma,
             scores[v] = sc
             hop_of[v] = hop
     return kept, scores, hop_of, states
+
+
+def oracle_bm25_loop(docs, query, k1=1.2, b=0.75):
+    """BM25 by a straight per-posting loop over token lists.
+
+    For each query token in order (a repeat counts again), every document
+    containing it, in document order, gains idf * tf / (tf + norm) with
+    the smoothed idf ln((N - df + 0.5) / (df + 0.5) + 1).
+    """
+    n = len(docs)
+    avg = sum(len(doc) for doc in docs) / n
+    scores = np.zeros(n)
+    for term in query:
+        posting = [(d, doc.count(term)) for d, doc in enumerate(docs)
+                   if term in doc]
+        if not posting:
+            continue
+        df = len(posting)
+        term_idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+        for d, tf in posting:
+            ratio = len(docs[d]) / avg if avg > 0.0 else 0.0
+            scores[d] += term_idf * tf / (tf + k1 * (1.0 - b + b * ratio))
+    return scores
 
 
 def oracle_bfs_ball(n, edges, sources, k):

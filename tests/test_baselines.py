@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from citegraph import cli
 from citegraph.baselines import (HybridConfig, bm25_build, bm25_rank,
                                  bm25_scores, dense_rank, hybrid_rank, idf)
-from citegraph.embed import EmbeddingMatrix, tokenize
+from citegraph.embed import EmbeddingMatrix, embed_corpus, tokenize
 from citegraph.graph import build_graph
-from citegraph.corpus import PaperRecord
+from citegraph.corpus import PaperRecord, build_text
 from citegraph.ranking import RankedItem, RankedList
 from citegraph.retriever import select_seed
+from helpers import oracle_bm25_loop
 
 FIVE_DOCS = [
     "graph attention networks for citation ranking",
@@ -39,12 +43,16 @@ def test_idf_smoothed_floor_for_ubiquitous_term():
     assert idf(index, "cat") > 0.0
 
 
+def pairs(posting):
+    return [tuple(p) for p in posting.tolist()]
+
+
 def test_postings_match_hand_count():
     index = bm25_build(["a b a", "b c", "c c c"])
-    assert index.postings["a"] == [(0, 2)]
-    assert index.postings["b"] == [(0, 1), (1, 1)]
-    assert index.postings["c"] == [(1, 1), (2, 3)]
-    assert index.doc_lengths == [3, 2, 3]
+    assert pairs(index.postings["a"]) == [(0, 2)]
+    assert pairs(index.postings["b"]) == [(0, 1), (1, 1)]
+    assert pairs(index.postings["c"]) == [(1, 1), (2, 3)]
+    assert index.doc_lengths.tolist() == [3, 2, 3]
     assert index.avg_doc_length == pytest.approx(8.0 / 3.0)
 
 
@@ -82,6 +90,31 @@ def test_bm25_scores_match_formula_oracle():
                 norm = k1 * (1.0 - b + b * len(docs[d]) / avg)
                 expected += term_idf * tf / (tf + norm)
             assert scores[d] == pytest.approx(expected, abs=1e-9), (query, d)
+
+
+WORDS = ["alpha", "beta", "gamma", "delta"]
+docs_strategy = st.lists(st.lists(st.sampled_from(WORDS), max_size=8),
+                         min_size=1, max_size=8)
+query_strategy = st.lists(st.sampled_from(WORDS + ["unknown"]), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(docs=docs_strategy, query=query_strategy,
+       k1=st.floats(0.0, 3.0), b=st.floats(0.0, 1.0))
+@example(docs=[["alpha", "beta"]], query=["alpha", "alpha"], k1=1.2, b=0.75)
+@example(docs=[[], ["alpha"], []], query=["alpha", "unknown"], k1=1.2,
+         b=0.75)
+@example(docs=[[], []], query=["alpha"], k1=1.2, b=0.75)
+def test_bm25_scores_bit_identical_to_posting_loop(docs, query, k1, b):
+    index = bm25_build([" ".join(doc) for doc in docs], k1=k1, b=b)
+    scores = bm25_scores(index, " ".join(query))
+    assert scores.tobytes() == oracle_bm25_loop(docs, query, k1, b).tobytes()
+
+
+def test_bm25_build_rejects_bad_parameters():
+    for k1, b in ((-0.1, 0.75), (1.2, 1.5), (1.2, -0.5), (float("nan"), 0.5)):
+        with pytest.raises(ValueError, match="k1"):
+            bm25_build(FIVE_DOCS, k1=k1, b=b)
 
 
 def test_bm25_scores_nonnegative_property():
@@ -230,7 +263,8 @@ def test_adding_unrelated_doc_keeps_existing_tf_terms():
     base = bm25_build(FIVE_DOCS)
     grown = bm25_build(FIVE_DOCS + ["entirely unrelated zymurgy content"])
     for term, posting in base.postings.items():
-        assert [p for p in grown.postings[term] if p[0] < 5] == posting
+        assert [p for p in pairs(grown.postings[term]) if p[0] < 5] == \
+            pairs(posting)
     assert grown.doc_count == base.doc_count + 1
     # IDF and avg length shift consistently with the new corpus statistics
     assert grown.avg_doc_length == pytest.approx(
@@ -246,3 +280,24 @@ def test_bm25_repeated_query_token_counts_twice():
     once = bm25_scores(index, "attention")
     twice = bm25_scores(index, "attention attention")
     assert np.allclose(twice, 2.0 * once)
+
+
+def test_evaluate_hybrid_matches_hybrid_rank_over_full_lists():
+    records = [PaperRecord(id=f"p{i}", title=text,
+                           citations=[f"p{(i + 1) % 5}", f"p{(i + 3) % 5}"])
+               for i, text in enumerate(FIVE_DOCS)]
+    k, cfg = 3, HybridConfig(alpha=0.3)
+    result = cli.evaluate_corpus(records, methods=("hybrid",), k=k, dim=16,
+                                 hybrid=cfg)
+    texts = [build_text(r) for r in records]
+    ids = tuple(r.id for r in records)
+    index = bm25_build(texts, ids=ids)
+    emb = embed_corpus(records, dim=16)
+    run = result["runs"]["hybrid"]
+    assert len(run) == 5
+    for i, pid in enumerate(ids):
+        full = hybrid_rank(bm25_rank(index, texts[i], 5),
+                           dense_rank(emb.row(i), emb, 5), cfg, k + 1,
+                           universe=ids)
+        expected = [it for it in full.to_dicts() if it["id"] != pid][:k]
+        assert run[pid].to_dicts() == expected

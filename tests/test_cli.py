@@ -134,6 +134,31 @@ def test_train_writes_loadable_weights(tmp_path, corpus_path, capsys):
     assert "trained scorer on 6 queries" in capsys.readouterr().out
 
 
+def _break_nan(obj):
+    obj["layers"][1]["a_src"][2] = float("nan")
+
+
+def _break_missing(obj):
+    del obj["scorer"]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_break_nan, "layers[1].a_src: non-finite value"),
+    (_break_missing, "missing key 'scorer'")])
+def test_bad_weights_name_the_key(tmp_path, corpus_path, capsys, corrupt,
+                                  message):
+    weights_path = tmp_path / "weights.json"
+    assert run_cli("train", "--corpus", corpus_path, "--output", weights_path,
+                   "--dim", "8", "--epochs", "2") == 0
+    obj = json.loads(weights_path.read_text())
+    corrupt(obj)
+    weights_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli("retrieve", "--corpus", corpus_path, "--dim", "8",
+                   "--weights", weights_path, "--paper-id", "p00h") == 2
+    assert message in capsys.readouterr().err
+
+
 def test_retrieve_by_text_selects_own_paper_as_seed(tmp_path, corpus_path,
                                                     capsys):
     records, _ = parse_records(iter(corpus_path.read_text().splitlines()))

@@ -251,17 +251,6 @@ def test_decode_and_rank_dense_fallback_pads_and_flags():
     assert scores == sorted(scores, reverse=True)
 
 
-def test_decode_and_rank_with_decoder_matrix():
-    fx = retriever_fixture(9)
-    sub, _ = run_fixture(fx, sigma=0.0)
-    cfg = RetrieverConfig(top_k=4, fallback_to_dense=False)
-    decoder = np.eye(fx["embeddings"].dim)
-    via_decoder = decode_and_rank(sub, fx["query"], fx["embeddings"], cfg,
-                                  decoder=decoder)
-    plain = decode_and_rank(sub, fx["query"], fx["embeddings"], cfg)
-    assert via_decoder.ids() == plain.ids()
-
-
 def test_retrieval_json_shape():
     fx = retriever_fixture(10)
     sub, cfg = run_fixture(fx)
