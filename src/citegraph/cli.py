@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 network error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -205,7 +204,8 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
     is removed from every method's candidates. attn runs with `retriever`
     (default: the stock settings at depth k), hybrid with `hybrid`.
     `graph` is the records' citation graph, built here when omitted.
-    Returns a mapping with the per-method EvalReports and the run metadata.
+    Returns a mapping with the per-method EvalReports, runs and per-query
+    metric rows, and the run metadata.
     """
     for method in methods:
         if method not in METHODS:
@@ -275,15 +275,16 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
     }
     reports: dict[str, metrics.EvalReport] = {}
     runs: dict[str, dict[str, RankedList]] = {}
+    rows: dict[str, list[dict]] = {}
     for method in methods:
         method_queries = queries[:llm_subset] if method == "attn+llm" else queries
         run = {records[i].id: rank_for(method, i) for i in method_queries}
-        report = metrics.evaluate(run, judgments, k)
-        reports[method] = dataclasses.replace(report, excluded_count=excluded)
+        rows[method] = metrics.per_query_metrics(run, judgments, k)
+        reports[method] = metrics.report_from_rows(rows[method], k, excluded)
         runs[method] = run
     return {"k": k, "seed": seed, "subset": len(queries),
             "excluded": excluded, "methods": reports, "runs": runs,
-            "judgments": judgments}
+            "rows": rows, "judgments": judgments}
 
 
 def _title_of(records, graph, pid: str) -> str:
@@ -449,10 +450,9 @@ def cmd_evaluate(args) -> int:
             metrics.write_report_json(
                 os.path.join(args.output, f"report_{safe}.json"), report)
             if args.per_query:
-                rows = metrics.per_query_metrics(
-                    result["runs"][name], result["judgments"], args.k)
                 metrics.write_per_query_csv(
-                    os.path.join(args.output, f"per_query_{safe}.csv"), rows)
+                    os.path.join(args.output, f"per_query_{safe}.csv"),
+                    result["rows"][name])
         _write_json(os.path.join(args.output, "comparison.json"),
                     comparison_json(result))
         with open(os.path.join(args.output, "comparison.txt"), "w",

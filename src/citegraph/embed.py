@@ -5,10 +5,17 @@ the graph's node order. When no file is available, a feature-hashing
 bag-of-words embedder provides a self-contained, fully deterministic
 substitute so the whole pipeline runs without any external model. Rows are
 L2-normalized at load time so cosine similarity reduces to a dot product.
+
+The hashing embedder hashes each distinct token once per call and counts
+a row's tokens with one `np.bincount`; every count is a small integer, so
+the row, its norm and the normalized vector are exact whatever the
+summation order. The TSV is parsed in one `np.loadtxt` pass over the
+checked lines, and written one `tolist` row at a time.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -66,12 +73,47 @@ class EmbeddingMatrix:
         return np.clip(self.vectors @ (q / qn), -1.0, 1.0)
 
 
-def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    out = np.array(matrix, dtype=np.float64, copy=True)
-    norms = np.linalg.norm(out, axis=1)
-    nonzero = norms > 0.0
-    out[nonzero] /= norms[nonzero, None]
+def _normalize_in_place(out: np.ndarray) -> np.ndarray:
+    """Divide every non-zero row of `out` by its L2 norm, in place.
+
+    Rows go in blocks of 1024 so the squares `np.linalg.norm` forms never
+    take a full copy of the matrix; a row's norm does not depend on the
+    block.
+    """
+    for start in range(0, len(out), 1024):
+        rows = out[start:start + 1024]
+        norms = np.linalg.norm(rows, axis=1)
+        rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
     return out
+
+
+class _TokenCodes(dict):
+    """token -> 2*bucket + (1 if the sign is +1 else 0), hashed on first use.
+
+    One instance serves one call, so nothing is shared between callers.
+    """
+
+    def __init__(self, dim: int, seed: int) -> None:
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        super().__init__()
+        self.dim = dim
+        self.key = int(seed).to_bytes(8, "little", signed=True)
+
+    def __missing__(self, token: str) -> int:
+        digest = hashlib.blake2b(token.encode("utf-8"), key=self.key,
+                                 digest_size=9).digest()
+        code = 2 * (int.from_bytes(digest[:8], "little") % self.dim) \
+            + (digest[8] & 1)
+        self[token] = code
+        return code
+
+    def counts(self, text: str) -> np.ndarray:
+        """Signed token counts per bucket (an integer vector of length dim)."""
+        codes = np.fromiter(map(self.__getitem__, tokenize(text)),
+                            dtype=np.intp)
+        pairs = np.bincount(codes, minlength=2 * self.dim).reshape(self.dim, 2)
+        return pairs[:, 1] - pairs[:, 0]
 
 
 def hash_embed(text: str, dim: int = DEFAULT_DIM, seed: int = 0) -> np.ndarray:
@@ -82,36 +124,75 @@ def hash_embed(text: str, dim: int = DEFAULT_DIM, seed: int = 0) -> np.ndarray:
     Word order does not matter; empty text gives the zero vector. Stable
     across runs, platforms and thread counts.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    key = int(seed).to_bytes(8, "little", signed=True)
-    vec = np.zeros(dim, dtype=np.float64)
-    for token in tokenize(text):
-        digest = hashlib.blake2b(token.encode("utf-8"), key=key,
-                                 digest_size=9).digest()
-        bucket = int.from_bytes(digest[:8], "little") % dim
-        vec[bucket] += 1.0 if digest[8] & 1 else -1.0
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0.0 else vec
+    vec = _TokenCodes(dim, seed).counts(text).astype(np.float64)
+    return _normalize_in_place(vec[None, :])[0]
 
 
 def embed_corpus(records: Sequence[PaperRecord], dim: int = DEFAULT_DIM,
                  seed: int = 0) -> EmbeddingMatrix:
     """Hash-embed every record's concatenated text, in corpus order."""
+    codes = _TokenCodes(dim, seed)
     vectors = np.zeros((len(records), dim), dtype=np.float64)
     for i, record in enumerate(records):
-        vectors[i] = hash_embed(build_text(record), dim, seed)
-    return EmbeddingMatrix(ids=tuple(r.id for r in records), vectors=vectors,
-                           dim=dim)
+        vectors[i] = codes.counts(build_text(record))
+    return EmbeddingMatrix(ids=tuple(r.id for r in records),
+                           vectors=_normalize_in_place(vectors), dim=dim)
+
+
+def _data_lines(fh, dim: int, index: dict[str, int], line_nos: list[int]):
+    """Yield the non-blank data lines of an embedding TSV, checked for
+    their field count and a unique id; records each row's id in `index`
+    (id -> row) and its file line number in `line_nos`."""
+    for line_no, line in enumerate(fh, start=2):
+        if not line.strip():
+            continue
+        text = line.rstrip("\n")
+        pid = text.partition("\t")[0]
+        values = text.count("\t")
+        if values != dim:
+            raise ValueError(f"line {line_no}: expected {dim} values, got "
+                             f"{values} in row for id {pid!r}")
+        if pid in index:
+            raise ValueError(
+                f"line {line_no}: duplicate embedding row for id {pid!r}")
+        index[pid] = len(index)
+        line_nos.append(line_no)
+        yield text
+
+
+def _parse_values(lines, dim: int) -> np.ndarray:
+    # comments=None: an id may contain '#'
+    return np.loadtxt(lines, dtype=np.float64, delimiter="\t",
+                      usecols=range(1, dim + 1), comments=None, ndmin=2)
+
+
+def _raise_first_bad_line(path: str, dim: int) -> None:
+    """Re-scan the file line by line and raise on the first line that
+    fails, naming it and its id; used only once a bulk parse failed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        index: dict[str, int] = {}
+        line_nos: list[int] = []
+        for text in _data_lines(fh, dim, index, line_nos):
+            try:
+                _parse_values([text], dim)
+            except ValueError:
+                pid = text.partition("\t")[0]
+                raise ValueError(f"line {line_nos[-1]}: non-numeric value "
+                                 f"in row for id {pid!r}") from None
 
 
 def load_embeddings(path: str, graph) -> EmbeddingMatrix:
     """Load a TSV embedding file and align rows to the graph's node order.
 
     Format: header line "<count>\\t<dim>", then one "<paper_id>\\t<f1>\\t..."
-    line per paper. Every graph node must have exactly one row; ids not in
-    the graph are ignored. Values must be finite. Rows are L2-normalized.
+    line per paper, in any order; blank lines are skipped. Every graph
+    node must have exactly one row; ids not in the graph are ignored.
+    Values must be finite numbers; an error names the file line and the
+    paper id. Rows are L2-normalized.
     """
+    index: dict[str, int] = {}
+    line_nos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) != 2:
@@ -122,43 +203,41 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
             raise ValueError("embedding header must be two integers") from exc
         if dim < 1:
             raise ValueError(f"embedding dimension must be >= 1, got {dim}")
-        rows: dict[str, np.ndarray] = {}
-        lines = 0
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            lines += 1
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != dim + 1:
-                raise ValueError(
-                    f"line {line_no}: expected {dim} values, got {len(parts) - 1}")
-            pid = parts[0]
-            if pid in rows:
-                raise ValueError(f"duplicate embedding row for id {pid!r}")
-            row = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            if not np.isfinite(row).all():
-                raise ValueError(
-                    f"line {line_no}: non-finite value in row for id {pid!r}")
-            rows[pid] = row
-    if lines != count:
-        raise ValueError(f"header declared {count} rows, file has {lines}")
-    missing = [pid for pid in graph.node_ids if pid not in rows]
+        lines = _data_lines(fh, dim, index, line_nos)
+        first = next(lines, None)
+        if first is None:  # loadtxt warns on empty input
+            values = np.empty((0, dim), dtype=np.float64)
+        else:
+            try:
+                values = _parse_values(itertools.chain([first], lines), dim)
+            except ValueError:
+                _raise_first_bad_line(path, dim)
+                raise
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        pid = next(itertools.islice(index, row, None))
+        raise ValueError(
+            f"line {line_nos[row]}: non-finite value in row for id {pid!r}")
+    if len(line_nos) != count:
+        raise ValueError(f"header declared {count} rows, file has {len(line_nos)}")
+    missing = [pid for pid in graph.node_ids if pid not in index]
     if missing:
         shown = ", ".join(missing[:20])
         more = f" (+{len(missing) - 20} more)" if len(missing) > 20 else ""
         raise ValueError(f"embedding file is missing node ids: {shown}{more}")
-    matrix = np.stack([rows[pid] for pid in graph.node_ids])
+    if list(index) != list(graph.node_ids):
+        values = values[[index[pid] for pid in graph.node_ids]]
     return EmbeddingMatrix(ids=tuple(graph.node_ids),
-                           vectors=l2_normalize_rows(matrix),
-                           dim=dim)
+                           vectors=_normalize_in_place(values), dim=dim)
 
 
 def write_embeddings(path: str, matrix: EmbeddingMatrix) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{matrix.node_count}\t{matrix.dim}\n")
         for pid, row in zip(matrix.ids, matrix.vectors):
-            values = "\t".join(repr(float(x)) for x in row)
-            fh.write(f"{pid}\t{values}\n")
+            # repr of a Python float, as repr(float(x)) for each entry
+            fh.write(pid + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -236,11 +236,12 @@ def _training_pairs(embeddings: EmbeddingMatrix,
         q = np.asarray(tq.query, dtype=np.float64)
         positives = [p for p in tq.positives if 0 <= p < n]
         total_pos += len(positives)
-        pos_set = set(positives)
         for p in positives:
             feats.append(np.concatenate([embeddings.vectors[p], q]))
             labels.append(1.0)
-        pool = np.array([i for i in range(n) if i not in pos_set], dtype=np.intp)
+        negative = np.ones(n, dtype=bool)
+        negative[positives] = False
+        pool = np.flatnonzero(negative)
         wanted = min(len(pool), config.negatives_per_positive * len(positives))
         if wanted > 0:
             for neg in sorted(rng.choice(pool, size=wanted, replace=False)):
@@ -301,19 +302,41 @@ def init_scorer(state_dim: int, query_dim: int, seed: int = 0) -> ScorerParams:
     return ScorerParams(u=rng.uniform(-bound, bound, size=width), b=0.0)
 
 
+def _json_pieces(value):
+    """The text of `json.dumps(value)`, in pieces: dicts and lists are
+    walked here, and each array or scalar inside is encoded by one C-encoder
+    `json.dumps` call, so no more than one matrix is a Python list at once."""
+    if isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _json_pieces(item)
+        yield "}"
+    elif isinstance(value, list):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _json_pieces(item)
+        yield "]"
+    elif isinstance(value, np.ndarray):
+        yield json.dumps(value.tolist())
+    else:
+        yield json.dumps(value)
+
+
 def save_weights(path: str, weights: GatWeights, scorer: ScorerParams) -> None:
     obj = {
         "dims": list(weights.dims),
         "leaky_slope": weights.layers[0].leaky_slope,
         "layers": [
-            {"W": layer.W.tolist(), "a_src": layer.a_src.tolist(),
-             "a_dst": layer.a_dst.tolist()}
+            {"W": layer.W, "a_src": layer.a_src, "a_dst": layer.a_dst}
             for layer in weights.layers
         ],
-        "scorer": {"u": scorer.u.tolist(), "b": float(scorer.b)},
+        "scorer": {"u": scorer.u, "b": float(scorer.b)},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        fh.writelines(_json_pieces(obj))
         fh.write("\n")
 
 

@@ -125,15 +125,9 @@ def per_query_metrics(run: Mapping[str, RankedList | Sequence[str]],
     return rows
 
 
-def evaluate(run: Mapping[str, RankedList | Sequence[str]], judgments,
-             k: int) -> EvalReport:
-    """Mean metrics over all queries in `run`.
-
-    Every query must have a judgment; queries whose relevant set is empty
-    have no per-query row, are excluded from the means and counted in
-    excluded_count.
-    """
-    rows = per_query_metrics(run, judgments, k)
+def report_from_rows(rows: Sequence[dict], k: int,
+                     excluded_count: int) -> EvalReport:
+    """Mean metrics over `per_query_metrics` rows, one per included query."""
     if not rows:
         raise ValueError("no evaluable queries (all had empty relevant sets)")
     n = len(rows)
@@ -146,8 +140,20 @@ def evaluate(run: Mapping[str, RankedList | Sequence[str]], judgments,
         mrr=means["rr"],
         ndcg_at_k=means["ndcg"],
         query_count=n,
-        excluded_count=len(run) - n,
+        excluded_count=excluded_count,
     )
+
+
+def evaluate(run: Mapping[str, RankedList | Sequence[str]], judgments,
+             k: int) -> EvalReport:
+    """Mean metrics over all queries in `run`.
+
+    Every query must have a judgment; queries whose relevant set is empty
+    have no per-query row, are excluded from the means and counted in
+    excluded_count.
+    """
+    rows = per_query_metrics(run, judgments, k)
+    return report_from_rows(rows, k, len(run) - len(rows))
 
 
 def write_report_json(path: str, report: EvalReport) -> None:

@@ -6,8 +6,10 @@ used to check.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 
@@ -179,6 +181,31 @@ def oracle_bm25_loop(docs, query, k1=1.2, b=0.75):
             ratio = len(docs[d]) / avg if avg > 0.0 else 0.0
             scores[d] += term_idf * tf / (tf + k1 * (1.0 - b + b * ratio))
     return scores
+
+
+def oracle_hash_embed(text, dim, seed):
+    """Signed feature hashing by a per-occurrence loop: every token
+    (lowercased alphanumeric run) is hashed with blake2b keyed on the seed,
+    the first 8 digest bytes pick the bucket and the 9th byte's low bit the
+    sign; the sum is divided by its L2 norm unless it is zero."""
+    key = int(seed).to_bytes(8, "little", signed=True)
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in re.findall(r"[^\W_]+", text.lower()):
+        digest = hashlib.blake2b(token.encode("utf-8"), key=key,
+                                 digest_size=9).digest()
+        bucket = int.from_bytes(digest[:8], "little") % dim
+        vec[bucket] += 1.0 if digest[8] & 1 else -1.0
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0.0 else vec
+
+
+def oracle_write_embeddings(path, ids, vectors):
+    """The embeddings TSV written value by value with repr(float(x))."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(ids)}\t{vectors.shape[1]}\n")
+        for pid, row in zip(ids, vectors):
+            values = "\t".join(repr(float(x)) for x in row)
+            fh.write(f"{pid}\t{values}\n")
 
 
 def oracle_bfs_ball(n, edges, sources, k):

@@ -124,6 +124,20 @@ def test_embed_nonfinite_value_is_data_error(tmp_path, corpus_path, capsys,
     assert "line 4" in err and repr(pid) in err and "non-finite" in err
 
 
+def test_embed_non_numeric_value_is_data_error(tmp_path, corpus_path, capsys):
+    tsv = tmp_path / "emb.tsv"
+    assert run_cli("embed", "--corpus", corpus_path, "--output", tsv,
+                   "--dim", "4") == 0
+    lines = tsv.read_text().splitlines()
+    pid, *values = lines[3].split("\t")
+    lines[3] = "\t".join([pid] + values[:-1] + ["abc"])
+    tsv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("embed", "--corpus", corpus_path, "--embeddings", tsv) == 2
+    err = capsys.readouterr().err
+    assert "line 4" in err and repr(pid) in err and "non-numeric" in err
+
+
 def test_train_writes_loadable_weights(tmp_path, corpus_path, capsys):
     weights_path = tmp_path / "weights.json"
     assert run_cli("train", "--corpus", corpus_path, "--output", weights_path,

@@ -1,14 +1,21 @@
 import math
+import os
+import tempfile
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from citegraph.corpus import PaperRecord
+from citegraph.corpus import PaperRecord, build_text
 from citegraph.embed import (EmbeddingMatrix, cosine, embed_corpus,
                              hash_embed, load_embeddings, tokenize,
                              write_embeddings)
 from citegraph.graph import build_graph
+
+from helpers import oracle_hash_embed, oracle_write_embeddings
 
 
 def small_graph(ids):
@@ -71,6 +78,26 @@ def test_load_embeddings_header_count_mismatch(tmp_path):
         load_embeddings(str(path), g)
 
 
+def test_load_embeddings_non_numeric_names_line_and_id(tmp_path):
+    g = small_graph(["a", "b", "c"])
+    path = tmp_path / "emb.tsv"
+    # the duplicate id comes later in the file, so it is not reported
+    path.write_text("3\t2\na\t1.0\t2.0\n\nb\t1.0\tabc\nc\t1\t2\nc\t1\t2\n")
+    with pytest.raises(ValueError,
+                       match="line 4: non-numeric value in row for id 'b'"):
+        load_embeddings(str(path), g)
+
+
+def test_load_embeddings_header_only_is_value_error(tmp_path):
+    g = small_graph(["a"])
+    path = tmp_path / "emb.tsv"
+    path.write_text("0\t4\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="missing node ids: a"):
+            load_embeddings(str(path), g)
+
+
 def test_write_then_load_round_trip(tmp_path):
     records = [PaperRecord(id=f"p{i}", title=f"title {i} words")
                for i in range(5)]
@@ -125,6 +152,96 @@ def test_hash_embed_identical_across_thread_counts():
             results = list(pool.map(lambda _: hash_embed(text, 48, seed=7),
                                     range(16)))
         assert all(np.array_equal(r, expected) for r in results)
+
+
+WORDS = ["graph", "attention", "citation", "naïve", "東京", "x1", "a"]
+texts_strategy = st.lists(
+    st.one_of(st.text(max_size=40),
+              st.lists(st.sampled_from(WORDS), max_size=30).map(" ".join)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=texts_strategy, dim=st.sampled_from([1, 2, 7, 64, 384]),
+       seed=st.integers(-2**63, 2**63 - 1))
+@example(texts=["", "a a a a", "Graph, graph; GRAPH graph_attention"],
+         dim=16, seed=0)
+@example(texts=["naïve 東京 naïve x1", "x1 x1 -x1"], dim=3, seed=-1)
+def test_embed_corpus_bit_identical_to_hash_loop(texts, dim, seed):
+    records = [PaperRecord(id=f"p{i}", title=t) for i, t in enumerate(texts)]
+    matrix = embed_corpus(records, dim=dim, seed=seed)
+    for record, row in zip(records, matrix.vectors):
+        expected = oracle_hash_embed(build_text(record), dim, seed)
+        assert row.tobytes() == expected.tobytes()
+        assert hash_embed(build_text(record), dim, seed).tobytes() == \
+            expected.tobytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(finite, min_size=3, max_size=3), max_size=6))
+@example(rows=[[-0.0, 5e-324, 1e308], [-1e308, 2.2250738585072014e-308,
+                                         1e-310], [0.1, -2.5e-16, 1e16]])
+def test_write_embeddings_bytes_match_repr_writer(rows):
+    vectors = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+    ids = tuple(f"id#{i}" for i in range(len(rows)))
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.tsv"), os.path.join(tmp, "want.tsv")
+        write_embeddings(got, EmbeddingMatrix(ids=ids, vectors=vectors, dim=3))
+        oracle_write_embeddings(want, ids, vectors)
+        with open(got, "rb") as a, open(want, "rb") as b:
+            assert a.read() == b.read()
+
+
+def check_load_matches_normalized_source(source, order, extra, blank_every):
+    """Rows written in `order`, plus `extra` ids outside the graph and a
+    blank line after every `blank_every` rows, load bit-equal to the
+    source divided row by row by its L2 norm."""
+    n, dim = source.shape
+    ids = [f"p#{i}" for i in range(n)]
+    lines = [f"{n + len(extra)}\t{dim}"]
+    rows = [(ids[i], source[i]) for i in order] + extra
+    for j, (pid, row) in enumerate(rows):
+        lines.append(pid + "\t" + "\t".join(repr(float(x)) for x in row))
+        if (j + 1) % blank_every == 0:
+            lines.append("")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(source, axis=1)
+    expected = source.copy()
+    expected[norms > 0.0] /= norms[norms > 0.0, None]
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+        # a norm overflows to inf near 1e308, alike on both sides
+        path = os.path.join(tmp, "emb.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        loaded = load_embeddings(path, small_graph(ids))
+    assert loaded.ids == tuple(ids)
+    assert loaded.vectors.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), dim=st.integers(1, 5),
+       blank_every=st.integers(1, 4))
+def test_load_embeddings_bit_equal_to_normalized_source(data, n, dim,
+                                                       blank_every):
+    values = data.draw(st.lists(finite, min_size=n * dim, max_size=n * dim))
+    source = np.array(values, dtype=np.float64).reshape(n, dim)
+    order = data.draw(st.permutations(range(n)))
+    extra = [(f"extra{j}", data.draw(st.lists(finite, min_size=dim,
+                                              max_size=dim)))
+             for j in range(data.draw(st.integers(0, 2)))]
+    check_load_matches_normalized_source(source, order, extra, blank_every)
+
+
+def test_load_embeddings_many_rows_bit_equal_to_normalized_source():
+    rng = np.random.default_rng(4)
+    source = rng.normal(size=(2500, 6)) * 10.0 ** rng.integers(-150, 150,
+                                                               size=(2500, 1))
+    source[7] = 0.0
+    check_load_matches_normalized_source(
+        source, rng.permutation(2500).tolist(), [("extra", [1.0] * 6)], 97)
 
 
 def test_cosine_examples():

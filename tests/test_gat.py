@@ -1,5 +1,12 @@
+import io
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citegraph.embed import EmbeddingMatrix
 from citegraph.gat import (GatLayer, GatWeights, ScorerParams, TrainConfig,
@@ -260,6 +267,37 @@ def test_weights_json_round_trip(tmp_path):
         assert la.leaky_slope == 0.15
     assert np.array_equal(loaded_s.u, scorer.u)
     assert loaded_s.b == scorer.b
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4), slope=finite, b=finite)
+def test_save_weights_bytes_match_json_dump(data, dim, slope, b):
+    def draw(shape):
+        size = int(np.prod(shape))
+        flat = data.draw(st.lists(finite, min_size=size, max_size=size))
+        return np.array(flat, dtype=np.float64).reshape(shape)
+
+    layers = tuple(GatLayer(W=draw((dim, dim)), a_src=draw((dim,)),
+                            a_dst=draw((dim,)), leaky_slope=slope)
+                   for _ in range(3))
+    weights = GatWeights(layers=layers, dims=(dim,) * 4)
+    scorer = ScorerParams(u=draw((2 * dim,)), b=b)
+    reference = io.StringIO()
+    json.dump({
+        "dims": [dim] * 4,
+        "leaky_slope": slope,
+        "layers": [{"W": la.W.tolist(), "a_src": la.a_src.tolist(),
+                    "a_dst": la.a_dst.tolist()} for la in layers],
+        "scorer": {"u": scorer.u.tolist(), "b": b},
+    }, reference)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "weights.json")
+        save_weights(path, weights, scorer)
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == reference.getvalue() + "\n"
 
 
 def test_gat_weights_shape_validation():

@@ -236,6 +236,7 @@ def chat_server():
     _ChatHandler.fail_times = 0
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_client_round_trip(chat_server):
