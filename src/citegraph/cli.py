@@ -135,7 +135,11 @@ def _get_embeddings(args, records, graph):
 
 def _get_weights(args, dim: int):
     if args.weights:
-        return gat.load_weights(args.weights)
+        weights, scorer = gat.load_weights(args.weights)
+        if weights.dims[0] != dim:
+            raise ValueError(f"weights dim {weights.dims[0]} does not match "
+                             f"the embedding width {dim}")
+        return weights, scorer
     return (gat.init_gat_weights(dim, seed=args.seed),
             gat.init_scorer(dim, dim, seed=args.seed))
 
@@ -367,11 +371,10 @@ def cmd_train(args) -> int:
                             if c in graph.index_of))
         for i in picked
     ]
-    weights = gat.init_gat_weights(embeddings.dim, seed=args.seed)
     result = gat.train_scorer(graph, embeddings, train_queries, gat.TrainConfig(
         learning_rate=args.lr, epochs=args.epochs,
         negatives_per_positive=args.negatives, seed=args.seed))
-    gat.save_weights(args.output, weights, result.params)
+    gat.save_weights(args.output, embeddings.dim, args.seed, result.params)
     print(f"trained scorer on {len(train_queries)} queries: "
           f"loss {result.losses[0]:.6f} -> {result.losses[-1]:.6f} "
           f"({args.epochs} epochs)")

@@ -85,13 +85,6 @@ class IngestReport:
     def to_dict(self) -> dict[str, int]:
         return asdict(self)
 
-    def merge(self, other: "IngestReport") -> "IngestReport":
-        """Sum counters; lets sharded parses be combined."""
-        merged = IngestReport()
-        for key, value in asdict(self).items():
-            setattr(merged, key, value + getattr(other, key))
-        return merged
-
 
 _MONTHS = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,

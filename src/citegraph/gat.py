@@ -5,7 +5,9 @@ attention over each node's undirected neighborhood plus a self-loop, and
 aggregates with an ELU activation. Relevance against a query is a single
 logistic unit over the concatenated [node state ; query] vector, which
 keeps training analytic: the scorer is fit by full-batch gradient descent
-on binary cross-entropy with the layer weights frozen.
+on binary cross-entropy with the layer weights frozen at their seeded
+init. A weights file therefore stores the scorer and the (dim, seed) pair;
+loading it regenerates the layers with `init_gat_weights(dim, seed)`.
 
 A layer runs on a CSR adjacency (a `CitationGraph`, or the local `Csr` of
 one retrieval hop). Self-loops are merged into its sorted rows, the
@@ -279,7 +281,7 @@ def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,
     return TrainResult(params=ScorerParams(u=u, b=b), losses=losses)
 
 
-def init_gat_weights(dim: int, seed: int = 0, leaky_slope: float = 0.2) -> GatWeights:
+def init_gat_weights(dim: int, seed: int = 0) -> GatWeights:
     """Seeded uniform init in [-1/sqrt(d_in), +1/sqrt(d_in)]; equal widths."""
     rng = np.random.default_rng(seed)
     dims = (dim, dim, dim, dim)
@@ -290,7 +292,6 @@ def init_gat_weights(dim: int, seed: int = 0, leaky_slope: float = 0.2) -> GatWe
             W=rng.uniform(-bound, bound, size=(dims[k], dims[k + 1])),
             a_src=rng.uniform(-bound, bound, size=dims[k + 1]),
             a_dst=rng.uniform(-bound, bound, size=dims[k + 1]),
-            leaky_slope=leaky_slope,
         ))
     return GatWeights(layers=tuple(layers), dims=dims)
 
@@ -302,41 +303,13 @@ def init_scorer(state_dim: int, query_dim: int, seed: int = 0) -> ScorerParams:
     return ScorerParams(u=rng.uniform(-bound, bound, size=width), b=0.0)
 
 
-def _json_pieces(value):
-    """The text of `json.dumps(value)`, in pieces: dicts and lists are
-    walked here, and each array or scalar inside is encoded by one C-encoder
-    `json.dumps` call, so no more than one matrix is a Python list at once."""
-    if isinstance(value, dict):
-        yield "{"
-        for i, (key, item) in enumerate(value.items()):
-            yield (", " if i else "") + json.dumps(key) + ": "
-            yield from _json_pieces(item)
-        yield "}"
-    elif isinstance(value, list):
-        yield "["
-        for i, item in enumerate(value):
-            if i:
-                yield ", "
-            yield from _json_pieces(item)
-        yield "]"
-    elif isinstance(value, np.ndarray):
-        yield json.dumps(value.tolist())
-    else:
-        yield json.dumps(value)
-
-
-def save_weights(path: str, weights: GatWeights, scorer: ScorerParams) -> None:
-    obj = {
-        "dims": list(weights.dims),
-        "leaky_slope": weights.layers[0].leaky_slope,
-        "layers": [
-            {"W": layer.W, "a_src": layer.a_src, "a_dst": layer.a_dst}
-            for layer in weights.layers
-        ],
-        "scorer": {"u": scorer.u, "b": float(scorer.b)},
-    }
+def save_weights(path: str, dim: int, seed: int, scorer: ScorerParams) -> None:
+    """Write what `train` learns: the scorer, plus the width and seed that
+    `init_gat_weights` regenerates the frozen attention layers from."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_pieces(obj))
+        json.dump({"dim": dim, "seed": seed,
+                   "scorer": {"u": scorer.u.tolist(), "b": float(scorer.b)}},
+                  fh)
         fh.write("\n")
 
 
@@ -347,28 +320,46 @@ def _entry(obj, key, where: str):
         raise ValueError(f"missing key {where!r}") from None
 
 
-def _weight(obj, key, where: str) -> np.ndarray:
+def _count(obj, key: str, low: int) -> int:
+    """obj[key] as a JSON integer >= low; errors name the key."""
+    value = _entry(obj, key, key)
+    if type(value) is not int or value < low:
+        raise ValueError(f"{key}: not an integer >= {low}")
+    return value
+
+
+def _numbers(obj, key, where: str) -> np.ndarray:
     """obj[key] as a finite float64 array; errors name the key path."""
     value = _entry(obj, key, where)
     try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
         raise ValueError(f"{where}: not numeric") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{where}: not numeric")
+    arr = arr.astype(np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(f"{where}: non-finite value")
     return arr
 
 
 def load_weights(path: str) -> tuple[GatWeights, ScorerParams]:
-    """Read `save_weights` output; a bad entry fails naming its key."""
+    """Read `save_weights` output and regenerate the layers from (dim, seed).
+
+    A bad entry fails naming its key. `scorer.u` must hold exactly 2*dim
+    values, and is checked before the layers are built, so the file's
+    size bounds the width they are built at.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    slope = float(obj.get("leaky_slope", 0.2))
-    layers = tuple(
-        GatLayer(*(_weight(entry, name, f"layers[{i}].{name}")
-                   for name in ("W", "a_src", "a_dst")), leaky_slope=slope)
-        for i, entry in enumerate(_entry(obj, "layers", "layers")))
-    weights = GatWeights(layers=layers, dims=tuple(_entry(obj, "dims", "dims")))
+    seed = _count(obj, "seed", 0)
+    dim = _count(obj, "dim", 1)
     scorer = _entry(obj, "scorer", "scorer")
-    return weights, ScorerParams(u=_weight(scorer, "u", "scorer.u"),
-                                 b=float(_weight(scorer, "b", "scorer.b")))
+    u = _numbers(scorer, "u", "scorer.u")
+    if u.shape != (2 * dim,):
+        raise ValueError(f"scorer.u: expected {2 * dim} values for dim {dim}, "
+                         f"got shape {u.shape}")
+    b = _numbers(scorer, "b", "scorer.b")
+    if b.ndim != 0:
+        raise ValueError("scorer.b: not a number")
+    return init_gat_weights(dim, seed=seed), ScorerParams(u=u, b=float(b))

@@ -164,6 +164,8 @@ class HttpChatClient:
                 return body["choices"][0]["message"]["content"]
             except (urllib.error.URLError, OSError, KeyError, IndexError,
                     json.JSONDecodeError, TypeError) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # an HTTP error reply holds its open socket
                 last_error = exc
                 if attempt < self.retries:
                     time.sleep(min(2.0 ** attempt * 0.5, 4.0))

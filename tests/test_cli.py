@@ -149,16 +149,38 @@ def test_train_writes_loadable_weights(tmp_path, corpus_path, capsys):
 
 
 def _break_nan(obj):
-    obj["layers"][1]["a_src"][2] = float("nan")
+    obj["scorer"]["u"][2] = float("nan")
 
 
 def _break_missing(obj):
     del obj["scorer"]
 
 
+def _old_format(obj):
+    """The format that stored all three layer matrices and no seed."""
+    dim = obj.pop("dim")
+    del obj["seed"]
+    obj["dims"] = [dim] * 4
+    obj["leaky_slope"] = 0.2
+    obj["layers"] = [{"W": [[0.0] * dim] * dim, "a_src": [0.0] * dim,
+                      "a_dst": [0.0] * dim}] * 3
+
+
+def _short_u(obj):
+    obj["scorer"]["u"].pop()
+
+
+def _other_dim(obj):
+    obj["dim"] = 4
+    del obj["scorer"]["u"][8:]
+
+
 @pytest.mark.parametrize("corrupt, message", [
-    (_break_nan, "layers[1].a_src: non-finite value"),
-    (_break_missing, "missing key 'scorer'")])
+    (_break_nan, "scorer.u: non-finite value"),
+    (_break_missing, "missing key 'scorer'"),
+    (_old_format, "missing key 'seed'"),
+    (_short_u, "scorer.u: expected 16 values for dim 8"),
+    (_other_dim, "weights dim 4 does not match the embedding width 8")])
 def test_bad_weights_name_the_key(tmp_path, corpus_path, capsys, corrupt,
                                   message):
     weights_path = tmp_path / "weights.json"

@@ -220,12 +220,3 @@ def test_unreadable_stream_raises_io_error():
 
     with pytest.raises(OSError, match="disk went away"):
         parse_records(broken_stream())
-
-
-def test_report_merge():
-    a = IngestReport(records_parsed=2, citations_deduped=1)
-    b = IngestReport(records_parsed=3, records_dropped=1)
-    merged = a.merge(b)
-    assert merged.records_parsed == 5
-    assert merged.records_dropped == 1
-    assert merged.citations_deduped == 1

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import tempfile
@@ -253,51 +252,85 @@ def test_init_weights_deterministic_and_bounded():
     assert not np.array_equal(a.layers[0].W, c.layers[0].W)
 
 
+def test_init_weights_golden_values():
+    """Stored weights name their layers by (dim, seed): pin the stream, so
+    a change in numpy's `default_rng` fails here instead of silently
+    changing what every saved weights file means."""
+    weights = init_gat_weights(2, seed=0)
+    drawn = np.concatenate([np.r_[layer.W.ravel(), layer.a_src, layer.a_dst]
+                            for layer in weights.layers])
+    assert drawn.tolist() == [
+        0.19369307573550387, -0.32557075163361393, -0.6491614679377623,
+        -0.6837331748681422, 0.4430310209648889, 0.5837245353312901,
+        0.15080576032412196, 0.32455714906155464, 0.061695054588811526,
+        0.6152853223351966, 0.44668437996241517, -0.703233957105363,
+        0.5054459752002853, -0.6596096050894569, 0.32478184701407464,
+        -0.45869222022334566, 0.5136125575552548, 0.058635019988803494,
+        -0.2832501607840974, -0.10933678032702254, -0.6670567181706877,
+        -0.5313436859846987, 0.24129936133170315, 0.2081574035073761]
+    assert all(layer.leaky_slope == 0.2 for layer in weights.layers)
+
+
 def test_weights_json_round_trip(tmp_path):
-    weights = init_gat_weights(4, seed=1, leaky_slope=0.15)
-    scorer = init_scorer(4, 4, seed=2)
+    scorer = ScorerParams(u=init_scorer(4, 4, seed=2).u, b=-0.1234567890123)
     path = tmp_path / "weights.json"
-    save_weights(str(path), weights, scorer)
+    save_weights(str(path), 4, 7, scorer)
+    assert set(json.loads(path.read_text())) == {"dim", "seed", "scorer"}
     loaded_w, loaded_s = load_weights(str(path))
-    assert loaded_w.dims == weights.dims
-    for la, lb in zip(loaded_w.layers, weights.layers):
+    expected = init_gat_weights(4, seed=7)
+    assert loaded_w.dims == expected.dims
+    for la, lb in zip(loaded_w.layers, expected.layers):
         assert np.array_equal(la.W, lb.W)
         assert np.array_equal(la.a_src, lb.a_src)
         assert np.array_equal(la.a_dst, lb.a_dst)
-        assert la.leaky_slope == 0.15
+        assert la.leaky_slope == lb.leaky_slope
     assert np.array_equal(loaded_s.u, scorer.u)
     assert loaded_s.b == scorer.b
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["dim", "seed", "scorer", "u", "b"])
+                      | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), dim=st.integers(1, 4), slope=finite, b=finite)
-def test_save_weights_bytes_match_json_dump(data, dim, slope, b):
-    def draw(shape):
-        size = int(np.prod(shape))
-        flat = data.draw(st.lists(finite, min_size=size, max_size=size))
-        return np.array(flat, dtype=np.float64).reshape(shape)
+@st.composite
+def weights_like(draw):
+    """A valid weights object with up to two entries swapped for any JSON."""
+    dim = draw(st.integers(1, 3))
+    value = {"dim": dim, "seed": draw(st.integers(0, 5)), "scorer": {
+        "u": draw(st.lists(finite, min_size=2 * dim, max_size=2 * dim)),
+        "b": draw(finite)}}
+    for key in draw(st.lists(st.sampled_from(["dim", "seed", "scorer", "u",
+                                               "b"]), max_size=2)):
+        owner = value["scorer"] if key in ("u", "b") else value
+        if isinstance(owner, dict):
+            owner[key] = draw(json_values | st.lists(finite, max_size=3))
+    return value
 
-    layers = tuple(GatLayer(W=draw((dim, dim)), a_src=draw((dim,)),
-                            a_dst=draw((dim,)), leaky_slope=slope)
-                   for _ in range(3))
-    weights = GatWeights(layers=layers, dims=(dim,) * 4)
-    scorer = ScorerParams(u=draw((2 * dim,)), b=b)
-    reference = io.StringIO()
-    json.dump({
-        "dims": [dim] * 4,
-        "leaky_slope": slope,
-        "layers": [{"W": la.W.tolist(), "a_src": la.a_src.tolist(),
-                    "a_dst": la.a_dst.tolist()} for la in layers],
-        "scorer": {"u": scorer.u.tolist(), "b": b},
-    }, reference)
+
+@settings(max_examples=300, deadline=None)
+@given(value=json_values | weights_like())
+def test_load_weights_loads_or_raises_value_error(value):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "weights.json")
-        save_weights(path, weights, scorer)
-        with open(path, "r", encoding="utf-8") as fh:
-            assert fh.read() == reference.getvalue() + "\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(value, fh)
+        try:
+            weights, scorer = load_weights(path)
+        except ValueError:
+            return
+    dim, seed = value["dim"], value["seed"]
+    assert weights.dims == (dim,) * 4 and scorer.u.shape == (2 * dim,)
+    expected = init_gat_weights(dim, seed=seed)
+    for la, lb in zip(weights.layers, expected.layers):
+        assert np.array_equal(la.W, lb.W)
+    assert np.array_equal(scorer.u, np.asarray(value["scorer"]["u"], float))
+    assert np.isfinite(scorer.u).all() and np.isfinite(scorer.b)
 
 
 def test_gat_weights_shape_validation():
