@@ -135,11 +135,7 @@ def _get_embeddings(args, records, graph):
 
 def _get_weights(args, dim: int):
     if args.weights:
-        weights, scorer = gat.load_weights(args.weights)
-        if weights.dims[0] != dim:
-            raise ValueError(f"weights dim {weights.dims[0]} does not match "
-                             f"the embedding width {dim}")
-        return weights, scorer
+        return gat.load_weights(args.weights, width=dim)
     return (gat.init_gat_weights(dim, seed=args.seed),
             gat.init_scorer(dim, dim, seed=args.seed))
 
@@ -245,7 +241,7 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
             graph, embeddings, query, seed_node, weights, scorer, rcfg)
         return sub, retrievermod.decode_and_rank(sub, query, embeddings, rcfg)
 
-    def rank_for(method: str, qidx: int) -> RankedList:
+    def rank_for(method: str, qidx: int, attn) -> RankedList:
         own_id = records[qidx].id
         if method == "bm25":
             ranked = baselines.bm25_rank(index, texts[qidx], k + 1)
@@ -257,9 +253,9 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
                 embeddings.scores(embeddings.row(qidx)), hycfg)
             ranked = top_k(blend, graph.node_ids, k + 1, "hybrid")
         elif method == "attn":
-            _, ranked = attn_rank(qidx)
+            _, ranked = attn
         else:  # attn+llm
-            sub, ranked = attn_rank(qidx)
+            sub, ranked = attn
             ranked = _drop_self(ranked, own_id, k)
             if not ranked.items:
                 return ranked
@@ -277,15 +273,21 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
                                  if c in graph.index_of)
         for i in queries
     }
+    llm_queries = set(queries[:llm_subset])
+    runs: dict[str, dict[str, RankedList]] = {method: {} for method in methods}
+    for i in queries:
+        attn = None  # (subgraph, ranking), shared by attn and attn+llm
+        for method in methods:
+            if method == "attn+llm" and i not in llm_queries:
+                continue
+            if method in ("attn", "attn+llm") and attn is None:
+                attn = attn_rank(i)
+            runs[method][records[i].id] = rank_for(method, i, attn)
     reports: dict[str, metrics.EvalReport] = {}
-    runs: dict[str, dict[str, RankedList]] = {}
     rows: dict[str, list[dict]] = {}
-    for method in methods:
-        method_queries = queries[:llm_subset] if method == "attn+llm" else queries
-        run = {records[i].id: rank_for(method, i) for i in method_queries}
+    for method, run in runs.items():
         rows[method] = metrics.per_query_metrics(run, judgments, k)
         reports[method] = metrics.report_from_rows(rows[method], k, excluded)
-        runs[method] = run
     return {"k": k, "seed": seed, "subset": len(queries),
             "excluded": excluded, "methods": reports, "runs": runs,
             "rows": rows, "judgments": judgments}
@@ -342,9 +344,9 @@ def cmd_build(args) -> int:
 def cmd_embed(args) -> int:
     _require(args, "corpus")
     records, _ = _load_corpus(args.corpus)
-    graph = graphmod.build_graph(records)
     if args.embeddings:
-        matrix = embed.load_embeddings(args.embeddings, graph)
+        matrix = embed.load_embeddings(args.embeddings,
+                                       graphmod.build_graph(records))
         print(f"embeddings ok: {matrix.node_count} rows, dim={matrix.dim}")
         return EXIT_OK
     _require(args, "output")

@@ -10,7 +10,10 @@ The hashing embedder hashes each distinct token once per call and counts
 a row's tokens with one `np.bincount`; every count is a small integer, so
 the row, its norm and the normalized vector are exact whatever the
 summation order. The TSV is parsed in one `np.loadtxt` pass over the
-checked lines, and written one `tolist` row at a time.
+checked lines. It is written in blocks of rows: a hash-embedded row holds
+only a few distinct values, so each block calls `repr` once per distinct
+bit pattern (0.0 and -0.0 keep their own text) and gathers the strings by
+index, giving the same bytes as `repr(float(x))` for every entry.
 """
 from __future__ import annotations
 
@@ -233,11 +236,21 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
 
 
 def write_embeddings(path: str, matrix: EmbeddingMatrix) -> None:
+    """Write the TSV that `load_embeddings` reads, each value as
+    `repr(float(x))`, in blocks of 256 rows."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{matrix.node_count}\t{matrix.dim}\n")
-        for pid, row in zip(matrix.ids, matrix.vectors):
-            # repr of a Python float, as repr(float(x)) for each entry
-            fh.write(pid + "\t" + "\t".join(map(repr, row.tolist())) + "\n")
+        for start in range(0, matrix.node_count, 256):
+            block = matrix.vectors[start:start + 256]
+            # keyed on bits, not values: 0.0 == -0.0 but their texts differ
+            bits, inverse = np.unique(block.view(np.int64),
+                                      return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                             dtype=object)
+            rows = texts[inverse.reshape(block.shape)].tolist()
+            ids = matrix.ids[start:start + 256]
+            fh.write("".join(pid + "\t" + "\t".join(row) + "\n"
+                             for pid, row in zip(ids, rows)))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

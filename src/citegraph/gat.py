@@ -335,7 +335,9 @@ def _numbers(obj, key, where: str) -> np.ndarray:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         raise ValueError(f"{where}: not numeric") from None
-    if arr.dtype.kind not in "iuf":
+    # a JSON true mixed with numbers promotes to a number: look at each entry
+    if arr.dtype.kind not in "iuf" or any(
+            type(x) is bool for x in np.asarray(value, dtype=object).flat):
         raise ValueError(f"{where}: not numeric")
     arr = arr.astype(np.float64)
     if not np.isfinite(arr).all():
@@ -343,17 +345,22 @@ def _numbers(obj, key, where: str) -> np.ndarray:
     return arr
 
 
-def load_weights(path: str) -> tuple[GatWeights, ScorerParams]:
+def load_weights(path: str,
+                 width: int | None = None) -> tuple[GatWeights, ScorerParams]:
     """Read `save_weights` output and regenerate the layers from (dim, seed).
 
-    A bad entry fails naming its key. `scorer.u` must hold exactly 2*dim
-    values, and is checked before the layers are built, so the file's
-    size bounds the width they are built at.
+    A bad entry fails naming its key. `dim` must equal `width` when one is
+    given, and `scorer.u` must hold exactly 2*dim values; both are checked
+    before the layers are built, so the file's size bounds the width they
+    are built at.
     """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     seed = _count(obj, "seed", 0)
     dim = _count(obj, "dim", 1)
+    if width is not None and dim != width:
+        raise ValueError(f"weights dim {dim} does not match the embedding "
+                         f"width {width}")
     scorer = _entry(obj, "scorer", "scorer")
     u = _numbers(scorer, "u", "scorer.u")
     if u.shape != (2 * dim,):

@@ -1,11 +1,13 @@
 import json
+import re
 
 import pytest
 
-from citegraph import cli
+from citegraph import cli, gat, retriever
 from citegraph.corpus import build_text, parse_records
 from citegraph.gat import load_weights
 from citegraph.graph import load_snapshot
+from citegraph.rerank import MockClient
 from helpers import component_corpus, corpus_line, write_jsonl
 
 
@@ -175,12 +177,17 @@ def _other_dim(obj):
     del obj["scorer"]["u"][8:]
 
 
+def _bool_in_u(obj):
+    obj["scorer"]["u"][3] = True
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_break_nan, "scorer.u: non-finite value"),
     (_break_missing, "missing key 'scorer'"),
     (_old_format, "missing key 'seed'"),
     (_short_u, "scorer.u: expected 16 values for dim 8"),
-    (_other_dim, "weights dim 4 does not match the embedding width 8")])
+    (_other_dim, "weights dim 4 does not match the embedding width 8"),
+    (_bool_in_u, "scorer.u: not numeric")])
 def test_bad_weights_name_the_key(tmp_path, corpus_path, capsys, corrupt,
                                   message):
     weights_path = tmp_path / "weights.json"
@@ -193,6 +200,59 @@ def test_bad_weights_name_the_key(tmp_path, corpus_path, capsys, corrupt,
     assert run_cli("retrieve", "--corpus", corpus_path, "--dim", "8",
                    "--weights", weights_path, "--paper-id", "p00h") == 2
     assert message in capsys.readouterr().err
+
+
+def test_mismatched_weights_dim_builds_no_layers(tmp_path, corpus_path,
+                                                 capsys, monkeypatch):
+    """A forged `dim` fails before layers of that width are allocated."""
+    weights_path = tmp_path / "weights.json"
+    assert run_cli("train", "--corpus", corpus_path, "--output", weights_path,
+                   "--dim", "8", "--epochs", "2") == 0
+    obj = json.loads(weights_path.read_text())
+    obj["dim"] = 500
+    obj["scorer"]["u"] = [0.0] * 1000
+    weights_path.write_text(json.dumps(obj))
+    built = []
+    monkeypatch.setattr(gat, "init_gat_weights",
+                        lambda dim, seed=0: built.append(dim))
+    capsys.readouterr()
+    assert run_cli("retrieve", "--corpus", corpus_path, "--dim", "8",
+                   "--weights", weights_path, "--paper-id", "p00h") == 2
+    assert "weights dim 500 does not match the embedding width 8" in \
+        capsys.readouterr().err
+    assert built == []
+
+
+def test_attn_and_attn_llm_share_one_retrieval_per_query(corpus_path,
+                                                        monkeypatch):
+    records, _ = parse_records(iter(corpus_path.read_text().splitlines()))
+    calls = []
+    real = retriever.retrieve_subgraph
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def reverse(prompt):
+        count = len(re.findall(r"(?m)^\d+\. ", prompt))
+        return "RANKING: " + ", ".join(str(i) for i in range(count, 0, -1))
+
+    monkeypatch.setattr(retriever, "retrieve_subgraph", counted)
+
+    def rows(methods):
+        calls.clear()
+        result = cli.evaluate_corpus(
+            records, methods=methods, k=3, dim=32, subset=6, llm_subset=4,
+            retriever=retriever.RetrieverConfig(prune_threshold=0.0, top_k=3),
+            llm_client=MockClient(reverse))
+        return result["rows"], len(calls)
+
+    both, both_calls = rows(("attn", "attn+llm"))
+    attn, attn_calls = rows(("attn",))
+    llm, llm_calls = rows(("attn+llm",))
+    assert (both_calls, attn_calls, llm_calls) == (6, 6, 4)
+    assert both == {**attn, **llm}
+    assert both["attn"][:4] != both["attn+llm"]  # the re-rank took effect
 
 
 def test_retrieve_by_text_selects_own_paper_as_seed(tmp_path, corpus_path,

@@ -3,6 +3,8 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citegraph.corpus import (IngestReport, PartialDate, build_text,
                               normalize_citations, parse_pub_date,
@@ -129,6 +131,40 @@ def test_normalize_citations_order_and_dedupe_property():
         # first-occurrence order: output is a subsequence of the cleaned stream
         cleaned = normalize_citations(list(raw))
         assert out == cleaned
+
+
+ODD_IDS = st.one_of(
+    st.sampled_from(["p1", "p2", " p1 ", "", " ", "7", "東京"]),
+    st.integers(-3, 9), st.floats(), st.booleans(), st.none(),
+    st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def record_lines(draw):
+    """A JSON object line with an odd id and messy citations, which may
+    repeat an entry or cite the record's own id."""
+    pid = draw(ODD_IDS)
+    entry = ODD_IDS | st.just(pid)
+    obj = {"publication_ID": pid,
+           "Citations": draw(st.lists(entry, max_size=6) | entry)}
+    line = json.dumps(obj)
+    if draw(st.integers(0, 3)) == 0:  # truncated, as after a cut-off write
+        line = line[:draw(st.integers(1, len(line)))]
+    return line
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(record_lines() | st.text(max_size=20), max_size=12))
+def test_parse_records_property(lines):
+    records, report = parse_lines(lines)
+    assert report.records_parsed + report.records_dropped == len(lines)
+    assert report.records_parsed == len(records)
+    assert len({r.id for r in records}) == len(records)
+    for record in records:
+        assert isinstance(record.id, str) and record.id
+        assert all(isinstance(c, str) and c for c in record.citations)
+        assert len(set(record.citations)) == len(record.citations)
+        assert record.id not in record.citations
 
 
 def test_normalize_counters_sum():

@@ -178,12 +178,19 @@ def test_embed_corpus_bit_identical_to_hash_loop(texts, dim, seed):
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# 700 rows over three 256-row blocks, drawn from a few repeated values
+MANY_ROWS = np.random.default_rng(5).choice(
+    [0.0, -0.0, 0.1, -2.5e-16, 5e-324, 1e308, 1.0 / 3.0],
+    size=(700, 3)).tolist()
 
 
 @settings(max_examples=100, deadline=None)
 @given(rows=st.lists(st.lists(finite, min_size=3, max_size=3), max_size=6))
 @example(rows=[[-0.0, 5e-324, 1e308], [-1e308, 2.2250738585072014e-308,
                                          1e-310], [0.1, -2.5e-16, 1e16]])
+@example(rows=[[0.0, -0.0, 1.0]])  # equal values with distinct texts
+@example(rows=[[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]])  # ... in one column
+@example(rows=MANY_ROWS)
 def test_write_embeddings_bytes_match_repr_writer(rows):
     vectors = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
     ids = tuple(f"id#{i}" for i in range(len(rows)))
