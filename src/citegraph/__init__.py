@@ -1,8 +1,7 @@
 """Citation recommendation over a homogeneous citation graph.
 
 Pipeline stages: corpus ingestion and repair, citation-graph construction,
-node embeddings, attention-based subgraph retrieval with threshold
-pruning, candidate ranking, BM25 / dense / hybrid baselines, ranking
+node embeddings, subgraph retrieval with score-threshold pruning, candidate ranking, BM25 / dense / hybrid baselines, ranking
 metrics, and optional LLM re-ranking of the top candidates.
 """
 
@@ -12,9 +11,8 @@ from .corpus import (IngestReport, PaperRecord, PartialDate, build_text,
                      normalize_citations, parse_pub_date, parse_records)
 from .graph import CitationGraph, build_graph
 from .embed import EmbeddingMatrix, cosine, embed_corpus, hash_embed, load_embeddings
-from .gat import (GatLayer, GatWeights, ScorerParams, TrainConfig,
-                  TrainingQuery, attention_coefficients, gat_layer_forward,
-                  init_gat_weights, init_scorer, relevance_scores, train_scorer)
+from .gat import (ScorerParams, TrainConfig, TrainingQuery, init_scorer,
+                  relevance_scores, train_scorer)
 from .ranking import RankedItem, RankedList
 from .retriever import (RetrievedSubgraph, RetrieverConfig, decode_and_rank,
                         retrieve_subgraph, select_seed)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -133,11 +134,10 @@ def _get_embeddings(args, records, graph):
     return embed.embed_corpus(records, dim=args.dim, seed=args.seed)
 
 
-def _get_weights(args, dim: int):
+def _get_weights(args, dim: int) -> gat.ScorerParams:
     if args.weights:
         return gat.load_weights(args.weights, width=dim)
-    return (gat.init_gat_weights(dim, seed=args.seed),
-            gat.init_scorer(dim, dim, seed=args.seed))
+    return gat.init_scorer(dim, dim, seed=args.seed)
 
 
 def _llm_client(args):
@@ -195,7 +195,7 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
                     seed: int = 0, subset: int = 1000, llm_subset: int = 100,
                     dim: int = embed.DEFAULT_DIM, k1: float = 1.2,
                     b: float = 0.75, graph=None, embeddings=None,
-                    weights=None, scorer=None, llm_client=None,
+                    scorer=None, llm_client=None,
                     llm_model: str = "default") -> dict:
     """Run each requested method over a seeded query subset and score it.
 
@@ -215,8 +215,7 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
         graph = graphmod.build_graph(records)
     if embeddings is None:
         embeddings = embed.embed_corpus(records, dim=dim, seed=seed)
-    if weights is None or scorer is None:
-        weights = gat.init_gat_weights(embeddings.dim, seed=seed)
+    if scorer is None:
         scorer = gat.init_scorer(embeddings.dim, embeddings.dim, seed=seed)
     rcfg = retriever or retrievermod.RetrieverConfig(top_k=k)
     hycfg = hybrid or baselines.HybridConfig()
@@ -238,7 +237,7 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
         query = embeddings.row(qidx)
         seed_node = retrievermod.select_seed(query, embeddings, graph)
         sub = retrievermod.retrieve_subgraph(
-            graph, embeddings, query, seed_node, weights, scorer, rcfg)
+            graph, embeddings, query, seed_node, scorer, rcfg)
         return sub, retrievermod.decode_and_rank(sub, query, embeddings, rcfg)
 
     def rank_for(method: str, qidx: int, attn) -> RankedList:
@@ -376,7 +375,7 @@ def cmd_train(args) -> int:
     result = gat.train_scorer(graph, embeddings, train_queries, gat.TrainConfig(
         learning_rate=args.lr, epochs=args.epochs,
         negatives_per_positive=args.negatives, seed=args.seed))
-    gat.save_weights(args.output, embeddings.dim, args.seed, result.params)
+    gat.save_weights(args.output, embeddings.dim, result.params)
     print(f"trained scorer on {len(train_queries)} queries: "
           f"loss {result.losses[0]:.6f} -> {result.losses[-1]:.6f} "
           f"({args.epochs} epochs)")
@@ -405,11 +404,11 @@ def cmd_retrieve(args) -> int:
     records, _ = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
-    weights, scorer = _get_weights(args, embeddings.dim)
+    scorer = _get_weights(args, embeddings.dim)
     query_id, query_text, query = _query_vector(args, records, graph, embeddings)
     seed_node = retrievermod.select_seed(query, embeddings, graph)
     sub = retrievermod.retrieve_subgraph(graph, embeddings, query, seed_node,
-                                         weights, scorer, args.retriever)
+                                         scorer, args.retriever)
     ranked = retrievermod.decode_and_rank(sub, query, embeddings,
                                           args.retriever)
     result = retrievermod.retrieval_to_json(query_id, sub, ranked, graph)
@@ -438,13 +437,13 @@ def cmd_evaluate(args) -> int:
     records, _ = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
-    weights, scorer = _get_weights(args, embeddings.dim)
+    scorer = _get_weights(args, embeddings.dim)
     client = _llm_client(args) if "attn+llm" in methods else None
     result = evaluate_corpus(
         records, methods=methods, k=args.k, retriever=args.retriever,
         hybrid=args.hybrid, seed=args.seed, subset=args.subset,
         llm_subset=args.llm_subset, dim=args.dim, k1=args.k1, b=args.b,
-        graph=graph, embeddings=embeddings, weights=weights, scorer=scorer,
+        graph=graph, embeddings=embeddings, scorer=scorer,
         llm_client=client, llm_model=args.model)
     table = comparison_table(result)
     print(table)
@@ -467,20 +466,57 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false are not numbers."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _saved_candidates(retrieval, graph) -> RankedList:
+    """The candidates of a saved retrieval, checked entry by entry.
+
+    Each is an object with a corpus paper `id`, a finite number `score`
+    and an optional string `provenance`; an error names the entry.
+    """
+    if not isinstance(retrieval, dict):
+        raise ValueError("retrieval: not a JSON object")
+    candidates = retrieval.get("candidates")
+    if not isinstance(candidates, list):
+        raise ValueError("candidates: not a list")
+    items = []
+    for i, c in enumerate(candidates):
+        where = f"candidates[{i}]"
+        if not isinstance(c, dict):
+            raise ValueError(f"{where}: not an object")
+        pid = c.get("id")
+        if not isinstance(pid, str) or pid not in graph.index_of:
+            raise ValueError(f"{where}.id: not a corpus paper id")
+        if not _is_number(c.get("score")):
+            raise ValueError(f"{where}.score: not a number")
+        provenance = c.get("provenance", "graph")
+        if not isinstance(provenance, str):
+            raise ValueError(f"{where}.provenance: not a string")
+        items.append(RankedItem(id=pid, score=c["score"],
+                                provenance=provenance))
+    return RankedList(items=items)
+
+
 def cmd_rerank(args) -> int:
     _require(args, "corpus", "input")
     with open(args.input, "r", encoding="utf-8") as fh:
         retrieval = json.load(fh)
     records, _ = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
-    original = RankedList(items=[
-        RankedItem(id=c["id"], score=c["score"],
-                   provenance=c.get("provenance", "graph"))
-        for c in retrieval["candidates"]
-    ])
+    original = _saved_candidates(retrieval, graph)
     if not original.items:
         raise ValueError("nothing to rerank: retrieval has no candidates")
     query_id = retrieval.get("query_id", "query")
+    if not isinstance(query_id, str):
+        raise ValueError("query_id: not a string")
     if args.query is not None:
         query_text = args.query
     elif query_id in graph.index_of:
@@ -517,7 +553,7 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
     flags = {
         "corpus": dict(type=str, help="corpus JSONL path"),
         "embeddings": dict(type=str, help="embedding TSV path"),
-        "weights": dict(type=str, help="attention weights JSON path"),
+        "weights": dict(type=str, help="relevance scorer weights JSON path"),
         "output": dict(type=str, help="output file or directory"),
         "k": dict(type=int, help="ranking depth"),
         "sigma": dict(type=float, help="pruning threshold in [0, 1]"),

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PaperRecord, build_text
+from .graph import _unique
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -243,11 +244,11 @@ def write_embeddings(path: str, matrix: EmbeddingMatrix) -> None:
         for start in range(0, matrix.node_count, 256):
             block = matrix.vectors[start:start + 256]
             # keyed on bits, not values: 0.0 == -0.0 but their texts differ
-            bits, inverse = np.unique(block.view(np.int64),
-                                      return_inverse=True)
-            texts = np.array(list(map(repr, bits.view(np.float64).tolist())),
+            bits = block.view(np.int64)
+            distinct = _unique(bits.ravel())
+            texts = np.array(list(map(repr, distinct.view(np.float64).tolist())),
                              dtype=object)
-            rows = texts[inverse.reshape(block.shape)].tolist()
+            rows = texts[np.searchsorted(distinct, bits)].tolist()
             ids = matrix.ids[start:start + 256]
             fh.write("".join(pid + "\t" + "\t".join(row) + "\n"
                              for pid, row in zip(ids, rows)))

@@ -1,21 +1,13 @@
-"""Graph attention layers and the query-relevance scorer.
+"""The query-relevance scorer that prunes each retrieval hop.
 
-Forward pass only: each layer projects node states, computes softmax
-attention over each node's undirected neighborhood plus a self-loop, and
-aggregates with an ELU activation. Relevance against a query is a single
-logistic unit over the concatenated [node state ; query] vector, which
-keeps training analytic: the scorer is fit by full-batch gradient descent
-on binary cross-entropy with the layer weights frozen at their seeded
-init. A weights file therefore stores the scorer and the (dim, seed) pair;
-loading it regenerates the layers with `init_gat_weights(dim, seed)`.
-
-A layer runs on a CSR adjacency (a `CitationGraph`, or the local `Csr` of
-one retrieval hop). Self-loops are merged into its sorted rows, the
-logits of all edges are computed at once, and the softmax is one segment
-pass over that edge list: `np.maximum.reduceat` and `np.add.reduceat` at
-the row starts (the sparse form of graph attention, Velickovic et al.
-2018). Only the aggregation loops over rows: row i's weights times its
-neighbors' projected states.
+Relevance against a query is a single logistic unit over the
+concatenated [embedding row ; query] vector. It is fitted on embedding
+rows and scores embedding rows, so training and retrieval see the same
+input. Training stays analytic: full-batch gradient descent on binary
+cross-entropy. A weights file stores exactly what training learns: the
+scorer and the embedding width it was fitted at. (The module name comes
+from the paper's graph attention; no attention layer is applied, since
+untrained weight layers only degraded the pruning signal.)
 """
 from __future__ import annotations
 
@@ -27,70 +19,17 @@ from typing import Sequence
 import numpy as np
 
 from .embed import EmbeddingMatrix
-from .graph import CitationGraph, Csr, row_of
+from .graph import CitationGraph
 
 # open-interval bounds for logistic outputs: strictly inside (0, 1) even
 # when the logit saturates in float64
 _SCORE_LO = float(np.nextafter(0.0, 1.0))
 _SCORE_HI = float(np.nextafter(1.0, 0.0))
 
-N_LAYERS = 3
-
-
-@dataclass
-class GatLayer:
-    """One attention layer: projection W plus the two attention vectors."""
-
-    W: np.ndarray        # (d_in, d_out)
-    a_src: np.ndarray    # (d_out,)
-    a_dst: np.ndarray    # (d_out,)
-    leaky_slope: float = 0.2
-
-    def __post_init__(self) -> None:
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.a_src = np.asarray(self.a_src, dtype=np.float64)
-        self.a_dst = np.asarray(self.a_dst, dtype=np.float64)
-        if self.W.ndim != 2:
-            raise ValueError("W must be a matrix")
-        d_out = self.W.shape[1]
-        if self.a_src.shape != (d_out,) or self.a_dst.shape != (d_out,):
-            raise ValueError("attention vectors must match W's output width")
-        for arr in (self.W, self.a_src, self.a_dst):
-            if not np.isfinite(arr).all():
-                raise ValueError("layer weights must be finite")
-
-    @property
-    def d_in(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.W.shape[1]
-
-
-@dataclass
-class GatWeights:
-    """The fixed stack of three attention layers with chained widths."""
-
-    layers: tuple[GatLayer, ...]
-    dims: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        self.layers = tuple(self.layers)
-        self.dims = tuple(self.dims)
-        if len(self.layers) != N_LAYERS:
-            raise ValueError(f"expected {N_LAYERS} layers, got {len(self.layers)}")
-        if len(self.dims) != N_LAYERS + 1:
-            raise ValueError("dims must list 4 widths")
-        for k, layer in enumerate(self.layers):
-            if layer.W.shape != (self.dims[k], self.dims[k + 1]):
-                raise ValueError(
-                    f"layer {k} shape {layer.W.shape} does not chain with dims")
-
 
 @dataclass
 class ScorerParams:
-    """Logistic unit over [node state ; query]: score = sigmoid(u.x + b)."""
+    """Logistic unit over [embedding row ; query]: score = sigmoid(u.x + b)."""
 
     u: np.ndarray
     b: float = 0.0
@@ -100,14 +39,6 @@ class ScorerParams:
         if self.u.ndim != 1 or not np.isfinite(self.u).all() \
                 or not math.isfinite(self.b):
             raise ValueError("scorer parameters must be a finite vector and bias")
-
-
-def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0.0, x, slope * x)
-
-
-def elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0)))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -120,72 +51,18 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_states(graph: CitationGraph | Csr, states: np.ndarray,
-                  layer: GatLayer) -> np.ndarray:
-    H = np.asarray(states, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] != graph.node_count:
-        raise ValueError(f"states must be ({graph.node_count}, d_in)")
-    if H.shape[1] != layer.d_in:
-        raise ValueError(f"states width {H.shape[1]} != layer d_in {layer.d_in}")
-    if not np.isfinite(H).all():
-        raise ValueError("node states contain non-finite values")
-    return H
-
-
-def _attention(graph: CitationGraph | Csr, Wh: np.ndarray,
-               layer: GatLayer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge-list softmax over neighbors plus self, as (indptr, cols, alpha)."""
-    n = graph.node_count
-    keys = np.concatenate([row_of(graph.indptr) * n + graph.indices,
-                           np.arange(n) * (n + 1)])
-    rows, cols = np.divmod(np.sort(keys), max(n, 1))
-    indptr = graph.indptr + np.arange(n + 1)  # one self-loop per row
-    e = leaky_relu((Wh @ layer.a_src)[rows] + (Wh @ layer.a_dst)[cols],
-                   layer.leaky_slope)
-    e = e - np.maximum.reduceat(e, indptr[:-1])[rows]  # max subtraction
-    w = np.exp(e)
-    return indptr, cols, w / np.add.reduceat(w, indptr[:-1])[rows]
-
-
-def attention_coefficients(graph: CitationGraph | Csr, states: np.ndarray,
-                           layer: GatLayer) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-node attention over undirected neighbors plus a self-loop.
-
-    Returns, for each node i, the pair (neighbor indices including i,
-    softmax weights). e_ij = LeakyReLU(a_src.(W h_i) + a_dst.(W h_j)),
-    normalized over j; every row sums to 1.
-    """
-    H = _check_states(graph, states, layer)
-    indptr, cols, alpha = _attention(graph, H @ layer.W, layer)
-    bounds = indptr.tolist()
-    return [(cols[s:e], alpha[s:e]) for s, e in zip(bounds, bounds[1:])]
-
-
-def gat_layer_forward(graph: CitationGraph | Csr, states: np.ndarray,
-                      layer: GatLayer) -> np.ndarray:
-    """One layer: h'_i = ELU(sum_j alpha_ij W h_j), j over neighbors + self."""
-    H = _check_states(graph, states, layer)
-    Wh = H @ layer.W
-    indptr, cols, alpha = _attention(graph, Wh, layer)
-    out = np.empty((graph.node_count, layer.d_out), dtype=np.float64)
-    bounds = indptr.tolist()
-    for i, (s, e) in enumerate(zip(bounds, bounds[1:])):
-        out[i] = alpha[s:e] @ Wh[cols[s:e]]
-    return elu(out)
-
-
-def relevance_scores(states: np.ndarray, query: np.ndarray,
+def relevance_scores(rows: np.ndarray, query: np.ndarray,
                      scorer: ScorerParams) -> np.ndarray:
-    """Logistic relevance of every node against the query, strictly in (0, 1)."""
-    H = np.asarray(states, dtype=np.float64)
+    """Logistic relevance of every row against the query, strictly in (0, 1)."""
+    H = np.asarray(rows, dtype=np.float64)
     q = np.asarray(query, dtype=np.float64)
     if H.ndim != 2 or q.ndim != 1:
-        raise ValueError("states must be 2-d and query 1-d")
+        raise ValueError("rows must be 2-d and query 1-d")
     d = H.shape[1]
     if scorer.u.shape[0] != d + q.shape[0]:
         raise ValueError(
             f"scorer expects width {scorer.u.shape[0]}, "
-            f"got state {d} + query {q.shape[0]}")
+            f"got row {d} + query {q.shape[0]}")
     z = H @ scorer.u[:d] + float(q @ scorer.u[d:]) + scorer.b
     return np.clip(sigmoid(z), _SCORE_LO, _SCORE_HI)
 
@@ -281,33 +158,17 @@ def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,
     return TrainResult(params=ScorerParams(u=u, b=b), losses=losses)
 
 
-def init_gat_weights(dim: int, seed: int = 0) -> GatWeights:
-    """Seeded uniform init in [-1/sqrt(d_in), +1/sqrt(d_in)]; equal widths."""
+def init_scorer(row_dim: int, query_dim: int, seed: int = 0) -> ScorerParams:
     rng = np.random.default_rng(seed)
-    dims = (dim, dim, dim, dim)
-    layers = []
-    for k in range(N_LAYERS):
-        bound = 1.0 / math.sqrt(dims[k])
-        layers.append(GatLayer(
-            W=rng.uniform(-bound, bound, size=(dims[k], dims[k + 1])),
-            a_src=rng.uniform(-bound, bound, size=dims[k + 1]),
-            a_dst=rng.uniform(-bound, bound, size=dims[k + 1]),
-        ))
-    return GatWeights(layers=tuple(layers), dims=dims)
-
-
-def init_scorer(state_dim: int, query_dim: int, seed: int = 0) -> ScorerParams:
-    rng = np.random.default_rng(seed)
-    width = state_dim + query_dim
+    width = row_dim + query_dim
     bound = 1.0 / math.sqrt(width)
     return ScorerParams(u=rng.uniform(-bound, bound, size=width), b=0.0)
 
 
-def save_weights(path: str, dim: int, seed: int, scorer: ScorerParams) -> None:
-    """Write what `train` learns: the scorer, plus the width and seed that
-    `init_gat_weights` regenerates the frozen attention layers from."""
+def save_weights(path: str, dim: int, scorer: ScorerParams) -> None:
+    """Write what `train` learns: the scorer and the embedding width."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"dim": dim, "seed": seed,
+        json.dump({"dim": dim,
                    "scorer": {"u": scorer.u.tolist(), "b": float(scorer.b)}},
                   fh)
         fh.write("\n")
@@ -345,18 +206,15 @@ def _numbers(obj, key, where: str) -> np.ndarray:
     return arr
 
 
-def load_weights(path: str,
-                 width: int | None = None) -> tuple[GatWeights, ScorerParams]:
-    """Read `save_weights` output and regenerate the layers from (dim, seed).
+def load_weights(path: str, width: int | None = None) -> ScorerParams:
+    """Read `save_weights` output back into the scorer.
 
     A bad entry fails naming its key. `dim` must equal `width` when one is
-    given, and `scorer.u` must hold exactly 2*dim values; both are checked
-    before the layers are built, so the file's size bounds the width they
-    are built at.
+    given, and `scorer.u` must hold exactly 2*dim values. Any other key,
+    such as the `seed` that older files carry, is ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    seed = _count(obj, "seed", 0)
     dim = _count(obj, "dim", 1)
     if width is not None and dim != width:
         raise ValueError(f"weights dim {dim} does not match the embedding "
@@ -369,4 +227,4 @@ def load_weights(path: str,
     b = _numbers(scorer, "b", "scorer.b")
     if b.ndim != 0:
         raise ValueError("scorer.b: not a number")
-    return init_gat_weights(dim, seed=seed), ScorerParams(u=u, b=float(b))
+    return ScorerParams(u=u, b=float(b))

@@ -6,9 +6,9 @@ on dense indices. An adjacency is a pair of integer arrays, `indptr` of
 length n + 1 and `indices`, where row v is indices[indptr[v]:indptr[v+1]];
 every row is sorted, duplicate-free and self-loop-free. The graph holds
 two: the citations each paper makes (`out_indptr`/`out_indices`) and the
-undirected adjacency (`indptr`/`indices`). Frontier expansion and
-attention use the undirected one: being cited is as informative as citing
-when recommending related work. The CGR1 snapshot stores exactly the
+undirected adjacency (`indptr`/`indices`). Frontier expansion uses the
+undirected one: being cited is as informative as citing when
+recommending related work. The CGR1 snapshot stores exactly the
 out-degrees and the flat out-adjacency, so it loads with `np.frombuffer`.
 """
 from __future__ import annotations
@@ -16,22 +16,11 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import PaperRecord
-
-
-class Csr(NamedTuple):
-    """Undirected adjacency over local node indices, as CSR arrays."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    @property
-    def node_count(self) -> int:
-        return len(self.indptr) - 1
 
 
 def _from_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -105,20 +94,6 @@ class CitationGraph:
         """Undirected neighbors of `sources` not marked in `visited`, ascending."""
         _, found = _gather_rows(self.indptr, self.indices, sources)
         return _unique(found[~visited[found]])
-
-    def induced_subgraph(self, nodes: np.ndarray) -> Csr:
-        """Undirected adjacency among distinct `nodes`, relabeled to positions.
-
-        Keeps exactly the edges with both endpoints in `nodes`; local index i
-        is nodes[i], and rows are sorted by local index.
-        """
-        m = len(nodes)
-        local = np.full(self.node_count, -1, dtype=np.int64)
-        local[nodes] = np.arange(m)
-        pos, found = _gather_rows(self.indptr, self.indices, nodes)
-        cols = local[found]
-        inside = cols >= 0
-        return Csr(*_from_keys(np.sort(pos[inside] * m + cols[inside]), m))
 
     def edges(self, among: np.ndarray | None = None) -> list[tuple[int, int]]:
         """Directed edges (u, v) ascending by u then v; with `among`, only

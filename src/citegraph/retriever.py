@@ -1,17 +1,17 @@
-"""Attention-pruned subgraph retrieval around a query-selected seed.
+"""Score-pruned subgraph retrieval around a query-selected seed.
 
 The loop, per hop l = 1..L: take the not-yet-visited undirected neighbors
-of the kept set as the frontier, run one attention layer over the induced
-subgraph of kept + frontier (layer l, reusing the last layer when l
-exceeds the stack), score the frontier against the query, and keep only
-frontier nodes scoring at least the pruning threshold. Kept-node states
-carry forward between hops, so the seed accumulates as many layers as
-hops run. Each node is scored once, at the hop it first appears; the seed
-is never pruned. Retrieval is a pure function of its inputs.
+of the last hop's survivors as the frontier, score each frontier node's
+embedding row against the query with the relevance scorer (the rows it
+was fitted on), and keep only frontier nodes scoring at least the pruning
+threshold. Expanding only the last hop's survivors yields the same
+frontier as expanding every kept node, because the neighbors of earlier
+kept nodes are already visited. Each node is scored once, at the hop it
+first appears; the seed is never pruned. Retrieval is a pure function of
+its inputs.
 
-Everything runs on the graph's CSR arrays: the frontier gathers the kept
-nodes' rows through a boolean visited mask, and each hop's subgraph is a
-local `Csr` whose index i is the i-th node of kept + frontier.
+Everything runs on the graph's CSR arrays: the frontier gathers the
+survivors' rows through a boolean visited mask.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import EmbeddingMatrix
-from .gat import GatWeights, ScorerParams, gat_layer_forward, relevance_scores
+from .gat import ScorerParams, relevance_scores
 from .graph import CitationGraph
 from .ranking import RankedItem, RankedList
 
@@ -53,7 +53,7 @@ class HopTrace:
 
 @dataclass
 class RetrievedSubgraph:
-    """Kept nodes with scores, hop labels, final states and induced edges.
+    """Kept nodes with scores, hop labels and induced edges.
 
     `nodes` is in insertion order (seed first, then survivors per hop in
     ascending index order). The seed carries the sentinel score 1.0; every
@@ -66,7 +66,6 @@ class RetrievedSubgraph:
     nodes: list[int]
     scores: dict[int, float]
     hops: dict[int, int]
-    states: dict[int, np.ndarray]
     edges: list[tuple[int, int]] = field(default_factory=list)
     trace: list[HopTrace] = field(default_factory=list)
 
@@ -89,16 +88,14 @@ def select_seed(query: np.ndarray, embeddings: EmbeddingMatrix,
 
 
 def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
-                      query: np.ndarray, seed: int, weights: GatWeights,
-                      scorer: ScorerParams,
+                      query: np.ndarray, seed: int, scorer: ScorerParams,
                       config: RetrieverConfig) -> RetrievedSubgraph:
     """Expand and prune around the seed for up to `hops` rings."""
     if not 0 <= seed < graph.node_count:
         raise IndexError(f"seed index {seed} out of range")
     query = np.asarray(query, dtype=np.float64)
 
-    kept = np.array([seed])
-    H_kept = embeddings.vectors[kept]  # states of the kept nodes, in order
+    kept = [np.array([seed])]  # the seed, then each hop's survivors
     visited = np.zeros(graph.node_count, dtype=bool)
     visited[seed] = True
     scores: dict[int, float] = {seed: 1.0}
@@ -106,17 +103,13 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
     trace: list[HopTrace] = []
 
     for hop in range(1, config.hops + 1):
-        frontier = graph.frontier(kept, visited)
+        frontier = graph.frontier(kept[-1], visited)
         if not len(frontier):
             trace.append(HopTrace(hop=hop, expanded=0, pruned=0))
             break
         visited[frontier] = True
-
-        sub = graph.induced_subgraph(np.concatenate([kept, frontier]))
-        H = np.concatenate([H_kept, embeddings.vectors[frontier]])
-        layer = weights.layers[min(hop, len(weights.layers)) - 1]
-        H_next = gat_layer_forward(sub, H, layer)
-        frontier_scores = relevance_scores(H_next[len(kept):], query, scorer)
+        frontier_scores = relevance_scores(embeddings.vectors[frontier],
+                                           query, scorer)
 
         passed = np.flatnonzero(frontier_scores >= config.prune_threshold)
         if len(passed) > config.max_frontier:  # best scores, ties to lower index
@@ -128,47 +121,39 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
         survivors = frontier[passed]  # ascending node index
         scores.update(zip(survivors.tolist(), frontier_scores[passed].tolist()))
         hop_of.update(dict.fromkeys(survivors.tolist(), hop))
-        H_kept = np.concatenate([H_next[:len(kept)], H_next[len(kept) + passed]])
-        kept = np.concatenate([kept, survivors])
+        kept.append(survivors)
 
-    nodes = kept.tolist()
-    return RetrievedSubgraph(seed=seed, nodes=nodes, scores=scores,
-                             hops=hop_of, states=dict(zip(nodes, H_kept)),
-                             edges=graph.edges(kept), trace=trace)
+    nodes = np.concatenate(kept)
+    return RetrievedSubgraph(seed=seed, nodes=nodes.tolist(), scores=scores,
+                             hops=hop_of, edges=graph.edges(nodes),
+                             trace=trace)
 
 
 def decode_and_rank(subgraph: RetrievedSubgraph, query: np.ndarray,
                     embeddings: EmbeddingMatrix,
                     config: RetrieverConfig) -> RankedList:
-    """Rank kept nodes (seed excluded) by cosine of final state vs query.
+    """Rank kept nodes (seed excluded) by embedding cosine to the query.
 
-    Final states have the embedding width (each hop stacks them with
-    embedding rows), so they are compared with the query as they are.
-    When fewer than top_k candidates survive and dense fallback is
-    enabled, the remaining slots are filled with the highest raw-cosine
-    nodes not already present (never the seed), flagged "dense-fallback";
-    the combined list is ordered by score with index tie-breaks.
+    Kept nodes and dense fallback are scored from one
+    `embeddings.scores(query)` array, so the combined list is on one
+    scale. When fewer than top_k candidates survive and dense fallback is
+    enabled, the remaining slots are filled with the highest-cosine nodes
+    not already present (never the seed), flagged "dense-fallback"; the
+    combined list is ordered by score with index tie-breaks.
     """
-    query = np.asarray(query, dtype=np.float64)
-    scored: list[tuple[int, float, str]] = []
-    nodes = [u for u in subgraph.nodes if u != subgraph.seed]
-    if nodes:
-        decoded = np.stack([subgraph.states[u] for u in nodes])
-        # cosine per row, 0 where either vector is zero (as embed.cosine)
-        norms = np.linalg.norm(decoded, axis=1) * np.linalg.norm(query)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cos = np.where(norms > 0.0,
-                           np.clip(decoded @ query / norms, -1.0, 1.0), 0.0)
-        order = np.lexsort((nodes, -cos))[:config.top_k].tolist()
-        scored = [(nodes[i], float(cos[i]), "graph") for i in order]
+    cos = embeddings.scores(query)
+    nodes = np.array([u for u in subgraph.nodes if u != subgraph.seed],
+                     dtype=np.intp)
+    picked = nodes[np.lexsort((nodes, -cos[nodes]))[:config.top_k]]
+    scored = [(u, float(cos[u]), "graph") for u in picked.tolist()]
 
     if len(scored) < config.top_k and config.fallback_to_dense:
-        dense = embeddings.scores(query)
         pool = np.ones(embeddings.node_count, dtype=bool)
-        pool[[u for u, _, _ in scored] + [subgraph.seed]] = False
+        pool[picked] = False
+        pool[subgraph.seed] = False
         pool = np.flatnonzero(pool)
-        best = pool[np.argsort(-dense[pool], kind="stable")]
-        scored += [(i, float(dense[i]), "dense-fallback")
+        best = pool[np.argsort(-cos[pool], kind="stable")]
+        scored += [(i, float(cos[i]), "dense-fallback")
                    for i in best[:config.top_k - len(scored)].tolist()]
         scored.sort(key=lambda t: (-t[1], t[0]))
 

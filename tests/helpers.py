@@ -68,48 +68,12 @@ def oracle_sigmoid(z):
     return np.where(z >= 0.0, pos, ez / (1.0 + ez))
 
 
-def oracle_elu(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0.0, x, np.exp(np.minimum(x, 0.0)) - 1.0)
+def oracle_retrieve(n, edges, vectors, query, seed, u, b, sigma, hops,
+                    max_frontier=10 ** 9):
+    """Straight-line expand / score / prune loop.
 
-
-def oracle_gat_forward(n, edges, H, W, a_src, a_dst, slope):
-    """Dense-matrix attention layer over undirected neighbors plus self.
-
-    Returns (alpha, out) where alpha is the full n x n attention matrix
-    (zero where no edge) and out the activated aggregation.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    Wh = H @ np.asarray(W, dtype=np.float64)
-    src = Wh @ np.asarray(a_src, dtype=np.float64)
-    dst = Wh @ np.asarray(a_dst, dtype=np.float64)
-    mask = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
-        mask[u, v] = True
-        mask[v, u] = True
-    np.fill_diagonal(mask, True)
-    E = np.full((n, n), -np.inf)
-    for i in range(n):
-        for j in range(n):
-            if mask[i, j]:
-                e = src[i] + dst[j]
-                E[i, j] = e if e > 0.0 else slope * e
-    alpha = np.zeros((n, n))
-    for i in range(n):
-        finite = np.isfinite(E[i])
-        w = np.zeros(n)
-        w[finite] = np.exp(E[i][finite] - E[i][finite].max())
-        alpha[i] = w / w.sum()
-    return alpha, oracle_elu(alpha @ Wh)
-
-
-def oracle_retrieve(n, edges, vectors, query, seed, layers, u, b, sigma,
-                    hops, max_frontier=10 ** 9):
-    """Straight-line expand / attend / score / prune loop.
-
-    `layers` is a list of (W, a_src, a_dst, slope) tuples reused from the
-    last entry when hops exceed the stack. Returns kept order, scores,
-    hop labels and final states, all keyed by original node index.
+    Every frontier node is scored on its own embedding row. Returns kept
+    order, scores and hop labels, all keyed by original node index.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
@@ -119,9 +83,7 @@ def oracle_retrieve(n, edges, vectors, query, seed, layers, u, b, sigma,
         und[t].add(s)
 
     kept = [seed]
-    kept_set = {seed}
     visited = {seed}
-    states = {seed: np.array(vectors[seed])}
     scores = {seed: 1.0}
     hop_of = {seed: 0}
     for hop in range(1, hops + 1):
@@ -129,35 +91,20 @@ def oracle_retrieve(n, edges, vectors, query, seed, layers, u, b, sigma,
         if not frontier:
             break
         visited |= set(frontier)
-        sub_nodes = kept + frontier
-        local = {g: i for i, g in enumerate(sub_nodes)}
-        sub_edges = [(local[s], local[t]) for s, t in edges
-                     if s in local and t in local]
-        H = np.stack([states[g] if g in kept_set else vectors[g]
-                      for g in sub_nodes])
-        W, a_s, a_d, slope = layers[min(hop, len(layers)) - 1]
-        _, H2 = oracle_gat_forward(len(sub_nodes), sub_edges, H, W, a_s, a_d,
-                                   slope)
-        d = H2.shape[1]
-        z = H2 @ u[:d] + float(query @ u[d:]) + b
+        d = vectors.shape[1]
+        z = vectors[frontier] @ u[:d] + float(query @ u[d:]) + b
         s = np.clip(oracle_sigmoid(z), np.nextafter(0.0, 1.0),
                     np.nextafter(1.0, 0.0))
-        survivors = [(frontier[i], float(s[len(kept) + i]))
-                     for i in range(len(frontier))
-                     if s[len(kept) + i] >= sigma]
+        survivors = [(frontier[i], float(s[i])) for i in range(len(frontier))
+                     if s[i] >= sigma]
         if len(survivors) > max_frontier:
             by_score = sorted(survivors, key=lambda t: (-t[1], t[0]))
             survivors = sorted(by_score[:max_frontier])
-        survivor_set = {v for v, _ in survivors}
-        for pos, g in enumerate(sub_nodes):
-            if g in kept_set or g in survivor_set:
-                states[g] = H2[pos]
         for v, sc in survivors:
             kept.append(v)
-            kept_set.add(v)
             scores[v] = sc
             hop_of[v] = hop
-    return kept, scores, hop_of, states
+    return kept, scores, hop_of
 
 
 def oracle_bm25_loop(docs, query, k1=1.2, b=0.75):
@@ -247,7 +194,7 @@ def citation_graph(n, edges):
 def retriever_fixture(fixture_seed, max_nodes=30, state_dim=6):
     """Seeded random retrieval instance shared by tests and their oracle."""
     from citegraph.embed import EmbeddingMatrix
-    from citegraph.gat import init_gat_weights, init_scorer
+    from citegraph.gat import init_scorer
 
     rng = np.random.default_rng(1000 + fixture_seed)
     n = int(rng.integers(8, max_nodes + 1))
@@ -260,7 +207,7 @@ def retriever_fixture(fixture_seed, max_nodes=30, state_dim=6):
                                  dim=state_dim)
     query = rng.normal(size=state_dim)
     query /= np.linalg.norm(query)
-    weights = init_gat_weights(state_dim, seed=int(rng.integers(0, 2 ** 31)))
+    rng.integers(0, 2 ** 31)  # unused draw: keeps every later value the same
     scorer = init_scorer(state_dim, state_dim,
                          seed=int(rng.integers(0, 2 ** 31)))
     return {
@@ -269,13 +216,9 @@ def retriever_fixture(fixture_seed, max_nodes=30, state_dim=6):
         "graph": graph,
         "embeddings": embeddings,
         "query": query,
-        "weights": weights,
         "scorer": scorer,
         "seed_node": int(rng.integers(0, n)),
         "hops": int(rng.integers(1, 5)),
         "sigma": float(rng.choice([0.3, 0.45, 0.5, 0.55, 0.7])),
     }
 
-
-def raw_layers(weights):
-    return [(l.W, l.a_src, l.a_dst, l.leaky_slope) for l in weights.layers]

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from citegraph import cli, gat, retriever
+from citegraph import cli, retriever
 from citegraph.corpus import build_text, parse_records
 from citegraph.gat import load_weights
 from citegraph.graph import load_snapshot
@@ -144,8 +144,7 @@ def test_train_writes_loadable_weights(tmp_path, corpus_path, capsys):
     weights_path = tmp_path / "weights.json"
     assert run_cli("train", "--corpus", corpus_path, "--output", weights_path,
                    "--dim", "24", "--epochs", "40", "--seed", "3") == 0
-    weights, scorer = load_weights(str(weights_path))
-    assert weights.dims == (24, 24, 24, 24)
+    scorer = load_weights(str(weights_path))
     assert scorer.u.shape == (48,)
     assert "trained scorer on 6 queries" in capsys.readouterr().out
 
@@ -159,9 +158,8 @@ def _break_missing(obj):
 
 
 def _old_format(obj):
-    """The format that stored all three layer matrices and no seed."""
+    """The format that stored all three layer matrices and no `dim`."""
     dim = obj.pop("dim")
-    del obj["seed"]
     obj["dims"] = [dim] * 4
     obj["leaky_slope"] = 0.2
     obj["layers"] = [{"W": [[0.0] * dim] * dim, "a_src": [0.0] * dim,
@@ -184,7 +182,7 @@ def _bool_in_u(obj):
 @pytest.mark.parametrize("corrupt, message", [
     (_break_nan, "scorer.u: non-finite value"),
     (_break_missing, "missing key 'scorer'"),
-    (_old_format, "missing key 'seed'"),
+    (_old_format, "missing key 'dim'"),
     (_short_u, "scorer.u: expected 16 values for dim 8"),
     (_other_dim, "weights dim 4 does not match the embedding width 8"),
     (_bool_in_u, "scorer.u: not numeric")])
@@ -203,8 +201,8 @@ def test_bad_weights_name_the_key(tmp_path, corpus_path, capsys, corrupt,
 
 
 def test_mismatched_weights_dim_builds_no_layers(tmp_path, corpus_path,
-                                                 capsys, monkeypatch):
-    """A forged `dim` fails before layers of that width are allocated."""
+                                                 capsys):
+    """A forged `dim` with a matching `scorer.u` fails on the width."""
     weights_path = tmp_path / "weights.json"
     assert run_cli("train", "--corpus", corpus_path, "--output", weights_path,
                    "--dim", "8", "--epochs", "2") == 0
@@ -212,15 +210,11 @@ def test_mismatched_weights_dim_builds_no_layers(tmp_path, corpus_path,
     obj["dim"] = 500
     obj["scorer"]["u"] = [0.0] * 1000
     weights_path.write_text(json.dumps(obj))
-    built = []
-    monkeypatch.setattr(gat, "init_gat_weights",
-                        lambda dim, seed=0: built.append(dim))
     capsys.readouterr()
     assert run_cli("retrieve", "--corpus", corpus_path, "--dim", "8",
                    "--weights", weights_path, "--paper-id", "p00h") == 2
     assert "weights dim 500 does not match the embedding width 8" in \
         capsys.readouterr().err
-    assert built == []
 
 
 def test_attn_and_attn_llm_share_one_retrieval_per_query(corpus_path,
@@ -310,6 +304,43 @@ def test_rerank_command_on_saved_retrieval(tmp_path, corpus_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["query_id"] == "p02h"
     assert result["candidates"]
+
+
+def _score_text(retrieval):
+    retrieval["candidates"][0]["score"] = "high"
+    return retrieval
+
+
+def _score_bool(retrieval):
+    retrieval["candidates"][1]["score"] = True
+    return retrieval
+
+
+def _id_outside_corpus(retrieval):
+    retrieval["candidates"][1]["id"] = "zz"
+    return retrieval
+
+
+def _array(retrieval):
+    return [retrieval]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_score_text, "candidates[0].score: not a number"),
+    (_score_bool, "candidates[1].score: not a number"),
+    (_id_outside_corpus, "candidates[1].id: not a corpus paper id"),
+    (_array, "retrieval: not a JSON object")])
+def test_rerank_bad_input_names_the_entry(tmp_path, corpus_path, capsys,
+                                          corrupt, message):
+    retrieval = tmp_path / "retrieval.json"
+    assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p02h",
+                   "--sigma", "0.0", "--dim", "48",
+                   "--output", retrieval) == 0
+    retrieval.write_text(json.dumps(corrupt(json.loads(retrieval.read_text()))))
+    capsys.readouterr()
+    assert run_cli("rerank", "--corpus", corpus_path, "--input", retrieval,
+                   "--llm-mock") == 2
+    assert message in capsys.readouterr().err
 
 
 def test_rerank_without_endpoint_is_network_error(tmp_path, corpus_path,

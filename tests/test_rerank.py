@@ -1,10 +1,10 @@
 import json
 import random
+import re
 import string
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-import numpy as np
 import pytest
 
 from citegraph.corpus import PaperRecord
@@ -20,7 +20,6 @@ def subgraph_with_edges(edges, hops):
     return RetrievedSubgraph(
         seed=nodes[0], nodes=nodes,
         scores={v: 1.0 for v in nodes}, hops=hops,
-        states={v: np.zeros(2) for v in nodes},
         edges=sorted(edges), trace=[])
 
 
@@ -103,15 +102,31 @@ def test_parse_ranking_line_without_valid_numbers_falls_back():
     assert perm == [1, 2, 3] and fallback
 
 
+def first_ranking_line_has_number(text, count):
+    """Whether the first line holding a "RANKING:" marker (any case, any
+    spaces before the colon) names a number in 1..count after it."""
+    for line in text.splitlines():
+        marker = re.search(r"(?i)ranking\s*:", line)
+        if marker:
+            return any(1 <= int(t) <= count
+                       for t in re.findall(r"[0-9]+", line[marker.end():]))
+    return False
+
+
 def test_parse_ranking_fuzz_always_permutation():
     rng = random.Random(9)
-    alphabet = string.printable + "RANKING:" * 3
-    for _ in range(300):
-        text = "".join(rng.choice(alphabet)
-                       for _ in range(rng.randrange(0, 80)))
+    pieces = (list(string.printable) + ["RANKING:", "ranking :", "\n"] * 8
+              + [str(i) for i in range(16)] * 2)
+    outcomes = set()
+    for _ in range(600):
+        text = "".join(rng.choice(pieces)
+                       for _ in range(rng.randrange(0, 60)))
         count = rng.randrange(1, 12)
-        perm, _ = parse_ranking(text, count)
+        perm, fallback = parse_ranking(text, count)
         assert sorted(perm) == list(range(1, count + 1))
+        assert fallback == (not first_ranking_line_has_number(text, count))
+        outcomes.add(fallback)
+    assert outcomes == {True, False}
 
 
 def ranked(count):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from citegraph.embed import EmbeddingMatrix, cosine
-from citegraph.gat import init_gat_weights, init_scorer
+from citegraph.gat import init_scorer, relevance_scores
 from citegraph.retriever import (RetrievedSubgraph, RetrieverConfig,
                                  decode_and_rank, retrieve_subgraph,
                                  retrieval_to_json, select_seed)
 from helpers import (citation_graph, oracle_bfs_ball, oracle_retrieve,
-                     raw_layers, retriever_fixture)
+                     retriever_fixture)
 
 
 def matrix(vectors):
@@ -59,8 +59,7 @@ def run_fixture(fx, sigma=None, hops=None, max_frontier=2048):
         prune_threshold=sigma if sigma is not None else fx["sigma"],
         max_frontier=max_frontier)
     return retrieve_subgraph(fx["graph"], fx["embeddings"], fx["query"],
-                             fx["seed_node"], fx["weights"], fx["scorer"],
-                             cfg), cfg
+                             fx["seed_node"], fx["scorer"], cfg), cfg
 
 
 def test_sigma_zero_equals_bfs_ball():
@@ -84,15 +83,14 @@ def test_retrieve_matches_loop_oracle():
     for fixture_seed in range(25):
         fx = retriever_fixture(fixture_seed)
         sub, _ = run_fixture(fx)
-        kept, scores, hops, states = oracle_retrieve(
+        kept, scores, hops = oracle_retrieve(
             fx["n"], fx["edges"], fx["embeddings"].vectors, fx["query"],
-            fx["seed_node"], raw_layers(fx["weights"]), fx["scorer"].u,
-            fx["scorer"].b, fx["sigma"], fx["hops"])
+            fx["seed_node"], fx["scorer"].u, fx["scorer"].b, fx["sigma"],
+            fx["hops"])
         assert sub.nodes == kept, f"fixture {fixture_seed}"
         for v in kept:
             assert sub.scores[v] == pytest.approx(scores[v], abs=1e-9)
             assert sub.hops[v] == hops[v]
-            assert np.allclose(sub.states[v], states[v], atol=1e-9)
 
 
 def test_kept_invariants_seed_and_radius():
@@ -114,6 +112,24 @@ def test_pruning_monotone_in_sigma():
         assert set(strict.nodes) <= set(loose.nodes), f"fixture {fixture_seed}"
 
 
+def test_scores_come_from_embedding_rows():
+    """Pruning scores are the scorer on each node's embedding row, and
+    graph candidates and dense fallback share the query's cosine scores."""
+    for fixture_seed in range(25):
+        fx = retriever_fixture(fixture_seed)
+        sub, cfg = run_fixture(fx, sigma=0.0)
+        rows, query = fx["embeddings"].vectors, fx["query"]
+        others = sub.nodes[1:]
+        expected = relevance_scores(rows[others], query, fx["scorer"])
+        for v, score in zip(others, expected):
+            assert sub.scores[v] == pytest.approx(score, abs=1e-12)
+        ranked = decode_and_rank(sub, query, fx["embeddings"], cfg)
+        cos = fx["embeddings"].scores(query)
+        assert ranked.items
+        for item in ranked.items:
+            assert item.score == cos[fx["graph"].index_of[item.id]]
+
+
 def test_retrieve_deterministic():
     fx = retriever_fixture(3)
     a, _ = run_fixture(fx)
@@ -122,7 +138,6 @@ def test_retrieve_deterministic():
     assert a.trace == b.trace
     for v in a.nodes:
         assert a.scores[v] == b.scores[v]
-        assert np.array_equal(a.states[v], b.states[v])
 
 
 def test_trace_accounts_for_every_hop():
@@ -144,20 +159,18 @@ def test_max_frontier_caps_by_score_then_index():
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     emb = matrix(vectors)
     query = rng.normal(size=4)
-    weights = init_gat_weights(4, seed=0)
     scorer = init_scorer(4, 4, seed=0)
     cfg = RetrieverConfig(hops=1, prune_threshold=0.0, max_frontier=3)
-    sub = retrieve_subgraph(fx_graph, emb, query, 0, weights, scorer, cfg)
-    kept, _, _, _ = oracle_retrieve(10, edges, vectors, query, 0,
-                                    raw_layers(weights), scorer.u, scorer.b,
-                                    0.0, 1, max_frontier=3)
+    sub = retrieve_subgraph(fx_graph, emb, query, 0, scorer, cfg)
+    kept, _, _ = oracle_retrieve(10, edges, vectors, query, 0, scorer.u,
+                                 scorer.b, 0.0, 1, max_frontier=3)
     assert sub.nodes == kept
     assert len(sub.nodes) == 4
     assert sub.trace[0].expanded == 9 and sub.trace[0].pruned == 6
 
 
 def test_deep_hops_reuse_last_layer():
-    # path graph needing 6 hops: layers 1..3 then layer 3 repeated
+    # path graph needing 6 hops, more than the default 3
     n = 7
     edges = [(i, i + 1) for i in range(n - 1)]
     g = citation_graph(n, edges)
@@ -166,13 +179,11 @@ def test_deep_hops_reuse_last_layer():
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     emb = matrix(vectors)
     query = rng.normal(size=5)
-    weights = init_gat_weights(5, seed=2)
     scorer = init_scorer(5, 5, seed=3)
     cfg = RetrieverConfig(hops=6, prune_threshold=0.0)
-    sub = retrieve_subgraph(g, emb, query, 0, weights, scorer, cfg)
-    kept, scores, hops, _ = oracle_retrieve(
-        n, edges, vectors, query, 0, raw_layers(weights), scorer.u,
-        scorer.b, 0.0, 6)
+    sub = retrieve_subgraph(g, emb, query, 0, scorer, cfg)
+    kept, scores, hops = oracle_retrieve(n, edges, vectors, query, 0,
+                                         scorer.u, scorer.b, 0.0, 6)
     assert sub.nodes == kept == list(range(n))
     assert sub.hops == hops == {i: i for i in range(n)}
     for v in kept:
@@ -197,11 +208,9 @@ def test_decode_and_rank_seed_only_no_fallback():
 
 
 def test_decode_and_rank_single_candidate():
-    g = citation_graph(2, [(0, 1)])
-    emb = matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    emb = matrix(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     sub = RetrievedSubgraph(
         seed=0, nodes=[0, 1], scores={0: 1.0, 1: 0.6}, hops={0: 0, 1: 1},
-        states={0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.0])},
         edges=[(0, 1)], trace=[])
     cfg = RetrieverConfig(fallback_to_dense=False)
     ranked = decode_and_rank(sub, np.array([1.0, 0.0]), emb, cfg)
@@ -219,7 +228,7 @@ def test_decode_and_rank_matches_sort_oracle():
     for v in sub.nodes:
         if v == sub.seed:
             continue
-        h = sub.states[v]
+        h = fx["embeddings"].vectors[v]
         denom = np.linalg.norm(h) * np.linalg.norm(fx["query"])
         score = float(h @ fx["query"]) / denom if denom else 0.0
         scored.append((v, score))
@@ -237,7 +246,7 @@ def test_decode_and_rank_dense_fallback_pads_and_flags():
     emb = matrix(vectors)
     sub = RetrievedSubgraph(
         seed=0, nodes=[0, 1], scores={0: 1.0, 1: 0.9}, hops={0: 0, 1: 1},
-        states={0: vectors[0], 1: vectors[1]}, edges=[(0, 1)], trace=[])
+        edges=[(0, 1)], trace=[])
     cfg = RetrieverConfig(top_k=3, fallback_to_dense=True)
     query = np.array([1.0, 0.0])
     ranked = decode_and_rank(sub, query, emb, cfg)
