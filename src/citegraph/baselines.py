@@ -108,10 +108,7 @@ def bm25_rank(index: Bm25Index, query_text: str, k: int) -> RankedList:
 def dense_rank(query: np.ndarray, embeddings: EmbeddingMatrix,
                k: int) -> RankedList:
     """Top-k documents by exact cosine scan, ties by doc index."""
-    q = np.asarray(query, dtype=np.float64)
-    if np.linalg.norm(q) == 0.0:
-        raise ValueError("degenerate query: zero vector")
-    return top_k(embeddings.scores(q), embeddings.ids, k, "dense")
+    return top_k(embeddings.scores(query), embeddings.ids, k, "dense")
 
 
 def _min_max(values: np.ndarray) -> np.ndarray:

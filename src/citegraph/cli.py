@@ -156,22 +156,19 @@ def _write_json(path: str, obj) -> None:
 # evaluation harness
 # ---------------------------------------------------------------------------
 
-def eligible_queries(records, graph, embeddings) -> tuple[list[int], int]:
+def eligible_queries(graph, embeddings) -> tuple[list[int], int]:
     """Indices usable as evaluation queries, plus the excluded count.
 
     A paper qualifies when it has at least one in-corpus citation (the
-    ground truth) and a non-degenerate embedding row; everything else is
-    excluded and counted.
+    ground truth; a record never cites itself, so that is an out-edge)
+    and a non-degenerate embedding row; everything else is excluded and
+    counted. The rows' sums of squares come from `einsum`, which forms no
+    (n, d) temporary.
     """
-    eligible = []
-    excluded = 0
-    for i, record in enumerate(records):
-        has_relevant = any(c in graph.index_of for c in record.citations)
-        if has_relevant and np.linalg.norm(embeddings.vectors[i]) > 0.0:
-            eligible.append(i)
-        else:
-            excluded += 1
-    return eligible, excluded
+    v = embeddings.vectors
+    ok = (np.diff(graph.out_indptr) > 0) & (np.einsum("ij,ij->i", v, v) > 0.0)
+    eligible = np.flatnonzero(ok).tolist()
+    return eligible, len(ok) - len(eligible)
 
 
 def sample_queries(eligible: Sequence[int], subset: int, seed: int) -> list[int]:
@@ -223,33 +220,33 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
     if "attn+llm" in methods and llm_client is None:
         raise UsageError("attn+llm needs a chat client: pass --llm-mock or "
                          "configure the endpoint")
-    eligible, excluded = eligible_queries(records, graph, embeddings)
+    eligible, excluded = eligible_queries(graph, embeddings)
     queries = sample_queries(eligible, subset, seed)
     if not queries:
         raise ValueError("no eligible evaluation queries in this corpus")
 
-    texts = [corpus.build_text(r) for r in records]
     needs_bm25 = any(m in ("bm25", "hybrid") for m in methods)
+    texts = ([corpus.build_text(r) for r in records]
+             if needs_bm25 or "attn+llm" in methods else None)
     index = (baselines.bm25_build(texts, ids=graph.node_ids, k1=k1, b=b)
              if needs_bm25 else None)
 
-    def attn_rank(qidx: int):
+    def attn_rank(qidx: int, cos: np.ndarray):
         query = embeddings.row(qidx)
-        seed_node = retrievermod.select_seed(query, embeddings, graph)
+        seed_node = retrievermod.select_seed(cos, embeddings, graph)
         sub = retrievermod.retrieve_subgraph(
             graph, embeddings, query, seed_node, scorer, rcfg)
-        return sub, retrievermod.decode_and_rank(sub, query, embeddings, rcfg)
+        return sub, retrievermod.decode_and_rank(sub, cos, embeddings, rcfg)
 
-    def rank_for(method: str, qidx: int, attn) -> RankedList:
+    def rank_for(method: str, qidx: int, cos, attn) -> RankedList:
         own_id = records[qidx].id
         if method == "bm25":
             ranked = baselines.bm25_rank(index, texts[qidx], k + 1)
         elif method == "dense":
-            ranked = baselines.dense_rank(embeddings.row(qidx), embeddings, k + 1)
+            ranked = top_k(cos, embeddings.ids, k + 1, "dense")
         elif method == "hybrid":
             blend = baselines.hybrid_scores(
-                baselines.bm25_scores(index, texts[qidx]),
-                embeddings.scores(embeddings.row(qidx)), hycfg)
+                baselines.bm25_scores(index, texts[qidx]), cos, hycfg)
             ranked = top_k(blend, graph.node_ids, k + 1, "hybrid")
         elif method == "attn":
             _, ranked = attn
@@ -275,13 +272,17 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
     llm_queries = set(queries[:llm_subset])
     runs: dict[str, dict[str, RankedList]] = {method: {} for method in methods}
     for i in queries:
-        attn = None  # (subgraph, ranking), shared by attn and attn+llm
+        # the query's cosine row and its (subgraph, ranking), each computed
+        # once and shared by every method that reads it
+        cos = attn = None
         for method in methods:
             if method == "attn+llm" and i not in llm_queries:
                 continue
+            if method != "bm25" and cos is None:
+                cos = embeddings.scores(embeddings.row(i))
             if method in ("attn", "attn+llm") and attn is None:
-                attn = attn_rank(i)
-            runs[method][records[i].id] = rank_for(method, i, attn)
+                attn = attn_rank(i, cos)
+            runs[method][records[i].id] = rank_for(method, i, cos, attn)
     reports: dict[str, metrics.EvalReport] = {}
     rows: dict[str, list[dict]] = {}
     for method, run in runs.items():
@@ -361,7 +362,7 @@ def cmd_train(args) -> int:
     records, _ = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
-    eligible, _ = eligible_queries(records, graph, embeddings)
+    eligible, _ = eligible_queries(graph, embeddings)
     if not eligible:
         raise ValueError("no training queries: no paper has in-corpus citations")
     picked = sample_queries(eligible, args.subset, args.seed)
@@ -406,10 +407,11 @@ def cmd_retrieve(args) -> int:
     embeddings = _get_embeddings(args, records, graph)
     scorer = _get_weights(args, embeddings.dim)
     query_id, query_text, query = _query_vector(args, records, graph, embeddings)
-    seed_node = retrievermod.select_seed(query, embeddings, graph)
+    cos = embeddings.scores(query)
+    seed_node = retrievermod.select_seed(cos, embeddings, graph)
     sub = retrievermod.retrieve_subgraph(graph, embeddings, query, seed_node,
                                          scorer, args.retriever)
-    ranked = retrievermod.decode_and_rank(sub, query, embeddings,
+    ranked = retrievermod.decode_and_rank(sub, cos, embeddings,
                                           args.retriever)
     result = retrievermod.retrieval_to_json(query_id, sub, ranked, graph)
     if args.rerank:

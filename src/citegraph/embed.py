@@ -67,13 +67,16 @@ class EmbeddingMatrix:
         return self.vectors[index]
 
     def scores(self, query: np.ndarray) -> np.ndarray:
-        """Cosine similarity of `query` against every row (zero rows give 0)."""
+        """Cosine similarity of `query` against every row (zero rows give 0).
+
+        An all-zero query has no meaningful similarity and is rejected.
+        """
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValueError(f"query must have dimension {self.dim}, got {q.shape}")
         qn = np.linalg.norm(q)
         if qn == 0.0:
-            return np.zeros(self.node_count)
+            raise ValueError("degenerate query: zero vector")
         return np.clip(self.vectors @ (q / qn), -1.0, 1.0)
 
 

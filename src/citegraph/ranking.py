@@ -49,15 +49,30 @@ class RankedList:
         ]
 
 
-def top_k(scores: np.ndarray, ids: Sequence[str], k: int, provenance: str,
-          candidates: np.ndarray | None = None) -> RankedList:
-    """Best k by score, ties to the lower index; `candidates` masks the pool."""
+def top_k_indices(scores: np.ndarray, k: int,
+                  candidates: np.ndarray | None = None) -> np.ndarray:
+    """Pool indices in `top_k` order (see there)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     pool = (np.arange(len(scores)) if candidates is None
             else np.flatnonzero(candidates))
-    best = pool[np.argsort(-scores[pool], kind="stable")[:k]]
+    neg = -scores[pool]
+    if k < len(pool):
+        keep = ~(neg > np.partition(neg, k - 1)[k - 1])
+        pool, neg = pool[keep], neg[keep]
+    return pool[np.argsort(neg, kind="stable")[:k]]
+
+
+def top_k(scores: np.ndarray, ids: Sequence[str], k: int, provenance: str,
+          candidates: np.ndarray | None = None) -> RankedList:
+    """Best k by score, ties to the lower index; `candidates` masks the pool.
+
+    `np.partition` finds the k-th best score first. Only the scores at
+    least that good, every one tied with it included, go through the
+    stable argsort, so the result equals a full stable sort of the pool
+    (NaN compares false, so NaNs stay in and sort last).
+    """
     return RankedList(items=[
         RankedItem(id=ids[i], score=float(scores[i]), provenance=provenance)
-        for i in best.tolist()
+        for i in top_k_indices(scores, k, candidates).tolist()
     ])

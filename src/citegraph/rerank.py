@@ -14,8 +14,6 @@ import json
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -145,6 +143,11 @@ class HttpChatClient:
 
     def complete(self, prompt: str, model: str, temperature: float,
                  max_tokens: int) -> str:
+        # imported here, so that commands which never call a live endpoint
+        # do not load urllib.request and the http, email and ssl modules
+        import urllib.error
+        import urllib.request
+
         payload = json.dumps({
             "model": model,
             "messages": [{"role": "user", "content": prompt}],

@@ -12,6 +12,12 @@ its inputs.
 
 Everything runs on the graph's CSR arrays: the frontier gathers the
 survivors' rows through a boolean visited mask.
+
+`select_seed` and `decode_and_rank` take the query's cosine row, the
+`EmbeddingMatrix.scores` array over all nodes, rather than the query
+vector: the caller computes it once per query (that call rejects an
+all-zero query) and every step that ranks by cosine reads it.
+`retrieve_subgraph` takes the query vector, which the scorer reads.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ import numpy as np
 from .embed import EmbeddingMatrix
 from .gat import ScorerParams, relevance_scores
 from .graph import CitationGraph
-from .ranking import RankedItem, RankedList
+from .ranking import RankedItem, RankedList, top_k_indices
 
 
 @dataclass
@@ -70,21 +76,18 @@ class RetrievedSubgraph:
     trace: list[HopTrace] = field(default_factory=list)
 
 
-def select_seed(query: np.ndarray, embeddings: EmbeddingMatrix,
+def select_seed(cos: np.ndarray, embeddings: EmbeddingMatrix,
                 graph: CitationGraph) -> int:
     """Node whose embedding is most cosine-similar to the query.
 
-    Ties break toward the smallest node index. An all-zero query has no
-    meaningful similarity and is rejected.
+    `cos` is the query's `embeddings.scores` row. Ties break toward the
+    smallest node index.
     """
-    q = np.asarray(query, dtype=np.float64)
-    if np.linalg.norm(q) == 0.0:
-        raise ValueError("degenerate query: zero vector")
-    if graph.node_count != embeddings.node_count:
-        raise ValueError("graph and embeddings disagree on node count")
+    if not graph.node_count == embeddings.node_count == len(cos):
+        raise ValueError("graph, embeddings and scores disagree on node count")
     if graph.node_count == 0:
         raise ValueError("cannot select a seed in an empty graph")
-    return int(np.argmax(embeddings.scores(q)))
+    return int(np.argmax(cos))
 
 
 def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
@@ -129,37 +132,33 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
                              trace=trace)
 
 
-def decode_and_rank(subgraph: RetrievedSubgraph, query: np.ndarray,
+def decode_and_rank(subgraph: RetrievedSubgraph, cos: np.ndarray,
                     embeddings: EmbeddingMatrix,
                     config: RetrieverConfig) -> RankedList:
     """Rank kept nodes (seed excluded) by embedding cosine to the query.
 
-    Kept nodes and dense fallback are scored from one
-    `embeddings.scores(query)` array, so the combined list is on one
+    `cos` is the query's `embeddings.scores` row; kept nodes and dense
+    fallback are both scored from it, so the combined list is on one
     scale. When fewer than top_k candidates survive and dense fallback is
     enabled, the remaining slots are filled with the highest-cosine nodes
     not already present (never the seed), flagged "dense-fallback"; the
     combined list is ordered by score with index tie-breaks.
     """
-    cos = embeddings.scores(query)
-    nodes = np.array([u for u in subgraph.nodes if u != subgraph.seed],
-                     dtype=np.intp)
-    picked = nodes[np.lexsort((nodes, -cos[nodes]))[:config.top_k]]
-    scored = [(u, float(cos[u]), "graph") for u in picked.tolist()]
-
-    if len(scored) < config.top_k and config.fallback_to_dense:
-        pool = np.ones(embeddings.node_count, dtype=bool)
-        pool[picked] = False
+    kept = np.zeros(embeddings.node_count, dtype=bool)
+    kept[subgraph.nodes] = True
+    kept[subgraph.seed] = False
+    picked = top_k_indices(cos, config.top_k, kept)
+    if len(picked) < config.top_k and config.fallback_to_dense:
+        pool = ~kept
         pool[subgraph.seed] = False
-        pool = np.flatnonzero(pool)
-        best = pool[np.argsort(-cos[pool], kind="stable")]
-        scored += [(i, float(cos[i]), "dense-fallback")
-                   for i in best[:config.top_k - len(scored)].tolist()]
-        scored.sort(key=lambda t: (-t[1], t[0]))
+        fill = top_k_indices(cos, config.top_k - len(picked), pool)
+        picked = np.concatenate([picked, fill])
+        picked = picked[np.lexsort((picked, -cos[picked]))]
 
     return RankedList(items=[
-        RankedItem(id=embeddings.ids[u], score=s, provenance=prov)
-        for u, s, prov in scored
+        RankedItem(id=embeddings.ids[u], score=float(cos[u]),
+                   provenance="graph" if kept[u] else "dense-fallback")
+        for u in picked.tolist()
     ])
 
 

@@ -107,6 +107,27 @@ def oracle_retrieve(n, edges, vectors, query, seed, u, b, sigma, hops,
     return kept, scores, hop_of
 
 
+def oracle_top_k(scores, k, candidates=None):
+    """The first k pool indices after a full `sorted` by (-score, index)."""
+    pool = [i for i in range(len(scores))
+            if candidates is None or candidates[i]]
+    return sorted(pool, key=lambda i: (-scores[i], i))[:k]
+
+
+def oracle_eligible_queries(records, index_of, vectors):
+    """Per-record loop: a paper qualifies when one of its citations is a
+    corpus id and its embedding row has a non-zero norm; the rest are
+    counted as excluded."""
+    eligible, excluded = [], 0
+    for i, record in enumerate(records):
+        has_relevant = any(c in index_of for c in record.citations)
+        if has_relevant and np.linalg.norm(vectors[i]) > 0.0:
+            eligible.append(i)
+        else:
+            excluded += 1
+    return eligible, excluded
+
+
 def oracle_bm25_loop(docs, query, k1=1.2, b=0.75):
     """BM25 by a straight per-posting loop over token lists.
 

@@ -11,9 +11,9 @@ from citegraph.baselines import (HybridConfig, bm25_build, bm25_rank,
 from citegraph.embed import EmbeddingMatrix, embed_corpus, tokenize
 from citegraph.graph import build_graph
 from citegraph.corpus import PaperRecord, build_text
-from citegraph.ranking import RankedItem, RankedList
+from citegraph.ranking import RankedItem, RankedList, top_k
 from citegraph.retriever import select_seed
-from helpers import oracle_bm25_loop
+from helpers import oracle_bm25_loop, oracle_top_k
 
 FIVE_DOCS = [
     "graph attention networks for citation ranking",
@@ -154,7 +154,7 @@ def test_dense_rank_top1_equals_seed_selection():
     for _ in range(10):
         q = rng.normal(size=16)
         top = dense_rank(q, emb, 1).ids()[0]
-        assert top == f"d{select_seed(q, emb, g)}"
+        assert top == f"d{select_seed(emb.scores(q), emb, g)}"
 
 
 def test_dense_rank_matches_exhaustive_scan():
@@ -301,3 +301,39 @@ def test_evaluate_hybrid_matches_hybrid_rank_over_full_lists():
                            universe=ids)
         expected = [it for it in full.to_dicts() if it["id"] != pid][:k]
         assert run[pid].to_dicts() == expected
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def pools(draw):
+    """Scores (often drawn from at most 3 values, so heavily tied), an
+    optional candidate mask, and k at 1, the pool size, past it or free."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        values = draw(st.lists(finite, min_size=1, max_size=3))
+        scores = draw(st.lists(st.sampled_from(values), min_size=n,
+                               max_size=n))
+    else:
+        scores = draw(st.lists(finite, min_size=n, max_size=n))
+    mask = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    size = n if mask is None else sum(mask)
+    k = draw(st.sampled_from([1, max(size, 1), size + 3])
+             | st.integers(1, n + 3))
+    return (np.array(scores),
+            None if mask is None else np.array(mask, dtype=bool), k)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=pools())
+@example(case=(np.array([0.5, 0.5, 0.5, 0.1, 0.5]), None, 2))
+@example(case=(np.array([0.0, -0.0, 0.0, 1.0]),
+               np.array([True, True, False, True]), 2))
+def test_top_k_equals_full_sort_oracle(case):
+    scores, mask, k = case
+    ids = [f"d{i}" for i in range(len(scores))]
+    ranked = top_k(scores, ids, k, "dense", candidates=mask)
+    expected = oracle_top_k(scores.tolist(), k, mask)
+    assert ranked.ids() == [ids[i] for i in expected]
+    assert [it.score for it in ranked.items] == [scores[i] for i in expected]

@@ -5,10 +5,12 @@ import pytest
 
 from citegraph import cli, retriever
 from citegraph.corpus import build_text, parse_records
+from citegraph.embed import EmbeddingMatrix, embed_corpus
 from citegraph.gat import load_weights
-from citegraph.graph import load_snapshot
+from citegraph.graph import build_graph, load_snapshot
 from citegraph.rerank import MockClient
-from helpers import component_corpus, corpus_line, write_jsonl
+from helpers import (component_corpus, corpus_line, oracle_eligible_queries,
+                     write_jsonl)
 
 
 @pytest.fixture()
@@ -247,6 +249,49 @@ def test_attn_and_attn_llm_share_one_retrieval_per_query(corpus_path,
     assert (both_calls, attn_calls, llm_calls) == (6, 6, 4)
     assert both == {**attn, **llm}
     assert both["attn"][:4] != both["attn+llm"]  # the re-rank took effect
+
+
+def test_evaluate_scores_each_query_once(corpus_path, monkeypatch):
+    records, _ = parse_records(iter(corpus_path.read_text().splitlines()))
+    calls = []
+    real = EmbeddingMatrix.scores
+
+    def counted(self, query):
+        calls.append(query)
+        return real(self, query)
+
+    monkeypatch.setattr(EmbeddingMatrix, "scores", counted)
+
+    def rows(methods):
+        result = cli.evaluate_corpus(
+            records, methods=methods, k=3, dim=32, subset=6,
+            retriever=retriever.RetrieverConfig(prune_threshold=0.0, top_k=3),
+            llm_client=MockClient())
+        return result["rows"]
+
+    methods = ("dense", "hybrid", "attn", "attn+llm")
+    together = rows(methods)
+    assert len(calls) == 6
+    for method in methods:
+        assert together[method] == rows((method,))[method]
+
+
+def test_eligible_queries_match_record_loop():
+    records, _ = parse_records([
+        corpus_line("a", ["b", "ghost"], title="alpha paper"),
+        corpus_line("b", ["a"]),  # no text: a zero embedding row
+        corpus_line("c", ["ghost", "phantom"], title="outside citations"),
+        corpus_line("d", [None, "ghost", None], title="dangling and null"),
+        corpus_line("e", [], title="cites nothing"),
+        corpus_line("f", ["a", "c"], title="fine paper"),
+    ])
+    graph = build_graph(records)
+    embeddings = embed_corpus(records, dim=16)
+    assert not embeddings.vectors[1].any()
+    expected = oracle_eligible_queries(records, graph.index_of,
+                                       embeddings.vectors)
+    assert expected == ([0, 5], 4)
+    assert cli.eligible_queries(graph, embeddings) == expected
 
 
 def test_retrieve_by_text_selects_own_paper_as_seed(tmp_path, corpus_path,

@@ -22,7 +22,7 @@ def test_select_seed_exact_copy():
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     emb = matrix(vectors)
     g = citation_graph(10, [])
-    assert select_seed(vectors[7], emb, g) == 7
+    assert select_seed(emb.scores(vectors[7]), emb, g) == 7
 
 
 def test_select_seed_tie_breaks_low_index():
@@ -31,7 +31,7 @@ def test_select_seed_tie_breaks_low_index():
                         [0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0], best])
     emb = matrix(vectors)
     g = citation_graph(10, [])
-    assert select_seed(np.array([2.0, 0.0]), emb, g) == 3
+    assert select_seed(emb.scores(np.array([2.0, 0.0])), emb, g) == 3
 
 
 def test_select_seed_matches_linear_scan():
@@ -43,14 +43,14 @@ def test_select_seed_matches_linear_scan():
     for _ in range(10):
         q = rng.normal(size=5)
         expected = max(range(50), key=lambda i: (cosine(vectors[i], q), -i))
-        assert select_seed(q, emb, g) == expected
+        assert select_seed(emb.scores(q), emb, g) == expected
 
 
 def test_select_seed_degenerate_query():
     emb = matrix(np.eye(3))
     g = citation_graph(3, [])
     with pytest.raises(ValueError, match="degenerate"):
-        select_seed(np.zeros(3), emb, g)
+        select_seed(emb.scores(np.zeros(3)), emb, g)
 
 
 def run_fixture(fx, sigma=None, hops=None, max_frontier=2048):
@@ -123,7 +123,8 @@ def test_scores_come_from_embedding_rows():
         expected = relevance_scores(rows[others], query, fx["scorer"])
         for v, score in zip(others, expected):
             assert sub.scores[v] == pytest.approx(score, abs=1e-12)
-        ranked = decode_and_rank(sub, query, fx["embeddings"], cfg)
+        ranked = decode_and_rank(sub, fx["embeddings"].scores(query),
+                                 fx["embeddings"], cfg)
         cos = fx["embeddings"].scores(query)
         assert ranked.items
         for item in ranked.items:
@@ -203,7 +204,8 @@ def test_decode_and_rank_seed_only_no_fallback():
     fx = retriever_fixture(7)
     sub, _ = run_fixture(fx, sigma=1.0)
     cfg = RetrieverConfig(fallback_to_dense=False)
-    ranked = decode_and_rank(sub, fx["query"], fx["embeddings"], cfg)
+    ranked = decode_and_rank(sub, fx["embeddings"].scores(fx["query"]),
+                             fx["embeddings"], cfg)
     assert len(ranked) == 0
 
 
@@ -213,7 +215,7 @@ def test_decode_and_rank_single_candidate():
         seed=0, nodes=[0, 1], scores={0: 1.0, 1: 0.6}, hops={0: 0, 1: 1},
         edges=[(0, 1)], trace=[])
     cfg = RetrieverConfig(fallback_to_dense=False)
-    ranked = decode_and_rank(sub, np.array([1.0, 0.0]), emb, cfg)
+    ranked = decode_and_rank(sub, emb.scores(np.array([1.0, 0.0])), emb, cfg)
     assert ranked.ids() == ["n1"]  # kept regardless of its (negative) score
     assert ranked.items[0].score < 0
 
@@ -223,7 +225,8 @@ def test_decode_and_rank_matches_sort_oracle():
     sub, cfg = run_fixture(fx, sigma=0.0)
     cfg = RetrieverConfig(hops=cfg.hops, prune_threshold=0.0, top_k=3,
                           fallback_to_dense=False)
-    ranked = decode_and_rank(sub, fx["query"], fx["embeddings"], cfg)
+    ranked = decode_and_rank(sub, fx["embeddings"].scores(fx["query"]),
+                             fx["embeddings"], cfg)
     scored = []
     for v in sub.nodes:
         if v == sub.seed:
@@ -249,7 +252,7 @@ def test_decode_and_rank_dense_fallback_pads_and_flags():
         edges=[(0, 1)], trace=[])
     cfg = RetrieverConfig(top_k=3, fallback_to_dense=True)
     query = np.array([1.0, 0.0])
-    ranked = decode_and_rank(sub, query, emb, cfg)
+    ranked = decode_and_rank(sub, emb.scores(query), emb, cfg)
     assert len(ranked) == 3
     assert "n0" not in ranked.ids()  # seed never appears, even as padding
     provenance = {it.id: it.provenance for it in ranked.items}
@@ -263,7 +266,8 @@ def test_decode_and_rank_dense_fallback_pads_and_flags():
 def test_retrieval_json_shape():
     fx = retriever_fixture(10)
     sub, cfg = run_fixture(fx)
-    ranked = decode_and_rank(sub, fx["query"], fx["embeddings"], cfg)
+    ranked = decode_and_rank(sub, fx["embeddings"].scores(fx["query"]),
+                             fx["embeddings"], cfg)
     out = retrieval_to_json("q1", sub, ranked, fx["graph"])
     assert set(out) == {"query_id", "seed", "candidates", "trace"}
     assert out["seed"] == fx["graph"].node_ids[fx["seed_node"]]
