@@ -1,7 +1,11 @@
 """Retrieval baselines: BM25, dense cosine scan, and their hybrid blend.
 
-Each baseline scores every document and ranks with `ranking.top_k`. BM25
-postings live in one flat (P, 2) array of (doc index, term frequency)
+Each baseline scores every document and ranks with `ranking.top_k`.
+`bm25_build` reads the texts once: each paper's tokens (the embedder's
+`tokenize`) become term ids appended to one flat `array('q')`, and its
+token count goes straight into `doc_lengths`, so no per-paper array or
+token list outlives its paper. One sort of term-major keys then groups
+the postings into one flat (P, 2) array of (doc index, term frequency)
 rows, grouped by term and ascending by doc within a term; `postings` maps
 each term to its slice (a view, so `len()` is the document frequency).
 A query concatenates its terms' slices in token order, computes every
@@ -9,10 +13,13 @@ posting's idf * tf / (tf + norm[doc]) at once, and sums per document with
 `np.bincount` (eager scoring, as in BM25S, Lu 2024). bincount adds weights
 in input order, so each document gets its terms in the order a loop over
 query tokens and postings adds them: the scores are bit-identical to it.
+`evaluate` computes this row once per query and ranks bm25 and blends
+hybrid from it; `bm25_rank` is the one-call form for library callers.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,6 +52,14 @@ class HybridConfig:
             raise ValueError("alpha must be in [0, 1]")
 
 
+class _Vocab(dict):
+    """term -> id, numbered in first-appearance order on first lookup."""
+
+    def __missing__(self, term: str) -> int:
+        self[term] = term_id = len(self)
+        return term_id
+
+
 def bm25_build(texts: Sequence[str], ids: Sequence[str] | None = None,
                k1: float = 1.2, b: float = 0.75) -> Bm25Index:
     """Index a corpus of texts (tokenizer shared with the hash embedder)."""
@@ -56,19 +71,24 @@ def bm25_build(texts: Sequence[str], ids: Sequence[str] | None = None,
     ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
     if len(ids) != n:
         raise ValueError("ids and texts must have equal length")
-    vocab: dict[str, int] = {}  # term -> id, in first-appearance order
-    rows = [np.array([vocab.setdefault(t, len(vocab)) for t in tokenize(text)],
-                     dtype=np.int64) for text in texts]
-    doc_lengths = np.array([len(row) for row in rows], dtype=np.int64)
-    term = np.concatenate(rows)
+    vocab = _Vocab()
+    term_ids = array("q")
+    doc_lengths = np.empty(n, dtype=np.int64)
+    for i, text in enumerate(texts):
+        tokens = tokenize(text)
+        doc_lengths[i] = len(tokens)
+        term_ids.extend(map(vocab.__getitem__, tokens))
     # one key per token, term-major, so sorting groups each term's docs
-    keys = np.sort(term * n + np.repeat(np.arange(n), doc_lengths))
+    keys = np.sort(np.frombuffer(term_ids, dtype=np.int64) * n
+                   + np.repeat(np.arange(n), doc_lengths))
     first = np.flatnonzero(np.diff(keys, prepend=-1))  # per (term, doc)
     term_of, doc_of = np.divmod(keys[first], n)
     flat = np.stack([doc_of, np.diff(first, append=len(keys))], axis=1)
     flat.setflags(write=False)
-    ends = np.cumsum(np.bincount(term_of, minlength=len(vocab)))
-    postings = dict(zip(vocab, np.split(flat, ends[:-1])))
+    df = np.bincount(term_of, minlength=len(vocab))
+    bounds = [0, *np.cumsum(df).tolist()]
+    postings = {term: flat[start:end] for term, start, end
+                in zip(vocab, bounds, bounds[1:])}
     return Bm25Index(postings=postings, doc_lengths=doc_lengths,
                      avg_doc_length=int(doc_lengths.sum()) / n,
                      doc_count=n, ids=ids, k1=k1, b=b)

@@ -238,15 +238,15 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
             graph, embeddings, query, seed_node, scorer, rcfg)
         return sub, retrievermod.decode_and_rank(sub, cos, embeddings, rcfg)
 
-    def rank_for(method: str, qidx: int, cos, attn) -> RankedList:
+    def rank_for(method: str, qidx: int, bm, cos, attn) -> RankedList:
         own_id = records[qidx].id
         if method == "bm25":
-            ranked = baselines.bm25_rank(index, texts[qidx], k + 1)
+            ranked = top_k(bm, graph.node_ids, k + 1, "bm25",
+                           candidates=bm > 0.0)
         elif method == "dense":
             ranked = top_k(cos, embeddings.ids, k + 1, "dense")
         elif method == "hybrid":
-            blend = baselines.hybrid_scores(
-                baselines.bm25_scores(index, texts[qidx]), cos, hycfg)
+            blend = baselines.hybrid_scores(bm, cos, hycfg)
             ranked = top_k(blend, graph.node_ids, k + 1, "hybrid")
         elif method == "attn":
             _, ranked = attn
@@ -272,17 +272,19 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
     llm_queries = set(queries[:llm_subset])
     runs: dict[str, dict[str, RankedList]] = {method: {} for method in methods}
     for i in queries:
-        # the query's cosine row and its (subgraph, ranking), each computed
-        # once and shared by every method that reads it
-        cos = attn = None
+        # the query's BM25 row, cosine row and (subgraph, ranking), each
+        # computed once and shared by every method that reads it
+        bm = cos = attn = None
         for method in methods:
             if method == "attn+llm" and i not in llm_queries:
                 continue
+            if method in ("bm25", "hybrid") and bm is None:
+                bm = baselines.bm25_scores(index, texts[i])
             if method != "bm25" and cos is None:
                 cos = embeddings.scores(embeddings.row(i))
             if method in ("attn", "attn+llm") and attn is None:
                 attn = attn_rank(i, cos)
-            runs[method][records[i].id] = rank_for(method, i, cos, attn)
+            runs[method][records[i].id] = rank_for(method, i, bm, cos, attn)
     reports: dict[str, metrics.EvalReport] = {}
     rows: dict[str, list[dict]] = {}
     for method, run in runs.items():

@@ -153,6 +153,11 @@ def normalize_citations(raw: Any, report: IngestReport | None = None) -> list[st
 
 
 def _clean_citation_entry(value: Any, report: IngestReport) -> Optional[str]:
+    if type(value) is str:  # the common case, tested first
+        if value:
+            return value
+        report.citations_null_dropped += 1
+        return None
     if value is None:
         report.citations_null_dropped += 1
         return None
@@ -168,11 +173,8 @@ def _clean_citation_entry(value: Any, report: IngestReport) -> Optional[str]:
             return None
         report.citations_coerced_from_int += 1
         return str(int(value)) if value.is_integer() else repr(value)
-    if isinstance(value, str):
-        if value == "":
-            report.citations_null_dropped += 1
-            return None
-        return value
+    if isinstance(value, str):  # a str subclass
+        return _clean_citation_entry(str(value), report)
     # nested lists/objects carry no usable id
     report.citations_null_dropped += 1
     return None
@@ -194,6 +196,8 @@ def _clean_id(value: Any) -> Optional[str]:
 
 
 def _clean_text(value: Any) -> Optional[str]:
+    if type(value) is str:  # the common case, tested first
+        return value or None
     if value is None or isinstance(value, (dict,)):
         return None
     if isinstance(value, float) and math.isnan(value):
@@ -206,6 +210,8 @@ def _clean_text(value: Any) -> Optional[str]:
 
 
 def _opt_str(value: Any) -> Optional[str]:
+    if type(value) is str:  # the common case, tested first
+        return value
     if value is None:
         return None
     if isinstance(value, float) and math.isnan(value):
@@ -241,6 +247,7 @@ def parse_records(lines: Iterable[str]) -> tuple[list[PaperRecord], IngestReport
     report = IngestReport()
     records: list[PaperRecord] = []
     seen_ids: set[str] = set()
+    dates: dict[str | None, tuple[PartialDate, bool]] = {}  # parsed once
     for line in lines:
         stripped = line.strip()
         obj: Any = None
@@ -258,7 +265,13 @@ def parse_records(lines: Iterable[str]) -> tuple[list[PaperRecord], IngestReport
             continue
         citations = normalize_citations(obj.get("Citations"), report)
         citations = [c for c in citations if c != pid]
-        pub_date, collapsed = _parse_pub_date(obj.get("pubDate"))
+        raw_date = obj.get("pubDate")
+        if type(raw_date) is not str:  # parses as the unknown date
+            raw_date = None
+        parsed = dates.get(raw_date)
+        if parsed is None:
+            parsed = dates[raw_date] = _parse_pub_date(raw_date)
+        pub_date, collapsed = parsed
         if collapsed:
             report.dates_range_collapsed += 1
         if pub_date.month is None:

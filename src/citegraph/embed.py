@@ -1,4 +1,4 @@
-"""Node embeddings: TSV loading, deterministic hashing fallback, cosine.
+r"""Node embeddings: TSV loading, deterministic hashing fallback, cosine.
 
 Precomputed sentence embeddings are loaded from a TSV file and aligned to
 the graph's node order. When no file is available, a feature-hashing
@@ -6,14 +6,25 @@ bag-of-words embedder provides a self-contained, fully deterministic
 substitute so the whole pipeline runs without any external model. Rows are
 L2-normalized at load time so cosine similarity reduces to a dot product.
 
+`tokenize` (shared with BM25) keeps the maximal runs of `[^\W_]`. For
+ASCII text it lowercases, maps every ASCII non-alphanumeric character to
+a space with one `str.translate` and calls `str.split()`. That is exact:
+over ASCII, `[^\W_]` is `[A-Za-z0-9]`, and every ASCII whitespace
+character is non-alphanumeric, so the split returns exactly the runs the
+regex finds. Other text goes through the regex.
+
 The hashing embedder hashes each distinct token once per call and counts
-a row's tokens with one `np.bincount`; every count is a small integer, so
-the row, its norm and the normalized vector are exact whatever the
-summation order. The TSV is parsed in one `np.loadtxt` pass over the
-checked lines. It is written in blocks of rows: a hash-embedded row holds
-only a few distinct values, so each block calls `repr` once per distinct
-bit pattern (0.0 and -0.0 keep their own text) and gathers the strings by
-index, giving the same bytes as `repr(float(x))` for every entry.
+rows in blocks of at most 256: a block's token codes form one flat array,
+each keyed `row * 2*dim + code`, and one `np.bincount` reshaped to
+(rows, dim, 2) gives every row's positive and negative counts. A
+single-text `hash_embed` is a one-row block. Every count is a small
+integer, so the row, its norm and the normalized vector are exact
+whatever the summation order. The TSV is parsed in one `np.loadtxt` pass
+over the checked lines. It is written in blocks of rows: a hash-embedded
+row holds only a few distinct values, so each block calls `repr` once per
+distinct bit pattern (0.0 and -0.0 keep their own text) and gathers the
+strings by index, giving the same bytes as `repr(float(x))` for every
+entry.
 """
 from __future__ import annotations
 
@@ -29,12 +40,17 @@ from .corpus import PaperRecord, build_text
 from .graph import _unique
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_ASCII_SPLIT = str.maketrans({c: " " for c in map(chr, range(128))
+                              if not c.isalnum()})
+_BLOCK = 256  # rows per counting block
 
 DEFAULT_DIM = 384
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumerics (shared with BM25)."""
+    if text.isascii():
+        return text.lower().translate(_ASCII_SPLIT).split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -115,12 +131,19 @@ class _TokenCodes(dict):
         self[token] = code
         return code
 
-    def counts(self, text: str) -> np.ndarray:
-        """Signed token counts per bucket (an integer vector of length dim)."""
-        codes = np.fromiter(map(self.__getitem__, tokenize(text)),
-                            dtype=np.intp)
-        pairs = np.bincount(codes, minlength=2 * self.dim).reshape(self.dim, 2)
-        return pairs[:, 1] - pairs[:, 0]
+    def counts(self, texts: Sequence[str]) -> np.ndarray:
+        """Signed token counts per bucket, one integer row of length dim
+        per text; at most `_BLOCK` texts keep the count array small."""
+        tokens = [tokenize(text) for text in texts]
+        lengths = [len(t) for t in tokens]
+        flat = itertools.chain.from_iterable(tokens)
+        codes = np.fromiter(map(self.__getitem__, flat), dtype=np.intp,
+                            count=sum(lengths))
+        rows, width = len(texts), 2 * self.dim
+        codes += np.repeat(np.arange(0, rows * width, width), lengths)
+        pairs = np.bincount(codes, minlength=rows * width)
+        pairs = pairs.reshape(rows, self.dim, 2)
+        return pairs[:, :, 1] - pairs[:, :, 0]
 
 
 def hash_embed(text: str, dim: int = DEFAULT_DIM, seed: int = 0) -> np.ndarray:
@@ -131,17 +154,18 @@ def hash_embed(text: str, dim: int = DEFAULT_DIM, seed: int = 0) -> np.ndarray:
     Word order does not matter; empty text gives the zero vector. Stable
     across runs, platforms and thread counts.
     """
-    vec = _TokenCodes(dim, seed).counts(text).astype(np.float64)
-    return _normalize_in_place(vec[None, :])[0]
+    return _normalize_in_place(
+        _TokenCodes(dim, seed).counts([text]).astype(np.float64))[0]
 
 
 def embed_corpus(records: Sequence[PaperRecord], dim: int = DEFAULT_DIM,
                  seed: int = 0) -> EmbeddingMatrix:
     """Hash-embed every record's concatenated text, in corpus order."""
     codes = _TokenCodes(dim, seed)
-    vectors = np.zeros((len(records), dim), dtype=np.float64)
-    for i, record in enumerate(records):
-        vectors[i] = codes.counts(build_text(record))
+    vectors = np.empty((len(records), dim), dtype=np.float64)
+    for start in range(0, len(records), _BLOCK):
+        vectors[start:start + _BLOCK] = codes.counts(
+            [build_text(r) for r in records[start:start + _BLOCK]])
     return EmbeddingMatrix(ids=tuple(r.id for r in records),
                            vectors=_normalize_in_place(vectors), dim=dim)
 
@@ -241,7 +265,15 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
 
 def write_embeddings(path: str, matrix: EmbeddingMatrix) -> None:
     """Write the TSV that `load_embeddings` reads, each value as
-    `repr(float(x))`, in blocks of 256 rows."""
+    `repr(float(x))`, in blocks of 256 rows.
+
+    An id holding a tab, CR or LF would split its line, so it is rejected
+    before the file is opened.
+    """
+    for pid in matrix.ids:
+        if "\t" in pid or "\n" in pid or "\r" in pid:
+            raise ValueError(f"paper id {pid!r} holds a tab or line break; "
+                             "the embeddings TSV cannot store it")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{matrix.node_count}\t{matrix.dim}\n")
         for start in range(0, matrix.node_count, 256):

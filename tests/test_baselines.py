@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,19 @@ def test_bm25_scores_bit_identical_to_posting_loop(docs, query, k1, b):
     index = bm25_build([" ".join(doc) for doc in docs], k1=k1, b=b)
     scores = bm25_scores(index, " ".join(query))
     assert scores.tobytes() == oracle_bm25_loop(docs, query, k1, b).tobytes()
+
+
+def test_bm25_scores_on_raw_text_match_posting_loop():
+    texts = ["Graph-Attention, NETWORKS! graph", "naïve Bayes; NAÏVE bayes",
+             "東京 graph_attention 2024", "", "Straße STRASSE straße ٣",
+             "networks\x0bgraph\x1fgraph"]
+    docs = [re.findall(r"[^\W_]+", t.lower()) for t in texts]
+    index = bm25_build(texts)
+    for query in ["GRAPH naïve, straße Attention", "東京 ٣ networks",
+                  "graph_attention", "bayes-BAYES"]:
+        expected = oracle_bm25_loop(
+            docs, re.findall(r"[^\W_]+", query.lower()))
+        assert bm25_scores(index, query).tobytes() == expected.tobytes()
 
 
 def test_bm25_build_rejects_bad_parameters():

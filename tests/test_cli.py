@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from citegraph import cli, retriever
+from citegraph import baselines, cli, retriever
 from citegraph.corpus import build_text, parse_records
 from citegraph.embed import EmbeddingMatrix, embed_corpus
 from citegraph.gat import load_weights
@@ -142,6 +142,21 @@ def test_embed_non_numeric_value_is_data_error(tmp_path, corpus_path, capsys):
     assert "line 4" in err and repr(pid) in err and "non-numeric" in err
 
 
+@pytest.mark.parametrize("cut", ["\t", "\n", "\r"])
+def test_embed_rejects_id_the_tsv_cannot_hold(tmp_path, capsys, cut):
+    corpus = tmp_path / "corpus.jsonl"
+    first = f"a{cut}b"
+    write_jsonl(corpus, [corpus_line(first, title="first"),
+                         corpus_line("c", title="plain"),
+                         corpus_line("d\ne", title="second")])
+    tsv = tmp_path / "emb.tsv"
+    assert run_cli("embed", "--corpus", corpus, "--output", tsv,
+                   "--dim", "8") == 2
+    assert not tsv.exists()
+    err = capsys.readouterr().err
+    assert f"paper id {first!r} holds a tab or line break" in err
+
+
 def test_train_writes_loadable_weights(tmp_path, corpus_path, capsys):
     weights_path = tmp_path / "weights.json"
     assert run_cli("train", "--corpus", corpus_path, "--output", weights_path,
@@ -273,6 +288,27 @@ def test_evaluate_scores_each_query_once(corpus_path, monkeypatch):
     together = rows(methods)
     assert len(calls) == 6
     for method in methods:
+        assert together[method] == rows((method,))[method]
+
+
+def test_evaluate_scores_bm25_once_per_query(corpus_path, monkeypatch):
+    records, _ = parse_records(iter(corpus_path.read_text().splitlines()))
+    calls = []
+    real = baselines.bm25_scores
+
+    def counted(index, text):
+        calls.append(text)
+        return real(index, text)
+
+    monkeypatch.setattr(baselines, "bm25_scores", counted)
+
+    def rows(methods):
+        return cli.evaluate_corpus(records, methods=methods, k=3, dim=32,
+                                   subset=6)["rows"]
+
+    together = rows(("bm25", "hybrid"))
+    assert len(calls) == 6
+    for method in ("bm25", "hybrid"):
         assert together[method] == rows((method,))[method]
 
 

@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import string
 import tempfile
 import warnings
 from collections import Counter
@@ -33,6 +35,22 @@ def test_tokenize_lowercase_nonalnum_split():
     assert tokenize("Graph-Attention, networks! 2024") == \
         ["graph", "attention", "networks", "2024"]
     assert tokenize("") == []
+
+
+# ASCII punctuation, '_', digits, the ASCII whitespace that is not ' '
+# (\x0b, \x0c and the separators \x1c-\x1f, which str.split also splits
+# on), and non-ASCII letters, digits and spaces
+TOKEN_CHARS = (string.printable + "_\x00\x0b\x0c\x1c\x1d\x1e\x1f\x7f"
+               + "éßİ東京٣\u00a0\u2028")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(st.characters(max_codepoint=127)),
+                      st.text(st.sampled_from(TOKEN_CHARS)), st.text()))
+@example(text="Graph_Attention\x0bNETS\x1c2024\x1fx1-y2")
+@example(text="naïve Straße, İstanbul_東京 ٣4")
+def test_tokenize_equals_regex_runs(text):
+    assert tokenize(text) == re.findall(r"[^\W_]+", text.lower())
 
 
 def test_load_embeddings_aligns_and_normalizes(tmp_path):
@@ -161,9 +179,18 @@ texts_strategy = st.lists(
     min_size=1, max_size=8)
 
 
+# 600 texts over three counting blocks, empty ones on the block edges;
+# every third text is non-ASCII, so both tokenizer paths feed a block
+BLOCK_TEXTS = ["" if i % 7 == 0 or i in (255, 256, 511, 512, 599)
+               else f"w{i % 13} Graph-{i % 5} x_{i} w{i % 13}"
+               + (" naïve" if i % 3 == 0 else "")
+               for i in range(600)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(texts=texts_strategy, dim=st.sampled_from([1, 2, 7, 64, 384]),
        seed=st.integers(-2**63, 2**63 - 1))
+@example(texts=BLOCK_TEXTS, dim=16, seed=3)
 @example(texts=["", "a a a a", "Graph, graph; GRAPH graph_attention"],
          dim=16, seed=0)
 @example(texts=["naïve 東京 naïve x1", "x1 x1 -x1"], dim=3, seed=-1)
