@@ -25,6 +25,7 @@ EXIT_DATA = 2
 EXIT_NETWORK = 3
 
 METHODS = ("bm25", "dense", "hybrid", "attn", "attn+llm")
+_ATTN_METHODS = ("attn", "attn+llm")  # the methods that prune with the scorer
 
 
 class UsageError(Exception):
@@ -41,24 +42,35 @@ def _to_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-_CONFIG_KEYS = {
-    "corpus": str, "embeddings": str, "weights": str, "output": str,
-    "k": int, "sigma": float, "hops": int, "alpha": float, "seed": int,
-    "subset": int, "llm_subset": int, "dim": int, "k1": float, "b": float,
-    "max_frontier": int, "dense_fallback": _to_bool, "epochs": int,
-    "lr": float, "negatives": int, "method": str, "model": str,
-}
-
-_DEFAULTS = {
-    "corpus": None, "embeddings": None, "weights": None, "output": None,
-    "k": 10, "sigma": 0.5, "hops": 3, "alpha": 0.5, "seed": 0,
-    "subset": 1000, "llm_subset": 100, "dim": embed.DEFAULT_DIM,
-    "k1": 1.2, "b": 0.75, "max_frontier": 2048, "dense_fallback": True,
-    "epochs": 200, "lr": 0.5, "negatives": 1,
-    "method": "bm25,dense,hybrid,attn", "model": "default",
+# Every setting is both a --flag and a config-file key:
+# name -> (type, default, help). A `_to_bool` setting is an on/off flag.
+_SETTINGS = {
+    "corpus": (str, None, "corpus JSONL path"),
+    "embeddings": (str, None, "embedding TSV path"),
+    "weights": (str, None, "relevance scorer weights JSON path"),
+    "output": (str, None, "output file or directory"),
+    "k": (int, 10, "ranking depth"),
+    "sigma": (float, 0.5, "pruning threshold in [0, 1]"),
+    "hops": (int, 3, "max expansion hops"),
+    "alpha": (float, 0.5, "hybrid BM25 weight in [0, 1]"),
+    "seed": (int, 0, "RNG seed"),
+    "subset": (int, 1000, "evaluation/training subset size"),
+    "llm_subset": (int, 100, "query count for LLM re-ranking"),
+    "dim": (int, embed.DEFAULT_DIM, "hash embedding dimension"),
+    "k1": (float, 1.2, "BM25 k1"),
+    "b": (float, 0.75, "BM25 b"),
+    "max_frontier": (int, 2048, "frontier size cap"),
+    "dense_fallback": (_to_bool, True,
+                       "pad short candidate lists with dense hits"),
+    "epochs": (int, 200, "training epochs"),
+    "lr": (float, 0.5, "training learning rate"),
+    "negatives": (int, 1, "negatives per positive"),
+    "method": (str, "bm25,dense,hybrid,attn",
+               f"comma-separated methods ({', '.join(METHODS)})"),
+    "model": (str, "default", "chat model id"),
 }
 
 
@@ -73,10 +85,10 @@ def _read_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{line_no}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
             try:
-                values[key] = _CONFIG_KEYS[key](raw.strip())
+                values[key] = _SETTINGS[key][0](raw.strip())
             except ValueError as exc:
                 raise UsageError(f"{path}:{line_no}: bad value for "
                                  f"{key}: {exc}") from exc
@@ -87,9 +99,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     file_values = {}
     if getattr(args, "config", None):
         file_values = _read_config_file(args.config)
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is None:
+    for key, (_, default, _) in _SETTINGS.items():
+        if getattr(args, key, None) is None:
             setattr(args, key, file_values.get(key, default))
     _validate(args)
     return args
@@ -132,12 +143,6 @@ def _get_embeddings(args, records, graph):
     if args.embeddings:
         return embed.load_embeddings(args.embeddings, graph)
     return embed.embed_corpus(records, dim=args.dim, seed=args.seed)
-
-
-def _get_weights(args, dim: int) -> gat.ScorerParams:
-    if args.weights:
-        return gat.load_weights(args.weights, width=dim)
-    return gat.init_scorer(dim, dim, seed=args.seed)
 
 
 def _llm_client(args):
@@ -198,8 +203,9 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
 
     Queries are held-out corpus papers; each query's relevant set is its
     own citation list restricted to corpus members, and the paper itself
-    is removed from every method's candidates. attn runs with `retriever`
-    (default: the stock settings at depth k), hybrid with `hybrid`.
+    is removed from every method's candidates. attn and attn+llm prune
+    with the trained `scorer` under `retriever` (default: the stock
+    settings at depth k); hybrid blends with `hybrid`.
     `graph` is the records' citation graph, built here when omitted.
     Returns a mapping with the per-method EvalReports, runs and per-query
     metric rows, and the run metadata.
@@ -208,18 +214,19 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r}; "
                              f"choose from {', '.join(METHODS)}")
+    if scorer is None and any(m in _ATTN_METHODS for m in methods):
+        raise UsageError("attn needs a trained scorer: pass --weights "
+                         "(written by train)")
+    if "attn+llm" in methods and llm_client is None:
+        raise UsageError("attn+llm needs a chat client: pass --llm-mock or "
+                         "configure the endpoint")
     if graph is None:
         graph = graphmod.build_graph(records)
     if embeddings is None:
         embeddings = embed.embed_corpus(records, dim=dim, seed=seed)
-    if scorer is None:
-        scorer = gat.init_scorer(embeddings.dim, embeddings.dim, seed=seed)
     rcfg = retriever or retrievermod.RetrieverConfig(top_k=k)
     hycfg = hybrid or baselines.HybridConfig()
 
-    if "attn+llm" in methods and llm_client is None:
-        raise UsageError("attn+llm needs a chat client: pass --llm-mock or "
-                         "configure the endpoint")
     eligible, excluded = eligible_queries(graph, embeddings)
     queries = sample_queries(eligible, subset, seed)
     if not queries:
@@ -259,7 +266,7 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
                 query_text=texts[qidx],
                 candidates=[(it.id, _title_of(records, graph, it.id))
                             for it in ranked.items],
-                triplets=rerank.verbalize_triplets(sub, records),
+                triplets=rerank.verbalize_triplets(sub, graph, records),
                 model=llm_model)
             return rerank.rerank(llm_client, request, ranked)
         return _drop_self(ranked, own_id, k)
@@ -282,7 +289,7 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
                 bm = baselines.bm25_scores(index, texts[i])
             if method != "bm25" and cos is None:
                 cos = embeddings.scores(embeddings.row(i))
-            if method in ("attn", "attn+llm") and attn is None:
+            if method in _ATTN_METHODS and attn is None:
                 attn = attn_rank(i, cos)
             runs[method][records[i].id] = rank_for(method, i, bm, cos, attn)
     reports: dict[str, metrics.EvalReport] = {}
@@ -401,13 +408,13 @@ def _query_vector(args, records, graph, embeddings):
 
 
 def cmd_retrieve(args) -> int:
-    _require(args, "corpus")
+    _require(args, "corpus", "weights")
     if (args.query is None) == (args.paper_id is None):
         raise UsageError("provide exactly one of --query or --paper-id")
     records, _ = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
-    scorer = _get_weights(args, embeddings.dim)
+    scorer = gat.load_weights(args.weights, width=embeddings.dim)
     query_id, query_text, query = _query_vector(args, records, graph, embeddings)
     cos = embeddings.scores(query)
     seed_node = retrievermod.select_seed(cos, embeddings, graph)
@@ -422,7 +429,7 @@ def cmd_retrieve(args) -> int:
             query_text=query_text,
             candidates=[(it.id, _title_of(records, graph, it.id))
                         for it in ranked.items],
-            triplets=rerank.verbalize_triplets(sub, records),
+            triplets=rerank.verbalize_triplets(sub, graph, records),
             model=args.model)
         reranked = rerank.rerank(client, request, ranked)
         result["rerank"] = {"fallback": reranked.fallback,
@@ -438,10 +445,13 @@ def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise UsageError("no methods requested")
+    if any(m in _ATTN_METHODS for m in methods):
+        _require(args, "weights")
     records, _ = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
-    scorer = _get_weights(args, embeddings.dim)
+    scorer = (gat.load_weights(args.weights, width=embeddings.dim)
+              if args.weights else None)
     client = _llm_client(args) if "attn+llm" in methods else None
     result = evaluate_corpus(
         records, methods=methods, k=args.k, retriever=args.retriever,
@@ -553,35 +563,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "corpus": dict(type=str, help="corpus JSONL path"),
-        "embeddings": dict(type=str, help="embedding TSV path"),
-        "weights": dict(type=str, help="relevance scorer weights JSON path"),
-        "output": dict(type=str, help="output file or directory"),
-        "k": dict(type=int, help="ranking depth"),
-        "sigma": dict(type=float, help="pruning threshold in [0, 1]"),
-        "hops": dict(type=int, help="max expansion hops"),
-        "alpha": dict(type=float, help="hybrid BM25 weight in [0, 1]"),
-        "seed": dict(type=int, help="RNG seed"),
-        "subset": dict(type=int, help="evaluation/training subset size"),
-        "llm_subset": dict(type=int, help="query count for LLM re-ranking"),
-        "dim": dict(type=int, help="hash embedding dimension"),
-        "k1": dict(type=float, help="BM25 k1"),
-        "b": dict(type=float, help="BM25 b"),
-        "max_frontier": dict(type=int, help="frontier size cap"),
-        "epochs": dict(type=int, help="training epochs"),
-        "lr": dict(type=float, help="training learning rate"),
-        "negatives": dict(type=int, help="negatives per positive"),
-        "method": dict(type=str, help="comma-separated methods "
-                                      f"({', '.join(METHODS)})"),
-        "model": dict(type=str, help="chat model id"),
-    }
+def _add_common(sub: argparse.ArgumentParser, *names: str,
+                llm_mock: bool = False) -> None:
+    """Add --config, a flag for each named setting and, with `llm_mock`,
+    the --llm-mock switch."""
     sub.add_argument("--config", type=str, default=None,
                      help="flat key=value config file")
     for name in names:
-        sub.add_argument(f"--{name.replace('_', '-')}", default=None,
-                         dest=name, **flags[name])
+        kind, _, help_text = _SETTINGS[name]
+        flag = f"--{name.replace('_', '-')}"
+        if kind is _to_bool:
+            sub.add_argument(flag, action=argparse.BooleanOptionalAction,
+                             default=None, dest=name, help=help_text)
+        else:
+            sub.add_argument(flag, type=kind, default=None, dest=name,
+                             help=help_text)
+    if llm_mock:
+        sub.add_argument("--llm-mock", action="store_true", dest="llm_mock",
+                         help="use the offline mock chat client")
 
 
 def _build_parser() -> _Parser:
@@ -606,38 +605,30 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("retrieve", help="retrieve candidates for one query")
     _add_common(p, "corpus", "embeddings", "weights", "output", "k", "sigma",
-                "hops", "seed", "dim", "max_frontier", "model")
+                "hops", "seed", "dim", "max_frontier", "dense_fallback",
+                "model", llm_mock=True)
     p.add_argument("--query", type=str, default=None, help="free query text")
     p.add_argument("--paper-id", type=str, default=None, dest="paper_id",
                    help="query by corpus paper id")
     p.add_argument("--rerank", action="store_true",
                    help="re-rank candidates via the chat endpoint")
-    p.add_argument("--llm-mock", action="store_true", dest="llm_mock",
-                   help="use the offline mock chat client")
-    p.add_argument("--dense-fallback", action=argparse.BooleanOptionalAction,
-                   default=None, dest="dense_fallback",
-                   help="pad short candidate lists with dense hits")
     p.set_defaults(func=cmd_retrieve)
 
     p = subs.add_parser("evaluate", help="compare retrieval methods")
     _add_common(p, "corpus", "embeddings", "weights", "output", "k", "sigma",
                 "hops", "alpha", "seed", "subset", "llm_subset", "dim", "k1",
-                "b", "max_frontier", "method", "model")
-    p.add_argument("--llm-mock", action="store_true", dest="llm_mock",
-                   help="use the offline mock chat client")
-    p.add_argument("--dense-fallback", action=argparse.BooleanOptionalAction,
-                   default=None, dest="dense_fallback")
+                "b", "max_frontier", "dense_fallback", "method", "model",
+                llm_mock=True)
     p.add_argument("--per-query", action="store_true", dest="per_query",
                    help="also write per-query metric CSVs")
     p.set_defaults(func=cmd_evaluate)
 
     p = subs.add_parser("rerank", help="re-rank a saved retrieval result")
-    _add_common(p, "corpus", "output", "model")
+    _add_common(p, "corpus", "output", "model", llm_mock=True)
     p.add_argument("--input", type=str, default=None,
                    help="retrieval JSON produced by the retrieve command")
     p.add_argument("--query", type=str, default=None,
                    help="query text (when query_id is not a corpus paper)")
-    p.add_argument("--llm-mock", action="store_true", dest="llm_mock")
     p.set_defaults(func=cmd_rerank)
 
     return parser

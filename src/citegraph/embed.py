@@ -1,4 +1,4 @@
-r"""Node embeddings: TSV loading, deterministic hashing fallback, cosine.
+r"""Node embeddings: TSV loading and a deterministic hashing fallback.
 
 Precomputed sentence embeddings are loaded from a TSV file and aligned to
 the graph's node order. When no file is available, a feature-hashing
@@ -288,15 +288,3 @@ def write_embeddings(path: str, matrix: EmbeddingMatrix) -> None:
             fh.write("".join(pid + "\t" + "\t".join(row) + "\n"
                              for pid, row in zip(ids, rows)))
 
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; 0 when either vector is zero."""
-    a = np.asarray(u, dtype=np.float64)
-    b = np.asarray(v, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))

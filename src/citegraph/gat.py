@@ -158,13 +158,6 @@ def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,
     return TrainResult(params=ScorerParams(u=u, b=b), losses=losses)
 
 
-def init_scorer(row_dim: int, query_dim: int, seed: int = 0) -> ScorerParams:
-    rng = np.random.default_rng(seed)
-    width = row_dim + query_dim
-    bound = 1.0 / math.sqrt(width)
-    return ScorerParams(u=rng.uniform(-bound, bound, size=width), b=0.0)
-
-
 def save_weights(path: str, dim: int, scorer: ScorerParams) -> None:
     """Write what `train` learns: the scorer and the embedding width."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -77,19 +77,6 @@ class CitationGraph:
     def edge_count(self) -> int:
         return len(self.out_indices)
 
-    def __len__(self) -> int:
-        return len(self.node_ids)
-
-    def neighbors(self, v: int, direction: str = "out") -> np.ndarray:
-        """Sorted neighbor indices of v: cited ("out") or undirected ("both")."""
-        if not 0 <= v < len(self.node_ids):
-            raise IndexError(f"node index {v} out of range [0, {len(self.node_ids)})")
-        if direction == "out":
-            return self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]]
-        if direction == "both":
-            return self.indices[self.indptr[v]:self.indptr[v + 1]]
-        raise ValueError(f"direction must be out or both, got {direction!r}")
-
     def frontier(self, sources: np.ndarray, visited: np.ndarray) -> np.ndarray:
         """Undirected neighbors of `sources` not marked in `visited`, ascending."""
         _, found = _gather_rows(self.indptr, self.indices, sources)
@@ -115,7 +102,7 @@ def _graph(node_ids: tuple[str, ...], index_of: dict[str, int],
     reverse = out_indices * n + row_of(out_indptr)
     indptr, indices = _from_keys(_unique(np.concatenate([out_keys, reverse])), n)
     for array in (out_indptr, out_indices, indptr, indices):
-        array.flags.writeable = False  # neighbors() hands out views
+        array.flags.writeable = False  # the graph is immutable
     return CitationGraph(node_ids=node_ids, index_of=index_of,
                          out_indptr=out_indptr, out_indices=out_indices,
                          indptr=indptr, indices=indices)

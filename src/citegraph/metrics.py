@@ -1,4 +1,4 @@
-"""Ranking metrics at k (recall, precision, MRR, nDCG) and run evaluation.
+"""Ranking metrics at k (recall, precision, MRR, nDCG) and their means.
 
 Relevance is binary citation membership, so the 2^rel - 1 gain in DCG
 reduces to {0, 1}. Queries with an empty relevant set are undefined for
@@ -10,15 +10,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Set
+from typing import Mapping, Optional, Sequence, Set
 
 from .ranking import RankedList
-
-
-@dataclass(frozen=True)
-class QueryJudgment:
-    query_id: str
-    relevant: frozenset[str]
 
 
 @dataclass
@@ -43,77 +37,59 @@ class EvalReport:
         }
 
 
-def _ids(ranked: RankedList | Sequence[str]) -> list[str]:
-    if isinstance(ranked, RankedList):
-        return ranked.ids()
-    return list(ranked)
-
-
-def recall_at_k(ranked: RankedList | Sequence[str], relevant: Set[str],
-                k: int) -> float:
+def recall_at_k(ranked: Sequence[str], relevant: Set[str], k: int) -> float:
     """Relevant items in the top k over all relevant items."""
     if not relevant:
         raise ValueError("recall is undefined for an empty relevant set")
-    top = set(_ids(ranked)[:k])
+    top = set(ranked[:k])
     return len(top & set(relevant)) / len(relevant)
 
 
-def precision_at_k(ranked: RankedList | Sequence[str], relevant: Set[str],
-                   k: int) -> float:
+def precision_at_k(ranked: Sequence[str], relevant: Set[str], k: int) -> float:
     """Relevant items in the top k over k (k stays the denominator even
     when fewer results were returned)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    top = set(_ids(ranked)[:k])
+    top = set(ranked[:k])
     return len(top & set(relevant)) / k
 
 
-def first_relevant_rank(ranked: RankedList | Sequence[str],
+def first_relevant_rank(ranked: Sequence[str],
                         relevant: Set[str]) -> Optional[int]:
     """1-based rank of the first relevant item, or None when absent."""
-    for i, pid in enumerate(_ids(ranked), start=1):
+    for i, pid in enumerate(ranked, start=1):
         if pid in relevant:
             return i
     return None
 
 
-def mrr(first_ranks: Iterable[Optional[int]]) -> float:
-    """Mean reciprocal rank; a query with no hit contributes 0."""
-    ranks = list(first_ranks)
-    if not ranks:
-        raise ValueError("MRR is undefined over an empty query set")
-    return sum(1.0 / r if r is not None else 0.0 for r in ranks) / len(ranks)
-
-
-def ndcg_at_k(ranked: RankedList | Sequence[str], relevant: Set[str],
-              k: int) -> float:
+def ndcg_at_k(ranked: Sequence[str], relevant: Set[str], k: int) -> float:
     """DCG@k over the ideal DCG, with binary gains discounted by log2(i+1)."""
     if not relevant:
         raise ValueError("nDCG is undefined for an empty relevant set")
     rel = set(relevant)
     dcg = sum(1.0 / math.log2(i + 2)
-              for i, pid in enumerate(_ids(ranked)[:k]) if pid in rel)
+              for i, pid in enumerate(ranked[:k]) if pid in rel)
     idcg = sum(1.0 / math.log2(i + 2) for i in range(min(len(rel), k)))
     return dcg / idcg
 
 
-def _judgment_map(judgments) -> dict[str, frozenset[str]]:
-    if isinstance(judgments, Mapping):
-        return {qid: frozenset(rel) for qid, rel in judgments.items()}
-    return {j.query_id: frozenset(j.relevant) for j in judgments}
+def per_query_metrics(run: Mapping[str, RankedList],
+                      judgments: Mapping[str, frozenset[str]],
+                      k: int) -> list[dict]:
+    """Rows (query_id, recall, precision, rr, ndcg) for included queries.
 
-
-def per_query_metrics(run: Mapping[str, RankedList | Sequence[str]],
-                      judgments, k: int) -> list[dict]:
-    """Rows (query_id, recall, precision, rr, ndcg) for included queries."""
-    jmap = _judgment_map(judgments)
+    Every query must have a judgment; one whose relevant set is empty gets
+    no row, so `report_from_rows` leaves it out of the means.
+    """
     rows = []
-    for qid, ranked in run.items():
-        if qid not in jmap:
+    for qid, result in run.items():
+        if qid not in judgments:
             raise KeyError(f"no judgment for query {qid!r}")
-        relevant = jmap[qid]
+        relevant = judgments[qid]
         if not relevant:
             continue
+        ranked = result.ids()
         rank = first_relevant_rank(ranked, relevant)
         rows.append({
             "query_id": qid,
@@ -142,18 +118,6 @@ def report_from_rows(rows: Sequence[dict], k: int,
         query_count=n,
         excluded_count=excluded_count,
     )
-
-
-def evaluate(run: Mapping[str, RankedList | Sequence[str]], judgments,
-             k: int) -> EvalReport:
-    """Mean metrics over all queries in `run`.
-
-    Every query must have a judgment; queries whose relevant set is empty
-    have no per-query row, are excluded from the means and counted in
-    excluded_count.
-    """
-    rows = per_query_metrics(run, judgments, k)
-    return report_from_rows(rows, k, len(run) - len(rows))
 
 
 def write_report_json(path: str, report: EvalReport) -> None:

@@ -17,7 +17,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .corpus import PaperRecord
+from .graph import CitationGraph
 from .ranking import RankedItem, RankedList
 from .retriever import RetrievedSubgraph
 
@@ -48,9 +51,10 @@ class RerankRequest:
     temperature: float = 0.0  # deterministic output is required for testing
 
 
-def verbalize_triplets(subgraph: RetrievedSubgraph,
+def verbalize_triplets(subgraph: RetrievedSubgraph, graph: CitationGraph,
                        records: Sequence[PaperRecord]) -> list[Triplet]:
-    """One triplet per induced edge, titles when present, ids otherwise.
+    """One triplet per directed citation edge of `graph` among the kept
+    nodes, titles when present, ids otherwise.
 
     `records` must be aligned with the graph's node order. Triplets are
     ordered by (source hop, source index, target index).
@@ -59,7 +63,7 @@ def verbalize_triplets(subgraph: RetrievedSubgraph,
         record = records[index]
         return record.title if record.title else record.id
 
-    ordered = sorted(subgraph.edges,
+    ordered = sorted(graph.edges(np.asarray(subgraph.nodes)),
                      key=lambda e: (subgraph.hops.get(e[0], 0), e[0], e[1]))
     return [Triplet(subject=label(u), predicate=PREDICATE, object=label(v))
             for u, v in ordered]

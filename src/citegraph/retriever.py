@@ -59,20 +59,17 @@ class HopTrace:
 
 @dataclass
 class RetrievedSubgraph:
-    """Kept nodes with scores, hop labels and induced edges.
+    """Kept nodes with scores, hop labels and the per-hop trace.
 
     `nodes` is in insertion order (seed first, then survivors per hop in
     ascending index order). The seed carries the sentinel score 1.0; every
     other kept node survived the threshold at the hop recorded for it.
-    Edges are the induced directed citation edges among kept nodes, as
-    graph-level index pairs sorted by (source, target).
     """
 
     seed: int
     nodes: list[int]
     scores: dict[int, float]
     hops: dict[int, int]
-    edges: list[tuple[int, int]] = field(default_factory=list)
     trace: list[HopTrace] = field(default_factory=list)
 
 
@@ -128,8 +125,7 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
 
     nodes = np.concatenate(kept)
     return RetrievedSubgraph(seed=seed, nodes=nodes.tolist(), scores=scores,
-                             hops=hop_of, edges=graph.edges(nodes),
-                             trace=trace)
+                             hops=hop_of, trace=trace)
 
 
 def decode_and_rank(subgraph: RetrievedSubgraph, cos: np.ndarray,

@@ -6,7 +6,9 @@ used to check.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
@@ -66,6 +68,15 @@ def oracle_sigmoid(z):
     pos = 1.0 / (1.0 + np.exp(-np.clip(z, 0.0, None)))
     ez = np.exp(np.clip(z, None, 0.0))
     return np.where(z >= 0.0, pos, ez / (1.0 + ez))
+
+
+def oracle_cosine(u, v):
+    """Cosine similarity as one straight-line formula; 0 when either
+    vector is zero."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    norms = math.sqrt(float(u @ u)) * math.sqrt(float(v @ v))
+    return float(u @ v) / norms if norms > 0.0 else 0.0
 
 
 def oracle_retrieve(n, edges, vectors, query, seed, u, b, sigma, hops,
@@ -212,10 +223,31 @@ def citation_graph(n, edges):
                         for pid, cited in adjacency.items()])
 
 
+def random_scorer(dim, seed):
+    """An untrained scorer for embedding width `dim`: 2*dim weights drawn
+    uniformly from +-1/sqrt(2*dim), zero bias."""
+    from citegraph.gat import ScorerParams
+    bound = 1.0 / math.sqrt(2 * dim)
+    rng = np.random.default_rng(seed)
+    return ScorerParams(u=rng.uniform(-bound, bound, size=2 * dim), b=0.0)
+
+
+def train_weights(corpus_path, dim, seed=0):
+    """Run `train` on the corpus at embedding width `dim` and hash seed
+    `seed`, its printout discarded; returns the weights file path."""
+    from citegraph import cli
+    path = corpus_path.with_name(f"weights-dim{dim}-seed{seed}.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["train", "--corpus", str(corpus_path),
+                         "--output", str(path), "--dim", str(dim),
+                         "--seed", str(seed)])
+    assert code == 0
+    return path
+
+
 def retriever_fixture(fixture_seed, max_nodes=30, state_dim=6):
     """Seeded random retrieval instance shared by tests and their oracle."""
     from citegraph.embed import EmbeddingMatrix
-    from citegraph.gat import init_scorer
 
     rng = np.random.default_rng(1000 + fixture_seed)
     n = int(rng.integers(8, max_nodes + 1))
@@ -229,8 +261,7 @@ def retriever_fixture(fixture_seed, max_nodes=30, state_dim=6):
     query = rng.normal(size=state_dim)
     query /= np.linalg.norm(query)
     rng.integers(0, 2 ** 31)  # unused draw: keeps every later value the same
-    scorer = init_scorer(state_dim, state_dim,
-                         seed=int(rng.integers(0, 2 ** 31)))
+    scorer = random_scorer(state_dim, int(rng.integers(0, 2 ** 31)))
     return {
         "n": n,
         "edges": edges,

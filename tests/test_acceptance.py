@@ -20,14 +20,15 @@ from citegraph.embed import EmbeddingMatrix, hash_embed, tokenize
 from citegraph.gat import (TrainConfig, TrainingQuery, loss_and_gradient,
                            relevance_scores, train_scorer)
 from citegraph.graph import build_graph
-from citegraph.metrics import (first_relevant_rank, mrr, ndcg_at_k,
-                               precision_at_k, recall_at_k)
+from citegraph.metrics import (first_relevant_rank, ndcg_at_k, precision_at_k,
+                               recall_at_k)
 from citegraph.ranking import RankedItem, RankedList
 from citegraph.rerank import MockClient, RerankRequest, parse_ranking, rerank
 from citegraph.retriever import RetrieverConfig, retrieve_subgraph
 from helpers import (citation_graph, component_corpus, oracle_bfs_ball,
-                     oracle_retrieve, retriever_fixture, write_jsonl)
-from test_metrics import oracle_metrics, random_instance
+                     oracle_retrieve, retriever_fixture, train_weights,
+                     write_jsonl)
+from test_metrics import mrr, oracle_metrics, random_instance
 
 
 def report(n, message):
@@ -234,6 +235,7 @@ def test_criterion_08_end_to_end_synthetic_recovery(tmp_path):
         "evaluate", "--corpus", str(corpus_path), "--method", "attn",
         "--sigma", "0.0", "--hops", "2", "--k", "10", "--dim", "64",
         "--seed", "0", "--no-dense-fallback", "--output", str(out),
+        "--weights", str(train_weights(corpus_path, 64, seed=0)),
     ])
     assert code == 0
     attn = json.loads((out / "report_attn.json").read_text())
@@ -313,7 +315,8 @@ def test_criterion_11_evaluate_determinism(tmp_path):
     write_jsonl(corpus_path, component_corpus(8))
     args = ["evaluate", "--corpus", str(corpus_path), "--dim", "48",
             "--seed", "11", "--subset", "6", "--llm-subset", "3",
-            "--llm-mock", "--method", "bm25,dense,hybrid,attn,attn+llm"]
+            "--llm-mock", "--method", "bm25,dense,hybrid,attn,attn+llm",
+            "--weights", str(train_weights(corpus_path, 48, seed=11))]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli.main(args + ["--output", str(out_a)]) == 0
     assert cli.main(args + ["--output", str(out_b)]) == 0

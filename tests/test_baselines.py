@@ -14,7 +14,7 @@ from citegraph.graph import build_graph
 from citegraph.corpus import PaperRecord, build_text
 from citegraph.ranking import RankedItem, RankedList, top_k
 from citegraph.retriever import select_seed
-from helpers import oracle_bm25_loop, oracle_top_k
+from helpers import oracle_bm25_loop, oracle_cosine, oracle_top_k
 
 FIVE_DOCS = [
     "graph attention networks for citation ranking",
@@ -174,11 +174,11 @@ def test_dense_rank_top1_equals_seed_selection():
 def test_dense_rank_matches_exhaustive_scan():
     emb = hash_matrix(FIVE_DOCS)
     rng = np.random.default_rng(2)
-    from citegraph.embed import cosine
     for _ in range(10):
         q = rng.normal(size=16)
         ranked = dense_rank(q, emb, 5)
-        scored = sorted(((i, cosine(emb.vectors[i], q)) for i in range(5)),
+        scored = sorted(((i, oracle_cosine(emb.vectors[i], q))
+                         for i in range(5)),
                         key=lambda t: (-t[1], t[0]))
         assert ranked.ids() == [f"d{i}" for i, _ in scored]
         for item, (_, score) in zip(ranked.items, scored):

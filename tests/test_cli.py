@@ -5,12 +5,12 @@ import pytest
 
 from citegraph import baselines, cli, retriever
 from citegraph.corpus import build_text, parse_records
-from citegraph.embed import EmbeddingMatrix, embed_corpus
+from citegraph.embed import DEFAULT_DIM, EmbeddingMatrix, embed_corpus
 from citegraph.gat import load_weights
 from citegraph.graph import build_graph, load_snapshot
 from citegraph.rerank import MockClient
 from helpers import (component_corpus, corpus_line, oracle_eligible_queries,
-                     write_jsonl)
+                     train_weights, write_jsonl)
 
 
 @pytest.fixture()
@@ -18,6 +18,12 @@ def corpus_path(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(path, component_corpus(6))
     return path
+
+
+@pytest.fixture()
+def weights(corpus_path):
+    """The scorer `train` fits on the corpus at --dim 48."""
+    return train_weights(corpus_path, 48)
 
 
 def run_cli(*argv):
@@ -86,13 +92,40 @@ def test_missing_corpus_is_data_error(tmp_path):
                    "--output", tmp_path / "o") == 2
 
 
-def test_usage_errors(tmp_path, corpus_path):
+def test_usage_errors(tmp_path, corpus_path, weights):
     assert run_cli("build", "--corpus", corpus_path) == 1  # no output
     assert run_cli("frobnicate") == 1
     assert run_cli("evaluate", "--corpus", corpus_path, "--sigma", "2.0") == 1
-    assert run_cli("retrieve", "--corpus", corpus_path) == 1  # no query
+    assert run_cli("retrieve", "--corpus", corpus_path,
+                   "--weights", weights) == 1  # no query
     assert run_cli("evaluate", "--corpus", corpus_path,
                    "--method", "sorcery") == 1
+
+
+def test_retrieve_needs_weights(tmp_path, capsys):
+    # checked before the corpus is read: this path does not exist
+    assert run_cli("retrieve", "--corpus", tmp_path / "absent.jsonl",
+                   "--paper-id", "p00h") == 1
+    assert "--weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["attn", "attn+llm"])
+def test_evaluate_attn_needs_weights(corpus_path, capsys, method):
+    assert run_cli("evaluate", "--corpus", corpus_path, "--method", method,
+                   "--llm-mock") == 1
+    assert "--weights" in capsys.readouterr().err
+    records, _ = parse_records(iter(corpus_path.read_text().splitlines()))
+    with pytest.raises(cli.UsageError, match="--weights"):
+        cli.evaluate_corpus(records, methods=(method,),
+                            llm_client=MockClient())
+
+
+def test_evaluate_baselines_run_without_weights(tmp_path, corpus_path):
+    assert run_cli("evaluate", "--corpus", corpus_path,
+                   "--method", "bm25,dense,hybrid",
+                   "--output", tmp_path / "eval") == 0
+    comparison = json.loads((tmp_path / "eval" / "comparison.json").read_text())
+    assert list(comparison["methods"]) == ["bm25", "dense", "hybrid"]
 
 
 def test_embed_write_then_validate(tmp_path, corpus_path, capsys):
@@ -237,6 +270,7 @@ def test_mismatched_weights_dim_builds_no_layers(tmp_path, corpus_path,
 def test_attn_and_attn_llm_share_one_retrieval_per_query(corpus_path,
                                                         monkeypatch):
     records, _ = parse_records(iter(corpus_path.read_text().splitlines()))
+    scorer = load_weights(str(train_weights(corpus_path, 32)))
     calls = []
     real = retriever.retrieve_subgraph
 
@@ -255,7 +289,7 @@ def test_attn_and_attn_llm_share_one_retrieval_per_query(corpus_path,
         result = cli.evaluate_corpus(
             records, methods=methods, k=3, dim=32, subset=6, llm_subset=4,
             retriever=retriever.RetrieverConfig(prune_threshold=0.0, top_k=3),
-            llm_client=MockClient(reverse))
+            scorer=scorer, llm_client=MockClient(reverse))
         return result["rows"], len(calls)
 
     both, both_calls = rows(("attn", "attn+llm"))
@@ -268,6 +302,7 @@ def test_attn_and_attn_llm_share_one_retrieval_per_query(corpus_path,
 
 def test_evaluate_scores_each_query_once(corpus_path, monkeypatch):
     records, _ = parse_records(iter(corpus_path.read_text().splitlines()))
+    scorer = load_weights(str(train_weights(corpus_path, 32)))
     calls = []
     real = EmbeddingMatrix.scores
 
@@ -281,7 +316,7 @@ def test_evaluate_scores_each_query_once(corpus_path, monkeypatch):
         result = cli.evaluate_corpus(
             records, methods=methods, k=3, dim=32, subset=6,
             retriever=retriever.RetrieverConfig(prune_threshold=0.0, top_k=3),
-            llm_client=MockClient())
+            scorer=scorer, llm_client=MockClient())
         return result["rows"]
 
     methods = ("dense", "hybrid", "attn", "attn+llm")
@@ -331,11 +366,11 @@ def test_eligible_queries_match_record_loop():
 
 
 def test_retrieve_by_text_selects_own_paper_as_seed(tmp_path, corpus_path,
-                                                    capsys):
+                                                    weights, capsys):
     records, _ = parse_records(iter(corpus_path.read_text().splitlines()))
     query = build_text(records[0])  # the first hub paper
     assert run_cli("retrieve", "--corpus", corpus_path, "--query", query,
-                   "--sigma", "0.0", "--dim", "48") == 0
+                   "--sigma", "0.0", "--dim", "48", "--weights", weights) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["seed"] == records[0].id
     ids = [c["id"] for c in result["candidates"]]
@@ -343,15 +378,17 @@ def test_retrieve_by_text_selects_own_paper_as_seed(tmp_path, corpus_path,
     assert result["trace"][0]["hop"] == 1
 
 
-def test_retrieve_k_one(tmp_path, corpus_path, capsys):
+def test_retrieve_k_one(tmp_path, corpus_path, weights, capsys):
     assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p00h",
-                   "--sigma", "0.0", "--k", "1", "--dim", "48") == 0
+                   "--sigma", "0.0", "--k", "1", "--dim", "48",
+                   "--weights", weights) == 0
     result = json.loads(capsys.readouterr().out)
     assert len(result["candidates"]) == 1
 
 
 def test_retrieve_unknown_paper_id(corpus_path):
     assert run_cli("retrieve", "--corpus", corpus_path,
+                   "--weights", train_weights(corpus_path, DEFAULT_DIM),
                    "--paper-id", "ghost") == 2
 
 
@@ -360,13 +397,14 @@ def test_retrieve_free_text_with_tsv_is_data_error(tmp_path, corpus_path):
     assert run_cli("embed", "--corpus", corpus_path, "--output", tsv,
                    "--dim", "16") == 0
     assert run_cli("retrieve", "--corpus", corpus_path, "--embeddings", tsv,
+                   "--weights", train_weights(corpus_path, 16),
                    "--query", "anything") == 2
 
 
-def test_retrieve_with_mock_rerank(tmp_path, corpus_path, capsys):
+def test_retrieve_with_mock_rerank(tmp_path, corpus_path, weights, capsys):
     assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p01h",
                    "--sigma", "0.0", "--rerank", "--llm-mock",
-                   "--dim", "48") == 0
+                   "--dim", "48", "--weights", weights) == 0
     result = json.loads(capsys.readouterr().out)
     assert "rerank" in result
     assert not result["rerank"]["fallback"]
@@ -374,10 +412,11 @@ def test_retrieve_with_mock_rerank(tmp_path, corpus_path, capsys):
         {c["id"] for c in result["candidates"]}
 
 
-def test_rerank_command_on_saved_retrieval(tmp_path, corpus_path, capsys):
+def test_rerank_command_on_saved_retrieval(tmp_path, corpus_path, weights,
+                                           capsys):
     retrieval = tmp_path / "retrieval.json"
     assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p02h",
-                   "--sigma", "0.0", "--dim", "48",
+                   "--sigma", "0.0", "--dim", "48", "--weights", weights,
                    "--output", retrieval) == 0
     capsys.readouterr()
     assert run_cli("rerank", "--corpus", corpus_path, "--input", retrieval,
@@ -411,11 +450,11 @@ def _array(retrieval):
     (_score_bool, "candidates[1].score: not a number"),
     (_id_outside_corpus, "candidates[1].id: not a corpus paper id"),
     (_array, "retrieval: not a JSON object")])
-def test_rerank_bad_input_names_the_entry(tmp_path, corpus_path, capsys,
-                                          corrupt, message):
+def test_rerank_bad_input_names_the_entry(tmp_path, corpus_path, weights,
+                                          capsys, corrupt, message):
     retrieval = tmp_path / "retrieval.json"
     assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p02h",
-                   "--sigma", "0.0", "--dim", "48",
+                   "--sigma", "0.0", "--dim", "48", "--weights", weights,
                    "--output", retrieval) == 0
     retrieval.write_text(json.dumps(corrupt(json.loads(retrieval.read_text()))))
     capsys.readouterr()
@@ -425,11 +464,12 @@ def test_rerank_bad_input_names_the_entry(tmp_path, corpus_path, capsys,
 
 
 def test_rerank_without_endpoint_is_network_error(tmp_path, corpus_path,
-                                                  monkeypatch, capsys):
+                                                  weights, monkeypatch,
+                                                  capsys):
     monkeypatch.delenv("CITEGRAPH_LLM_URL", raising=False)
     retrieval = tmp_path / "retrieval.json"
     assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p02h",
-                   "--sigma", "0.0", "--dim", "48",
+                   "--sigma", "0.0", "--dim", "48", "--weights", weights,
                    "--output", retrieval) == 0
     capsys.readouterr()
     assert run_cli("rerank", "--corpus", corpus_path,
@@ -454,6 +494,7 @@ def test_evaluate_all_methods_deterministic(tmp_path, corpus_path):
     args = ["evaluate", "--corpus", corpus_path, "--dim", "48",
             "--sigma", "0.0", "--seed", "7", "--subset", "4",
             "--llm-subset", "2", "--llm-mock",
+            "--weights", train_weights(corpus_path, 48, seed=7),
             "--method", "bm25,dense,hybrid,attn,attn+llm"]
     assert run_cli(*args, "--output", out_a) == 0
     assert run_cli(*args, "--output", out_b) == 0
@@ -465,9 +506,11 @@ def test_evaluate_all_methods_deterministic(tmp_path, corpus_path):
     assert comparison["methods"]["attn+llm"]["query_count"] == 2
 
 
-def test_config_file_and_flag_override(tmp_path, corpus_path, capsys):
+def test_config_file_and_flag_override(tmp_path, corpus_path, weights,
+                                       capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# settings\nsigma = 0.0\nk = 2\ndim = 48\n")
+    cfg.write_text(f"# settings\nsigma = 0.0\nk = 2\ndim = 48\n"
+                   f"weights = {weights}\n")
     assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p00h",
                    "--config", cfg) == 0
     result = json.loads(capsys.readouterr().out)
@@ -482,6 +525,7 @@ def test_evaluate_llm_method_without_endpoint(corpus_path, monkeypatch):
     monkeypatch.delenv("CITEGRAPH_LLM_URL", raising=False)
     # fails before any retrieval work: the client is constructed up front
     assert run_cli("evaluate", "--corpus", corpus_path,
+                   "--weights", train_weights(corpus_path, DEFAULT_DIM),
                    "--method", "attn+llm") == 3
 
 
@@ -497,6 +541,16 @@ def test_config_file_bad_value_is_usage_error(tmp_path, corpus_path):
     cfg.write_text("k = eleven\n")
     assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p00h",
                    "--config", cfg) == 1
+
+
+def test_config_file_bad_boolean_names_the_line(tmp_path, corpus_path,
+                                                capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dense_fallback = maybe\n")
+    assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p00h",
+                   "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:1: bad value for dense_fallback" in err
 
 
 def test_help_exits_zero():

@@ -2,6 +2,7 @@
 import pathlib
 import re
 
+from citegraph import cli
 from citegraph.ranking import RankedList
 from helpers import corpus_line, write_jsonl
 
@@ -23,9 +24,18 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
                     abstract=f"citation ranking part {i} graph")
         for i in range(1, 11)])
     monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--corpus", "corpus.jsonl",
+                     "--output", "weights.json"]) == 0
     namespace = {}
     exec(compile(readme_block("Library use"), str(README), "exec"), namespace)
     ranked = namespace["ranked"]
     assert isinstance(ranked, RankedList)
     assert 0 < len(ranked) <= 10
     assert namespace["seed"] == namespace["graph"].index_of["P007"]
+
+
+def test_readme_config_keys_are_the_cli_settings():
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"mirroring the flag names \((.*?)\)", text,
+                       re.DOTALL).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(cli._SETTINGS)

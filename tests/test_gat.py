@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from citegraph.embed import EmbeddingMatrix
 from citegraph.gat import (ScorerParams, TrainConfig, TrainingQuery,
-                           init_scorer, load_weights, loss_and_gradient,
-                           relevance_scores, save_weights, train_scorer)
-from helpers import citation_graph, oracle_sigmoid
+                           load_weights, loss_and_gradient, relevance_scores,
+                           save_weights, train_scorer)
+from helpers import citation_graph, oracle_sigmoid, random_scorer
 
 
 def test_relevance_zero_scorer_is_half():
@@ -129,7 +129,7 @@ def test_training_without_positives_errors():
 
 
 def test_weights_json_round_trip(tmp_path):
-    scorer = ScorerParams(u=init_scorer(4, 4, seed=2).u, b=-0.1234567890123)
+    scorer = ScorerParams(u=random_scorer(4, 2).u, b=-0.1234567890123)
     path = tmp_path / "weights.json"
     save_weights(str(path), 4, scorer)
     assert set(json.loads(path.read_text())) == {"dim", "scorer"}
@@ -141,7 +141,7 @@ def test_weights_json_round_trip(tmp_path):
 def test_weights_with_seed_key_still_load(tmp_path):
     """Files written when the seed rebuilt attention layers still load;
     the seed is ignored."""
-    scorer = init_scorer(3, 3, seed=1)
+    scorer = random_scorer(3, 1)
     path = tmp_path / "weights.json"
     path.write_text(json.dumps({"dim": 3, "seed": 7, "scorer": {
         "u": scorer.u.tolist(), "b": 0.25}}))

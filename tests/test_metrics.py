@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from citegraph.metrics import (EvalReport, QueryJudgment, evaluate,
-                               first_relevant_rank, mrr, ndcg_at_k,
+from citegraph.metrics import (EvalReport, first_relevant_rank, ndcg_at_k,
                                per_query_metrics, precision_at_k,
-                               recall_at_k)
+                               recall_at_k, report_from_rows)
 from citegraph.ranking import RankedItem, RankedList
 
 
@@ -50,6 +49,33 @@ def test_precision_spot_values():
     assert precision_at_k(["r1"], {"r1"}, 10) == 0.1
     with pytest.raises(ValueError):
         precision_at_k(["a"], {"a"}, 0)
+
+
+def ranked_list(ids):
+    return RankedList(items=[
+        RankedItem(id=pid, score=float(len(ids) - i), provenance="graph")
+        for i, pid in enumerate(ids)
+    ])
+
+
+def report_for(run, judgments, k=10):
+    """The report evaluate_corpus makes: per-query rows, then their means;
+    queries without a row count as excluded."""
+    rows = per_query_metrics(run, judgments, k)
+    return report_from_rows(rows, k, len(run) - len(rows))
+
+
+def mrr(first_ranks):
+    """Reported MRR over one query per entry, whose only relevant paper
+    sits at that 1-based rank (None: it is not retrieved)."""
+    run, judgments = {}, {}
+    for q, rank in enumerate(first_ranks):
+        ids = [f"x{i}" for i in range(rank or 3)]
+        if rank is not None:
+            ids[rank - 1] = "r"
+        run[f"q{q}"] = ranked_list(ids)
+        judgments[f"q{q}"] = frozenset({"r"})
+    return report_for(run, judgments).mrr
 
 
 def test_mrr_spot_values():
@@ -135,17 +161,10 @@ def test_recall_monotone_in_k():
         assert values == sorted(values)
 
 
-def ranked_list(ids):
-    return RankedList(items=[
-        RankedItem(id=pid, score=float(len(ids) - i), provenance="graph")
-        for i, pid in enumerate(ids)
-    ])
-
-
 def test_evaluate_perfect_query():
     run = {"q1": ranked_list(["a", "b"])}
     judgments = {"q1": {"a", "b"}}
-    report = evaluate(run, judgments, 10)
+    report = report_for(run, judgments)
     assert report.recall_at_k == 1.0
     assert report.mrr == 1.0
     assert report.ndcg_at_k == 1.0
@@ -156,26 +175,25 @@ def test_evaluate_perfect_query():
 
 def test_evaluate_mean_over_queries():
     run = {"q1": ranked_list(["a"]), "q2": ranked_list(["x"])}
-    judgments = [QueryJudgment("q1", frozenset({"a"})),
-                 QueryJudgment("q2", frozenset({"b"}))]
-    report = evaluate(run, judgments, 10)
+    judgments = {"q1": frozenset({"a"}), "q2": frozenset({"b"})}
+    report = report_for(run, judgments)
     assert report.recall_at_k == 0.5
     assert report.query_count == 2
 
 
 def test_evaluate_missing_judgment():
     with pytest.raises(KeyError, match="q9"):
-        evaluate({"q9": ranked_list(["a"])}, {"q1": {"a"}}, 10)
+        report_for({"q9": ranked_list(["a"])}, {"q1": {"a"}})
 
 
 def test_evaluate_excludes_empty_relevant():
     run = {"q1": ranked_list(["a"]), "q2": ranked_list(["b"])}
     judgments = {"q1": {"a"}, "q2": set()}
-    report = evaluate(run, judgments, 10)
+    report = report_for(run, judgments)
     assert report.query_count == 1
     assert report.excluded_count == 1
     with pytest.raises(ValueError):
-        evaluate({"q2": ranked_list(["b"])}, {"q2": set()}, 10)
+        report_for({"q2": ranked_list(["b"])}, {"q2": set()})
 
 
 def test_evaluate_matches_oracle_on_random_fixture():
@@ -185,14 +203,14 @@ def test_evaluate_matches_oracle_on_random_fixture():
     for qi in range(20):
         ranked, relevant, k = random_instance(rng)
         qid = f"q{qi}"
-        run[qid] = ranked
+        run[qid] = ranked_list(ranked)
         judgments[qid] = relevant
         r, p, rr, nd = oracle_metrics(ranked, relevant, 10)
         expected["recall"].append(r)
         expected["precision"].append(p)
         expected["rr"].append(rr)
         expected["ndcg"].append(nd)
-    report = evaluate(run, judgments, 10)
+    report = report_for(run, judgments)
     assert report.recall_at_k == pytest.approx(
         sum(expected["recall"]) / 20, abs=1e-9)
     assert report.precision_at_k == pytest.approx(

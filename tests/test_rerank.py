@@ -12,15 +12,18 @@ from citegraph.ranking import RankedItem, RankedList
 from citegraph.rerank import (EndpointError, HttpChatClient, MockClient,
                               RerankRequest, Triplet, build_prompt,
                               parse_ranking, rerank, verbalize_triplets)
-from citegraph.retriever import RetrievedSubgraph
+from citegraph.retriever import (RetrievedSubgraph, RetrieverConfig,
+                                 retrieve_subgraph)
+from helpers import citation_graph, retriever_fixture
 
 
 def subgraph_with_edges(edges, hops):
+    """A subgraph keeping every node named, and the graph of `edges`."""
     nodes = sorted({u for e in edges for u in e} | set(hops))
-    return RetrievedSubgraph(
+    sub = RetrievedSubgraph(
         seed=nodes[0], nodes=nodes,
-        scores={v: 1.0 for v in nodes}, hops=hops,
-        edges=sorted(edges), trace=[])
+        scores={v: 1.0 for v in nodes}, hops=hops, trace=[])
+    return sub, citation_graph(nodes[-1] + 1, edges)
 
 
 def records(*titles):
@@ -28,25 +31,25 @@ def records(*titles):
 
 
 def test_verbalize_uses_titles_then_ids():
-    sub = subgraph_with_edges([(0, 1)], {0: 0, 1: 1})
+    sub, graph = subgraph_with_edges([(0, 1)], {0: 0, 1: 1})
     recs = records("A", "B")
-    assert verbalize_triplets(sub, recs) == \
+    assert verbalize_triplets(sub, graph, recs) == \
         [Triplet(subject="A", predicate="cites", object="B")]
     recs_untitled = [PaperRecord(id="p0"), PaperRecord(id="p1", title="B")]
-    assert verbalize_triplets(sub, recs_untitled) == \
+    assert verbalize_triplets(sub, graph, recs_untitled) == \
         [Triplet(subject="p0", predicate="cites", object="B")]
 
 
 def test_verbalize_edgeless():
-    sub = subgraph_with_edges([], {0: 0})
-    assert verbalize_triplets(sub, records("A")) == []
+    sub, graph = subgraph_with_edges([], {0: 0})
+    assert verbalize_triplets(sub, graph, records("A")) == []
 
 
 def test_verbalize_four_edges_match_edge_list():
     edges = [(0, 1), (0, 2), (2, 1), (3, 0)]
-    sub = subgraph_with_edges(edges, {0: 0, 1: 1, 2: 1, 3: 2})
+    sub, graph = subgraph_with_edges(edges, {0: 0, 1: 1, 2: 1, 3: 2})
     recs = records("A", "B", "C", "D")
-    triplets = verbalize_triplets(sub, recs)
+    triplets = verbalize_triplets(sub, graph, recs)
     assert len(triplets) == 4
     names = {f"p{i}": t for i, t in enumerate("ABCD")}
     seen = {(t.subject, t.object) for t in triplets}
@@ -55,6 +58,19 @@ def test_verbalize_four_edges_match_edge_list():
     assert [(t.subject, t.object) for t in triplets[:2]] == \
         [("A", "B"), ("A", "C")]
     assert triplets[-1].subject == "D"  # hop-2 source last
+
+
+def test_verbalize_covers_kept_pairs_only():
+    fx = retriever_fixture(6)
+    sub = retrieve_subgraph(
+        fx["graph"], fx["embeddings"], fx["query"], fx["seed_node"],
+        fx["scorer"], RetrieverConfig(hops=fx["hops"], prune_threshold=0.0))
+    recs = [PaperRecord(id=pid) for pid in fx["graph"].node_ids]
+    triplets = verbalize_triplets(sub, fx["graph"], recs)
+    kept = set(sub.nodes)
+    expected = sorted((f"n{u}", f"n{v}") for u, v in set(fx["edges"])
+                      if u in kept and v in kept)
+    assert sorted((t.subject, t.object) for t in triplets) == expected
 
 
 def request_for(count, triplets=()):
