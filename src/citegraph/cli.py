@@ -108,7 +108,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def _validate(args: argparse.Namespace) -> None:
     """Check the merged settings; the config classes own k, sigma, hops,
-    alpha and max_frontier, and are built here once for the commands."""
+    alpha, max_frontier, epochs, lr and negatives, and are built here once
+    for the commands."""
     if args.dim < 1:
         raise UsageError("dim must be >= 1")
     if args.subset < 1 or args.llm_subset < 1:
@@ -119,6 +120,9 @@ def _validate(args: argparse.Namespace) -> None:
             max_frontier=args.max_frontier,
             fallback_to_dense=args.dense_fallback)
         args.hybrid = baselines.HybridConfig(alpha=args.alpha)
+        args.train = gat.TrainConfig(
+            learning_rate=args.lr, epochs=args.epochs,
+            negatives_per_positive=args.negatives, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -359,9 +363,9 @@ def cmd_embed(args) -> int:
         print(f"embeddings ok: {matrix.node_count} rows, dim={matrix.dim}")
         return EXIT_OK
     _require(args, "output")
-    matrix = embed.embed_corpus(records, dim=args.dim, seed=args.seed)
-    embed.write_embeddings(args.output, matrix)
-    print(f"wrote {matrix.node_count} hash embeddings (dim={matrix.dim}) "
+    embed.write_embeddings(args.output, [r.id for r in records],
+                           embed.hash_counts(records, args.dim, args.seed))
+    print(f"wrote {len(records)} hash embeddings (dim={args.dim}) "
           f"to {args.output}")
     return EXIT_OK
 
@@ -382,9 +386,7 @@ def cmd_train(args) -> int:
                             if c in graph.index_of))
         for i in picked
     ]
-    result = gat.train_scorer(graph, embeddings, train_queries, gat.TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs,
-        negatives_per_positive=args.negatives, seed=args.seed))
+    result = gat.train_scorer(graph, embeddings, train_queries, args.train)
     gat.save_weights(args.output, embeddings.dim, result.params)
     print(f"trained scorer on {len(train_queries)} queries: "
           f"loss {result.losses[0]:.6f} -> {result.losses[-1]:.6f} "

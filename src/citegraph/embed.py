@@ -19,12 +19,15 @@ each keyed `row * 2*dim + code`, and one `np.bincount` reshaped to
 (rows, dim, 2) gives every row's positive and negative counts. A
 single-text `hash_embed` is a one-row block. Every count is a small
 integer, so the row, its norm and the normalized vector are exact
-whatever the summation order. The TSV is parsed in one `np.loadtxt` pass
-over the checked lines. It is written in blocks of rows: a hash-embedded
-row holds only a few distinct values, so each block calls `repr` once per
-distinct bit pattern (0.0 and -0.0 keep their own text) and gathers the
-strings by index, giving the same bytes as `repr(float(x))` for every
-entry.
+whatever the summation order.
+
+`embed` writes those counts, not the normalized rows: each value is the
+text of an integer (`0`, `-2`), formatted once per distinct value per
+256-row block and gathered by index. The loader normalizes every row, so
+a loaded count file is bit-equal to `embed_corpus` at the same dim and
+seed, and the file is a fraction of the size of 17-digit floats. The TSV
+is parsed in one `np.loadtxt` pass over the checked lines, and any float
+TSV (such as precomputed sentence embeddings) loads the same way.
 """
 from __future__ import annotations
 
@@ -158,16 +161,26 @@ def hash_embed(text: str, dim: int = DEFAULT_DIM, seed: int = 0) -> np.ndarray:
         _TokenCodes(dim, seed).counts([text]).astype(np.float64))[0]
 
 
+def hash_counts(records: Sequence[PaperRecord], dim: int,
+                seed: int) -> np.ndarray:
+    """Signed token counts of every record's concatenated text, in corpus
+    order: an (n, dim) float64 array of integers, the rows `embed_corpus`
+    normalizes and `embed` writes."""
+    codes = _TokenCodes(dim, seed)
+    counts = np.empty((len(records), dim), dtype=np.float64)
+    for start in range(0, len(records), _BLOCK):
+        counts[start:start + _BLOCK] = codes.counts(
+            [build_text(r) for r in records[start:start + _BLOCK]])
+    return counts
+
+
 def embed_corpus(records: Sequence[PaperRecord], dim: int = DEFAULT_DIM,
                  seed: int = 0) -> EmbeddingMatrix:
     """Hash-embed every record's concatenated text, in corpus order."""
-    codes = _TokenCodes(dim, seed)
-    vectors = np.empty((len(records), dim), dtype=np.float64)
-    for start in range(0, len(records), _BLOCK):
-        vectors[start:start + _BLOCK] = codes.counts(
-            [build_text(r) for r in records[start:start + _BLOCK]])
     return EmbeddingMatrix(ids=tuple(r.id for r in records),
-                           vectors=_normalize_in_place(vectors), dim=dim)
+                           vectors=_normalize_in_place(
+                               hash_counts(records, dim, seed)),
+                           dim=dim)
 
 
 def _data_lines(fh, dim: int, index: dict[str, int], line_nos: list[int]):
@@ -263,28 +276,38 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
                            vectors=_normalize_in_place(values), dim=dim)
 
 
-def write_embeddings(path: str, matrix: EmbeddingMatrix) -> None:
-    """Write the TSV that `load_embeddings` reads, each value as
-    `repr(float(x))`, in blocks of 256 rows.
+def write_embeddings(path: str, ids: Sequence[str],
+                     counts: np.ndarray) -> None:
+    """Write the TSV that `load_embeddings` reads, one row of `counts`
+    per id, each value as `str(int(x))`, in blocks of 256 rows.
 
-    An id holding a tab, CR or LF would split its line, so it is rejected
-    before the file is opened.
+    Every value must be a finite integer, such as a `hash_counts` entry;
+    anything else raises ValueError. So does an id holding a tab, CR or
+    LF, which would split its line. Both are checked before the file is
+    opened.
     """
-    for pid in matrix.ids:
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or len(counts) != len(ids):
+        raise ValueError(f"counts must have one row per id ({len(ids)}), "
+                         f"got shape {counts.shape}")
+    starts = range(0, len(ids), _BLOCK)
+    # checked on each block's distinct values: no temporary of the matrix
+    distinct = [_unique(counts[start:start + _BLOCK].ravel())
+                for start in starts]
+    for values in distinct:
+        if not np.isfinite(values).all() or (np.trunc(values) != values).any():
+            raise ValueError("embedding counts must be finite integers")
+    for pid in ids:
         if "\t" in pid or "\n" in pid or "\r" in pid:
             raise ValueError(f"paper id {pid!r} holds a tab or line break; "
                              "the embeddings TSV cannot store it")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.node_count}\t{matrix.dim}\n")
-        for start in range(0, matrix.node_count, 256):
-            block = matrix.vectors[start:start + 256]
-            # keyed on bits, not values: 0.0 == -0.0 but their texts differ
-            bits = block.view(np.int64)
-            distinct = _unique(bits.ravel())
-            texts = np.array(list(map(repr, distinct.view(np.float64).tolist())),
+        fh.write(f"{len(ids)}\t{counts.shape[1]}\n")
+        for start, values in zip(starts, distinct):
+            block = counts[start:start + _BLOCK]
+            texts = np.array([str(int(x)) for x in values.tolist()],
                              dtype=object)
-            rows = texts[np.searchsorted(distinct, bits)].tolist()
-            ids = matrix.ids[start:start + 256]
+            rows = texts[np.searchsorted(values, block)].tolist()
             fh.write("".join(pid + "\t" + "\t".join(row) + "\n"
-                             for pid, row in zip(ids, rows)))
-
+                             for pid, row in zip(ids[start:start + _BLOCK],
+                                                 rows)))

@@ -96,6 +96,17 @@ class TrainConfig:
     negatives_per_positive: int = 1
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.learning_rate)
+                and self.learning_rate > 0.0):
+            raise ValueError(
+                "learning_rate (--lr) must be a finite number > 0")
+        if self.epochs < 0:
+            raise ValueError("epochs (--epochs) must be >= 0")
+        if self.negatives_per_positive < 1:
+            raise ValueError(
+                "negatives_per_positive (--negatives) must be >= 1")
+
 
 @dataclass
 class TrainResult:
@@ -141,7 +152,9 @@ def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,
     of the graph, `negatives_per_positive` per positive. Full-batch
     gradient descent; with a fixed seed the result is bit-identical across
     runs. The returned loss trace holds the initial loss followed by the
-    loss after each epoch.
+    loss after each epoch. A run whose final loss is not finite, or is
+    above the initial loss, diverged (a learning rate too large for the
+    data) and raises ValueError.
     """
     if graph.node_count != embeddings.node_count:
         raise ValueError("graph and embeddings disagree on node count")
@@ -150,11 +163,16 @@ def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,
     b = 0.0
     loss, grad_u, grad_b = loss_and_gradient(u, b, X, y)
     losses = [loss]
-    for _ in range(config.epochs):
-        u = u - config.learning_rate * grad_u
-        b = b - config.learning_rate * grad_b
-        loss, grad_u, grad_b = loss_and_gradient(u, b, X, y)
-        losses.append(loss)
+    # a diverging run overflows; it is reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            u = u - config.learning_rate * grad_u
+            b = b - config.learning_rate * grad_b
+            loss, grad_u, grad_b = loss_and_gradient(u, b, X, y)
+            losses.append(loss)
+    if not loss <= losses[0]:  # also true for nan
+        raise ValueError(f"training diverged: loss {losses[0]:.6f} -> "
+                         f"{loss:.6g}; lower the learning rate (--lr)")
     return TrainResult(params=ScorerParams(u=u, b=b), losses=losses)
 
 

@@ -178,12 +178,12 @@ def oracle_hash_embed(text, dim, seed):
     return vec / norm if norm > 0.0 else vec
 
 
-def oracle_write_embeddings(path, ids, vectors):
-    """The embeddings TSV written value by value with repr(float(x))."""
+def oracle_write_counts(path, ids, counts):
+    """The embeddings TSV written value by value with str(int(x))."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(ids)}\t{vectors.shape[1]}\n")
-        for pid, row in zip(ids, vectors):
-            values = "\t".join(repr(float(x)) for x in row)
+        fh.write(f"{len(ids)}\t{counts.shape[1]}\n")
+        for pid, row in zip(ids, counts):
+            values = "\t".join(str(int(x)) for x in row)
             fh.write(f"{pid}\t{values}\n")
 
 

@@ -199,6 +199,49 @@ def test_train_writes_loadable_weights(tmp_path, corpus_path, capsys):
     assert "trained scorer on 6 queries" in capsys.readouterr().out
 
 
+def test_tsv_from_embed_gives_the_same_results_as_hashing(tmp_path):
+    # the TSV holds the hash counts, so the loaded matrix is embed_corpus's
+    # to the bit, and train and evaluate read it the same way
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, component_corpus(20))
+    tsv = tmp_path / "emb.tsv"
+    common = ["--corpus", corpus, "--dim", "32", "--seed", "4"]
+    assert run_cli("embed", *common, "--output", tsv) == 0
+    for name, extra in (("hashed", []), ("tsv", ["--embeddings", tsv])):
+        assert run_cli("train", *common, *extra,
+                       "--output", tmp_path / f"weights-{name}.json") == 0
+        assert run_cli("evaluate", *common, *extra, "--method", "dense,hybrid",
+                       "--per-query", "--output", tmp_path / name) == 0
+    assert (tmp_path / "weights-hashed.json").read_bytes() == \
+        (tmp_path / "weights-tsv.json").read_bytes()
+    reports = sorted(p.name for p in (tmp_path / "hashed").iterdir())
+    assert reports == sorted(p.name for p in (tmp_path / "tsv").iterdir())
+    for report in reports:
+        assert (tmp_path / "hashed" / report).read_bytes() == \
+            (tmp_path / "tsv" / report).read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epochs", "-3"), ("--negatives", "-1"), ("--negatives", "0"),
+    ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"), ("--lr", "-0.5")])
+def test_train_bad_setting_is_usage_error_naming_the_flag(
+        tmp_path, corpus_path, capsys, flag, value):
+    out = tmp_path / "weights.json"
+    assert run_cli("train", "--corpus", corpus_path, "--output", out,
+                   "--dim", "8", flag, value) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_diverging_learning_rate_is_data_error(tmp_path, corpus_path,
+                                                    capsys):
+    out = tmp_path / "weights.json"
+    assert run_cli("train", "--corpus", corpus_path, "--output", out,
+                   "--dim", "8", "--lr", "1e308") == 2
+    assert "training diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _break_nan(obj):
     obj["scorer"]["u"][2] = float("nan")
 

@@ -12,11 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citegraph.corpus import PaperRecord, build_text
-from citegraph.embed import (EmbeddingMatrix, embed_corpus, hash_embed,
-                             load_embeddings, tokenize, write_embeddings)
+from citegraph.embed import (EmbeddingMatrix, embed_corpus, hash_counts,
+                             hash_embed, load_embeddings, tokenize,
+                             write_embeddings)
 from citegraph.graph import build_graph
 
-from helpers import oracle_cosine, oracle_hash_embed, oracle_write_embeddings
+from helpers import oracle_cosine, oracle_hash_embed, oracle_write_counts
 
 
 def small_graph(ids):
@@ -119,12 +120,13 @@ def test_write_then_load_round_trip(tmp_path):
     records = [PaperRecord(id=f"p{i}", title=f"title {i} words")
                for i in range(5)]
     g = build_graph(records)
-    m = embed_corpus(records, dim=16, seed=3)
     path = tmp_path / "emb.tsv"
-    write_embeddings(str(path), m)
+    write_embeddings(str(path), [r.id for r in records],
+                     hash_counts(records, 16, 3))
     loaded = load_embeddings(str(path), g)
-    # loading re-normalizes, so equality holds to within an ulp of the norm
-    assert np.allclose(loaded.vectors, m.vectors, atol=1e-12, rtol=0.0)
+    # the file holds the counts, so the loader normalizes them only once
+    assert loaded.vectors.tobytes() == \
+        embed_corpus(records, dim=16, seed=3).vectors.tobytes()
 
 
 def test_hash_embed_empty_and_deterministic():
@@ -203,29 +205,50 @@ def test_embed_corpus_bit_identical_to_hash_loop(texts, dim, seed):
             expected.tobytes()
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
-# 700 rows over three 256-row blocks, drawn from a few repeated values
-MANY_ROWS = np.random.default_rng(5).choice(
-    [0.0, -0.0, 0.1, -2.5e-16, 5e-324, 1e308, 1.0 / 3.0],
-    size=(700, 3)).tolist()
+# 700 rows over three 256-row blocks, drawn from a few repeated counts;
+# -0.0 is written as 0, like 0.0
+MANY_COUNTS = np.random.default_rng(5).choice(
+    [0.0, -0.0, 1.0, -1.0, 3.0, -2.0 ** 31, 2.0 ** 31], size=(700, 3)).tolist()
+# what `embed` writes: 600 hash-count rows, empty texts on the block edges
+BLOCK_COUNTS = hash_counts(
+    [PaperRecord(id=f"p{i}", title=t) for i, t in enumerate(BLOCK_TEXTS)],
+    16, 3).tolist()
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=st.lists(st.lists(finite, min_size=3, max_size=3), max_size=6))
-@example(rows=[[-0.0, 5e-324, 1e308], [-1e308, 2.2250738585072014e-308,
-                                         1e-310], [0.1, -2.5e-16, 1e16]])
-@example(rows=[[0.0, -0.0, 1.0]])  # equal values with distinct texts
-@example(rows=[[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]])  # ... in one column
-@example(rows=MANY_ROWS)
-def test_write_embeddings_bytes_match_repr_writer(rows):
-    vectors = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+@given(rows=st.integers(1, 5).flatmap(lambda dim: st.lists(
+    st.lists(st.integers(-2 ** 31, 2 ** 31), min_size=dim, max_size=dim),
+    min_size=1, max_size=8)))
+@example(rows=[[0], [-5], [0]])  # dim 1, all-zero rows
+@example(rows=[[2 ** 31, -2 ** 31, 0], [0, 0, 0], [-1, 1, 2 ** 31]])
+@example(rows=MANY_COUNTS)
+@example(rows=BLOCK_COUNTS)
+def test_write_embeddings_bytes_match_str_int_writer(rows):
+    counts = np.array(rows, dtype=np.float64)
     ids = tuple(f"id#{i}" for i in range(len(rows)))
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.tsv"), os.path.join(tmp, "want.tsv")
-        write_embeddings(got, EmbeddingMatrix(ids=ids, vectors=vectors, dim=3))
-        oracle_write_embeddings(want, ids, vectors)
+        write_embeddings(got, ids, counts)
+        oracle_write_counts(want, ids, counts)
         with open(got, "rb") as a, open(want, "rb") as b:
             assert a.read() == b.read()
+        loaded = load_embeddings(got, small_graph(ids))
+    source = counts + 0.0  # the file holds integers: -0.0 reads back as 0.0
+    norms = np.linalg.norm(source, axis=1)
+    source[norms > 0.0] /= norms[norms > 0.0, None]
+    assert loaded.vectors.tobytes() == source.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.5, -1e-300, math.nan, math.inf])
+def test_write_embeddings_rejects_non_integral_value(tmp_path, bad):
+    path = tmp_path / "emb.tsv"
+    with pytest.raises(ValueError, match="finite integers"):
+        write_embeddings(str(path), ["a", "b"], np.array([[1.0, 0.0],
+                                                          [2.0, bad]]))
+    assert not path.exists()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def check_load_matches_normalized_source(source, order, extra, blank_every):

@@ -110,6 +110,23 @@ def test_training_zero_epochs_returns_initial_params():
     assert result.losses[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("learning_rate, epochs, final", [
+    (1e308, 3, "inf"), (1e6, 5, "205556")])
+def test_training_divergence_is_value_error(learning_rate, epochs, final):
+    # not separable: node 2 is a negative of both queries, and nodes 0 and
+    # 1 are each one query's positive and the other's negative
+    embeddings = EmbeddingMatrix(ids=("n0", "n1", "n2"), dim=2, vectors=[
+        [1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    query = np.array([1.0, 0.0])
+    queries = [TrainingQuery(query=query, positives=(0,)),
+               TrainingQuery(query=query, positives=(1,))]
+    config = TrainConfig(learning_rate=learning_rate, epochs=epochs,
+                         negatives_per_positive=2)
+    with pytest.raises(ValueError,
+                       match=f"training diverged: loss 0.693147 -> {final};"):
+        train_scorer(citation_graph(3, []), embeddings, queries, config)
+
+
 def test_training_deterministic_across_runs():
     graph, embeddings, queries, _ = separable_fixture()
     config = TrainConfig(learning_rate=0.3, epochs=50, seed=9)
