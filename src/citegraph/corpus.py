@@ -7,9 +7,22 @@ ways: citation lists mix strings, integers and nulls and may repeat ids;
 dates are partial ("2008 Sep") or month ranges ("2007 Mar-Apr"); author
 names may be hashes. Parsing repairs what it can, counts every repair in
 an IngestReport, and never aborts on a bad line.
+
+Each line is stripped and decoded by one bound `JSONDecoder.raw_decode`;
+a decode that stops short of the end of the stripped line is trailing
+data, dropped as `json.loads` would reject it (`str.strip` removes every
+JSON whitespace character, so the check is exact). A UTF-8 byte order
+mark before the first line is not part of the record. A line the decoder
+cannot handle (nesting deeper than the recursion limit, an integer too
+long to convert) is dropped, and so is a line holding a lone surrogate
+(`"\\ud800"`) in any key or string, which UTF-8, and so the cleaned
+corpus and the embeddings TSV, cannot store. A list of distinct non-empty strings, the
+usual `Citations` value, is copied as it is; other values go entry by
+entry through the repairs.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -29,26 +42,19 @@ class PartialDate:
     month: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class AuthorRef:
-    name: Optional[str] = None
-    id: Optional[str] = None
-    org: Optional[str] = None
+# (name, id, org) of an author and (name, id) of a venue; None where absent
+Author = tuple[Optional[str], Optional[str], Optional[str]]
+Venue = tuple[Optional[str], Optional[str]]
 
 
-@dataclass(frozen=True)
-class VenueRef:
-    name: Optional[str] = None
-    id: Optional[str] = None
-
-
-@dataclass
+@dataclass(slots=True)
 class PaperRecord:
     """One cleaned publication.
 
     `citations` is duplicate-free, contains no empty strings and never the
-    record's own id. Author names are passed through verbatim, hashed or
-    not; no entity resolution is attempted.
+    record's own id. Each author is a (name, id, org) tuple and the venue
+    a (name, id) tuple. Author names are passed through verbatim, hashed
+    or not; no entity resolution is attempted.
     """
 
     id: str
@@ -60,8 +66,8 @@ class PaperRecord:
     abstract: Optional[str] = None
     keywords: Optional[str] = None
     doi: Optional[str] = None
-    authors: list[AuthorRef] = field(default_factory=list)
-    venue: VenueRef = field(default_factory=VenueRef)
+    authors: list[Author] = field(default_factory=list)
+    venue: Venue = (None, None)
 
 
 @dataclass
@@ -94,6 +100,12 @@ _MONTH_ABBR = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
 _YEAR_RE = re.compile(r"(?<!\d)(\d{4})(?!\d)")
 _WORD_RE = re.compile(r"[A-Za-z]+")
+_STR = {str}
+_TEXT_FIELDS = ("language", "title", "journal", "abstract", "keywords", "doi")
+# a lone surrogate in the line, or the escape of one; a hit is confirmed
+# on the decoded line, since an escaped surrogate pair is one character
+_SURROGATE = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode  # as json.dumps
 
 
 def parse_pub_date(raw: Any) -> PartialDate:
@@ -133,6 +145,10 @@ def normalize_citations(raw: Any, report: IngestReport | None = None) -> list[st
     strings are dropped; first-occurrence order is preserved. Counters are
     updated on `report` when one is given.
     """
+    if type(raw) is list and set(map(type, raw)) <= _STR:
+        distinct = set(raw)
+        if len(distinct) == len(raw) and "" not in distinct:
+            return list(raw)  # the common case: nothing to repair
     if report is None:
         report = IngestReport()
     if raw is None:
@@ -181,6 +197,8 @@ def _clean_citation_entry(value: Any, report: IngestReport) -> Optional[str]:
 
 
 def _clean_id(value: Any) -> Optional[str]:
+    if isinstance(value, str):
+        return value.strip() or None
     if isinstance(value, bool) or value is None:
         return None
     if isinstance(value, int):
@@ -189,22 +207,36 @@ def _clean_id(value: Any) -> Optional[str]:
         if math.isnan(value) or not value.is_integer():
             return None
         return str(int(value))
-    if isinstance(value, str):
-        stripped = value.strip()
-        return stripped or None
     return None
 
 
 def _clean_text(value: Any) -> Optional[str]:
+    """A text field as a string, or None; the non-empty leaves of nested
+    lists are joined with single spaces, walked without recursion."""
     if type(value) is str:  # the common case, tested first
         return value or None
-    if value is None or isinstance(value, (dict,)):
+    if not isinstance(value, list):
+        return _leaf_text(value)
+    parts: list[str] = []
+    stack = [iter(value)]
+    while stack:
+        for item in stack[-1]:
+            if isinstance(item, list):
+                stack.append(iter(item))
+                break
+            text = _leaf_text(item)
+            if text:
+                parts.append(text)
+        else:
+            stack.pop()
+    return " ".join(parts) or None
+
+
+def _leaf_text(value: Any) -> Optional[str]:
+    if value is None or isinstance(value, dict):
         return None
     if isinstance(value, float) and math.isnan(value):
         return None
-    if isinstance(value, list):
-        parts = [p for p in (_clean_text(v) for v in value) if p]
-        return " ".join(parts) or None
     text = value if isinstance(value, str) else str(value)
     return text or None
 
@@ -219,52 +251,79 @@ def _opt_str(value: Any) -> Optional[str]:
     return value if isinstance(value, str) else str(value)
 
 
-def _parse_authors(raw: Any) -> list[AuthorRef]:
+def _parse_authors(raw: Any) -> list[Author]:
     if isinstance(raw, dict):
         raw = [raw]
     if not isinstance(raw, list):
         return []
-    return [
-        AuthorRef(name=_opt_str(d.get("name")), id=_opt_str(d.get("id")),
-                  org=_opt_str(d.get("org")))
-        for d in raw if isinstance(d, dict)
-    ]
+    return [(_opt_str(d.get("name")), _opt_str(d.get("id")),
+             _opt_str(d.get("org")))
+            for d in raw if isinstance(d, dict)]
 
 
-def _parse_venue(raw: Any) -> VenueRef:
+def _parse_venue(raw: Any) -> Venue:
     if not isinstance(raw, dict):
-        return VenueRef()
-    return VenueRef(name=_opt_str(raw.get("name")), id=_opt_str(raw.get("id")))
+        return (None, None)
+    return (_opt_str(raw.get("name")), _opt_str(raw.get("id")))
+
+
+def _record(obj: dict, pid: str, pub_date: PartialDate,
+            report: IngestReport) -> PaperRecord:
+    """The record of a decoded line whose id is `pid`. The citation
+    counters on `report` move last, once nothing else can raise."""
+    get = obj.get
+    language, title, journal, abstract, keywords, doi = map(
+        _clean_text, map(get, _TEXT_FIELDS))
+    authors = _parse_authors(get("authors"))
+    venue = _parse_venue(get("venue"))
+    citations = normalize_citations(get("Citations"), report)
+    if pid in citations:  # at most once: the list is duplicate-free
+        citations.remove(pid)
+    return PaperRecord(pid, citations, pub_date, language, title, journal,
+                       abstract, keywords, doi, authors, venue)
+
+
+def _storable(obj: dict) -> bool:
+    """False when a key or string of a decoded line holds a lone
+    surrogate, which UTF-8 cannot encode."""
+    try:
+        _ENCODE(obj).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def parse_records(lines: Iterable[str]) -> tuple[list[PaperRecord], IngestReport]:
     """Parse a JSONL stream into cleaned records plus an IngestReport.
 
     Lines that are not valid JSON objects, lack a usable publication_ID,
-    or repeat an already-seen id are counted as dropped and skipped;
-    parsing continues. Input order is preserved.
+    repeat an already-seen id, are beyond the decoder's limits or hold a
+    lone surrogate are counted as dropped and skipped; parsing continues.
+    Input order is preserved.
     """
     report = IngestReport()
     records: list[PaperRecord] = []
     seen_ids: set[str] = set()
     dates: dict[str | None, tuple[PartialDate, bool]] = {}  # parsed once
+    decode = json.JSONDecoder().raw_decode
+    dropped = partial = collapsed_ranges = 0
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is not None:  # a byte order mark is not part of the record
+        lines = itertools.chain([first.removeprefix("\ufeff")], lines)
     for line in lines:
         stripped = line.strip()
-        obj: Any = None
-        if stripped:
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError:
-                obj = None
-        if not isinstance(obj, dict):
-            report.records_dropped += 1
+        try:
+            obj, end = decode(stripped)
+        except (ValueError, RecursionError):
+            obj = end = None
+        if end != len(stripped) or type(obj) is not dict:
+            dropped += 1
             continue
         pid = _clean_id(obj.get("publication_ID"))
         if pid is None or pid in seen_ids:
-            report.records_dropped += 1
+            dropped += 1
             continue
-        citations = normalize_citations(obj.get("Citations"), report)
-        citations = [c for c in citations if c != pid]
         raw_date = obj.get("pubDate")
         if type(raw_date) is not str:  # parses as the unknown date
             raw_date = None
@@ -272,25 +331,23 @@ def parse_records(lines: Iterable[str]) -> tuple[list[PaperRecord], IngestReport
         if parsed is None:
             parsed = dates[raw_date] = _parse_pub_date(raw_date)
         pub_date, collapsed = parsed
-        if collapsed:
-            report.dates_range_collapsed += 1
-        if pub_date.month is None:
-            report.dates_partial += 1
-        records.append(PaperRecord(
-            id=pid,
-            citations=citations,
-            pub_date=pub_date,
-            language=_clean_text(obj.get("language")),
-            title=_clean_text(obj.get("title")),
-            journal=_clean_text(obj.get("journal")),
-            abstract=_clean_text(obj.get("abstract")),
-            keywords=_clean_text(obj.get("keywords")),
-            doi=_clean_text(obj.get("doi")),
-            authors=_parse_authors(obj.get("authors")),
-            venue=_parse_venue(obj.get("venue")),
-        ))
+        try:
+            if (("\\u" in stripped or not stripped.isascii())
+                    and _SURROGATE.search(stripped) and not _storable(obj)):
+                dropped += 1
+                continue
+            records.append(_record(obj, pid, pub_date, report))
+        except RecursionError:  # a value nested too deep to render
+            dropped += 1
+            continue
         seen_ids.add(pid)
-        report.records_parsed += 1
+        collapsed_ranges += collapsed
+        if pub_date.month is None:
+            partial += 1
+    report.records_parsed = len(records)
+    report.records_dropped = dropped
+    report.dates_partial = partial
+    report.dates_range_collapsed = collapsed_ranges
     return records, report
 
 
@@ -327,13 +384,12 @@ def record_to_obj(record: PaperRecord) -> dict[str, Any]:
             obj[name] = value
     if record.authors:
         obj["authors"] = [
-            {k: v for k, v in (("name", a.name), ("id", a.id), ("org", a.org))
+            {k: v for k, v in zip(("name", "id", "org"), author)
              if v is not None}
-            for a in record.authors
+            for author in record.authors
         ]
-    if record.venue.name is not None or record.venue.id is not None:
-        obj["venue"] = {k: v for k, v in (("name", record.venue.name),
-                                          ("id", record.venue.id))
+    if record.venue != (None, None):
+        obj["venue"] = {k: v for k, v in zip(("name", "id"), record.venue)
                         if v is not None}
     if record.doi is not None:
         obj["doi"] = record.doi
@@ -342,9 +398,8 @@ def record_to_obj(record: PaperRecord) -> dict[str, Any]:
 
 def write_cleaned_corpus(path: str, records: Iterable[PaperRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_obj(record), ensure_ascii=False))
-            fh.write("\n")
+        fh.writelines(_ENCODE(record_to_obj(record)) + "\n"
+                      for record in records)
 
 
 def write_ingest_report(path: str, report: IngestReport) -> None:

@@ -25,9 +25,20 @@ whatever the summation order.
 text of an integer (`0`, `-2`), formatted once per distinct value per
 256-row block and gathered by index. The loader normalizes every row, so
 a loaded count file is bit-equal to `embed_corpus` at the same dim and
-seed, and the file is a fraction of the size of 17-digit floats. The TSV
-is parsed in one `np.loadtxt` pass over the checked lines, and any float
-TSV (such as precomputed sentence embeddings) loads the same way.
+seed, and the file is a fraction of the size of 17-digit floats.
+
+The loader streams the TSV in blocks of 1024 lines into one (nodes, dim)
+float64 matrix, allocated once the first block has parsed, each row going
+straight to its graph node's row, so it never holds the whole file's text
+or a second matrix.
+Each block's value texts (the id cut off at the first tab) are parsed
+first as int32, the format `embed` writes, in one `np.loadtxt` call; on
+the first token that is not such an integer the block is parsed again as
+float64, so float TSVs (such as precomputed sentence embeddings) load
+too. A block holding a `-0` token goes straight to float64, which keeps
+the sign of zero. Every other int32 is exact in float64, so a block
+loads to the same bits whichever parse reads it. A block that fails both
+is parsed line by line to name the first bad line and its id.
 """
 from __future__ import annotations
 
@@ -46,6 +57,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_SPLIT = str.maketrans({c: " " for c in map(chr, range(128))
                               if not c.isalnum()})
 _BLOCK = 256  # rows per counting block
+_ROWS = 1024  # rows per parsing block of the TSV loader
 
 DEFAULT_DIM = 384
 
@@ -102,12 +114,12 @@ class EmbeddingMatrix:
 def _normalize_in_place(out: np.ndarray) -> np.ndarray:
     """Divide every non-zero row of `out` by its L2 norm, in place.
 
-    Rows go in blocks of 1024 so the squares `np.linalg.norm` forms never
-    take a full copy of the matrix; a row's norm does not depend on the
-    block.
+    Rows go in blocks of `_BLOCK` so the squares `np.linalg.norm` forms
+    never take more than a small copy of the matrix; a row's norm does not
+    depend on the block.
     """
-    for start in range(0, len(out), 1024):
-        rows = out[start:start + 1024]
+    for start in range(0, len(out), _BLOCK):
+        rows = out[start:start + _BLOCK]
         norms = np.linalg.norm(rows, axis=1)
         rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
     return out
@@ -183,47 +195,119 @@ def embed_corpus(records: Sequence[PaperRecord], dim: int = DEFAULT_DIM,
                            dim=dim)
 
 
-def _data_lines(fh, dim: int, index: dict[str, int], line_nos: list[int]):
-    """Yield the non-blank data lines of an embedding TSV, checked for
-    their field count and a unique id; records each row's id in `index`
-    (id -> row) and its file line number in `line_nos`."""
+def _blocks(fh, dim: int, seen: set[str]):
+    """Yield the non-blank data lines of an embedding TSV in blocks of at
+    most `_ROWS`: (file line numbers, ids, value texts, error).
+
+    Each id is checked to be new and added to `seen`; a line's field
+    count is left to the block parse. A line with no tab or a repeated id
+    ends the stream: the last block holds the lines before it and `error`
+    its message, so that a bad value on an earlier line is still reported
+    first. The three lists are emptied and refilled for the next block,
+    so no two blocks of text are held at once.
+    """
+    line_nos: list[int] = []
+    ids: list[str] = []
+    tails: list[str] = []
     for line_no, line in enumerate(fh, start=2):
-        if not line.strip():
+        if line.isspace():
             continue
-        text = line.rstrip("\n")
-        pid = text.partition("\t")[0]
-        values = text.count("\t")
-        if values != dim:
-            raise ValueError(f"line {line_no}: expected {dim} values, got "
-                             f"{values} in row for id {pid!r}")
-        if pid in index:
-            raise ValueError(
-                f"line {line_no}: duplicate embedding row for id {pid!r}")
-        index[pid] = len(index)
+        pid, tab, tail = line.partition("\t")
+        if not tab or pid in seen:
+            yield line_nos, ids, tails, _line_error(line_no, line, dim, seen)
+            return
+        seen.add(pid)
         line_nos.append(line_no)
-        yield text
+        ids.append(pid)
+        tails.append(tail)
+        if len(ids) == _ROWS:
+            yield line_nos, ids, tails, None
+            del line_nos[:], ids[:], tails[:]
+    if ids:
+        yield line_nos, ids, tails, None
+        del line_nos[:], ids[:], tails[:]
 
 
-def _parse_values(lines, dim: int) -> np.ndarray:
-    # comments=None: an id may contain '#'
-    return np.loadtxt(lines, dtype=np.float64, delimiter="\t",
-                      usecols=range(1, dim + 1), comments=None, ndmin=2)
+def _line_error(line_no: int, line: str, dim: int, seen) -> str | None:
+    """The message for a data line with the wrong field count or an id in
+    `seen`, else None."""
+    text = line.rstrip("\n")
+    pid = text.partition("\t")[0]
+    values = text.count("\t")
+    if values != dim:
+        return (f"line {line_no}: expected {dim} values, got {values} "
+                f"in row for id {pid!r}")
+    if pid in seen:
+        return f"line {line_no}: duplicate embedding row for id {pid!r}"
+    return None
 
 
-def _raise_first_bad_line(path: str, dim: int) -> None:
-    """Re-scan the file line by line and raise on the first line that
-    fails, naming it and its id; used only once a bulk parse failed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        index: dict[str, int] = {}
-        line_nos: list[int] = []
-        for text in _data_lines(fh, dim, index, line_nos):
-            try:
-                _parse_values([text], dim)
-            except ValueError:
-                pid = text.partition("\t")[0]
-                raise ValueError(f"line {line_nos[-1]}: non-numeric value "
-                                 f"in row for id {pid!r}") from None
+def _parse_block(tails: list[str], dim: int) -> np.ndarray | None:
+    """The values of a block's rows: int32 when every token parses as an
+    integer, float64 otherwise, None when a row has the wrong field count
+    or a token is not a number.
+
+    A `-0` token would lose its sign as an integer, so a block holding one
+    goes straight to float64. `np.loadtxt` would skip an empty value text
+    as a blank line, so such a block is not parsed at all.
+    """
+    if "\n" in tails or "" in tails:
+        return None
+    dtypes = ((np.float64,) if "-0" in "\t".join(tails)
+              else (np.int32, np.float64))
+    for dtype in dtypes:
+        try:
+            # comments=None: a value text holding '#' is not a number
+            block = np.loadtxt(tails, dtype=dtype, delimiter="\t",
+                               comments=None, ndmin=2)
+        except ValueError:
+            continue
+        if block.shape == (len(tails), dim):
+            return block
+    return None
+
+
+def _parse_rows(line_nos, ids, tails, dim: int) -> np.ndarray:
+    """A block's rows parsed one line at a time, as float64; used once the
+    block failed to parse whole. Raises on the first row that fails,
+    naming its line and id."""
+    rows = []
+    for line_no, pid, tail in zip(line_nos, ids, tails):
+        line = pid + "\t" + tail
+        error = _line_error(line_no, line, dim, ())
+        if error is not None:
+            raise ValueError(error)
+        try:
+            # the whole line, the id column skipped: '' is a bad value
+            rows.append(np.loadtxt([line], dtype=np.float64, delimiter="\t",
+                                   comments=None, usecols=range(1, dim + 1),
+                                   ndmin=2))
+        except ValueError:
+            raise ValueError(f"line {line_no}: non-numeric value in row "
+                             f"for id {pid!r}") from None
+    return np.concatenate(rows)
+
+
+def _place(values: np.ndarray, index_of: dict[str, int], block: np.ndarray,
+           line_nos, ids) -> tuple[int, tuple[int, str] | None]:
+    """Copy each row of a parsed block whose id is a graph node into that
+    node's row of `values`. Returns the number of rows copied and the
+    (line, id) of the block's first row holding a non-finite value, or
+    None."""
+    bad_row = None
+    if block.dtype.kind == "f":  # an integer is always finite
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            bad_row = line_nos[row], ids[row]
+    at = np.fromiter(map(index_of.get, ids, itertools.repeat(-1)),
+                     dtype=np.intp, count=len(ids))
+    kept = at >= 0
+    if kept.all():
+        values[at] = block
+    else:
+        values[at[kept]] = block[kept]
+    return int(kept.sum()), bad_row
 
 
 def load_embeddings(path: str, graph) -> EmbeddingMatrix:
@@ -235,8 +319,10 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
     Values must be finite numbers; an error names the file line and the
     paper id. Rows are L2-normalized.
     """
-    index: dict[str, int] = {}
-    line_nos: list[int] = []
+    node_ids = graph.node_ids
+    seen: set[str] = set()
+    rows = placed = 0
+    non_finite = None  # (line, id) of the first row with a non-finite value
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) != 2:
@@ -247,32 +333,35 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
             raise ValueError("embedding header must be two integers") from exc
         if dim < 1:
             raise ValueError(f"embedding dimension must be >= 1, got {dim}")
-        lines = _data_lines(fh, dim, index, line_nos)
-        first = next(lines, None)
-        if first is None:  # loadtxt warns on empty input
-            values = np.empty((0, dim), dtype=np.float64)
-        else:
-            try:
-                values = _parse_values(itertools.chain([first], lines), dim)
-            except ValueError:
-                _raise_first_bad_line(path, dim)
-                raise
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        pid = next(itertools.islice(index, row, None))
-        raise ValueError(
-            f"line {line_nos[row]}: non-finite value in row for id {pid!r}")
-    if len(line_nos) != count:
-        raise ValueError(f"header declared {count} rows, file has {len(line_nos)}")
-    missing = [pid for pid in graph.node_ids if pid not in index]
-    if missing:
+        values = None  # allocated once a parsed row has shown dim is real
+        for line_nos, ids, tails, error in _blocks(fh, dim, seen):
+            if ids:
+                block = _parse_block(tails, dim)
+                if block is None:
+                    block = _parse_rows(line_nos, ids, tails, dim)
+                if values is None:
+                    values = np.empty((len(node_ids), dim), dtype=np.float64)
+                kept, bad_row = _place(values, graph.index_of, block,
+                                       line_nos, ids)
+                del block  # freed before the next block is parsed
+                rows += len(ids)
+                placed += kept
+                non_finite = non_finite or bad_row
+            if error is not None:
+                raise ValueError(error)
+    if non_finite is not None:
+        raise ValueError(f"line {non_finite[0]}: non-finite value in row "
+                         f"for id {non_finite[1]!r}")
+    if rows != count:
+        raise ValueError(f"header declared {count} rows, file has {rows}")
+    if placed != len(node_ids):
+        missing = [pid for pid in node_ids if pid not in seen]
         shown = ", ".join(missing[:20])
         more = f" (+{len(missing) - 20} more)" if len(missing) > 20 else ""
         raise ValueError(f"embedding file is missing node ids: {shown}{more}")
-    if list(index) != list(graph.node_ids):
-        values = values[[index[pid] for pid in graph.node_ids]]
-    return EmbeddingMatrix(ids=tuple(graph.node_ids),
+    if values is None:  # no rows and no nodes
+        values = np.empty((0, dim), dtype=np.float64)
+    return EmbeddingMatrix(ids=tuple(node_ids),
                            vectors=_normalize_in_place(values), dim=dim)
 
 

@@ -60,6 +60,189 @@ def component_corpus(n_components: int = 20) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# corpus parsing, written independently
+# ---------------------------------------------------------------------------
+
+ORACLE_MONTHS = ["jan", "feb", "mar", "apr", "may", "jun",
+                 "jul", "aug", "sep", "oct", "nov", "dec"]
+
+
+def _oracle_id(raw):
+    if isinstance(raw, str):
+        return raw.strip() or None
+    if isinstance(raw, bool) or raw is None:
+        return None
+    if isinstance(raw, int):
+        return str(raw)
+    if isinstance(raw, float) and raw == raw and raw.is_integer():
+        return str(int(raw))
+    return None
+
+
+def _oracle_citations(raw, pid, counts):
+    items = [] if raw is None else raw if isinstance(raw, list) else [raw]
+    out = []
+    for item in items:
+        if item is None or item == "" or (isinstance(item, float)
+                                          and item != item):
+            counts["citations_null_dropped"] += 1
+            continue
+        if isinstance(item, str):
+            entry = item
+        elif isinstance(item, (bool, int)):
+            counts["citations_coerced_from_int"] += 1
+            entry = str(item)
+        elif isinstance(item, float):
+            counts["citations_coerced_from_int"] += 1
+            entry = str(int(item)) if item.is_integer() else repr(item)
+        else:  # a list or an object
+            counts["citations_null_dropped"] += 1
+            continue
+        if entry in out:
+            counts["citations_deduped"] += 1
+            continue
+        out.append(entry)
+    return [c for c in out if c != pid]
+
+
+def _oracle_date(raw):
+    """(year, month, collapsed): the first 4-digit run is the year; the
+    first letter run after it names the month when its first three
+    letters do, and a second month name marks a collapsed range."""
+    if not isinstance(raw, str):
+        return None, None, False
+    match = re.search(r"(?<!\d)\d{4}(?!\d)", raw)
+    if not match:
+        return None, None, False
+    words = [w[:3].lower() for w in re.findall(r"[A-Za-z]+",
+                                                raw[match.end():])]
+    if not words or words[0] not in ORACLE_MONTHS:
+        return int(match.group()), None, False
+    month = ORACLE_MONTHS.index(words[0]) + 1
+    return int(match.group()), month, len(words) > 1 and \
+        words[1] in ORACLE_MONTHS
+
+
+def _oracle_text(raw):
+    """The leaves of `raw` (nested lists flattened in order, no recursion)
+    that are neither null, NaN, an object nor empty, joined by spaces."""
+    parts, stack = [], [raw]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(reversed(item))
+        elif item is None or isinstance(item, dict) or item != item:
+            continue
+        elif str(item):
+            parts.append(item if isinstance(item, str) else str(item))
+    return " ".join(parts) or None
+
+
+def _oracle_opt(raw):
+    if raw is None or (isinstance(raw, float) and raw != raw):
+        return None
+    return raw if isinstance(raw, str) else str(raw)
+
+
+def oracle_record_obj(record) -> dict:
+    """The cleaned-corpus object of a record, written field by field."""
+    obj = {"publication_ID": record.id, "Citations": list(record.citations)}
+    year, month = record.pub_date.year, record.pub_date.month
+    if year is not None:
+        obj["pubDate"] = str(year) if month is None else \
+            f"{year} {ORACLE_MONTHS[month - 1].title()}"
+    for name in ("language", "title", "journal", "abstract", "keywords"):
+        if getattr(record, name) is not None:
+            obj[name] = getattr(record, name)
+    if record.authors:
+        obj["authors"] = [
+            {key: value for key, value in zip(("name", "id", "org"), author)
+             if value is not None}
+            for author in record.authors]
+    if any(value is not None for value in record.venue):
+        obj["venue"] = {key: value for key, value
+                        in zip(("name", "id"), record.venue)
+                        if value is not None}
+    if record.doi is not None:
+        obj["doi"] = record.doi
+    return obj
+
+
+def oracle_cleaned_corpus(records) -> bytes:
+    """What the cleaned corpus of `records` holds: one compact JSON object
+    per line, non-ASCII characters as they are, UTF-8."""
+    return "".join(json.dumps(oracle_record_obj(r), ensure_ascii=False) + "\n"
+                   for r in records).encode("utf-8")
+
+
+def oracle_parse_records(lines):
+    """Reference for `parse_records`: `json.loads` per stripped line plus
+    the documented repairs, straight-line. Returns the records and the
+    ingest counters as a dict.
+
+    A byte order mark before the first line is not part of it. A line is
+    dropped when it does not decode (or the decoder gives up on it),
+    holds a lone surrogate UTF-8 cannot store, is not an object, has no
+    usable or an already-kept id, or holds a value nested too deep to
+    render; a dropped line moves no other counter.
+    """
+    from citegraph.corpus import PaperRecord, PartialDate
+
+    counts = dict.fromkeys(
+        ("records_parsed", "records_dropped", "citations_coerced_from_int",
+         "citations_null_dropped", "citations_deduped", "dates_partial",
+         "dates_range_collapsed"), 0)
+    records, kept_ids = [], set()
+    for number, line in enumerate(lines):
+        if number == 0 and line.startswith("\ufeff"):
+            line = line[1:]
+        try:
+            obj = json.loads(line.strip())
+            # a lone surrogate: UnicodeEncodeError, a ValueError
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except (ValueError, RecursionError):
+            obj = None
+        pid = _oracle_id(obj.get("publication_ID")) \
+            if isinstance(obj, dict) else None
+        if pid is None or pid in kept_ids:
+            counts["records_dropped"] += 1
+            continue
+        line_counts = dict.fromkeys(counts, 0)
+        year, month, collapsed = _oracle_date(obj.get("pubDate"))
+        authors = obj.get("authors")
+        if isinstance(authors, dict):
+            authors = [authors]
+        venue = obj.get("venue")
+        try:
+            record = PaperRecord(
+                id=pid,
+                citations=_oracle_citations(obj.get("Citations"), pid,
+                                            line_counts),
+                pub_date=PartialDate(year, month),
+                **{name: _oracle_text(obj.get(name)) for name in
+                   ("language", "title", "journal", "abstract", "keywords",
+                    "doi")},
+                authors=[tuple(_oracle_opt(a.get(k))
+                               for k in ("name", "id", "org"))
+                         for a in (authors if isinstance(authors, list)
+                                   else []) if isinstance(a, dict)],
+                venue=((_oracle_opt(venue.get("name")),
+                        _oracle_opt(venue.get("id")))
+                       if isinstance(venue, dict) else (None, None)))
+        except RecursionError:
+            counts["records_dropped"] += 1
+            continue
+        records.append(record)
+        kept_ids.add(pid)
+        line_counts["records_parsed"] = 1
+        line_counts["dates_partial"] = int(month is None)
+        line_counts["dates_range_collapsed"] = int(collapsed)
+        for key, value in line_counts.items():
+            counts[key] += value
+    return records, counts
+
+
+# ---------------------------------------------------------------------------
 # numeric primitives, written independently
 # ---------------------------------------------------------------------------
 

@@ -87,6 +87,43 @@ def test_build_on_cleaned_corpus_is_idempotent(tmp_path):
         (second / "graph.cgr").read_bytes()
 
 
+def test_build_reads_a_corpus_that_starts_with_a_utf8_bom(tmp_path, capsys):
+    path = tmp_path / "bom.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + (corpus_line("p1", ["p2"]) + "\n"
+                                        + corpus_line("p2", []) + "\n")
+                     .encode("utf-8"))
+    assert run_cli("build", "--corpus", path, "--output", tmp_path / "o",
+                   "--edge-list") == 0
+    assert "parsed=2 dropped=0" in capsys.readouterr().out
+    assert (tmp_path / "o" / "edges.txt").read_text().split() == ["p1", "p2"]
+
+
+def test_build_drops_lines_past_the_decoder_and_lone_surrogates(tmp_path,
+                                                                capsys):
+    """A line of 200,000 '[', a title nested 500 deep and an escaped lone
+    surrogate: the first and last are dropped, `build` exits 0, and a
+    build of its cleaned corpus is idempotent."""
+    messy = tmp_path / "messy.jsonl"
+    write_jsonl(messy, [
+        corpus_line("p1", ["p2"]),
+        "[" * 200_000,
+        corpus_line("p3", [])[:-1] + ', "title": ' + "[" * 500 + '"x"'
+        + "]" * 500 + "}",
+        corpus_line("p4", ["p1"], title="bad \ud800 title"),
+        corpus_line("p2", []),
+    ])
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli("build", "--corpus", messy, "--output", first) == 0
+    assert "parsed=3 dropped=2" in capsys.readouterr().out
+    cleaned = (first / "cleaned.jsonl").read_text(encoding="utf-8")
+    assert [json.loads(line)["publication_ID"]
+            for line in cleaned.splitlines()] == ["p1", "p3", "p2"]
+    assert run_cli("build", "--corpus", first / "cleaned.jsonl",
+                   "--output", second) == 0
+    assert (second / "cleaned.jsonl").read_bytes() == \
+        (first / "cleaned.jsonl").read_bytes()
+
+
 def test_missing_corpus_is_data_error(tmp_path):
     assert run_cli("build", "--corpus", tmp_path / "nope.jsonl",
                    "--output", tmp_path / "o") == 2

@@ -1,15 +1,18 @@
 import json
+import os
 import random
 import string
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citegraph.corpus import (IngestReport, PartialDate, build_text,
                               normalize_citations, parse_pub_date,
-                              parse_records, record_to_obj)
-from helpers import corpus_line
+                              parse_records, record_to_obj,
+                              write_cleaned_corpus)
+from helpers import corpus_line, oracle_cleaned_corpus, oracle_parse_records
 
 
 def parse_lines(lines):
@@ -256,3 +259,142 @@ def test_unreadable_stream_raises_io_error():
 
     with pytest.raises(OSError, match="disk went away"):
         parse_records(broken_stream())
+
+
+# ---------------------------------------------------------------------------
+# differential test against the straight-line oracle
+# ---------------------------------------------------------------------------
+
+DEEP_ARRAY = "[" * 200_000
+DEEP_TITLE = corpus_line("deep", ["p1"])[:-1] + ', "title": ' \
+    + "[" * 500 + '"x"' + "]" * 500 + "}"
+LONE_SURROGATE = corpus_line("sur", ["p1"], title="bad \ud800 title")
+LONG_INT = corpus_line("long", ["p1"])[:-1] + ', "n": ' + "1" * 5000 + "}"
+
+# ids and text: lone surrogates; a surrogate pair, which is one character
+# once escaped and decoded and two lone surrogates when written raw;
+# non-ASCII letters and Unicode space
+ODD_TEXT = st.sampled_from(
+    ["", " ", "p1", " p1 ", "p2", "7", "東京", "a\u3000b", "x\ud800",
+     "\udc00", "\ud83d\ude00", "\U0001F600"])
+SCALARS = st.one_of(ODD_TEXT, st.integers(-3, 12), st.floats(),
+                    st.sampled_from([1.0, 2.5, -0.0, 1e300]), st.booleans(),
+                    st.none())
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["name", "id", "org", "x"]), inner,
+                      max_size=3), max_leaves=4)
+DATES = st.sampled_from(["2008 Sep", "2007 Mar-Apr", "1999", "junk",
+                         "2001-dec", "published 1999 Dec maybe", ""])
+
+
+@st.composite
+def messy_objects(draw):
+    pid = draw(st.sampled_from(["p1", "p2", " p3 ", 4, 5.0]) | VALUES)
+    citation = st.just(pid) | st.sampled_from(["p1", "p2", ""]) | VALUES
+    author = st.fixed_dictionaries(
+        {}, optional={key: VALUES for key in ("name", "id", "org")})
+    fields = {
+        "Citations": st.lists(citation, max_size=6) | citation,
+        "pubDate": DATES | VALUES,
+        "authors": st.lists(author | VALUES, max_size=3) | author | VALUES,
+        "venue": st.fixed_dictionaries(
+            {}, optional={"name": VALUES, "id": VALUES}) | VALUES,
+        **{name: VALUES for name in ("language", "title", "journal",
+                                     "abstract", "keywords", "doi")},
+    }
+    return {"publication_ID": pid,
+            **draw(st.fixed_dictionaries({}, optional=fields))}
+
+
+@st.composite
+def messy_lines(draw):
+    """A JSON object line (NaN/Infinity literals, escaped or raw
+    non-ASCII) that may be cut short, carry trailing data or Unicode
+    whitespace around it; or a non-object line or a line past the
+    decoder's limits."""
+    special = st.sampled_from(["[1]", "3", "null", '"s"', "NaN", "true", "",
+                               "\ufeff{}", DEEP_ARRAY, DEEP_TITLE,
+                               LONE_SURROGATE, LONG_INT])
+    if draw(st.integers(0, 5)) == 0:
+        return draw(special)
+    line = json.dumps(draw(messy_objects()), ensure_ascii=draw(st.booleans()))
+    shape = draw(st.integers(0, 5))
+    if shape == 0:
+        line = line[:draw(st.integers(0, len(line)))]
+    elif shape == 1:
+        line += draw(st.sampled_from([" x", "{}", " 1", "]"]))
+    elif shape == 2:
+        space = st.sampled_from(["", " \t", "\u3000", "\x85", "\x1c", "\n"])
+        line = draw(space) + line + draw(space)
+    return line
+
+
+def check_against_oracle(lines):
+    records, report = parse_records(iter(lines))
+    expected, counts = oracle_parse_records(lines)
+    assert records == expected
+    assert report.to_dict() == counts
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cleaned.jsonl")
+        write_cleaned_corpus(path, records)
+        with open(path, "rb") as fh:
+            assert fh.read() == oracle_cleaned_corpus(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(messy_lines(), max_size=6),
+       bom=st.booleans())
+@example(lines=[corpus_line("p1", ["p2"]), corpus_line("p2", [])], bom=True)
+@example(lines=[DEEP_ARRAY, DEEP_TITLE, LONE_SURROGATE, LONG_INT,
+                corpus_line("sur", ["p1", 2, 2.0, None, float("nan")])],
+         bom=False)
+@example(lines=['{"publication_ID": "p1", "title": "\\ud83d\\ude00"}',
+                '{"publication_ID": "p2", "title": "\\\\ud800"}',
+                '{"publication_ID": "p3", "\\udc00": 1}'], bom=False)
+def test_parse_records_equals_oracle(lines, bom):
+    if bom and lines:
+        lines = ["\ufeff" + lines[0]] + lines[1:]
+    check_against_oracle(lines)
+
+
+def test_utf8_bom_on_first_line_is_not_part_of_the_record():
+    records, report = parse_lines(["\ufeff" + corpus_line("p1", ["p2"]),
+                                   corpus_line("p2", [])])
+    assert [r.id for r in records] == ["p1", "p2"]
+    assert records[0].citations == ["p2"]
+    assert (report.records_parsed, report.records_dropped) == (2, 0)
+    # only the first line may carry one
+    _, report = parse_lines([corpus_line("p1", []),
+                             "\ufeff" + corpus_line("p2", [])])
+    assert (report.records_parsed, report.records_dropped) == (1, 1)
+
+
+def test_lines_past_the_decoder_are_dropped():
+    records, report = parse_lines([corpus_line("p1", []), DEEP_ARRAY,
+                                   LONG_INT, corpus_line("p2", [])])
+    assert [r.id for r in records] == ["p1", "p2"]
+    assert report.records_dropped == 2
+
+
+def test_deeply_nested_title_flattens_without_recursion():
+    records, report = parse_lines([DEEP_TITLE])
+    assert records[0].title == "x"
+    assert report.records_parsed == 1
+    records, _ = parse_lines([corpus_line(
+        "p1", [], title=["a", ["", ["b", None, {"k": 1}], 2.5], [], True])])
+    assert records[0].title == "a b 2.5 True"
+
+
+def test_lone_surrogate_drops_the_line_and_moves_no_counter():
+    records, report = parse_lines([LONE_SURROGATE,
+                                   corpus_line("sur", [], title="kept")])
+    assert [r.title for r in records] == ["kept"]
+    assert report.records_dropped == 1
+    assert report.citations_null_dropped == 0
+    # in a key no field reads, too
+    _, report = parse_lines(['{"publication_ID": "p", "\\udc00": 1}'])
+    assert report.records_dropped == 1
+    # an escaped surrogate pair is one valid character
+    records, _ = parse_lines(['{"publication_ID": "p", "title": "\\ud83d\\ude00"}'])
+    assert records[0].title == "\U0001F600"

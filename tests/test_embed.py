@@ -3,6 +3,7 @@ import os
 import re
 import string
 import tempfile
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -86,6 +87,15 @@ def test_load_embeddings_dim_mismatch(tmp_path):
     path.write_text("1\t3\na\t1.0\t2.0\n")
     with pytest.raises(ValueError, match="expected 3 values"):
         load_embeddings(str(path), g)
+
+
+def test_load_embeddings_huge_header_dim_is_a_field_count_error(tmp_path):
+    # the matrix waits for a row of that width, so nothing is allocated
+    path = tmp_path / "emb.tsv"
+    path.write_text(f"1\t{10 ** 12}\na\t1.0\t2.0\n")
+    with pytest.raises(ValueError, match=f"expected {10 ** 12} values, "
+                                         "got 2 in row for id 'a'"):
+        load_embeddings(str(path), small_graph(["a"]))
 
 
 def test_load_embeddings_header_count_mismatch(tmp_path):
@@ -298,6 +308,89 @@ def test_load_embeddings_many_rows_bit_equal_to_normalized_source():
     source[7] = 0.0
     check_load_matches_normalized_source(
         source, rng.permutation(2500).tolist(), [("extra", [1.0] * 6)], 97)
+
+
+# integer spellings the int32 pass must read as the float parse does, or
+# leave to it: a signed zero, a sign, leading zeros, 2**53 + 1 (not a
+# float64), the int32 and int64 limits and past them
+ODD_INTEGERS = ["-0", "-00", "+0", "+5", "007", "-007", str(2 ** 53 + 1),
+                str(-(2 ** 53 + 1)), str(2 ** 31 - 1), str(2 ** 31),
+                str(-2 ** 31), str(-2 ** 31 - 1), str(2 ** 63),
+                str(-2 ** 63 - 1), str(2 ** 64 + 1)]
+TOKENS = st.one_of(st.integers(-300, 300).map(str),
+                   st.sampled_from(ODD_INTEGERS),
+                   st.integers(-2 ** 80, 2 ** 80).map(str),
+                   finite.map(repr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 4),
+       n=st.sampled_from([1, 3, 1023, 1024, 1025, 2049]),
+       seed=st.integers(0, 2 ** 16), crlf=st.booleans())
+def test_integer_tokens_load_bit_equal_to_float_parse(data, dim, n, seed,
+                                                      crlf):
+    """Small integer rows, like `embed` writes, with drawn rows of odd
+    integers and floats near the 1024-row block edges and blank lines in
+    between, load bit-equal to every token read by `float`."""
+    rows = np.random.default_rng(seed).integers(
+        -3, 4, size=(n, dim)).astype(str).tolist()
+    edges = st.sampled_from([0, n - 1, min(1023, n - 1), min(1024, n - 1)])
+    for _ in range(data.draw(st.integers(0, 4))):
+        rows[data.draw(edges | st.integers(0, n - 1))] = data.draw(
+            st.lists(TOKENS, min_size=dim, max_size=dim))
+    ids = [f"p{i}" for i in range(n)]
+    lines = [f"{n}\t{dim}"] + [pid + "\t" + "\t".join(row)
+                               for pid, row in zip(ids, rows)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        lines.insert(data.draw(st.integers(1, len(lines))),
+                     data.draw(st.sampled_from(["", " ", "\t "])))
+    expected = np.array([[float(t) for t in row] for row in rows])
+    with np.errstate(over="ignore"):  # a norm near 1e308 overflows alike
+        norms = np.linalg.norm(expected, axis=1)
+        expected[norms > 0.0] /= norms[norms > 0.0, None]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "emb.tsv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(("\r\n" if crlf else "\n").join(lines) + "\n")
+            loaded = load_embeddings(path, small_graph(ids))
+    assert loaded.vectors.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("value", ["3", "0.25"])
+def test_non_numeric_value_names_line_and_id_in_second_block(tmp_path,
+                                                             value):
+    """An integer file and a float file: the bad token sits in the second
+    1024-row block, after a blank line."""
+    ids = [f"p{i}" for i in range(1500)]
+    rows = [pid + "\t" + value + "\t-" + value for pid in ids]
+    rows[1300] = "p1300\t" + value + "\t4x"
+    path = tmp_path / "emb.tsv"
+    path.write_text("1500\t2\n\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="line 1303: non-numeric value in "
+                                         "row for id 'p1300'"):
+        load_embeddings(str(path), small_graph(ids))
+
+
+def test_load_embeddings_peak_memory_stays_near_the_matrix(tmp_path):
+    """The file streams through blocks into one preallocated matrix: the
+    peak traced while loading 8000 rows of counts, the matrix included,
+    stays within 1.25 times the matrix."""
+    n, dim = 8000, 256
+    ids = [f"p{i}" for i in range(n)]
+    counts = np.random.default_rng(2).integers(-4, 5, size=(n, dim))
+    path = tmp_path / "emb.tsv"
+    write_embeddings(str(path), ids, counts.astype(np.float64))
+    graph = small_graph(ids)
+    del counts
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_embeddings(str(path), graph)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert loaded.vectors.shape == (n, dim)
+    assert peak <= 1.25 * loaded.vectors.nbytes, peak / loaded.vectors.nbytes
 
 
 def test_scores_matches_cosine_scan():
