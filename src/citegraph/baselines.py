@@ -66,8 +66,8 @@ def bm25_build(texts: Sequence[str], ids: Sequence[str] | None = None,
     n = len(texts)
     if n == 0:
         raise ValueError("cannot build a BM25 index over an empty corpus")
-    if not (k1 >= 0.0 and 0.0 <= b <= 1.0):
-        raise ValueError("BM25 needs k1 >= 0 and b in [0, 1]")
+    if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
+        raise ValueError("BM25 needs a finite k1 >= 0 and b in [0, 1]")
     ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
     if len(ids) != n:
         raise ValueError("ids and texts must have equal length")

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 network error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -637,8 +638,19 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    # A command loads the whole corpus as many small acyclic objects
+    # (records and their citation and author lists) that reference counting
+    # frees; the cyclic collector would only scan them again and again, one
+    # full pass landing in build_graph. So what is alive on entry (the
+    # imports) is frozen out of later collections, and collection pauses
+    # while the command runs. A command leaves a few hundred cyclic objects,
+    # mostly its parser, however large the corpus or the query set; the
+    # collector, put back in the state it was found in, reclaims them.
+    was_enabled = gc.isenabled()
+    gc.freeze()
+    gc.disable()
     try:
+        parser = _build_parser()
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help
@@ -654,6 +666,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def entry() -> None:

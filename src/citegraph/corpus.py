@@ -145,6 +145,10 @@ def normalize_citations(raw: Any, report: IngestReport | None = None) -> list[st
     strings are dropped; first-occurrence order is preserved. Counters are
     updated on `report` when one is given.
     """
+    return _normalize_citations(raw, report)
+
+
+def _normalize_citations(raw: Any, report: IngestReport | None) -> list[str]:
     if type(raw) is list and set(map(type, raw)) <= _STR:
         distinct = set(raw)
         if len(distinct) == len(raw) and "" not in distinct:
@@ -276,7 +280,7 @@ def _record(obj: dict, pid: str, pub_date: PartialDate,
         _clean_text, map(get, _TEXT_FIELDS))
     authors = _parse_authors(get("authors"))
     venue = _parse_venue(get("venue"))
-    citations = normalize_citations(get("Citations"), report)
+    citations = _normalize_citations(get("Citations"), report)
     if pid in citations:  # at most once: the list is duplicate-free
         citations.remove(pid)
     return PaperRecord(pid, citations, pub_date, language, title, journal,

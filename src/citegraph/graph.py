@@ -13,9 +13,9 @@ out-degrees and the flat out-adjacency, so it loads with `np.frombuffer`.
 """
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -117,17 +117,20 @@ def build_graph(records: Sequence[PaperRecord]) -> CitationGraph:
     relevance) but produce no edge.
     """
     node_ids = tuple(r.id for r in records)
-    index_of: dict[str, int] = {}
-    for i, pid in enumerate(node_ids):
-        if pid in index_of:
-            raise ValueError(f"duplicate paper id {pid!r}")
-        index_of[pid] = i
     n = len(node_ids)
-    targets = [[index_of.get(c, -1) for c in r.citations] for r in records]
-    src = np.repeat(np.arange(n), np.fromiter(map(len, targets), dtype=np.int64,
-                                              count=n))
-    dst = np.fromiter(itertools.chain.from_iterable(targets), dtype=np.int64,
-                      count=len(src))
+    index_of = dict(zip(node_ids, range(n)))
+    if len(index_of) != n:
+        seen: set[str] = set()
+        for pid in node_ids:
+            if pid in seen:
+                raise ValueError(f"duplicate paper id {pid!r}")
+            seen.add(pid)
+    citations = [r.citations for r in records]
+    src = np.repeat(np.arange(n), np.fromiter(map(len, citations),
+                                              dtype=np.int64, count=n))
+    # one flat pass; a target outside the corpus maps to -1
+    dst = np.fromiter(map(index_of.get, chain.from_iterable(citations),
+                          repeat(-1)), dtype=np.int64, count=len(src))
     keep = (dst >= 0) & (dst != src)
     return _graph(node_ids, index_of, _unique(src[keep] * n + dst[keep]))
 

@@ -126,7 +126,8 @@ def test_bm25_scores_on_raw_text_match_posting_loop():
 
 
 def test_bm25_build_rejects_bad_parameters():
-    for k1, b in ((-0.1, 0.75), (1.2, 1.5), (1.2, -0.5), (float("nan"), 0.5)):
+    for k1, b in ((-0.1, 0.75), (1.2, 1.5), (1.2, -0.5), (float("nan"), 0.5),
+                  (float("inf"), 0.75)):
         with pytest.raises(ValueError, match="k1"):
             bm25_build(FIVE_DOCS, k1=k1, b=b)
 

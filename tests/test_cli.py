@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 
@@ -163,6 +164,13 @@ def test_evaluate_baselines_run_without_weights(tmp_path, corpus_path):
                    "--output", tmp_path / "eval") == 0
     comparison = json.loads((tmp_path / "eval" / "comparison.json").read_text())
     assert list(comparison["methods"]) == ["bm25", "dense", "hybrid"]
+
+
+@pytest.mark.parametrize("k1", ["inf", "-1"])
+def test_bad_bm25_k1_is_data_error(corpus_path, capsys, k1):
+    assert run_cli("evaluate", "--corpus", corpus_path,
+                   "--method", "bm25,hybrid", "--k1", k1) == 2
+    assert "finite k1 >= 0" in capsys.readouterr().err
 
 
 def test_embed_write_then_validate(tmp_path, corpus_path, capsys):
@@ -635,3 +643,49 @@ def test_config_file_bad_boolean_names_the_line(tmp_path, corpus_path,
 
 def test_help_exits_zero():
     assert run_cli("--help") == 0
+
+
+def _raise_runtime_error(args):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", ["ok", "data-error", "raises"])
+def test_main_restores_the_collector_state(tmp_path, corpus_path,
+                                           monkeypatch, enabled, outcome):
+    argv = ["build", "--corpus", corpus_path, "--output", tmp_path / "out"]
+    if outcome == "data-error":
+        argv[2] = tmp_path / "absent.jsonl"
+    if outcome == "raises":  # the parser binds cmd_build on each call
+        monkeypatch.setattr(cli, "cmd_build", _raise_runtime_error)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "raises":
+            with pytest.raises(RuntimeError, match="boom"):
+                run_cli(*argv)
+        else:
+            assert run_cli(*argv) == (0 if outcome == "ok" else 2)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_cyclic_garbage_of_evaluate_does_not_grow_with_queries(tmp_path):
+    # the collector is paused while a command runs, so a cycle built per
+    # query would pile up; what one run leaves must not depend on how many
+    # queries it ran
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, component_corpus(45))
+    weights = train_weights(path, 48)
+    garbage = {}
+    for subset in (5, 40):
+        gc.collect()
+        assert run_cli("evaluate", "--corpus", path, "--dim", "48",
+                       "--weights", weights, "--sigma", "0.0", "--llm-mock",
+                       "--method", "bm25,dense,hybrid,attn,attn+llm",
+                       "--subset", subset, "--llm-subset", subset,
+                       "--output", tmp_path / f"eval{subset}") == 0
+        garbage[subset] = gc.collect()
+    # 35 more queries: even a one-object cycle per query would show
+    assert abs(garbage[40] - garbage[5]) <= 10

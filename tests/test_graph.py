@@ -50,6 +50,9 @@ def test_build_edgeless():
 def test_build_duplicate_ids_error():
     with pytest.raises(ValueError, match="duplicate"):
         build_graph([PaperRecord(id="p1"), PaperRecord(id="p1")])
+    # the error names the first id that repeats an earlier one
+    with pytest.raises(ValueError, match="duplicate paper id 'p2'"):
+        build_graph([PaperRecord(id=pid) for pid in ("p1", "p2", "p2", "p1")])
 
 
 def test_build_parallel_edges_collapse_and_no_self_loop():
