@@ -238,8 +238,7 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
         raise ValueError("no eligible evaluation queries in this corpus")
 
     needs_bm25 = any(m in ("bm25", "hybrid") for m in methods)
-    texts = ([corpus.build_text(r) for r in records]
-             if needs_bm25 or "attn+llm" in methods else None)
+    texts = [corpus.build_text(r) for r in records] if needs_bm25 else None
     index = (baselines.bm25_build(texts, ids=graph.node_ids, k1=k1, b=b)
              if needs_bm25 else None)
 
@@ -268,7 +267,7 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
             if not ranked.items:
                 return ranked
             request = rerank.RerankRequest(
-                query_text=texts[qidx],
+                query_text=corpus.build_text(records[qidx]),
                 candidates=[(it.id, _title_of(records, graph, it.id))
                             for it in ranked.items],
                 triplets=rerank.verbalize_triplets(sub, graph, records),
@@ -343,7 +342,6 @@ def cmd_build(args) -> int:
     records, report = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
     os.makedirs(args.output, exist_ok=True)
-    corpus.write_cleaned_corpus(os.path.join(args.output, "cleaned.jsonl"), records)
     corpus.write_ingest_report(os.path.join(args.output, "ingest_report.json"),
                                report)
     graphmod.save_snapshot(graph, os.path.join(args.output, "graph.cgr"))
@@ -395,19 +393,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _query_vector(args, records, graph, embeddings):
+def _query_vector(args, graph, embeddings):
     if args.paper_id is not None:
         if args.paper_id not in graph.index_of:
             raise ValueError(f"unknown paper id {args.paper_id!r}")
-        idx = graph.index_of[args.paper_id]
-        return args.paper_id, corpus.build_text(records[idx]), \
-            embeddings.row(idx)
+        return args.paper_id, embeddings.row(graph.index_of[args.paper_id])
     if args.embeddings:
         raise ValueError(
             "free-text queries need the hashing embedder; with a "
             "precomputed embedding file, query by --paper-id instead")
-    return "query", args.query, embed.hash_embed(args.query, dim=args.dim,
-                                                 seed=args.seed)
+    return "query", embed.hash_embed(args.query, dim=args.dim, seed=args.seed)
 
 
 def cmd_retrieve(args) -> int:
@@ -418,7 +413,7 @@ def cmd_retrieve(args) -> int:
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
     scorer = gat.load_weights(args.weights, width=embeddings.dim)
-    query_id, query_text, query = _query_vector(args, records, graph, embeddings)
+    query_id, query = _query_vector(args, graph, embeddings)
     cos = embeddings.scores(query)
     seed_node = retrievermod.select_seed(cos, embeddings, graph)
     sub = retrievermod.retrieve_subgraph(graph, embeddings, query, seed_node,
@@ -429,7 +424,8 @@ def cmd_retrieve(args) -> int:
     if args.rerank:
         client = _llm_client(args)
         request = rerank.RerankRequest(
-            query_text=query_text,
+            query_text=(args.query if args.paper_id is None else
+                        corpus.build_text(records[graph.index_of[query_id]])),
             candidates=[(it.id, _title_of(records, graph, it.id))
                         for it in ranked.items],
             triplets=rerank.verbalize_triplets(sub, graph, records),
@@ -474,8 +470,10 @@ def cmd_evaluate(args) -> int:
                 metrics.write_per_query_csv(
                     os.path.join(args.output, f"per_query_{safe}.csv"),
                     result["rows"][name])
-        _write_json(os.path.join(args.output, "comparison.json"),
-                    comparison_json(result))
+        comparison = comparison_json(result)
+        if client is not None:  # attn+llm ran: name the client that re-ranked
+            comparison["llm"] = "mock-identity" if args.llm_mock else args.model
+        _write_json(os.path.join(args.output, "comparison.json"), comparison)
         with open(os.path.join(args.output, "comparison.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(table)
@@ -639,7 +637,7 @@ def _build_parser() -> _Parser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     # A command loads the whole corpus as many small acyclic objects
-    # (records and their citation and author lists) that reference counting
+    # (records, their citation lists and text strings) that reference counting
     # frees; the cyclic collector would only scan them again and again, one
     # full pass landing in build_graph. So what is alive on entry (the
     # imports) is frozen out of later collections, and collection pauses

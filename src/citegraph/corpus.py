@@ -1,12 +1,15 @@
-"""Corpus ingestion: JSONL parsing, field repair, and cleaned-record export.
+"""Corpus ingestion: JSONL parsing and field repair into PaperRecords.
 
 The raw corpus is JSON Lines, one publication object per line, with the
 field names publication_ID, Citations, pubDate, language, title, journal,
 abstract, keywords, authors, venue, doi. The content is messy in known
 ways: citation lists mix strings, integers and nulls and may repeat ids;
-dates are partial ("2008 Sep") or month ranges ("2007 Mar-Apr"); author
-names may be hashes. Parsing repairs what it can, counts every repair in
-an IngestReport, and never aborts on a bad line.
+dates are partial ("2008 Sep") or month ranges ("2007 Mar-Apr"). Parsing
+repairs what it can, counts every repair in an IngestReport, and never
+aborts on a bad line. A record keeps only what a command reads: the id,
+the citations and the text fields that `build_text` joins. Dates are
+parsed for the IngestReport's counters and not kept; language, journal,
+authors and venue are not read.
 
 Each line is stripped and decoded by one bound `JSONDecoder.raw_decode`;
 a decode that stops short of the end of the stripped line is trailing
@@ -15,8 +18,9 @@ JSON whitespace character, so the check is exact). A UTF-8 byte order
 mark before the first line is not part of the record. A line the decoder
 cannot handle (nesting deeper than the recursion limit, an integer too
 long to convert) is dropped, and so is a line holding a lone surrogate
-(`"\\ud800"`) in any key or string, which UTF-8, and so the cleaned
-corpus and the embeddings TSV, cannot store. A list of distinct non-empty strings, the
+(`"\\ud800"`) in any key or string: UTF-8 cannot encode it, and `embed`
+hashes each token's UTF-8 bytes while the embeddings TSV and the graph
+snapshot store ids as UTF-8. A list of distinct non-empty strings, the
 usual `Citations` value, is copied as it is; other values go entry by
 entry through the repairs.
 """
@@ -42,32 +46,22 @@ class PartialDate:
     month: Optional[int] = None
 
 
-# (name, id, org) of an author and (name, id) of a venue; None where absent
-Author = tuple[Optional[str], Optional[str], Optional[str]]
-Venue = tuple[Optional[str], Optional[str]]
-
-
 @dataclass(slots=True)
 class PaperRecord:
-    """One cleaned publication.
+    """One cleaned publication: its id, citations and text fields.
 
     `citations` is duplicate-free, contains no empty strings and never the
-    record's own id. Each author is a (name, id, org) tuple and the venue
-    a (name, id) tuple. Author names are passed through verbatim, hashed
-    or not; no entity resolution is attempted.
+    record's own id. The text fields are what `build_text` joins for BM25,
+    the hash embedding and the LLM prompt; the title also names a
+    candidate in the prompt.
     """
 
     id: str
     citations: list[str] = field(default_factory=list)
-    pub_date: PartialDate = field(default_factory=PartialDate)
-    language: Optional[str] = None
     title: Optional[str] = None
-    journal: Optional[str] = None
     abstract: Optional[str] = None
     keywords: Optional[str] = None
     doi: Optional[str] = None
-    authors: list[Author] = field(default_factory=list)
-    venue: Venue = (None, None)
 
 
 @dataclass
@@ -96,12 +90,10 @@ _MONTHS = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
     "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
 }
-_MONTH_ABBR = ["Jan", "Feb", "Mar", "Apr", "May", "Jun",
-               "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]
 _YEAR_RE = re.compile(r"(?<!\d)(\d{4})(?!\d)")
 _WORD_RE = re.compile(r"[A-Za-z]+")
 _STR = {str}
-_TEXT_FIELDS = ("language", "title", "journal", "abstract", "keywords", "doi")
+_TEXT_FIELDS = ("title", "abstract", "keywords", "doi")
 # a lone surrogate in the line, or the escape of one; a hit is confirmed
 # on the decoded line, since an escaped surrogate pair is one character
 _SURROGATE = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
@@ -245,54 +237,23 @@ def _leaf_text(value: Any) -> Optional[str]:
     return text or None
 
 
-def _opt_str(value: Any) -> Optional[str]:
-    if type(value) is str:  # the common case, tested first
-        return value
-    if value is None:
-        return None
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value if isinstance(value, str) else str(value)
-
-
-def _parse_authors(raw: Any) -> list[Author]:
-    if isinstance(raw, dict):
-        raw = [raw]
-    if not isinstance(raw, list):
-        return []
-    return [(_opt_str(d.get("name")), _opt_str(d.get("id")),
-             _opt_str(d.get("org")))
-            for d in raw if isinstance(d, dict)]
-
-
-def _parse_venue(raw: Any) -> Venue:
-    if not isinstance(raw, dict):
-        return (None, None)
-    return (_opt_str(raw.get("name")), _opt_str(raw.get("id")))
-
-
-def _record(obj: dict, pid: str, pub_date: PartialDate,
-            report: IngestReport) -> PaperRecord:
-    """The record of a decoded line whose id is `pid`. The citation
-    counters on `report` move last, once nothing else can raise."""
-    get = obj.get
-    language, title, journal, abstract, keywords, doi = map(
-        _clean_text, map(get, _TEXT_FIELDS))
-    authors = _parse_authors(get("authors"))
-    venue = _parse_venue(get("venue"))
-    citations = _normalize_citations(get("Citations"), report)
+def _record(obj: dict, pid: str, report: IngestReport) -> PaperRecord:
+    """The record of a decoded line whose id is `pid`."""
+    title, abstract, keywords, doi = map(_clean_text,
+                                         map(obj.get, _TEXT_FIELDS))
+    citations = _normalize_citations(obj.get("Citations"), report)
     if pid in citations:  # at most once: the list is duplicate-free
         citations.remove(pid)
-    return PaperRecord(pid, citations, pub_date, language, title, journal,
-                       abstract, keywords, doi, authors, venue)
+    return PaperRecord(pid, citations, title, abstract, keywords, doi)
 
 
 def _storable(obj: dict) -> bool:
     """False when a key or string of a decoded line holds a lone
-    surrogate, which UTF-8 cannot encode."""
+    surrogate, which UTF-8 cannot encode, or a value nested too deep to
+    encode."""
     try:
         _ENCODE(obj).encode("utf-8")
-    except UnicodeEncodeError:
+    except (UnicodeEncodeError, RecursionError):
         return False
     return True
 
@@ -335,15 +296,11 @@ def parse_records(lines: Iterable[str]) -> tuple[list[PaperRecord], IngestReport
         if parsed is None:
             parsed = dates[raw_date] = _parse_pub_date(raw_date)
         pub_date, collapsed = parsed
-        try:
-            if (("\\u" in stripped or not stripped.isascii())
-                    and _SURROGATE.search(stripped) and not _storable(obj)):
-                dropped += 1
-                continue
-            records.append(_record(obj, pid, pub_date, report))
-        except RecursionError:  # a value nested too deep to render
+        if (("\\u" in stripped or not stripped.isascii())
+                and _SURROGATE.search(stripped) and not _storable(obj)):
             dropped += 1
             continue
+        records.append(_record(obj, pid, report))
         seen_ids.add(pid)
         collapsed_ranges += collapsed
         if pub_date.month is None:
@@ -363,47 +320,6 @@ def build_text(record: PaperRecord) -> str:
     parts = [f for f in (record.title, record.abstract, record.keywords,
                          record.doi) if f]
     return " ".join(parts)
-
-
-def format_pub_date(date: PartialDate) -> Optional[str]:
-    if date.year is None:
-        return None
-    if date.month is None:
-        return str(date.year)
-    return f"{date.year} {_MONTH_ABBR[date.month - 1]}"
-
-
-def record_to_obj(record: PaperRecord) -> dict[str, Any]:
-    """Serialize a record to a JSON object in canonical field order."""
-    obj: dict[str, Any] = {
-        "publication_ID": record.id,
-        "Citations": list(record.citations),
-    }
-    date = format_pub_date(record.pub_date)
-    if date is not None:
-        obj["pubDate"] = date
-    for name in ("language", "title", "journal", "abstract", "keywords"):
-        value = getattr(record, name)
-        if value is not None:
-            obj[name] = value
-    if record.authors:
-        obj["authors"] = [
-            {k: v for k, v in zip(("name", "id", "org"), author)
-             if v is not None}
-            for author in record.authors
-        ]
-    if record.venue != (None, None):
-        obj["venue"] = {k: v for k, v in zip(("name", "id"), record.venue)
-                        if v is not None}
-    if record.doi is not None:
-        obj["doi"] = record.doi
-    return obj
-
-
-def write_cleaned_corpus(path: str, records: Iterable[PaperRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_ENCODE(record_to_obj(record)) + "\n"
-                      for record in records)
 
 
 def write_ingest_report(path: str, report: IngestReport) -> None:

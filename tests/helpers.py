@@ -138,43 +138,6 @@ def _oracle_text(raw):
     return " ".join(parts) or None
 
 
-def _oracle_opt(raw):
-    if raw is None or (isinstance(raw, float) and raw != raw):
-        return None
-    return raw if isinstance(raw, str) else str(raw)
-
-
-def oracle_record_obj(record) -> dict:
-    """The cleaned-corpus object of a record, written field by field."""
-    obj = {"publication_ID": record.id, "Citations": list(record.citations)}
-    year, month = record.pub_date.year, record.pub_date.month
-    if year is not None:
-        obj["pubDate"] = str(year) if month is None else \
-            f"{year} {ORACLE_MONTHS[month - 1].title()}"
-    for name in ("language", "title", "journal", "abstract", "keywords"):
-        if getattr(record, name) is not None:
-            obj[name] = getattr(record, name)
-    if record.authors:
-        obj["authors"] = [
-            {key: value for key, value in zip(("name", "id", "org"), author)
-             if value is not None}
-            for author in record.authors]
-    if any(value is not None for value in record.venue):
-        obj["venue"] = {key: value for key, value
-                        in zip(("name", "id"), record.venue)
-                        if value is not None}
-    if record.doi is not None:
-        obj["doi"] = record.doi
-    return obj
-
-
-def oracle_cleaned_corpus(records) -> bytes:
-    """What the cleaned corpus of `records` holds: one compact JSON object
-    per line, non-ASCII characters as they are, UTF-8."""
-    return "".join(json.dumps(oracle_record_obj(r), ensure_ascii=False) + "\n"
-                   for r in records).encode("utf-8")
-
-
 def oracle_parse_records(lines):
     """Reference for `parse_records`: `json.loads` per stripped line plus
     the documented repairs, straight-line. Returns the records and the
@@ -182,11 +145,12 @@ def oracle_parse_records(lines):
 
     A byte order mark before the first line is not part of it. A line is
     dropped when it does not decode (or the decoder gives up on it),
-    holds a lone surrogate UTF-8 cannot store, is not an object, has no
-    usable or an already-kept id, or holds a value nested too deep to
-    render; a dropped line moves no other counter.
+    holds a lone surrogate UTF-8 cannot store or a value nested too deep
+    to encode, is not an object, or has no usable or an already-kept id;
+    a dropped line moves no other counter. A date is parsed for the
+    counters only, and the fields no command reads are not parsed.
     """
-    from citegraph.corpus import PaperRecord, PartialDate
+    from citegraph.corpus import PaperRecord
 
     counts = dict.fromkeys(
         ("records_parsed", "records_dropped", "citations_coerced_from_int",
@@ -208,31 +172,13 @@ def oracle_parse_records(lines):
             counts["records_dropped"] += 1
             continue
         line_counts = dict.fromkeys(counts, 0)
-        year, month, collapsed = _oracle_date(obj.get("pubDate"))
-        authors = obj.get("authors")
-        if isinstance(authors, dict):
-            authors = [authors]
-        venue = obj.get("venue")
-        try:
-            record = PaperRecord(
-                id=pid,
-                citations=_oracle_citations(obj.get("Citations"), pid,
-                                            line_counts),
-                pub_date=PartialDate(year, month),
-                **{name: _oracle_text(obj.get(name)) for name in
-                   ("language", "title", "journal", "abstract", "keywords",
-                    "doi")},
-                authors=[tuple(_oracle_opt(a.get(k))
-                               for k in ("name", "id", "org"))
-                         for a in (authors if isinstance(authors, list)
-                                   else []) if isinstance(a, dict)],
-                venue=((_oracle_opt(venue.get("name")),
-                        _oracle_opt(venue.get("id")))
-                       if isinstance(venue, dict) else (None, None)))
-        except RecursionError:
-            counts["records_dropped"] += 1
-            continue
-        records.append(record)
+        _, month, collapsed = _oracle_date(obj.get("pubDate"))
+        records.append(PaperRecord(
+            id=pid,
+            citations=_oracle_citations(obj.get("Citations"), pid,
+                                        line_counts),
+            **{name: _oracle_text(obj.get(name))
+               for name in ("title", "abstract", "keywords", "doi")}))
         kept_ids.add(pid)
         line_counts["records_parsed"] = 1
         line_counts["dates_partial"] = int(month is None)

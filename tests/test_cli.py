@@ -41,7 +41,6 @@ def test_build_writes_artifacts(tmp_path, corpus_path, capsys):
     graph = load_snapshot(str(out / "graph.cgr"))
     assert graph.node_count == 18
     assert graph.edge_count == 12
-    assert (out / "cleaned.jsonl").exists()
     report = json.loads((out / "ingest_report.json").read_text())
     assert report["records_parsed"] == 18
     assert len((out / "edges.txt").read_text().splitlines()) == 12
@@ -64,7 +63,18 @@ def test_build_survives_corrupt_line(tmp_path, capsys):
     assert "dropped=1" in capsys.readouterr().out
 
 
-def test_build_on_cleaned_corpus_is_idempotent(tmp_path):
+@pytest.mark.parametrize("edge_list", [False, True])
+def test_build_writes_only_what_commands_read(tmp_path, corpus_path,
+                                              edge_list):
+    out = tmp_path / "out"
+    argv = ["build", "--corpus", corpus_path, "--output", out]
+    assert run_cli(*argv, *(["--edge-list"] if edge_list else [])) == 0
+    assert {p.name for p in out.iterdir()} == \
+        {"graph.cgr", "ingest_report.json"} | ({"edges.txt"} if edge_list
+                                              else set())
+
+
+def test_build_of_a_messy_corpus_is_byte_stable(tmp_path):
     messy = tmp_path / "messy.jsonl"
     write_jsonl(messy, [
         corpus_line("p1", ["p2", "p2", 7, None], title="T",
@@ -75,17 +85,15 @@ def test_build_on_cleaned_corpus_is_idempotent(tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"
     assert run_cli("build", "--corpus", messy, "--output", first) == 0
-    assert run_cli("build", "--corpus", first / "cleaned.jsonl",
-                   "--output", second) == 0
-    assert (first / "cleaned.jsonl").read_bytes() == \
-        (second / "cleaned.jsonl").read_bytes()
-    report = json.loads((second / "ingest_report.json").read_text())
-    assert report["records_dropped"] == 0
-    assert report["citations_deduped"] == 0
-    assert report["citations_coerced_from_int"] == 0
-    assert report["dates_range_collapsed"] == 0
-    assert (first / "graph.cgr").read_bytes() == \
-        (second / "graph.cgr").read_bytes()
+    assert run_cli("build", "--corpus", messy, "--output", second) == 0
+    for name in ("graph.cgr", "ingest_report.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    report = json.loads((first / "ingest_report.json").read_text())
+    assert report == {"records_parsed": 2, "records_dropped": 1,
+                      "citations_coerced_from_int": 1,
+                      "citations_null_dropped": 1, "citations_deduped": 1,
+                      "dates_partial": 0, "dates_range_collapsed": 1}
+    assert load_snapshot(str(first / "graph.cgr")).node_ids == ("p1", "p2")
 
 
 def test_build_reads_a_corpus_that_starts_with_a_utf8_bom(tmp_path, capsys):
@@ -102,8 +110,8 @@ def test_build_reads_a_corpus_that_starts_with_a_utf8_bom(tmp_path, capsys):
 def test_build_drops_lines_past_the_decoder_and_lone_surrogates(tmp_path,
                                                                 capsys):
     """A line of 200,000 '[', a title nested 500 deep and an escaped lone
-    surrogate: the first and last are dropped, `build` exits 0, and a
-    build of its cleaned corpus is idempotent."""
+    surrogate: the first and last are dropped, `build` exits 0, and the
+    snapshot holds the kept papers in input order."""
     messy = tmp_path / "messy.jsonl"
     write_jsonl(messy, [
         corpus_line("p1", ["p2"]),
@@ -113,16 +121,10 @@ def test_build_drops_lines_past_the_decoder_and_lone_surrogates(tmp_path,
         corpus_line("p4", ["p1"], title="bad \ud800 title"),
         corpus_line("p2", []),
     ])
-    first, second = tmp_path / "first", tmp_path / "second"
-    assert run_cli("build", "--corpus", messy, "--output", first) == 0
+    out = tmp_path / "out"
+    assert run_cli("build", "--corpus", messy, "--output", out) == 0
     assert "parsed=3 dropped=2" in capsys.readouterr().out
-    cleaned = (first / "cleaned.jsonl").read_text(encoding="utf-8")
-    assert [json.loads(line)["publication_ID"]
-            for line in cleaned.splitlines()] == ["p1", "p3", "p2"]
-    assert run_cli("build", "--corpus", first / "cleaned.jsonl",
-                   "--output", second) == 0
-    assert (second / "cleaned.jsonl").read_bytes() == \
-        (first / "cleaned.jsonl").read_bytes()
+    assert load_snapshot(str(out / "graph.cgr")).node_ids == ("p1", "p3", "p2")
 
 
 def test_missing_corpus_is_data_error(tmp_path):
@@ -592,6 +594,27 @@ def test_evaluate_all_methods_deterministic(tmp_path, corpus_path):
     assert set(comparison["methods"]) == {"bm25", "dense", "hybrid", "attn",
                                           "attn+llm"}
     assert comparison["methods"]["attn+llm"]["query_count"] == 2
+
+
+@pytest.mark.parametrize("methods, flags, llm", [
+    ("attn,attn+llm", ["--llm-mock"], "mock-identity"),
+    ("attn,attn+llm", ["--model", "chat-7b"], "chat-7b"),
+    ("bm25,attn", ["--llm-mock"], None),
+])
+def test_comparison_names_the_llm_client_when_attn_llm_ran(
+        tmp_path, corpus_path, weights, monkeypatch, methods, flags, llm):
+    # the endpoint client is replaced offline; the report names the model
+    monkeypatch.setattr(cli.rerank, "HttpChatClient", MockClient)
+    args = ["evaluate", "--corpus", corpus_path, "--dim", "48", "--subset",
+            "4", "--llm-subset", "2", "--weights", weights, "--method",
+            methods, *flags]
+    assert run_cli(*args, "--output", tmp_path / "a") == 0
+    assert run_cli(*args, "--output", tmp_path / "b") == 0
+    raw = (tmp_path / "a" / "comparison.json").read_bytes()
+    assert raw == (tmp_path / "b" / "comparison.json").read_bytes()
+    comparison = json.loads(raw)
+    assert comparison.get("llm") == llm
+    assert ("llm" in comparison) == (llm is not None)
 
 
 def test_config_file_and_flag_override(tmp_path, corpus_path, weights,

@@ -1,8 +1,6 @@
 import json
-import os
 import random
 import string
-import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +8,8 @@ from hypothesis import strategies as st
 
 from citegraph.corpus import (IngestReport, PartialDate, build_text,
                               normalize_citations, parse_pub_date,
-                              parse_records, record_to_obj,
-                              write_cleaned_corpus)
-from helpers import corpus_line, oracle_cleaned_corpus, oracle_parse_records
+                              parse_records)
+from helpers import corpus_line, oracle_parse_records
 
 
 def parse_lines(lines):
@@ -234,24 +231,6 @@ def test_build_text_subsequence_property():
         assert is_subsequence(build_text(clone), full)
 
 
-def test_parse_serialize_parse_idempotent():
-    lines = [
-        corpus_line("p1", ["p2", 7, None, "p2"], title="T", abstract="A",
-                    keywords=["k1", "k2"], doi="10.1/x", journal="J",
-                    language="en", pubDate="2008 Sep",
-                    authors=[{"name": "h4sh", "id": 1, "org": None}],
-                    venue={"name": "V"}),
-        corpus_line("p2", [], pubDate="2007 Mar-Apr"),
-        corpus_line("p3", None, pubDate="unknown junk"),
-    ]
-    first, _ = parse_lines(lines)
-    reserialized = [json.dumps(record_to_obj(r)) for r in first]
-    second, _ = parse_lines(reserialized)
-    assert first == second
-    # and a second round trip is byte-stable
-    assert [json.dumps(record_to_obj(r)) for r in second] == reserialized
-
-
 def test_unreadable_stream_raises_io_error():
     def broken_stream():
         yield corpus_line("p1", [])
@@ -335,11 +314,6 @@ def check_against_oracle(lines):
     expected, counts = oracle_parse_records(lines)
     assert records == expected
     assert report.to_dict() == counts
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cleaned.jsonl")
-        write_cleaned_corpus(path, records)
-        with open(path, "rb") as fh:
-            assert fh.read() == oracle_cleaned_corpus(expected)
 
 
 @settings(max_examples=150, deadline=None)
