@@ -196,6 +196,27 @@ def _drop_self(ranked: RankedList, own_id: str, k: int) -> RankedList:
     return RankedList(items=items, fallback=ranked.fallback)
 
 
+def _attn_query(graph, embeddings, query, cos, scorer, config):
+    """The (subgraph, ranking) of one query's pruned retrieval; `cos` is
+    its `embeddings.scores` row."""
+    seed_node = retrievermod.select_seed(cos, embeddings, graph)
+    sub = retrievermod.retrieve_subgraph(graph, embeddings, query, seed_node,
+                                         scorer, config)
+    return sub, retrievermod.decode_and_rank(sub, cos, embeddings, config)
+
+
+def _rerank_request(query_text, ranked, records, graph, model, sub=None):
+    """The re-rank request for `ranked`: each candidate with its title,
+    and the triplets of `sub` when a retrieved subgraph is given."""
+    return rerank.RerankRequest(
+        query_text=query_text,
+        candidates=[(it.id, _title_of(records, graph, it.id))
+                    for it in ranked.items],
+        triplets=([] if sub is None
+                  else rerank.verbalize_triplets(sub, graph, records)),
+        model=model)
+
+
 def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
                     retriever: retrievermod.RetrieverConfig | None = None,
                     hybrid: baselines.HybridConfig | None = None,
@@ -242,13 +263,6 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
     index = (baselines.bm25_build(texts, ids=graph.node_ids, k1=k1, b=b)
              if needs_bm25 else None)
 
-    def attn_rank(qidx: int, cos: np.ndarray):
-        query = embeddings.row(qidx)
-        seed_node = retrievermod.select_seed(cos, embeddings, graph)
-        sub = retrievermod.retrieve_subgraph(
-            graph, embeddings, query, seed_node, scorer, rcfg)
-        return sub, retrievermod.decode_and_rank(sub, cos, embeddings, rcfg)
-
     def rank_for(method: str, qidx: int, bm, cos, attn) -> RankedList:
         own_id = records[qidx].id
         if method == "bm25":
@@ -266,12 +280,8 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
             ranked = _drop_self(ranked, own_id, k)
             if not ranked.items:
                 return ranked
-            request = rerank.RerankRequest(
-                query_text=corpus.build_text(records[qidx]),
-                candidates=[(it.id, _title_of(records, graph, it.id))
-                            for it in ranked.items],
-                triplets=rerank.verbalize_triplets(sub, graph, records),
-                model=llm_model)
+            request = _rerank_request(corpus.build_text(records[qidx]),
+                                      ranked, records, graph, llm_model, sub)
             return rerank.rerank(llm_client, request, ranked)
         return _drop_self(ranked, own_id, k)
 
@@ -294,7 +304,8 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
             if method != "bm25" and cos is None:
                 cos = embeddings.scores(embeddings.row(i))
             if method in _ATTN_METHODS and attn is None:
-                attn = attn_rank(i, cos)
+                attn = _attn_query(graph, embeddings, embeddings.row(i), cos,
+                                   scorer, rcfg)
             runs[method][records[i].id] = rank_for(method, i, bm, cos, attn)
     reports: dict[str, metrics.EvalReport] = {}
     rows: dict[str, list[dict]] = {}
@@ -414,22 +425,16 @@ def cmd_retrieve(args) -> int:
     embeddings = _get_embeddings(args, records, graph)
     scorer = gat.load_weights(args.weights, width=embeddings.dim)
     query_id, query = _query_vector(args, graph, embeddings)
-    cos = embeddings.scores(query)
-    seed_node = retrievermod.select_seed(cos, embeddings, graph)
-    sub = retrievermod.retrieve_subgraph(graph, embeddings, query, seed_node,
-                                         scorer, args.retriever)
-    ranked = retrievermod.decode_and_rank(sub, cos, embeddings,
-                                          args.retriever)
+    sub, ranked = _attn_query(graph, embeddings, query,
+                              embeddings.scores(query), scorer,
+                              args.retriever)
     result = retrievermod.retrieval_to_json(query_id, sub, ranked, graph)
     if args.rerank:
         client = _llm_client(args)
-        request = rerank.RerankRequest(
-            query_text=(args.query if args.paper_id is None else
-                        corpus.build_text(records[graph.index_of[query_id]])),
-            candidates=[(it.id, _title_of(records, graph, it.id))
-                        for it in ranked.items],
-            triplets=rerank.verbalize_triplets(sub, graph, records),
-            model=args.model)
+        query_text = (args.query if args.paper_id is None else
+                      corpus.build_text(records[graph.index_of[query_id]]))
+        request = _rerank_request(query_text, ranked, records, graph,
+                                  args.model, sub)
         reranked = rerank.rerank(client, request, ranked)
         result["rerank"] = {"fallback": reranked.fallback,
                             "candidates": reranked.to_dicts()}
@@ -540,12 +545,8 @@ def cmd_rerank(args) -> int:
         raise ValueError("query text unavailable: pass --query or use a "
                          "retrieval whose query_id is a corpus paper id")
     client = _llm_client(args)
-    request = rerank.RerankRequest(
-        query_text=query_text,
-        candidates=[(it.id, _title_of(records, graph, it.id))
-                    for it in original.items],
-        triplets=[],
-        model=args.model)
+    request = _rerank_request(query_text, original, records, graph,
+                              args.model)
     reranked = rerank.rerank(client, request, original)
     result = {"query_id": query_id, "fallback": reranked.fallback,
               "candidates": reranked.to_dicts()}

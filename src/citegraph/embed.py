@@ -27,18 +27,18 @@ text of an integer (`0`, `-2`), formatted once per distinct value per
 a loaded count file is bit-equal to `embed_corpus` at the same dim and
 seed, and the file is a fraction of the size of 17-digit floats.
 
-The loader streams the TSV in blocks of 1024 lines into one (nodes, dim)
-float64 matrix, allocated once the first block has parsed, each row going
-straight to its graph node's row, so it never holds the whole file's text
-or a second matrix.
-Each block's value texts (the id cut off at the first tab) are parsed
-first as int32, the format `embed` writes, in one `np.loadtxt` call; on
-the first token that is not such an integer the block is parsed again as
-float64, so float TSVs (such as precomputed sentence embeddings) load
-too. A block holding a `-0` token goes straight to float64, which keeps
-the sign of zero. Every other int32 is exact in float64, so a block
-loads to the same bits whichever parse reads it. A block that fails both
-is parsed line by line to name the first bad line and its id.
+The loader reads the TSV's non-blank lines in blocks of 1024, keeping
+no line numbers, into one (nodes, dim) float64 matrix allocated once the
+first block has parsed, each row going straight to its graph node's row.
+A block's value texts (the id cut off at the first tab) are parsed first
+as int32, the format `embed` writes, in one `np.loadtxt` call, then as
+float64 on the first token that is not such an integer, so float TSVs
+(such as precomputed sentence embeddings) load too. A block holding a
+`-0` token goes straight to float64, which keeps the sign of zero; every
+other int32 is exact in float64, so a block loads to the same bits
+whichever parse reads it. A block that fails to parse, repeats an id or
+holds a non-finite value rejects the file, which is then read again from
+the start, one line at a time, to name the first bad line and its id.
 """
 from __future__ import annotations
 
@@ -195,53 +195,6 @@ def embed_corpus(records: Sequence[PaperRecord], dim: int = DEFAULT_DIM,
                            dim=dim)
 
 
-def _blocks(fh, dim: int, seen: set[str]):
-    """Yield the non-blank data lines of an embedding TSV in blocks of at
-    most `_ROWS`: (file line numbers, ids, value texts, error).
-
-    Each id is checked to be new and added to `seen`; a line's field
-    count is left to the block parse. A line with no tab or a repeated id
-    ends the stream: the last block holds the lines before it and `error`
-    its message, so that a bad value on an earlier line is still reported
-    first. The three lists are emptied and refilled for the next block,
-    so no two blocks of text are held at once.
-    """
-    line_nos: list[int] = []
-    ids: list[str] = []
-    tails: list[str] = []
-    for line_no, line in enumerate(fh, start=2):
-        if line.isspace():
-            continue
-        pid, tab, tail = line.partition("\t")
-        if not tab or pid in seen:
-            yield line_nos, ids, tails, _line_error(line_no, line, dim, seen)
-            return
-        seen.add(pid)
-        line_nos.append(line_no)
-        ids.append(pid)
-        tails.append(tail)
-        if len(ids) == _ROWS:
-            yield line_nos, ids, tails, None
-            del line_nos[:], ids[:], tails[:]
-    if ids:
-        yield line_nos, ids, tails, None
-        del line_nos[:], ids[:], tails[:]
-
-
-def _line_error(line_no: int, line: str, dim: int, seen) -> str | None:
-    """The message for a data line with the wrong field count or an id in
-    `seen`, else None."""
-    text = line.rstrip("\n")
-    pid = text.partition("\t")[0]
-    values = text.count("\t")
-    if values != dim:
-        return (f"line {line_no}: expected {dim} values, got {values} "
-                f"in row for id {pid!r}")
-    if pid in seen:
-        return f"line {line_no}: duplicate embedding row for id {pid!r}"
-    return None
-
-
 def _parse_block(tails: list[str], dim: int) -> np.ndarray | None:
     """The values of a block's rows: int32 when every token parses as an
     integer, float64 otherwise, None when a row has the wrong field count
@@ -267,62 +220,18 @@ def _parse_block(tails: list[str], dim: int) -> np.ndarray | None:
     return None
 
 
-def _parse_rows(line_nos, ids, tails, dim: int) -> np.ndarray:
-    """A block's rows parsed one line at a time, as float64; used once the
-    block failed to parse whole. Raises on the first row that fails,
-    naming its line and id."""
-    rows = []
-    for line_no, pid, tail in zip(line_nos, ids, tails):
-        line = pid + "\t" + tail
-        error = _line_error(line_no, line, dim, ())
-        if error is not None:
-            raise ValueError(error)
-        try:
-            # the whole line, the id column skipped: '' is a bad value
-            rows.append(np.loadtxt([line], dtype=np.float64, delimiter="\t",
-                                   comments=None, usecols=range(1, dim + 1),
-                                   ndmin=2))
-        except ValueError:
-            raise ValueError(f"line {line_no}: non-numeric value in row "
-                             f"for id {pid!r}") from None
-    return np.concatenate(rows)
-
-
-def _place(values: np.ndarray, index_of: dict[str, int], block: np.ndarray,
-           line_nos, ids) -> tuple[int, tuple[int, str] | None]:
-    """Copy each row of a parsed block whose id is a graph node into that
-    node's row of `values`. Returns the number of rows copied and the
-    (line, id) of the block's first row holding a non-finite value, or
-    None."""
-    bad_row = None
-    if block.dtype.kind == "f":  # an integer is always finite
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            bad_row = line_nos[row], ids[row]
-    at = np.fromiter(map(index_of.get, ids, itertools.repeat(-1)),
-                     dtype=np.intp, count=len(ids))
-    kept = at >= 0
-    if kept.all():
-        values[at] = block
-    else:
-        values[at[kept]] = block[kept]
-    return int(kept.sum()), bad_row
-
-
 def load_embeddings(path: str, graph) -> EmbeddingMatrix:
     """Load a TSV embedding file and align rows to the graph's node order.
 
     Format: header line "<count>\\t<dim>", then one "<paper_id>\\t<f1>\\t..."
     line per paper, in any order; blank lines are skipped. Every graph
     node must have exactly one row; ids not in the graph are ignored.
-    Values must be finite numbers; an error names the file line and the
-    paper id. Rows are L2-normalized.
+    Values must be finite numbers; an error names the first bad line in
+    file order and its paper id. Rows are L2-normalized.
     """
-    node_ids = graph.node_ids
+    node_ids, index_of = graph.node_ids, graph.index_of
     seen: set[str] = set()
     rows = placed = 0
-    non_finite = None  # (line, id) of the first row with a non-finite value
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) != 2:
@@ -333,25 +242,29 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
             raise ValueError("embedding header must be two integers") from exc
         if dim < 1:
             raise ValueError(f"embedding dimension must be >= 1, got {dim}")
-        values = None  # allocated once a parsed row has shown dim is real
-        for line_nos, ids, tails, error in _blocks(fh, dim, seen):
-            if ids:
-                block = _parse_block(tails, dim)
-                if block is None:
-                    block = _parse_rows(line_nos, ids, tails, dim)
-                if values is None:
-                    values = np.empty((len(node_ids), dim), dtype=np.float64)
-                kept, bad_row = _place(values, graph.index_of, block,
-                                       line_nos, ids)
-                del block  # freed before the next block is parsed
-                rows += len(ids)
-                placed += kept
-                non_finite = non_finite or bad_row
-            if error is not None:
-                raise ValueError(error)
-    if non_finite is not None:
-        raise ValueError(f"line {non_finite[0]}: non-finite value in row "
-                         f"for id {non_finite[1]!r}")
+        values = None  # allocated once a parsed block has shown dim is real
+        lines = itertools.filterfalse(str.isspace, fh)
+        # a line with no tab has an empty value text, which _parse_block rejects
+        while split := [line.partition("\t")
+                        for line in itertools.islice(lines, _ROWS)]:
+            ids, _, tails = zip(*split)
+            seen.update(ids)
+            rows += len(ids)
+            block = _parse_block(tails, dim)
+            if (block is None or len(seen) != rows
+                    or block.dtype.kind == "f" and not np.isfinite(block).all()):
+                raise ValueError(_first_bad_line(path, dim))
+            if values is None:
+                values = np.empty((len(node_ids), dim), dtype=np.float64)
+            at = np.fromiter(map(index_of.get, ids, itertools.repeat(-1)),
+                             dtype=np.intp, count=len(ids))
+            kept = at >= 0
+            if kept.all():
+                values[at] = block
+            else:
+                values[at[kept]] = block[kept]
+            placed += int(kept.sum())
+            del split, ids, tails, block  # one block of text at a time
     if rows != count:
         raise ValueError(f"header declared {count} rows, file has {rows}")
     if placed != len(node_ids):
@@ -363,6 +276,42 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
         values = np.empty((0, dim), dtype=np.float64)
     return EmbeddingMatrix(ids=tuple(node_ids),
                            vectors=_normalize_in_place(values), dim=dim)
+
+
+def _first_bad_line(path: str, dim: int) -> str:
+    """The error for the first bad data line of an embedding TSV whose
+    header is valid, read again from the start of the file.
+
+    Each non-blank line is checked alone, in this order: its field count,
+    its id against the earlier lines', its values as float64 (the whole
+    line through `np.loadtxt`, the id column skipped, so an empty value is
+    non-numeric), and that they are finite. Every file `load_embeddings`
+    rejects has such a line.
+    """
+    seen: set[str] = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for line_no, line in enumerate(fh, start=2):
+            if line.isspace():
+                continue
+            text = line.rstrip("\n")
+            pid = text.partition("\t")[0]
+            got = text.count("\t")
+            if got != dim:
+                return (f"line {line_no}: expected {dim} values, got {got} "
+                        f"in row for id {pid!r}")
+            if pid in seen:
+                return f"line {line_no}: duplicate embedding row for id {pid!r}"
+            seen.add(pid)
+            try:
+                parsed = np.loadtxt([line], dtype=np.float64, delimiter="\t",
+                                    comments=None, usecols=range(1, dim + 1))
+            except ValueError:
+                return (f"line {line_no}: non-numeric value in row for id "
+                        f"{pid!r}")
+            if not np.isfinite(parsed).all():
+                return (f"line {line_no}: non-finite value in row for id "
+                        f"{pid!r}")
 
 
 def write_embeddings(path: str, ids: Sequence[str],

@@ -64,7 +64,7 @@ def verbalize_triplets(subgraph: RetrievedSubgraph, graph: CitationGraph,
         return record.title if record.title else record.id
 
     ordered = sorted(graph.edges(np.asarray(subgraph.nodes)),
-                     key=lambda e: (subgraph.hops.get(e[0], 0), e[0], e[1]))
+                     key=lambda e: (subgraph.hops[e[0]], e[0], e[1]))
     return [Triplet(subject=label(u), predicate=PREDICATE, object=label(v))
             for u, v in ordered]
 

@@ -222,6 +222,23 @@ def test_embed_non_numeric_value_is_data_error(tmp_path, corpus_path, capsys):
     assert "line 4" in err and repr(pid) in err and "non-numeric" in err
 
 
+def test_embed_names_the_first_of_several_bad_lines(tmp_path, corpus_path,
+                                                    capsys):
+    tsv = tmp_path / "emb.tsv"
+    assert run_cli("embed", "--corpus", corpus_path, "--output", tsv,
+                   "--dim", "4") == 0
+    lines = tsv.read_text().splitlines()
+    pid, *values = lines[3].split("\t")
+    lines[3] = "\t".join([pid, "inf"] + values[1:])
+    lines[10] = lines[10].rsplit("\t", 1)[0] + "\tabc"
+    lines[12] = "\t".join([pid] + values)
+    tsv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("embed", "--corpus", corpus_path, "--embeddings", tsv) == 2
+    assert capsys.readouterr().err == (
+        f"data error: line 4: non-finite value in row for id {pid!r}\n")
+
+
 @pytest.mark.parametrize("cut", ["\t", "\n", "\r"])
 def test_embed_rejects_id_the_tsv_cannot_hold(tmp_path, capsys, cut):
     corpus = tmp_path / "corpus.jsonl"

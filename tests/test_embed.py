@@ -356,19 +356,90 @@ def test_integer_tokens_load_bit_equal_to_float_parse(data, dim, n, seed,
     assert loaded.vectors.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("value", ["3", "0.25"])
-def test_non_numeric_value_names_line_and_id_in_second_block(tmp_path,
-                                                             value):
-    """An integer file and a float file: the bad token sits in the second
-    1024-row block, after a blank line."""
+# the two plain cases keep their ids; the others add an inf or nan on the
+# first data line, before the second block's bad token or repeated id
+SECOND_BLOCK_CASES = [pytest.param(value, None, "4x", id=value)
+                      for value in ("3", "0.25")] + [
+    pytest.param(value, first, later, id=f"{value}-{first}-{later}")
+    for value in ("3", "0.25") for first in ("inf", "nan")
+    for later in ("4x", "repeat")]
+
+
+@pytest.mark.parametrize("value, first, later", SECOND_BLOCK_CASES)
+def test_non_numeric_value_names_line_and_id_in_second_block(tmp_path, value,
+                                                             first, later):
+    """An integer file and a float file: the bad token, or a repeated id,
+    sits in the second 1024-row block, after a blank line. A non-finite
+    value on file line 3 comes first in the file, so it is named."""
     ids = [f"p{i}" for i in range(1500)]
     rows = [pid + "\t" + value + "\t-" + value for pid in ids]
-    rows[1300] = "p1300\t" + value + "\t4x"
+    if first is not None:
+        rows[0] = "p0\t" + first + "\t" + value
+    rows[1300] = ("p1300\t" + value + "\t4x" if later == "4x"
+                  else "p5\t" + value + "\t" + value)
     path = tmp_path / "emb.tsv"
     path.write_text("1500\t2\n\n" + "\n".join(rows) + "\n")
-    with pytest.raises(ValueError, match="line 1303: non-numeric value in "
-                                         "row for id 'p1300'"):
+    expected = ("line 1303: non-numeric value in row for id 'p1300'"
+                if first is None else
+                "line 3: non-finite value in row for id 'p0'")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
         load_embeddings(str(path), small_graph(ids))
+
+
+# one defect per file: the line written in its place, and the error
+DEFECTS = {
+    "no tab": lambda pid, row, dim, earlier: (
+        pid, f"expected {dim} values, got 0 in row for id {pid!r}"),
+    "field count": lambda pid, row, dim, earlier: (
+        "\t".join([pid, *row, "1"]),
+        f"expected {dim} values, got {dim + 1} in row for id {pid!r}"),
+    "repeated id": lambda pid, row, dim, earlier: (
+        "\t".join([earlier, *row]),
+        f"duplicate embedding row for id {earlier!r}"),
+    "non-numeric": lambda pid, row, dim, earlier: (
+        "\t".join([pid, *row[:-1], "4x"]),
+        f"non-numeric value in row for id {pid!r}"),
+    "nan": lambda pid, row, dim, earlier: (
+        "\t".join([pid, "nan", *row[1:]]),
+        f"non-finite value in row for id {pid!r}"),
+    "inf": lambda pid, row, dim, earlier: (
+        "\t".join([pid, *row[:-1], "-inf"]),
+        f"non-finite value in row for id {pid!r}"),
+    "empty value": lambda pid, row, dim, earlier: (
+        "\t".join([pid, "", *row[1:]]),
+        f"non-numeric value in row for id {pid!r}"),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), defect=st.sampled_from(sorted(DEFECTS)),
+       n=st.sampled_from([2, 3, 1024, 1025, 1026, 1100]),
+       dim=st.integers(1, 3), floats=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_one_defect_is_named_by_its_line_and_id(data, defect, n, dim, floats,
+                                                seed):
+    """One drawn defect at a drawn row, block edges included, with blank
+    lines in between: the error names exactly that file line and id."""
+    values = np.random.default_rng(seed).integers(-3, 4, size=(n, dim))
+    rows = [[f"{v}.5" if floats else str(v) for v in row]
+            for row in values.tolist()]
+    at = data.draw(st.sampled_from([r for r in (1023, 1024, 1025, n - 1)
+                                    if r < n]) | st.integers(1, n - 1))
+    ids = [f"p{i}" for i in range(n)]
+    earlier = ids[data.draw(st.integers(0, at - 1))]
+    lines = ["\t".join([pid, *row]) for pid, row in zip(ids, rows)]
+    lines[at], message = DEFECTS[defect](ids[at], rows[at], dim, earlier)
+    blanks = sorted(data.draw(st.lists(st.integers(0, n), max_size=3)))
+    for before in reversed(blanks):  # a blank line before row `before`
+        lines.insert(before, "")
+    line_no = 2 + at + sum(before <= at for before in blanks)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "emb.tsv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{n}\t{dim}\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_embeddings(path, small_graph(ids))
+    assert str(err.value) == f"line {line_no}: {message}"
 
 
 def test_load_embeddings_peak_memory_stays_near_the_matrix(tmp_path):
