@@ -1,13 +1,17 @@
 """Retrieval baselines: BM25, dense cosine scan, and their hybrid blend.
 
 Each baseline scores every document and ranks with `ranking.top_k`.
-`bm25_build` reads the texts once: each paper's tokens (the embedder's
-`tokenize`) become term ids appended to one flat `array('q')`, and its
-token count goes straight into `doc_lengths`, so no per-paper array or
-token list outlives its paper. One sort of term-major keys then groups
-the postings into one flat (P, 2) array of (doc index, term frequency)
-rows, grouped by term and ascending by doc within a term; `postings` maps
-each term to its slice (a view, so `len()` is the document frequency).
+`bm25_build` makes one pass over the texts, which may be any iterable:
+each paper's tokens (the embedder's `tokenize`) become 32-bit term ids
+appended to one flat `array('i')`, and its token count goes into
+`doc_lengths`, so no per-paper array, token list or text outlives its
+paper. The term ids then become one int64 key per token (term-major),
+sorted in place, and the runs of equal keys fill one preallocated (P, 2)
+int32 array of (doc index, term frequency) rows, grouped by term and
+ascending by doc within a term. Each temporary is released before the
+next is made. `postings` maps each term to its read-only slice (a view,
+so `len()` is the document frequency); the index holds nothing else but
+the per-document token counts.
 A query concatenates its terms' slices in token order, computes every
 posting's idf * tf / (tf + norm[doc]) at once, and sums per document with
 `np.bincount` (eager scoring, as in BM25S, Lu 2024). bincount adds weights
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,8 +35,9 @@ from .ranking import RankedList, top_k
 
 @dataclass
 class Bm25Index:
-    """Inverted index: term -> (df, 2) array of (doc index, tf) rows, plus
-    the per-document token counts."""
+    """Inverted index: term -> read-only (df, 2) int32 array of (doc index,
+    tf) rows, each a view of one flat array, plus the per-document token
+    counts. It holds nothing else."""
 
     postings: dict[str, np.ndarray]
     doc_lengths: np.ndarray
@@ -60,10 +65,20 @@ class _Vocab(dict):
         return term_id
 
 
-def bm25_build(texts: Sequence[str], ids: Sequence[str] | None = None,
+def bm25_build(texts: Iterable[str], ids: Sequence[str] | None = None,
                k1: float = 1.2, b: float = 0.75) -> Bm25Index:
-    """Index a corpus of texts (tokenizer shared with the hash embedder)."""
-    n = len(texts)
+    """Index a corpus of texts (tokenizer shared with the hash embedder).
+
+    `texts` is read once, in order; the number read is the doc count.
+    """
+    vocab = _Vocab()
+    term_ids = array("i")
+    lengths = array("q")
+    for text in texts:
+        tokens = tokenize(text)
+        lengths.append(len(tokens))
+        term_ids.extend(map(vocab.__getitem__, tokens))
+    n = len(lengths)
     if n == 0:
         raise ValueError("cannot build a BM25 index over an empty corpus")
     if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
@@ -71,21 +86,29 @@ def bm25_build(texts: Sequence[str], ids: Sequence[str] | None = None,
     ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
     if len(ids) != n:
         raise ValueError("ids and texts must have equal length")
-    vocab = _Vocab()
-    term_ids = array("q")
-    doc_lengths = np.empty(n, dtype=np.int64)
-    for i, text in enumerate(texts):
-        tokens = tokenize(text)
-        doc_lengths[i] = len(tokens)
-        term_ids.extend(map(vocab.__getitem__, tokens))
-    # one key per token, term-major, so sorting groups each term's docs
-    keys = np.sort(np.frombuffer(term_ids, dtype=np.int64) * n
-                   + np.repeat(np.arange(n), doc_lengths))
-    first = np.flatnonzero(np.diff(keys, prepend=-1))  # per (term, doc)
-    term_of, doc_of = np.divmod(keys[first], n)
-    flat = np.stack([doc_of, np.diff(first, append=len(keys))], axis=1)
+    doc_lengths = np.array(lengths, dtype=np.int64)
+    # one int64 key per token, term-major, so sorting groups each term's
+    # docs; the int64 scalar keeps term_id * n from wrapping in int32
+    keys = np.frombuffer(term_ids, dtype=np.intc) * np.int64(n)
+    del term_ids
+    keys += np.repeat(np.arange(n, dtype=np.intc), doc_lengths)
+    keys.sort()
+    starts = np.empty(len(keys), dtype=bool)  # first token of a (term, doc)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    token_count = len(keys)
+    run_keys = keys[starts]
+    del keys
+    flat = np.empty((len(run_keys), 2), dtype=np.int32)
+    np.remainder(run_keys, n, out=flat[:, 0])
+    run_keys //= n  # now each run's term id
+    df = np.bincount(run_keys, minlength=len(vocab))
+    del run_keys
+    first = np.flatnonzero(starts)
+    del starts
+    np.subtract(first[1:], first[:-1], out=flat[:-1, 1])  # tf: run lengths
+    flat[-1:, 1] = token_count - first[-1:]
     flat.setflags(write=False)
-    df = np.bincount(term_of, minlength=len(vocab))
     bounds = [0, *np.cumsum(df).tolist()]
     postings = {term: flat[start:end] for term, start, end
                 in zip(vocab, bounds, bounds[1:])}

@@ -259,8 +259,8 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
         raise ValueError("no eligible evaluation queries in this corpus")
 
     needs_bm25 = any(m in ("bm25", "hybrid") for m in methods)
-    texts = [corpus.build_text(r) for r in records] if needs_bm25 else None
-    index = (baselines.bm25_build(texts, ids=graph.node_ids, k1=k1, b=b)
+    index = (baselines.bm25_build(map(corpus.build_text, records),
+                                  ids=graph.node_ids, k1=k1, b=b)
              if needs_bm25 else None)
 
     def rank_for(method: str, qidx: int, bm, cos, attn) -> RankedList:
@@ -300,7 +300,8 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
             if method == "attn+llm" and i not in llm_queries:
                 continue
             if method in ("bm25", "hybrid") and bm is None:
-                bm = baselines.bm25_scores(index, texts[i])
+                bm = baselines.bm25_scores(index,
+                                           corpus.build_text(records[i]))
             if method != "bm25" and cos is None:
                 cos = embeddings.scores(embeddings.row(i))
             if method in _ATTN_METHODS and attn is None:

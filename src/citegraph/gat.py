@@ -117,29 +117,44 @@ class TrainResult:
 def _training_pairs(embeddings: EmbeddingMatrix,
                     train_queries: Sequence[TrainingQuery],
                     config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The labelled [embedding row ; query] pairs, as features X and labels y.
+
+    Rows go query by query. A query contributes its in-range positives in
+    the order given, repeats kept (label 1), then its sampled negatives
+    ascending by node index (label 0). The negatives are drawn query by
+    query from one generator seeded with `config.seed`, so the seed fixes
+    X and y bit for bit. X is allocated once and filled in place.
+    """
     rng = np.random.default_rng(config.seed)
     n = embeddings.node_count
-    feats: list[np.ndarray] = []
-    labels: list[float] = []
-    total_pos = 0
+    picks: list[tuple[np.ndarray, np.ndarray, int]] = []
     for tq in train_queries:
         q = np.asarray(tq.query, dtype=np.float64)
         positives = [p for p in tq.positives if 0 <= p < n]
-        total_pos += len(positives)
-        for p in positives:
-            feats.append(np.concatenate([embeddings.vectors[p], q]))
-            labels.append(1.0)
+        if not positives:  # no positives, so no negatives are drawn
+            continue
         negative = np.ones(n, dtype=bool)
         negative[positives] = False
         pool = np.flatnonzero(negative)
         wanted = min(len(pool), config.negatives_per_positive * len(positives))
-        if wanted > 0:
-            for neg in sorted(rng.choice(pool, size=wanted, replace=False)):
-                feats.append(np.concatenate([embeddings.vectors[neg], q]))
-                labels.append(0.0)
-    if total_pos == 0:
+        negatives = (np.sort(rng.choice(pool, size=wanted, replace=False))
+                     if wanted > 0 else pool[:0])
+        picks.append((q, np.concatenate([positives, negatives]),
+                      len(positives)))
+    if not picks:
         raise ValueError("no positive (node, query) pairs available for training")
-    return np.stack(feats), np.asarray(labels, dtype=np.float64)
+    dim = embeddings.vectors.shape[1]
+    X = np.empty((sum(len(nodes) for _, nodes, _ in picks),
+                  dim + len(picks[0][0])), dtype=np.float64)
+    y = np.zeros(len(X), dtype=np.float64)
+    start = 0
+    for q, nodes, positive_count in picks:
+        end = start + len(nodes)
+        X[start:end, :dim] = embeddings.vectors[nodes]
+        X[start:end, dim:] = q
+        y[start:start + positive_count] = 1.0
+        start = end
+    return X, y
 
 
 def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,

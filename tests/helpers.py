@@ -361,6 +361,36 @@ def random_scorer(dim, seed):
     return ScorerParams(u=rng.uniform(-bound, bound, size=2 * dim), b=0.0)
 
 
+def oracle_training_pairs(vectors, train_queries, negatives_per_positive,
+                          seed):
+    """Training pairs built one row at a time: each pair's [row ; query]
+    concatenated on its own, then all rows stacked. The negatives are
+    drawn with the same generator calls, query by query, as the scorer's
+    builder, so its X and y must equal these bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = len(vectors)
+    feats, labels = [], []
+    total_pos = 0
+    for tq in train_queries:
+        q = np.asarray(tq.query, dtype=np.float64)
+        positives = [p for p in tq.positives if 0 <= p < n]
+        total_pos += len(positives)
+        for p in positives:
+            feats.append(np.concatenate([vectors[p], q]))
+            labels.append(1.0)
+        negative = np.ones(n, dtype=bool)
+        negative[positives] = False
+        pool = np.flatnonzero(negative)
+        wanted = min(len(pool), negatives_per_positive * len(positives))
+        if wanted > 0:
+            for neg in sorted(rng.choice(pool, size=wanted, replace=False)):
+                feats.append(np.concatenate([vectors[neg], q]))
+                labels.append(0.0)
+    if total_pos == 0:
+        raise ValueError("no positive (node, query) pairs available for training")
+    return np.stack(feats), np.asarray(labels, dtype=np.float64)
+
+
 def train_weights(corpus_path, dim, seed=0):
     """Run `train` on the corpus at embedding width `dim` and hash seed
     `seed`, its printout discarded; returns the weights file path."""

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ FIVE_DOCS = [
 def test_build_empty_corpus_errors():
     with pytest.raises(ValueError, match="empty"):
         bm25_build([])
+    with pytest.raises(ValueError, match="^cannot build a BM25 index over "
+                       "an empty corpus$"):
+        bm25_build(text for text in ())
 
 
 def test_build_single_empty_doc():
@@ -110,6 +114,58 @@ def test_bm25_scores_bit_identical_to_posting_loop(docs, query, k1, b):
     index = bm25_build([" ".join(doc) for doc in docs], k1=k1, b=b)
     scores = bm25_scores(index, " ".join(query))
     assert scores.tobytes() == oracle_bm25_loop(docs, query, k1, b).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=docs_strategy, query=query_strategy)
+def test_bm25_build_from_a_generator_equals_build_from_the_list(docs, query):
+    texts = [" ".join(doc) for doc in docs]
+    listed = bm25_build(texts, ids=[f"d{i}" for i in range(len(texts))])
+    streamed = bm25_build((text for text in texts),
+                          ids=(f"d{i}" for i in range(len(texts))))
+    assert list(streamed.postings) == list(listed.postings)
+    for term, rows in listed.postings.items():
+        assert rows.dtype == streamed.postings[term].dtype == np.int32
+        assert not streamed.postings[term].flags.writeable
+        assert streamed.postings[term].tobytes() == rows.tobytes()
+    assert streamed.doc_lengths.tobytes() == listed.doc_lengths.tobytes()
+    assert (streamed.avg_doc_length, streamed.doc_count, streamed.ids) == \
+        (listed.avg_doc_length, listed.doc_count, listed.ids)
+    text = " ".join(query)
+    assert bm25_scores(streamed, text).tobytes() == \
+        bm25_scores(listed, text).tobytes()
+
+
+def test_bm25_keys_past_int32_do_not_wrap():
+    """50,000 one-token documents, each its own term: term id * doc count
+    reaches 2.5e9, past 2**31, and every posting still names its doc."""
+    n = 50_000
+    index = bm25_build(f"t{i}" for i in range(n))
+    assert len(index.postings) == n
+    for i, (term, rows) in enumerate(index.postings.items()):
+        assert term == f"t{i}"
+        assert rows.dtype == np.int32
+        assert rows.tolist() == [[i, 1]]
+
+
+def test_bm25_build_peak_memory_per_token():
+    """One pass into 32-bit term ids, then in-place int64 keys and an int32
+    (doc, tf) table: over 240,000 tokens the peak traced while building,
+    the index included, stays under 28 bytes per token (about 20.6)."""
+    rng = np.random.default_rng(3)
+    words = [f"term{i}" for i in range(3000)]
+    docs, length = 2000, 120
+    texts = [" ".join(words[j] for j in rng.integers(0, 3000, length))
+             for _ in range(docs)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = bm25_build(texts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert int(index.doc_lengths.sum()) == docs * length
+    assert peak <= 28 * docs * length, peak / (docs * length)
 
 
 def test_bm25_scores_on_raw_text_match_posting_loop():

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from citegraph.embed import EmbeddingMatrix
 from citegraph.gat import (ScorerParams, TrainConfig, TrainingQuery,
-                           load_weights, loss_and_gradient, relevance_scores,
-                           save_weights, train_scorer)
-from helpers import citation_graph, oracle_sigmoid, random_scorer
+                           _training_pairs, load_weights, loss_and_gradient,
+                           relevance_scores, save_weights, train_scorer)
+from helpers import (citation_graph, oracle_sigmoid, oracle_training_pairs,
+                     random_scorer)
 
 
 def test_relevance_zero_scorer_is_half():
@@ -143,6 +145,64 @@ def test_training_without_positives_errors():
         train_scorer(graph, embeddings,
                      [TrainingQuery(query=query, positives=())],
                      TrainConfig())
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), dim=st.integers(1, 5),
+       positives=st.lists(st.lists(st.integers(-3, 14), max_size=4),
+                          min_size=1, max_size=6),
+       negatives_per_positive=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_training_pairs_bit_equal_to_row_by_row_oracle(
+        n, dim, positives, negatives_per_positive, seed):
+    """Repeated and out-of-range positives, pools smaller than the wanted
+    negatives and queries with no positives all give the oracle's X and
+    y, or its error."""
+    rng = np.random.default_rng(seed)
+    embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(n)),
+                                 vectors=rng.standard_normal((n, dim)),
+                                 dim=dim)
+    queries = [TrainingQuery(query=rng.standard_normal(dim),
+                             positives=tuple(p)) for p in positives]
+    config = TrainConfig(negatives_per_positive=negatives_per_positive,
+                         seed=seed)
+    if not any(0 <= p < n for ps in positives for p in ps):
+        message = "^no positive .node, query. pairs available for training$"
+        with pytest.raises(ValueError, match=message):
+            _training_pairs(embeddings, queries, config)
+        with pytest.raises(ValueError, match=message):
+            oracle_training_pairs(embeddings.vectors, queries,
+                                  negatives_per_positive, seed)
+        return
+    X, y = _training_pairs(embeddings, queries, config)
+    X_ref, y_ref = oracle_training_pairs(embeddings.vectors, queries,
+                                         negatives_per_positive, seed)
+    assert X.dtype == X_ref.dtype and y.dtype == y_ref.dtype
+    assert X.shape == X_ref.shape and y.shape == y_ref.shape
+    assert X.tobytes() == X_ref.tobytes()
+    assert y.tobytes() == y_ref.tobytes()
+
+
+def test_training_pairs_peak_memory_stays_near_the_matrix():
+    """The pairs are written into one preallocated matrix: the peak traced
+    while building 2500 pairs at dim 384 stays within 1.25 times X plus a
+    fixed slack (about 1.01 times X)."""
+    n, dim = 3000, 384
+    rng = np.random.default_rng(5)
+    embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(n)),
+                                 vectors=rng.standard_normal((n, dim)),
+                                 dim=dim)
+    queries = [TrainingQuery(query=rng.standard_normal(dim),
+                             positives=tuple(rng.integers(0, n, 5).tolist()))
+               for _ in range(250)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        X, y = _training_pairs(embeddings, queries, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert X.shape == (2500, 2 * dim)
+    assert peak <= 1.25 * X.nbytes + (1 << 20), peak / X.nbytes
 
 
 def test_weights_json_round_trip(tmp_path):
