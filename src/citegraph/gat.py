@@ -1,13 +1,14 @@
 """The query-relevance scorer that prunes each retrieval hop.
 
 Relevance against a query is a single logistic unit over the
-concatenated [embedding row ; query] vector. It is fitted on embedding
-rows and scores embedding rows, so training and retrieval see the same
-input. Training stays analytic: full-batch gradient descent on binary
-cross-entropy. A weights file stores exactly what training learns: the
-scorer and the embedding width it was fitted at. (The module name comes
-from the paper's graph attention; no attention layer is applied, since
-untrained weight layers only degraded the pruning signal.)
+concatenated [embedding row ; query] vector, fitted on embedding rows
+and scoring embedding rows. Training is full-batch gradient descent on
+binary cross-entropy over [row ; query] pairs; since the query adds one
+constant per query to the logit, each pair row and each query is stored
+once, never the pair matrix. A weights file stores the scorer and the
+embedding width it was fitted at. (The module name comes from the
+paper's graph attention; no attention layer is applied, since untrained
+weight layers only degraded the pruning signal.)
 """
 from __future__ import annotations
 
@@ -41,14 +42,14 @@ class ScorerParams:
             raise ValueError("scorer parameters must be a finite vector and bias")
 
 
+def _logistic(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(z) and exp(-|z|), both from one exp, with no overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)), e
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    exp_z = np.exp(z[~pos])
-    out[~pos] = exp_z / (1.0 + exp_z)
-    return out
+    return _logistic(np.asarray(z, dtype=np.float64))[0]
 
 
 def relevance_scores(rows: np.ndarray, query: np.ndarray,
@@ -67,18 +68,23 @@ def relevance_scores(rows: np.ndarray, query: np.ndarray,
     return np.clip(sigmoid(z), _SCORE_LO, _SCORE_HI)
 
 
-def loss_and_gradient(u: np.ndarray, b: float, features: np.ndarray,
+def loss_and_gradient(u: np.ndarray, b: float, rows: np.ndarray,
+                      queries: np.ndarray, group: np.ndarray,
                       labels: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """Mean binary cross-entropy of the logistic unit and its exact gradient.
+    """Mean binary cross-entropy of the logistic unit over the pairs
+    [rows[i] ; queries[group[i]]], and its exact gradient. Splitting u at
+    the row width splits each logit, so no pair is ever concatenated.
 
     Uses the overflow-safe form loss_i = max(z,0) - z*y + log(1 + e^-|z|).
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    z = X @ u + b
-    loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
-    residual = (sigmoid(z) - y) / len(y)
-    return loss, X.T @ residual, float(residual.sum())
+    d = rows.shape[1]
+    z = rows @ u[:d] + (queries @ u[d:])[group] + b
+    score, e = _logistic(z)
+    loss = float(np.mean(np.maximum(z, 0.0) - z * labels + np.log1p(e)))
+    residual = (score - labels) / len(labels)
+    per_query = np.bincount(group, weights=residual, minlength=len(queries))
+    return (loss, np.concatenate([rows.T @ residual, queries.T @ per_query]),
+            float(residual.sum()))
 
 
 @dataclass
@@ -116,20 +122,22 @@ class TrainResult:
 
 def _training_pairs(embeddings: EmbeddingMatrix,
                     train_queries: Sequence[TrainingQuery],
-                    config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The labelled [embedding row ; query] pairs, as features X and labels y.
+                    config: TrainConfig) -> tuple[np.ndarray, ...]:
+    """The labelled pairs [R[i] ; Q[group[i]]] as pair rows R, queries Q
+    (each stored once), each pair's query index `group`, and labels y.
 
-    Rows go query by query. A query contributes its in-range positives in
+    Pairs go query by query. A query contributes its in-range positives in
     the order given, repeats kept (label 1), then its sampled negatives
     ascending by node index (label 0). The negatives are drawn query by
     query from one generator seeded with `config.seed`, so the seed fixes
-    X and y bit for bit. X is allocated once and filled in place.
+    the output bit for bit. A query with no in-range positive is skipped.
     """
     rng = np.random.default_rng(config.seed)
     n = embeddings.node_count
-    picks: list[tuple[np.ndarray, np.ndarray, int]] = []
+    queries: list[np.ndarray] = []
+    nodes: list[np.ndarray] = []
+    labels: list[np.ndarray] = []
     for tq in train_queries:
-        q = np.asarray(tq.query, dtype=np.float64)
         positives = [p for p in tq.positives if 0 <= p < n]
         if not positives:  # no positives, so no negatives are drawn
             continue
@@ -139,22 +147,14 @@ def _training_pairs(embeddings: EmbeddingMatrix,
         wanted = min(len(pool), config.negatives_per_positive * len(positives))
         negatives = (np.sort(rng.choice(pool, size=wanted, replace=False))
                      if wanted > 0 else pool[:0])
-        picks.append((q, np.concatenate([positives, negatives]),
-                      len(positives)))
-    if not picks:
+        queries.append(np.asarray(tq.query, dtype=np.float64))
+        nodes.append(np.concatenate([positives, negatives]))
+        labels.append(np.repeat([1.0, 0.0], [len(positives), len(negatives)]))
+    if not queries:
         raise ValueError("no positive (node, query) pairs available for training")
-    dim = embeddings.vectors.shape[1]
-    X = np.empty((sum(len(nodes) for _, nodes, _ in picks),
-                  dim + len(picks[0][0])), dtype=np.float64)
-    y = np.zeros(len(X), dtype=np.float64)
-    start = 0
-    for q, nodes, positive_count in picks:
-        end = start + len(nodes)
-        X[start:end, :dim] = embeddings.vectors[nodes]
-        X[start:end, dim:] = q
-        y[start:start + positive_count] = 1.0
-        start = end
-    return X, y
+    group = np.repeat(np.arange(len(queries)), [len(v) for v in nodes])
+    return (embeddings.vectors[np.concatenate(nodes)], np.stack(queries),
+            group, np.concatenate(labels))
 
 
 def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,
@@ -165,25 +165,25 @@ def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,
     Label 1 pairs a query with each of its cited nodes; label 0 pairs it
     with negatives sampled uniformly (without replacement) from the rest
     of the graph, `negatives_per_positive` per positive. Full-batch
-    gradient descent; with a fixed seed the result is bit-identical across
-    runs. The returned loss trace holds the initial loss followed by the
-    loss after each epoch. A run whose final loss is not finite, or is
-    above the initial loss, diverged (a learning rate too large for the
-    data) and raises ValueError.
+    gradient descent on the [row ; query] loss, computed from rows and
+    queries stored once; with a fixed seed the result is bit-identical
+    across runs. The returned loss trace holds the initial loss followed
+    by the loss after each epoch. A run whose final loss is not finite,
+    or is above the initial loss, diverged (a learning rate too large for
+    the data) and raises ValueError.
     """
     if graph.node_count != embeddings.node_count:
         raise ValueError("graph and embeddings disagree on node count")
-    X, y = _training_pairs(embeddings, train_queries, config)
-    u = np.zeros(X.shape[1], dtype=np.float64)
-    b = 0.0
-    loss, grad_u, grad_b = loss_and_gradient(u, b, X, y)
+    pairs = _training_pairs(embeddings, train_queries, config)
+    u, b = np.zeros(pairs[0].shape[1] + pairs[1].shape[1]), 0.0
+    loss, grad_u, grad_b = loss_and_gradient(u, b, *pairs)
     losses = [loss]
     # a diverging run overflows; it is reported once, below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
             u = u - config.learning_rate * grad_u
             b = b - config.learning_rate * grad_b
-            loss, grad_u, grad_b = loss_and_gradient(u, b, X, y)
+            loss, grad_u, grad_b = loss_and_gradient(u, b, *pairs)
             losses.append(loss)
     if not loss <= losses[0]:  # also true for nan
         raise ValueError(f"training diverged: loss {losses[0]:.6f} -> "

@@ -199,6 +199,20 @@ def oracle_sigmoid(z):
     return np.where(z >= 0.0, pos, ez / (1.0 + ez))
 
 
+def oracle_loss_and_gradient(u, b, X, y):
+    """Mean binary cross-entropy of sigmoid(X @ u + b) against y and its
+    gradient, on the full [row ; query] pair matrix X: loss_i =
+    max(z,0) - z*y + log(1 + e^-|z|), gradient X.T @ r and sum(r) for
+    residuals r = (sigmoid(z) - y) / len(y)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    z = X @ u + b
+    loss = float(np.mean(np.maximum(z, 0.0) - z * y
+                         + np.log1p(np.exp(-np.abs(z)))))
+    residual = (oracle_sigmoid(z) - y) / len(y)
+    return loss, X.T @ residual, float(residual.sum())
+
+
 def oracle_cosine(u, v):
     """Cosine similarity as one straight-line formula; 0 when either
     vector is zero."""
@@ -359,6 +373,16 @@ def random_scorer(dim, seed):
     bound = 1.0 / math.sqrt(2 * dim)
     rng = np.random.default_rng(seed)
     return ScorerParams(u=rng.uniform(-bound, bound, size=2 * dim), b=0.0)
+
+
+def random_pairs(rng, m, d, queries):
+    """m training pairs at width d over `queries` queries, each query
+    given at least one pair: rows R, queries Q, each pair's query index
+    (ascending) and 0/1 labels, in the order `loss_and_gradient` takes."""
+    group = np.sort(np.concatenate([np.arange(queries), rng.integers(
+        0, queries, m - queries)]))
+    return (rng.normal(size=(m, d)), rng.normal(size=(queries, d)), group,
+            (rng.random(m) < 0.5).astype(float))
 
 
 def oracle_training_pairs(vectors, train_queries, negatives_per_positive,

@@ -26,8 +26,8 @@ from citegraph.ranking import RankedItem, RankedList
 from citegraph.rerank import MockClient, RerankRequest, parse_ranking, rerank
 from citegraph.retriever import RetrieverConfig, retrieve_subgraph
 from helpers import (citation_graph, component_corpus, oracle_bfs_ball,
-                     oracle_retrieve, retriever_fixture, train_weights,
-                     write_jsonl)
+                     oracle_retrieve, random_pairs, retriever_fixture,
+                     train_weights, write_jsonl)
 from test_metrics import mrr, oracle_metrics, random_instance
 
 
@@ -119,21 +119,20 @@ def test_criterion_05_gradient_check_and_separable_training():
     worst = 0.0
     for _ in range(20):
         m, d = int(rng.integers(4, 15)), int(rng.integers(1, 7))
-        X = rng.normal(size=(m, d))
-        y = (rng.random(m) < 0.5).astype(float)
-        u = rng.normal(size=d)
+        pairs = random_pairs(rng, m, d, int(rng.integers(1, m + 1)))
+        u = rng.normal(size=2 * d)
         b = float(rng.normal())
-        _, gu, gb = loss_and_gradient(u, b, X, y)
+        _, gu, gb = loss_and_gradient(u, b, *pairs)
         h = 1e-6
-        fd_u = np.zeros(d)
-        for i in range(d):
+        fd_u = np.zeros(2 * d)
+        for i in range(2 * d):
             up, dn = u.copy(), u.copy()
             up[i] += h
             dn[i] -= h
-            fd_u[i] = (loss_and_gradient(up, b, X, y)[0]
-                       - loss_and_gradient(dn, b, X, y)[0]) / (2 * h)
-        fd_b = (loss_and_gradient(u, b + h, X, y)[0]
-                - loss_and_gradient(u, b - h, X, y)[0]) / (2 * h)
+            fd_u[i] = (loss_and_gradient(up, b, *pairs)[0]
+                       - loss_and_gradient(dn, b, *pairs)[0]) / (2 * h)
+        fd_b = (loss_and_gradient(u, b + h, *pairs)[0]
+                - loss_and_gradient(u, b - h, *pairs)[0]) / (2 * h)
         analytic = np.concatenate([gu, [gb]])
         approx = np.concatenate([fd_u, [fd_b]])
         rel = np.linalg.norm(analytic - approx) / max(np.linalg.norm(approx),

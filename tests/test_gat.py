@@ -11,9 +11,17 @@ from hypothesis import strategies as st
 from citegraph.embed import EmbeddingMatrix
 from citegraph.gat import (ScorerParams, TrainConfig, TrainingQuery,
                            _training_pairs, load_weights, loss_and_gradient,
-                           relevance_scores, save_weights, train_scorer)
-from helpers import (citation_graph, oracle_sigmoid, oracle_training_pairs,
-                     random_scorer)
+                           relevance_scores, save_weights, sigmoid,
+                           train_scorer)
+from helpers import (citation_graph, oracle_loss_and_gradient, oracle_sigmoid,
+                     oracle_training_pairs, random_pairs, random_scorer)
+
+
+def test_sigmoid_bit_equal_to_two_branch_oracle():
+    edges = [0.0, -0.0, 1e-300, 36.0, 709.0, 745.0, np.inf]
+    z = np.array(edges + [-x for x in edges] + list(
+        np.random.default_rng(13).normal(scale=40.0, size=200)))
+    assert sigmoid(z).tobytes() == oracle_sigmoid(z).tobytes()
 
 
 def test_relevance_zero_scorer_is_half():
@@ -50,16 +58,16 @@ def test_relevance_width_mismatch():
         relevance_scores(np.zeros((2, 3)), np.zeros(3), scorer)
 
 
-def finite_difference_gradient(u, b, X, y, h=1e-6):
+def finite_difference_gradient(u, b, pairs, h=1e-6):
     grad_u = np.zeros_like(u)
     for i in range(len(u)):
         up, down = u.copy(), u.copy()
         up[i] += h
         down[i] -= h
-        grad_u[i] = (loss_and_gradient(up, b, X, y)[0]
-                     - loss_and_gradient(down, b, X, y)[0]) / (2 * h)
-    grad_b = (loss_and_gradient(u, b + h, X, y)[0]
-              - loss_and_gradient(u, b - h, X, y)[0]) / (2 * h)
+        grad_u[i] = (loss_and_gradient(up, b, *pairs)[0]
+                     - loss_and_gradient(down, b, *pairs)[0]) / (2 * h)
+    grad_b = (loss_and_gradient(u, b + h, *pairs)[0]
+              - loss_and_gradient(u, b - h, *pairs)[0]) / (2 * h)
     return grad_u, grad_b
 
 
@@ -67,16 +75,61 @@ def test_gradient_matches_central_differences():
     rng = np.random.default_rng(12)
     for _ in range(20):
         m, d = int(rng.integers(3, 12)), int(rng.integers(1, 6))
-        X = rng.normal(size=(m, d))
-        y = (rng.random(m) < 0.5).astype(float)
-        u = rng.normal(size=d)
+        pairs = random_pairs(rng, m, d, int(rng.integers(1, m + 1)))
+        u = rng.normal(size=2 * d)
         b = float(rng.normal())
-        _, gu, gb = loss_and_gradient(u, b, X, y)
-        fu, fb = finite_difference_gradient(u, b, X, y)
+        _, gu, gb = loss_and_gradient(u, b, *pairs)
+        fu, fb = finite_difference_gradient(u, b, pairs)
         full = np.concatenate([gu, [gb]])
         approx = np.concatenate([fu, [fb]])
         rel = np.linalg.norm(full - approx) / max(np.linalg.norm(approx), 1e-12)
         assert rel < 1e-4
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       d=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+def test_factored_loss_equals_full_matrix_oracle(sizes, d, seed):
+    """Groups of 1 to 4 pairs per query: the loss and gradient from rows
+    and queries stored once equal the oracle's on X = [R ; Q[group]]."""
+    rng = np.random.default_rng(seed)
+    R, Q = rng.normal(size=(sum(sizes), d)), rng.normal(size=(len(sizes), d))
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    y = (rng.random(len(R)) < 0.5).astype(float)
+    u, b = rng.normal(scale=2.0, size=2 * d), float(rng.normal())
+    loss, gu, gb = loss_and_gradient(u, b, R, Q, group, y)
+    ref_loss, ref_gu, ref_gb = oracle_loss_and_gradient(
+        u, b, np.hstack([R, Q[group]]), y)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    grad = np.concatenate([gu, [gb]])
+    ref = np.concatenate([ref_gu, [ref_gb]])
+    assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_training_matches_full_matrix_oracle_descent():
+    """200 epochs at lr 0.5 on a seeded corpus: the weights and the loss
+    trace equal plain gradient descent on the oracle's full pair matrix."""
+    rng = np.random.default_rng(14)
+    n, dim = 40, 6
+    vectors = rng.normal(size=(n, dim))
+    embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(n)),
+                                 vectors=vectors, dim=dim)
+    queries = [TrainingQuery(query=rng.normal(size=dim), positives=tuple(
+        rng.integers(0, n, int(rng.integers(1, 5))).tolist()))
+        for _ in range(8)]
+    config = TrainConfig(learning_rate=0.5, epochs=200, seed=3)
+    result = train_scorer(citation_graph(n, []), embeddings, queries, config)
+    X, y = oracle_training_pairs(vectors, queries, 1, 3)
+    u, b = np.zeros(2 * dim), 0.0
+    loss, gu, gb = oracle_loss_and_gradient(u, b, X, y)
+    losses = [loss]
+    for _ in range(200):
+        u, b = u - 0.5 * gu, b - 0.5 * gb
+        loss, gu, gb = oracle_loss_and_gradient(u, b, X, y)
+        losses.append(loss)
+    assert np.max(np.abs(result.params.u - u)) <= 1e-12
+    assert abs(result.params.b - b) <= 1e-12
+    assert np.max(np.abs(np.array(result.losses) - losses)) <= 1e-12
 
 
 def separable_fixture():
@@ -156,7 +209,7 @@ def test_training_pairs_bit_equal_to_row_by_row_oracle(
         n, dim, positives, negatives_per_positive, seed):
     """Repeated and out-of-range positives, pools smaller than the wanted
     negatives and queries with no positives all give the oracle's X and
-    y, or its error."""
+    y, or its error: R and Q[group] are X's row and query halves."""
     rng = np.random.default_rng(seed)
     embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(n)),
                                  vectors=rng.standard_normal((n, dim)),
@@ -173,19 +226,21 @@ def test_training_pairs_bit_equal_to_row_by_row_oracle(
             oracle_training_pairs(embeddings.vectors, queries,
                                   negatives_per_positive, seed)
         return
-    X, y = _training_pairs(embeddings, queries, config)
+    R, Q, group, y = _training_pairs(embeddings, queries, config)
     X_ref, y_ref = oracle_training_pairs(embeddings.vectors, queries,
                                          negatives_per_positive, seed)
-    assert X.dtype == X_ref.dtype and y.dtype == y_ref.dtype
-    assert X.shape == X_ref.shape and y.shape == y_ref.shape
-    assert X.tobytes() == X_ref.tobytes()
+    for half, ref in ((R, X_ref[:, :dim]), (Q[group], X_ref[:, dim:])):
+        assert half.dtype == ref.dtype and half.shape == ref.shape
+        assert half.tobytes() == ref.tobytes()
+    assert y.dtype == y_ref.dtype and y.shape == y_ref.shape
     assert y.tobytes() == y_ref.tobytes()
 
 
-def test_training_pairs_peak_memory_stays_near_the_matrix():
-    """The pairs are written into one preallocated matrix: the peak traced
-    while building 2500 pairs at dim 384 stays within 1.25 times X plus a
-    fixed slack (about 1.01 times X)."""
+def test_train_scorer_peak_memory_stays_near_the_pair_rows():
+    """Each pair's row and each query are stored once: the peak traced
+    over the whole training run (pairs and all 200 epochs) on 2500 pairs
+    at dim 384 stays within 1.25 times the pair rows R plus a fixed
+    slack. A [row ; query] pair matrix alone would be 2 times R."""
     n, dim = 3000, 384
     rng = np.random.default_rng(5)
     embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(n)),
@@ -194,15 +249,17 @@ def test_training_pairs_peak_memory_stays_near_the_matrix():
     queries = [TrainingQuery(query=rng.standard_normal(dim),
                              positives=tuple(rng.integers(0, n, 5).tolist()))
                for _ in range(250)]
+    graph = citation_graph(n, [])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        X, y = _training_pairs(embeddings, queries, TrainConfig())
+        train_scorer(graph, embeddings, queries, TrainConfig())
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert X.shape == (2500, 2 * dim)
-    assert peak <= 1.25 * X.nbytes + (1 << 20), peak / X.nbytes
+    R = _training_pairs(embeddings, queries, TrainConfig())[0]
+    assert R.shape == (2500, dim)
+    assert peak <= 1.25 * R.nbytes + (1 << 20), peak / R.nbytes
 
 
 def test_weights_json_round_trip(tmp_path):
