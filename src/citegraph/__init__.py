@@ -7,8 +7,8 @@ metrics, and optional LLM re-ranking of the top candidates.
 
 __version__ = "0.1.0"
 
-from .corpus import (IngestReport, PaperRecord, PartialDate, build_text,
-                     normalize_citations, parse_pub_date, parse_records)
+from .corpus import (IngestReport, PaperRecord, build_text,
+                     normalize_citations, parse_records)
 from .graph import CitationGraph, build_graph
 from .embed import EmbeddingMatrix, embed_corpus, hash_embed, load_embeddings
 from .gat import (ScorerParams, TrainConfig, TrainingQuery, relevance_scores,

@@ -54,7 +54,7 @@ class HybridConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
+            raise ValueError("alpha (--alpha) must be in [0, 1]")
 
 
 class _Vocab(dict):
@@ -171,16 +171,13 @@ def hybrid_scores(bm25: np.ndarray, dense: np.ndarray,
 
 def hybrid_rank(bm25_list: RankedList, dense_list: RankedList,
                 config: HybridConfig, k: int,
-                universe: Sequence[str] | None = None) -> RankedList:
+                universe: Sequence[str]) -> RankedList:
     """Blend full-corpus BM25 and dense rankings with `hybrid_scores`.
 
     Documents missing from a list contribute raw score 0 on that side
     (BM25 omits zero-score docs). `universe` fixes the candidate id order
-    used for tie-breaking; it defaults to the dense list's order. Ids
-    outside the universe are a mismatch error.
+    used for tie-breaking; ids outside it are a mismatch error.
     """
-    if universe is None:
-        universe = dense_list.ids()
     positions = {pid: i for i, pid in enumerate(universe)}
     if len(positions) != len(universe):
         raise ValueError("universe contains duplicate ids")

@@ -63,7 +63,6 @@ _SETTINGS = {
     "dim": (int, embed.DEFAULT_DIM, "hash embedding dimension"),
     "k1": (float, 1.2, "BM25 k1"),
     "b": (float, 0.75, "BM25 b"),
-    "max_frontier": (int, 2048, "frontier size cap"),
     "dense_fallback": (_to_bool, True,
                        "pad short candidate lists with dense hits"),
     "epochs": (int, 200, "training epochs"),
@@ -109,8 +108,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def _validate(args: argparse.Namespace) -> None:
     """Check the merged settings; the config classes own k, sigma, hops,
-    alpha, max_frontier, epochs, lr and negatives, and are built here once
-    for the commands."""
+    alpha, epochs, lr and negatives, name the flag in their errors, and
+    are built here once for the commands."""
     if args.dim < 1:
         raise UsageError("dim must be >= 1")
     if args.subset < 1 or args.llm_subset < 1:
@@ -118,7 +117,6 @@ def _validate(args: argparse.Namespace) -> None:
     try:
         args.retriever = retrievermod.RetrieverConfig(
             hops=args.hops, prune_threshold=args.sigma, top_k=args.k,
-            max_frontier=args.max_frontier,
             fallback_to_dense=args.dense_fallback)
         args.hybrid = baselines.HybridConfig(alpha=args.alpha)
         args.train = gat.TrainConfig(
@@ -217,22 +215,21 @@ def _rerank_request(query_text, ranked, records, graph, model, sub=None):
         model=model)
 
 
-def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
+def evaluate_corpus(records, *, graph, embeddings, methods: Sequence[str],
+                    k: int = 10,
                     retriever: retrievermod.RetrieverConfig | None = None,
                     hybrid: baselines.HybridConfig | None = None,
                     seed: int = 0, subset: int = 1000, llm_subset: int = 100,
-                    dim: int = embed.DEFAULT_DIM, k1: float = 1.2,
-                    b: float = 0.75, graph=None, embeddings=None,
-                    scorer=None, llm_client=None,
-                    llm_model: str = "default") -> dict:
+                    k1: float = 1.2, b: float = 0.75, scorer=None,
+                    llm_client=None, llm_model: str = "default") -> dict:
     """Run each requested method over a seeded query subset and score it.
 
     Queries are held-out corpus papers; each query's relevant set is its
     own citation list restricted to corpus members, and the paper itself
     is removed from every method's candidates. attn and attn+llm prune
     with the trained `scorer` under `retriever` (default: the stock
-    settings at depth k); hybrid blends with `hybrid`.
-    `graph` is the records' citation graph, built here when omitted.
+    settings at depth k); hybrid blends with `hybrid`. `graph` and
+    `embeddings` are the records' citation graph and embedding matrix.
     Returns a mapping with the per-method EvalReports, runs and per-query
     metric rows, and the run metadata.
     """
@@ -246,10 +243,6 @@ def evaluate_corpus(records, *, methods: Sequence[str], k: int = 10,
     if "attn+llm" in methods and llm_client is None:
         raise UsageError("attn+llm needs a chat client: pass --llm-mock or "
                          "configure the endpoint")
-    if graph is None:
-        graph = graphmod.build_graph(records)
-    if embeddings is None:
-        embeddings = embed.embed_corpus(records, dim=dim, seed=seed)
     rcfg = retriever or retrievermod.RetrieverConfig(top_k=k)
     hycfg = hybrid or baselines.HybridConfig()
 
@@ -452,6 +445,9 @@ def cmd_evaluate(args) -> int:
         raise UsageError("no methods requested")
     if any(m in _ATTN_METHODS for m in methods):
         _require(args, "weights")
+    if args.per_query and not args.output:
+        raise UsageError("--per-query writes its CSVs into --output; "
+                         "pass --output")
     records, _ = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
@@ -459,11 +455,11 @@ def cmd_evaluate(args) -> int:
               if args.weights else None)
     client = _llm_client(args) if "attn+llm" in methods else None
     result = evaluate_corpus(
-        records, methods=methods, k=args.k, retriever=args.retriever,
-        hybrid=args.hybrid, seed=args.seed, subset=args.subset,
-        llm_subset=args.llm_subset, dim=args.dim, k1=args.k1, b=args.b,
-        graph=graph, embeddings=embeddings, scorer=scorer,
-        llm_client=client, llm_model=args.model)
+        records, graph=graph, embeddings=embeddings, methods=methods,
+        k=args.k, retriever=args.retriever, hybrid=args.hybrid,
+        seed=args.seed, subset=args.subset, llm_subset=args.llm_subset,
+        k1=args.k1, b=args.b, scorer=scorer, llm_client=client,
+        llm_model=args.model)
     table = comparison_table(result)
     print(table)
     if args.output:
@@ -608,8 +604,8 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("retrieve", help="retrieve candidates for one query")
     _add_common(p, "corpus", "embeddings", "weights", "output", "k", "sigma",
-                "hops", "seed", "dim", "max_frontier", "dense_fallback",
-                "model", llm_mock=True)
+                "hops", "seed", "dim", "dense_fallback", "model",
+                llm_mock=True)
     p.add_argument("--query", type=str, default=None, help="free query text")
     p.add_argument("--paper-id", type=str, default=None, dest="paper_id",
                    help="query by corpus paper id")
@@ -620,8 +616,7 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("evaluate", help="compare retrieval methods")
     _add_common(p, "corpus", "embeddings", "weights", "output", "k", "sigma",
                 "hops", "alpha", "seed", "subset", "llm_subset", "dim", "k1",
-                "b", "max_frontier", "dense_fallback", "method", "model",
-                llm_mock=True)
+                "b", "dense_fallback", "method", "model", llm_mock=True)
     p.add_argument("--per-query", action="store_true", dest="per_query",
                    help="also write per-query metric CSVs")
     p.set_defaults(func=cmd_evaluate)

@@ -34,18 +34,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Optional
 
 
-@dataclass(frozen=True)
-class PartialDate:
-    """Publication date with optional precision: year only, or year+month.
-
-    Both fields are None when the raw value carried no recognizable year.
-    A month is never present without a year.
-    """
-
-    year: Optional[int] = None
-    month: Optional[int] = None
-
-
 @dataclass(slots=True)
 class PaperRecord:
     """One cleaned publication: its id, citations and text fields.
@@ -86,11 +74,8 @@ class IngestReport:
         return asdict(self)
 
 
-_MONTHS = {
-    "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
-    "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
-}
-_YEAR_RE = re.compile(r"(?<!\d)(\d{4})(?!\d)")
+_MONTHS = frozenset("jan feb mar apr may jun jul aug sep oct nov dec".split())
+_YEAR_RE = re.compile(r"(?<!\d)\d{4}(?!\d)")
 _WORD_RE = re.compile(r"[A-Za-z]+")
 _STR = {str}
 _TEXT_FIELDS = ("title", "abstract", "keywords", "doi")
@@ -100,33 +85,22 @@ _SURROGATE = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
 _ENCODE = json.JSONEncoder(ensure_ascii=False).encode  # as json.dumps
 
 
-def parse_pub_date(raw: Any) -> PartialDate:
-    """Parse a raw date string into a PartialDate; never raises.
+def _date_flags(raw: str | None) -> tuple[bool, bool]:
+    """(partial, collapsed) for a raw pubDate; never raises.
 
-    Recognized shapes: "2008", "2008 Sep", "2008-Sep", "2007 Mar-Apr"
-    (a month range collapses to its start). Anything else yields a
-    year-only date when a 4-digit year is present, otherwise the unknown
-    date (None, None).
+    The first 4-digit run is the year, which only anchors the month
+    search: the date is partial unless the first letter run after the
+    year names a month by its first three letters ("2008 Sep",
+    "2008-Sep"), and a second month name after it is a collapsed range
+    ("2007 Mar-Apr"). No date (None), or one without a year, is partial.
     """
-    date, _ = _parse_pub_date(raw)
-    return date
-
-
-def _parse_pub_date(raw: Any) -> tuple[PartialDate, bool]:
-    if not isinstance(raw, str):
-        return PartialDate(), False
-    match = _YEAR_RE.search(raw)
+    match = None if raw is None else _YEAR_RE.search(raw)
     if match is None:
-        return PartialDate(), False
-    year = int(match.group(1))
-    words = _WORD_RE.findall(raw[match.end():])
-    if not words:
-        return PartialDate(year), False
-    first = words[0][:3].lower()
-    if first not in _MONTHS:
-        return PartialDate(year), False
-    collapsed = len(words) > 1 and words[1][:3].lower() in _MONTHS
-    return PartialDate(year, _MONTHS[first]), collapsed
+        return True, False
+    words = [w[:3].lower() for w in _WORD_RE.findall(raw, match.end())]
+    if not words or words[0] not in _MONTHS:
+        return True, False
+    return False, len(words) > 1 and words[1] in _MONTHS
 
 
 def normalize_citations(raw: Any, report: IngestReport | None = None) -> list[str]:
@@ -265,7 +239,7 @@ def parse_records(lines: Iterable[str]) -> tuple[list[PaperRecord], IngestReport
     report = IngestReport()
     records: list[PaperRecord] = []
     seen_ids: set[str] = set()
-    dates: dict[str | None, tuple[PartialDate, bool]] = {}  # parsed once
+    dates: dict[str | None, tuple[bool, bool]] = {}  # parsed once
     decode = json.JSONDecoder().raw_decode
     dropped = partial = collapsed_ranges = 0
     lines = iter(lines)
@@ -288,19 +262,17 @@ def parse_records(lines: Iterable[str]) -> tuple[list[PaperRecord], IngestReport
         raw_date = obj.get("pubDate")
         if type(raw_date) is not str:  # parses as the unknown date
             raw_date = None
-        parsed = dates.get(raw_date)
-        if parsed is None:
-            parsed = dates[raw_date] = _parse_pub_date(raw_date)
-        pub_date, collapsed = parsed
+        flags = dates.get(raw_date)
+        if flags is None:
+            flags = dates[raw_date] = _date_flags(raw_date)
         if (("\\u" in stripped or not stripped.isascii())
                 and _SURROGATE.search(stripped) and not _storable(obj)):
             dropped += 1
             continue
         records.append(_record(obj, pid, report))
         seen_ids.add(pid)
-        collapsed_ranges += collapsed
-        if pub_date.month is None:
-            partial += 1
+        partial += flags[0]
+        collapsed_ranges += flags[1]
     report.records_parsed = len(records)
     report.records_dropped = dropped
     report.dates_partial = partial

@@ -82,16 +82,18 @@ class CitationGraph:
         _, found = _gather_rows(self.indptr, self.indices, sources)
         return _unique(found[~visited[found]])
 
-    def edges(self, among: np.ndarray | None = None) -> list[tuple[int, int]]:
-        """Directed edges (u, v) ascending by u then v; with `among`, only
-        those with both endpoints in it."""
+    def edges(self, among: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Directed edges as aligned (sources, targets) arrays, ascending by
+        source then target; with `among`, only those with both endpoints
+        in it."""
         n = self.node_count
         nodes = np.arange(n) if among is None else _unique(among)
         inside = np.zeros(n, dtype=bool)
         inside[nodes] = True
         pos, targets = _gather_rows(self.out_indptr, self.out_indices, nodes)
         keep = inside[targets]
-        return list(zip(nodes[pos[keep]].tolist(), targets[keep].tolist()))
+        return nodes[pos[keep]], targets[keep]
 
 
 def _graph(node_ids: tuple[str, ...], index_of: dict[str, int],
@@ -193,6 +195,8 @@ def load_snapshot(path: str) -> CitationGraph:
 
 def write_edge_list(graph: CitationGraph, path: str) -> None:
     """Debug export: one 'source_id target_id' line per directed edge."""
+    ids = graph.node_ids
+    sources, targets = graph.edges()
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in graph.edges():
-            fh.write(f"{graph.node_ids[u]} {graph.node_ids[v]}\n")
+        for u, v in zip(sources.tolist(), targets.tolist()):
+            fh.write(f"{ids[u]} {ids[v]}\n")

@@ -57,16 +57,19 @@ def verbalize_triplets(subgraph: RetrievedSubgraph, graph: CitationGraph,
     nodes, titles when present, ids otherwise.
 
     `records` must be aligned with the graph's node order. Triplets are
-    ordered by (source hop, source index, target index).
+    ordered by (source hop, source index, target index), each source's hop
+    read from the subgraph's aligned `nodes` and `hops` arrays.
     """
     def label(index: int) -> str:
         record = records[index]
         return record.title if record.title else record.id
 
-    ordered = sorted(graph.edges(np.asarray(subgraph.nodes)),
-                     key=lambda e: (subgraph.hops[e[0]], e[0], e[1]))
+    sources, targets = graph.edges(subgraph.nodes)
+    hop_of = np.empty(graph.node_count, dtype=np.int64)
+    hop_of[subgraph.nodes] = subgraph.hops
+    order = np.lexsort((targets, sources, hop_of[sources]))
     return [Triplet(subject=label(u), predicate=PREDICATE, object=label(v))
-            for u, v in ordered]
+            for u, v in zip(sources[order].tolist(), targets[order].tolist())]
 
 
 def build_prompt(request: RerankRequest) -> str:

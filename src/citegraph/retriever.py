@@ -11,7 +11,10 @@ first appears; the seed is never pruned. Retrieval is a pure function of
 its inputs.
 
 Everything runs on the graph's CSR arrays: the frontier gathers the
-survivors' rows through a boolean visited mask.
+survivors' rows through a boolean visited mask, and each hop appends its
+survivors and their scores as arrays. No cap bounds a hop: each node is
+scored at most once per query, so pruning reads at most the n rows that
+the query's cosine row already reads.
 
 `select_seed` and `decode_and_rank` take the query's cosine row, the
 `EmbeddingMatrix.scores` array over all nodes, rather than the query
@@ -36,18 +39,15 @@ class RetrieverConfig:
     hops: int = 3
     prune_threshold: float = 0.5
     top_k: int = 10
-    max_frontier: int = 2048
     fallback_to_dense: bool = True
 
     def __post_init__(self) -> None:
         if self.hops < 1:
-            raise ValueError("hops must be >= 1")
+            raise ValueError("hops (--hops) must be >= 1")
         if not 0.0 <= self.prune_threshold <= 1.0:
-            raise ValueError("prune_threshold must be in [0, 1]")
+            raise ValueError("prune_threshold (--sigma) must be in [0, 1]")
         if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        if self.max_frontier < 1:
-            raise ValueError("max_frontier must be >= 1")
+            raise ValueError("top_k (--k) must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,18 @@ class HopTrace:
 
 @dataclass
 class RetrievedSubgraph:
-    """Kept nodes with scores, hop labels and the per-hop trace.
+    """Kept nodes as aligned arrays, plus the per-hop trace.
 
-    `nodes` is in insertion order (seed first, then survivors per hop in
-    ascending index order). The seed carries the sentinel score 1.0; every
-    other kept node survived the threshold at the hop recorded for it.
+    `nodes`, `hops` and `scores` are in insertion order: the seed first, at
+    hop 0 with the sentinel score 1.0, then each hop's survivors in
+    ascending index order, with the hop that reached them and the score
+    (at least the threshold) that kept them.
     """
 
     seed: int
-    nodes: list[int]
-    scores: dict[int, float]
-    hops: dict[int, int]
+    nodes: np.ndarray
+    hops: np.ndarray
+    scores: np.ndarray
     trace: list[HopTrace] = field(default_factory=list)
 
 
@@ -96,10 +97,9 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
     query = np.asarray(query, dtype=np.float64)
 
     kept = [np.array([seed])]  # the seed, then each hop's survivors
+    kept_scores = [np.ones(1)]
     visited = np.zeros(graph.node_count, dtype=bool)
     visited[seed] = True
-    scores: dict[int, float] = {seed: 1.0}
-    hop_of: dict[int, int] = {seed: 0}
     trace: list[HopTrace] = []
 
     for hop in range(1, config.hops + 1):
@@ -110,22 +110,15 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
         visited[frontier] = True
         frontier_scores = relevance_scores(embeddings.vectors[frontier],
                                            query, scorer)
-
-        passed = np.flatnonzero(frontier_scores >= config.prune_threshold)
-        if len(passed) > config.max_frontier:  # best scores, ties to lower index
-            best = np.argsort(-frontier_scores[passed], kind="stable")
-            passed = np.sort(passed[best[:config.max_frontier]])
+        passed = frontier_scores >= config.prune_threshold
+        kept.append(frontier[passed])  # ascending node index
+        kept_scores.append(frontier_scores[passed])
         trace.append(HopTrace(hop=hop, expanded=len(frontier),
-                              pruned=len(frontier) - len(passed)))
+                              pruned=len(frontier) - len(kept[-1])))
 
-        survivors = frontier[passed]  # ascending node index
-        scores.update(zip(survivors.tolist(), frontier_scores[passed].tolist()))
-        hop_of.update(dict.fromkeys(survivors.tolist(), hop))
-        kept.append(survivors)
-
-    nodes = np.concatenate(kept)
-    return RetrievedSubgraph(seed=seed, nodes=nodes.tolist(), scores=scores,
-                             hops=hop_of, trace=trace)
+    hops = np.repeat(np.arange(len(kept)), [len(nodes) for nodes in kept])
+    return RetrievedSubgraph(seed=seed, nodes=np.concatenate(kept), hops=hops,
+                             scores=np.concatenate(kept_scores), trace=trace)
 
 
 def decode_and_rank(subgraph: RetrievedSubgraph, cos: np.ndarray,

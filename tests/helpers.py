@@ -222,8 +222,7 @@ def oracle_cosine(u, v):
     return float(u @ v) / norms if norms > 0.0 else 0.0
 
 
-def oracle_retrieve(n, edges, vectors, query, seed, u, b, sigma, hops,
-                    max_frontier=10 ** 9):
+def oracle_retrieve(n, edges, vectors, query, seed, u, b, sigma, hops):
     """Straight-line expand / score / prune loop.
 
     Every frontier node is scored on its own embedding row. Returns kept
@@ -251,9 +250,6 @@ def oracle_retrieve(n, edges, vectors, query, seed, u, b, sigma, hops,
                     np.nextafter(1.0, 0.0))
         survivors = [(frontier[i], float(s[i])) for i in range(len(frontier))
                      if s[i] >= sigma]
-        if len(survivors) > max_frontier:
-            by_score = sorted(survivors, key=lambda t: (-t[1], t[0]))
-            survivors = sorted(by_score[:max_frontier])
         for v, sc in survivors:
             kept.append(v)
             scores[v] = sc
@@ -413,6 +409,18 @@ def oracle_training_pairs(vectors, train_queries, negatives_per_positive,
     if total_pos == 0:
         raise ValueError("no positive (node, query) pairs available for training")
     return np.stack(feats), np.asarray(labels, dtype=np.float64)
+
+
+def evaluation_inputs(records, dim=None, seed=0):
+    """The `graph` and `embeddings` keywords of `cli.evaluate_corpus`: the
+    records' citation graph and their hash embeddings at width `dim`
+    (default: the embedder's) and hash seed `seed`, as `evaluate` builds
+    them without --embeddings."""
+    from citegraph.embed import DEFAULT_DIM, embed_corpus
+    from citegraph.graph import build_graph
+    return {"graph": build_graph(records),
+            "embeddings": embed_corpus(records, dim=dim or DEFAULT_DIM,
+                                       seed=seed)}
 
 
 def train_weights(corpus_path, dim, seed=0):

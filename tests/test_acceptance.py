@@ -25,9 +25,9 @@ from citegraph.metrics import (first_relevant_rank, ndcg_at_k, precision_at_k,
 from citegraph.ranking import RankedItem, RankedList
 from citegraph.rerank import MockClient, RerankRequest, parse_ranking, rerank
 from citegraph.retriever import RetrieverConfig, retrieve_subgraph
-from helpers import (citation_graph, component_corpus, oracle_bfs_ball,
-                     oracle_retrieve, random_pairs, retriever_fixture,
-                     train_weights, write_jsonl)
+from helpers import (citation_graph, component_corpus, evaluation_inputs,
+                     oracle_bfs_ball, oracle_retrieve, random_pairs,
+                     retriever_fixture, train_weights, write_jsonl)
 from test_metrics import mrr, oracle_metrics, random_instance
 
 
@@ -171,7 +171,7 @@ def test_criterion_06_retriever_limits_and_loop_oracle():
         cfg1 = RetrieverConfig(hops=fx["hops"], prune_threshold=1.0)
         sub1 = retrieve_subgraph(fx["graph"], fx["embeddings"], fx["query"],
                                  fx["seed_node"], fx["scorer"], cfg1)
-        assert sub1.nodes == [fx["seed_node"]]
+        assert sub1.nodes.tolist() == [fx["seed_node"]]
         cfg = RetrieverConfig(hops=fx["hops"],
                               prune_threshold=fx["sigma"])
         sub = retrieve_subgraph(fx["graph"], fx["embeddings"], fx["query"],
@@ -180,10 +180,10 @@ def test_criterion_06_retriever_limits_and_loop_oracle():
             fx["n"], fx["edges"], fx["embeddings"].vectors, fx["query"],
             fx["seed_node"], fx["scorer"].u, fx["scorer"].b, fx["sigma"],
             fx["hops"])
-        assert sub.nodes == kept
-        assert sub.hops == hops
-        for v in kept:
-            assert abs(sub.scores[v] - scores[v]) <= 1e-9
+        assert sub.nodes.tolist() == kept
+        assert sub.hops.tolist() == [hops[v] for v in kept]
+        for v, score in zip(kept, sub.scores.tolist()):
+            assert abs(score - scores[v]) <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(6, f"sigma limits exact and 25 fixtures match the loop oracle "
@@ -215,7 +215,8 @@ def test_criterion_07_pruning_monotonicity_shared_scores():
         baseline = retrieve_subgraph(fx["graph"], fx["embeddings"],
                                      fx["query"], fx["seed_node"],
                                      fx["scorer"], cfg)
-        score_of = dict(baseline.scores)
+        score_of = dict(zip(baseline.nodes.tolist(),
+                            baseline.scores.tolist()))
         loose = simulate_pruning(fx["n"], fx["edges"], fx["seed_node"],
                                  score_of, 0.3, fx["hops"])
         strict = simulate_pruning(fx["n"], fx["edges"], fx["seed_node"],
@@ -299,7 +300,8 @@ def test_criterion_10b_dataset_baseline_comparison():
     with open(DATASET_TEST, "r", encoding="utf-8") as fh:
         records, _ = cli.corpus.parse_records(fh)
     result = cli.evaluate_corpus(records, methods=("bm25", "dense", "hybrid"),
-                                 k=10, subset=1000, seed=0)
+                                 k=10, subset=1000, seed=0,
+                                 **evaluation_inputs(records))
     reports = result["methods"]
     recalls = {m: reports[m].recall_at_k for m in reports}
     hybrid_wins = recalls["hybrid"] >= max(recalls["bm25"], recalls["dense"])

@@ -15,7 +15,8 @@ from citegraph.graph import build_graph
 from citegraph.corpus import PaperRecord, build_text
 from citegraph.ranking import RankedItem, RankedList, top_k
 from citegraph.retriever import select_seed
-from helpers import oracle_bm25_loop, oracle_cosine, oracle_top_k
+from helpers import (evaluation_inputs, oracle_bm25_loop, oracle_cosine,
+                     oracle_top_k)
 
 FIVE_DOCS = [
     "graph attention networks for citation ranking",
@@ -358,8 +359,9 @@ def test_evaluate_hybrid_matches_hybrid_rank_over_full_lists():
                            citations=[f"p{(i + 1) % 5}", f"p{(i + 3) % 5}"])
                for i, text in enumerate(FIVE_DOCS)]
     k, cfg = 3, HybridConfig(alpha=0.3)
-    result = cli.evaluate_corpus(records, methods=("hybrid",), k=k, dim=16,
-                                 hybrid=cfg)
+    result = cli.evaluate_corpus(records, methods=("hybrid",), k=k,
+                                 hybrid=cfg,
+                                 **evaluation_inputs(records, dim=16))
     texts = [build_text(r) for r in records]
     ids = tuple(r.id for r in records)
     index = bm25_build(texts, ids=ids)

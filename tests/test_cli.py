@@ -10,8 +10,8 @@ from citegraph.embed import DEFAULT_DIM, EmbeddingMatrix, embed_corpus
 from citegraph.gat import load_weights
 from citegraph.graph import build_graph, load_snapshot
 from citegraph.rerank import MockClient
-from helpers import (component_corpus, corpus_line, oracle_eligible_queries,
-                     train_weights, write_jsonl)
+from helpers import (component_corpus, corpus_line, evaluation_inputs,
+                     oracle_eligible_queries, train_weights, write_jsonl)
 
 
 @pytest.fixture()
@@ -157,7 +157,8 @@ def test_evaluate_attn_needs_weights(corpus_path, capsys, method):
     records, _ = parse_records(iter(corpus_path.read_text().splitlines()))
     with pytest.raises(cli.UsageError, match="--weights"):
         cli.evaluate_corpus(records, methods=(method,),
-                            llm_client=MockClient())
+                            llm_client=MockClient(),
+                            **evaluation_inputs(records))
 
 
 def test_evaluate_baselines_run_without_weights(tmp_path, corpus_path):
@@ -297,6 +298,33 @@ def test_train_bad_setting_is_usage_error_naming_the_flag(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("evaluate", "--sigma", "2", "prune_threshold (--sigma) must be in [0, 1]"),
+    ("evaluate", "--k", "0", "top_k (--k) must be >= 1"),
+    ("evaluate", "--hops", "0", "hops (--hops) must be >= 1"),
+    ("evaluate", "--alpha", "1.5", "alpha (--alpha) must be in [0, 1]"),
+    ("retrieve", "--sigma", "-0.1",
+     "prune_threshold (--sigma) must be in [0, 1]"),
+])
+def test_bad_retriever_or_hybrid_setting_names_the_flag(
+        tmp_path, corpus_path, capsys, command, flag, value, message):
+    assert run_cli(command, "--corpus", corpus_path, flag, value) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    # the same check holds for the config-file key
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{flag[2:]} = {value}\n")
+    assert run_cli(command, "--corpus", corpus_path, "--config", config) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_evaluate_per_query_without_output_is_usage_error(corpus_path,
+                                                          capsys):
+    assert run_cli("evaluate", "--corpus", corpus_path, "--method", "dense",
+                   "--per-query") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--output" in err
+
+
 def test_train_diverging_learning_rate_is_data_error(tmp_path, corpus_path,
                                                     capsys):
     out = tmp_path / "weights.json"
@@ -394,7 +422,8 @@ def test_attn_and_attn_llm_share_one_retrieval_per_query(corpus_path,
     def rows(methods):
         calls.clear()
         result = cli.evaluate_corpus(
-            records, methods=methods, k=3, dim=32, subset=6, llm_subset=4,
+            records, methods=methods, k=3, subset=6, llm_subset=4,
+            **evaluation_inputs(records, dim=32),
             retriever=retriever.RetrieverConfig(prune_threshold=0.0, top_k=3),
             scorer=scorer, llm_client=MockClient(reverse))
         return result["rows"], len(calls)
@@ -421,7 +450,8 @@ def test_evaluate_scores_each_query_once(corpus_path, monkeypatch):
 
     def rows(methods):
         result = cli.evaluate_corpus(
-            records, methods=methods, k=3, dim=32, subset=6,
+            records, methods=methods, k=3, subset=6,
+            **evaluation_inputs(records, dim=32),
             retriever=retriever.RetrieverConfig(prune_threshold=0.0, top_k=3),
             scorer=scorer, llm_client=MockClient())
         return result["rows"]
@@ -445,8 +475,9 @@ def test_evaluate_scores_bm25_once_per_query(corpus_path, monkeypatch):
     monkeypatch.setattr(baselines, "bm25_scores", counted)
 
     def rows(methods):
-        return cli.evaluate_corpus(records, methods=methods, k=3, dim=32,
-                                   subset=6)["rows"]
+        return cli.evaluate_corpus(records, methods=methods, k=3, subset=6,
+                                   **evaluation_inputs(records, dim=32)
+                                   )["rows"]
 
     together = rows(("bm25", "hybrid"))
     assert len(calls) == 6

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citegraph.corpus import (IngestReport, PartialDate, build_text,
-                              normalize_citations, parse_pub_date,
+from citegraph.corpus import (IngestReport, build_text, normalize_citations,
                               parse_records)
 from helpers import corpus_line, oracle_parse_records
 
@@ -175,26 +174,39 @@ def test_normalize_counters_sum():
     assert report.citations_null_dropped == 3  # null, empty string, NaN
 
 
+def date_counters(raw_dates):
+    """The two date counters of parsing one record per raw pubDate, and
+    the oracle's."""
+    lines = [corpus_line(f"p{i}", [], pubDate=raw)
+             for i, raw in enumerate(raw_dates)]
+    records, report = parse_lines(lines)
+    _, expected = oracle_parse_records(lines)
+    assert len(records) == len(raw_dates)
+    got = (report.dates_partial, report.dates_range_collapsed)
+    assert got == (expected["dates_partial"],
+                   expected["dates_range_collapsed"])
+    return got
+
+
 def test_parse_pub_date_examples():
-    assert parse_pub_date("2008 Sep") == PartialDate(2008, 9)
-    assert parse_pub_date("2007 Mar-Apr") == PartialDate(2007, 3)
-    assert parse_pub_date("2010") == PartialDate(2010, None)
-    assert parse_pub_date("2008-Sep") == PartialDate(2008, 9)
-    assert parse_pub_date("no year here") == PartialDate(None, None)
-    assert parse_pub_date("published 1999 Dec maybe") == PartialDate(1999, 12)
+    # (partial, collapsed) of each date alone; "maybe" opens with "may",
+    # a month name, so the last date reads as the range Dec-May
+    examples = {"2008 Sep": (0, 0), "2007 Mar-Apr": (0, 1), "2010": (1, 0),
+                "2008-Sep": (0, 0), "no year here": (1, 0),
+                "published 1999 Dec maybe": (0, 1)}
+    for raw, counters in examples.items():
+        assert date_counters([raw]) == counters, raw
+    assert date_counters(list(examples)) == (2, 2)
 
 
 def test_parse_pub_date_never_raises_fuzz():
     rng = random.Random(11)
     alphabet = string.printable
-    for _ in range(500):
-        raw = "".join(rng.choice(alphabet)
-                      for _ in range(rng.randrange(0, 30)))
-        date = parse_pub_date(raw)
-        assert (date.year is None) or isinstance(date.year, int)
-        if date.month is not None:
-            assert 1 <= date.month <= 12
-            assert date.year is not None
+    raw_dates = ["".join(rng.choice(alphabet)
+                         for _ in range(rng.randrange(0, 30)))
+                 for _ in range(500)]
+    partial, collapsed = date_counters(raw_dates)
+    assert collapsed <= 500 - partial
 
 
 def test_range_collapse_counted():

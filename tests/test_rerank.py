@@ -5,6 +5,7 @@ import string
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 
 from citegraph.corpus import PaperRecord
@@ -21,8 +22,8 @@ def subgraph_with_edges(edges, hops):
     """A subgraph keeping every node named, and the graph of `edges`."""
     nodes = sorted({u for e in edges for u in e} | set(hops))
     sub = RetrievedSubgraph(
-        seed=nodes[0], nodes=nodes,
-        scores={v: 1.0 for v in nodes}, hops=hops, trace=[])
+        seed=nodes[0], nodes=np.array(nodes),
+        hops=np.array([hops[v] for v in nodes]), scores=np.ones(len(nodes)))
     return sub, citation_graph(nodes[-1] + 1, edges)
 
 

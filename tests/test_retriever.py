@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citegraph.embed import EmbeddingMatrix
 from citegraph.gat import relevance_scores
@@ -7,7 +9,8 @@ from citegraph.retriever import (RetrievedSubgraph, RetrieverConfig,
                                  decode_and_rank, retrieve_subgraph,
                                  retrieval_to_json, select_seed)
 from helpers import (citation_graph, oracle_bfs_ball, oracle_cosine,
-                     oracle_retrieve, random_scorer, retriever_fixture)
+                     oracle_retrieve, random_digraph, random_scorer,
+                     retriever_fixture)
 
 
 def matrix(vectors):
@@ -53,11 +56,10 @@ def test_select_seed_degenerate_query():
         select_seed(emb.scores(np.zeros(3)), emb, g)
 
 
-def run_fixture(fx, sigma=None, hops=None, max_frontier=2048):
+def run_fixture(fx, sigma=None, hops=None):
     cfg = RetrieverConfig(
         hops=hops if hops is not None else fx["hops"],
-        prune_threshold=sigma if sigma is not None else fx["sigma"],
-        max_frontier=max_frontier)
+        prune_threshold=sigma if sigma is not None else fx["sigma"])
     return retrieve_subgraph(fx["graph"], fx["embeddings"], fx["query"],
                              fx["seed_node"], fx["scorer"], cfg), cfg
 
@@ -75,8 +77,9 @@ def test_sigma_one_keeps_only_seed():
     for fixture_seed in range(8):
         fx = retriever_fixture(fixture_seed)
         sub, _ = run_fixture(fx, sigma=1.0)
-        assert sub.nodes == [fx["seed_node"]]
-        assert sub.hops == {fx["seed_node"]: 0}
+        assert sub.nodes.tolist() == [fx["seed_node"]]
+        assert sub.hops.tolist() == [0]
+        assert sub.scores.tolist() == [1.0]
 
 
 def test_retrieve_matches_loop_oracle():
@@ -87,21 +90,45 @@ def test_retrieve_matches_loop_oracle():
             fx["n"], fx["edges"], fx["embeddings"].vectors, fx["query"],
             fx["seed_node"], fx["scorer"].u, fx["scorer"].b, fx["sigma"],
             fx["hops"])
-        assert sub.nodes == kept, f"fixture {fixture_seed}"
-        for v in kept:
-            assert sub.scores[v] == pytest.approx(scores[v], abs=1e-9)
-            assert sub.hops[v] == hops[v]
+        assert sub.nodes.tolist() == kept, f"fixture {fixture_seed}"
+        assert sub.hops.tolist() == [hops[v] for v in kept]
+        assert sub.scores.tolist() == pytest.approx(
+            [scores[v] for v in kept], abs=1e-9)
 
 
-def test_kept_invariants_seed_and_radius():
-    for fixture_seed in range(25):
-        fx = retriever_fixture(fixture_seed)
-        sub, cfg = run_fixture(fx)
-        assert sub.nodes[0] == fx["seed_node"]
-        assert sub.hops[fx["seed_node"]] == 0
-        for v in sub.nodes[1:]:
-            assert 1 <= sub.hops[v] <= cfg.hops
-            assert sub.scores[v] >= cfg.prune_threshold
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), sigma=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+       hops=st.integers(1, 5))
+def test_kept_invariants_seed_and_radius(data, sigma, hops):
+    """On random graphs: aligned arrays, the seed first at hop 0 with score
+    1.0, hops non-decreasing, indices rising within a hop and never
+    repeated, every other score at least sigma, and the loop oracle's
+    kept order, scores and hops."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    n, edges = random_digraph(rng, max_nodes=25)
+    vectors = rng.normal(size=(n, 4))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    query = rng.normal(size=4)
+    scorer = random_scorer(4, int(rng.integers(0, 2 ** 31)))
+    seed = data.draw(st.integers(0, n - 1))
+    sub = retrieve_subgraph(citation_graph(n, edges), matrix(vectors), query,
+                            seed, scorer,
+                            RetrieverConfig(hops=hops, prune_threshold=sigma))
+    nodes, hop, scores = sub.nodes, sub.hops, sub.scores
+    assert len(nodes) == len(hop) == len(scores)
+    assert (nodes[0], hop[0], scores[0]) == (seed, 0, 1.0)
+    assert (np.diff(hop) >= 0).all() and hop.max() <= hops
+    assert (hop[1:] >= 1).all()
+    same_hop = hop[1:] == hop[:-1]
+    assert (nodes[1:][same_hop] > nodes[:-1][same_hop]).all()
+    assert len(set(nodes.tolist())) == len(nodes)
+    assert (scores[1:] >= sigma).all()
+    kept, oracle_scores, oracle_hops = oracle_retrieve(
+        n, edges, vectors, query, seed, scorer.u, scorer.b, sigma, hops)
+    assert nodes.tolist() == kept
+    assert hop.tolist() == [oracle_hops[v] for v in kept]
+    assert scores.tolist() == pytest.approx(
+        [oracle_scores[v] for v in kept], abs=1e-9)
 
 
 def test_pruning_monotone_in_sigma():
@@ -119,10 +146,9 @@ def test_scores_come_from_embedding_rows():
         fx = retriever_fixture(fixture_seed)
         sub, cfg = run_fixture(fx, sigma=0.0)
         rows, query = fx["embeddings"].vectors, fx["query"]
-        others = sub.nodes[1:]
-        expected = relevance_scores(rows[others], query, fx["scorer"])
-        for v, score in zip(others, expected):
-            assert sub.scores[v] == pytest.approx(score, abs=1e-12)
+        expected = relevance_scores(rows[sub.nodes[1:]], query, fx["scorer"])
+        assert sub.scores[1:].tolist() == pytest.approx(expected.tolist(),
+                                                        abs=1e-12)
         ranked = decode_and_rank(sub, fx["embeddings"].scores(query),
                                  fx["embeddings"], cfg)
         cos = fx["embeddings"].scores(query)
@@ -135,10 +161,10 @@ def test_retrieve_deterministic():
     fx = retriever_fixture(3)
     a, _ = run_fixture(fx)
     b, _ = run_fixture(fx)
-    assert a.nodes == b.nodes
+    assert a.nodes.tolist() == b.nodes.tolist()
+    assert a.hops.tolist() == b.hops.tolist()
+    assert a.scores.tolist() == b.scores.tolist()
     assert a.trace == b.trace
-    for v in a.nodes:
-        assert a.scores[v] == b.scores[v]
 
 
 def test_trace_accounts_for_every_hop():
@@ -151,23 +177,22 @@ def test_trace_accounts_for_every_hop():
         assert t.expanded >= 0 and 0 <= t.pruned <= t.expanded
 
 
-def test_max_frontier_caps_by_score_then_index():
-    # star: hub 0 cites 1..9; one hop, sigma 0, cap 3
-    edges = [(0, v) for v in range(1, 10)]
-    fx_graph = citation_graph(10, edges)
+def test_wide_frontier_keeps_every_survivor():
+    # star: hub 0 cites 1..3000; one hop at sigma 0 keeps the whole ring
+    n = 3001
+    edges = [(0, v) for v in range(1, n)]
     rng = np.random.default_rng(5)
-    vectors = rng.normal(size=(10, 4))
+    vectors = rng.normal(size=(n, 4))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    emb = matrix(vectors)
     query = rng.normal(size=4)
     scorer = random_scorer(4, 0)
-    cfg = RetrieverConfig(hops=1, prune_threshold=0.0, max_frontier=3)
-    sub = retrieve_subgraph(fx_graph, emb, query, 0, scorer, cfg)
-    kept, _, _ = oracle_retrieve(10, edges, vectors, query, 0, scorer.u,
-                                 scorer.b, 0.0, 1, max_frontier=3)
-    assert sub.nodes == kept
-    assert len(sub.nodes) == 4
-    assert sub.trace[0].expanded == 9 and sub.trace[0].pruned == 6
+    cfg = RetrieverConfig(hops=1, prune_threshold=0.0)
+    sub = retrieve_subgraph(citation_graph(n, edges), matrix(vectors), query,
+                            0, scorer, cfg)
+    kept, _, _ = oracle_retrieve(n, edges, vectors, query, 0, scorer.u,
+                                 scorer.b, 0.0, 1)
+    assert sub.nodes.tolist() == kept == list(range(n))
+    assert sub.trace[0].expanded == 3000 and sub.trace[0].pruned == 0
 
 
 def test_deep_hops_reuse_last_layer():
@@ -185,10 +210,10 @@ def test_deep_hops_reuse_last_layer():
     sub = retrieve_subgraph(g, emb, query, 0, scorer, cfg)
     kept, scores, hops = oracle_retrieve(n, edges, vectors, query, 0,
                                          scorer.u, scorer.b, 0.0, 6)
-    assert sub.nodes == kept == list(range(n))
-    assert sub.hops == hops == {i: i for i in range(n)}
-    for v in kept:
-        assert sub.scores[v] == pytest.approx(scores[v], abs=1e-9)
+    assert sub.nodes.tolist() == kept == list(range(n))
+    assert sub.hops.tolist() == [hops[v] for v in kept] == list(range(n))
+    assert sub.scores.tolist() == pytest.approx(
+        [scores[v] for v in kept], abs=1e-9)
 
 
 def test_decode_and_rank_seed_only_no_fallback():
@@ -202,9 +227,8 @@ def test_decode_and_rank_seed_only_no_fallback():
 
 def test_decode_and_rank_single_candidate():
     emb = matrix(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    sub = RetrievedSubgraph(
-        seed=0, nodes=[0, 1], scores={0: 1.0, 1: 0.6}, hops={0: 0, 1: 1},
-        trace=[])
+    sub = RetrievedSubgraph(seed=0, nodes=np.array([0, 1]),
+                            hops=np.array([0, 1]), scores=np.array([1.0, 0.6]))
     cfg = RetrieverConfig(fallback_to_dense=False)
     ranked = decode_and_rank(sub, emb.scores(np.array([1.0, 0.0])), emb, cfg)
     assert ranked.ids() == ["n1"]  # kept regardless of its (negative) score
@@ -238,9 +262,8 @@ def test_decode_and_rank_dense_fallback_pads_and_flags():
                         [-1.0, 0.0]])
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     emb = matrix(vectors)
-    sub = RetrievedSubgraph(
-        seed=0, nodes=[0, 1], scores={0: 1.0, 1: 0.9}, hops={0: 0, 1: 1},
-        trace=[])
+    sub = RetrievedSubgraph(seed=0, nodes=np.array([0, 1]),
+                            hops=np.array([0, 1]), scores=np.array([1.0, 0.9]))
     cfg = RetrieverConfig(top_k=3, fallback_to_dense=True)
     query = np.array([1.0, 0.0])
     ranked = decode_and_rank(sub, emb.scores(query), emb, cfg)
@@ -269,9 +292,9 @@ def test_retrieval_json_shape():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"hops \(--hops\)"):
         RetrieverConfig(hops=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"prune_threshold \(--sigma\)"):
         RetrieverConfig(prune_threshold=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"top_k \(--k\)"):
         RetrieverConfig(top_k=0)
