@@ -2,21 +2,18 @@
 
 Each baseline scores every document and ranks with `ranking.top_k`.
 `bm25_build` makes one pass over the texts, which may be any iterable:
-each paper's tokens (the embedder's `tokenize`) become 32-bit term ids
-appended to one flat `array('i')`, and its token count goes into
-`doc_lengths`, so no per-paper array, token list or text outlives its
-paper. The term ids then become one int64 key per token (term-major),
-sorted in place, and the runs of equal keys fill one preallocated (P, 2)
-int32 array of (doc index, term frequency) rows, grouped by term and
-ascending by doc within a term. Each temporary is released before the
-next is made. `postings` maps each term to its read-only slice (a view,
-so `len()` is the document frequency); the index holds nothing else but
-the per-document token counts.
-A query concatenates its terms' slices in token order, computes every
-posting's idf * tf / (tf + norm[doc]) at once, and sums per document with
-`np.bincount` (eager scoring, as in BM25S, Lu 2024). bincount adds weights
-in input order, so each document gets its terms in the order a loop over
-query tokens and postings adds them: the scores are bit-identical to it.
+each paper's tokens (the embedder's `tokenize`) become 32-bit term ids in
+one flat `array('i')`, so no per-paper array or text outlives its paper.
+Sorted in place as one int64 key per token (term-major), their runs are
+the postings, grouped by term and ascending by doc. The index is one CSR
+over them: `ptr` (int64), `docs` (int32) and `weights` (float64), each
+posting's BM25 weight idf * tf / (tf + norm[doc]) computed once at build
+time (eager scoring, as in BM25S, Lu 2024). `postings` slices `docs` on
+lookup, so `len()` is the document frequency; no per-term array exists.
+A query concatenates its terms' slices of `docs` and `weights` in token
+order and sums per document with one `np.bincount`, which adds in input
+order, as a loop over query tokens and postings does: the scores are
+bit-identical to that loop.
 `evaluate` computes this row once per query and ranks bm25 and blends
 hybrid from it; `bm25_rank` is the one-call form for library callers.
 """
@@ -24,6 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,17 +33,35 @@ from .ranking import RankedList, top_k
 
 @dataclass
 class Bm25Index:
-    """Inverted index: term -> read-only (df, 2) int32 array of (doc index,
-    tf) rows, each a view of one flat array, plus the per-document token
-    counts. It holds nothing else."""
+    """CSR inverted index: term i's postings are the ascending doc indices
+    `docs[ptr[i]:ptr[i + 1]]` and their BM25 weights, at i = terms[term]."""
 
-    postings: dict[str, np.ndarray]
-    doc_lengths: np.ndarray
+    terms: dict[str, int]
+    ptr: np.ndarray
+    docs: np.ndarray
+    weights: np.ndarray
     avg_doc_length: float
     doc_count: int
     ids: tuple[str, ...]
-    k1: float = 1.2
-    b: float = 0.75
+
+    @property
+    def postings(self) -> Mapping[str, np.ndarray]:
+        return _Postings(self)
+
+
+@dataclass(eq=False)  # Mapping's __eq__ compares as a dict
+class _Postings(Mapping):
+    _index: Bm25Index
+
+    def __getitem__(self, term: str) -> np.ndarray:
+        i, ptr = self._index.terms[term], self._index.ptr
+        return self._index.docs[ptr[i]:ptr[i + 1]]
+
+    def __iter__(self):
+        return iter(self._index.terms)
+
+    def __len__(self) -> int:
+        return len(self._index.terms)
 
 
 @dataclass
@@ -86,7 +102,8 @@ def bm25_build(texts: Iterable[str], ids: Sequence[str] | None = None,
     ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
     if len(ids) != n:
         raise ValueError("ids and texts must have equal length")
-    doc_lengths = np.array(lengths, dtype=np.int64)
+    doc_lengths = np.frombuffer(lengths, dtype=np.int64)
+    avg = int(doc_lengths.sum()) / n
     # one int64 key per token, term-major, so sorting groups each term's
     # docs; the int64 scalar keeps term_id * n from wrapping in int32
     keys = np.frombuffer(term_ids, dtype=np.intc) * np.int64(n)
@@ -96,25 +113,26 @@ def bm25_build(texts: Iterable[str], ids: Sequence[str] | None = None,
     starts = np.empty(len(keys), dtype=bool)  # first token of a (term, doc)
     starts[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    token_count = len(keys)
     run_keys = keys[starts]
     del keys
-    flat = np.empty((len(run_keys), 2), dtype=np.int32)
-    np.remainder(run_keys, n, out=flat[:, 0])
-    run_keys //= n  # now each run's term id
-    df = np.bincount(run_keys, minlength=len(vocab))
+    docs = (run_keys % n).astype(np.int32)
+    df = np.bincount(run_keys // n, minlength=len(vocab))  # per term id
     del run_keys
-    first = np.flatnonzero(starts)
+    tf = np.diff(np.flatnonzero(np.append(starts, True))).astype(np.int32)
     del starts
-    np.subtract(first[1:], first[:-1], out=flat[:-1, 1])  # tf: run lengths
-    flat[-1:, 1] = token_count - first[-1:]
-    flat.setflags(write=False)
-    bounds = [0, *np.cumsum(df).tolist()]
-    postings = {term: flat[start:end] for term, start, end
-                in zip(vocab, bounds, bounds[1:])}
-    return Bm25Index(postings=postings, doc_lengths=doc_lengths,
-                     avg_doc_length=int(doc_lengths.sum()) / n,
-                     doc_count=n, ids=ids, k1=k1, b=b)
+    # idf * tf / (tf + k1 * (1 - b + b * dl / avg)) step by step, the norm
+    # per doc; no posting reads it when every doc is empty (avg 0)
+    den = (k1 * (1.0 - b + b * (doc_lengths / (avg or 1.0))))[docs]
+    den += tf
+    weights = np.repeat([math.log((n - d + 0.5) / (d + 0.5) + 1.0)
+                         for d in df.tolist()], df)
+    weights *= tf
+    weights /= den
+    del tf, den
+    ptr = np.concatenate(([0], np.cumsum(df)))
+    docs.setflags(write=False)  # `postings` hands out views of it
+    return Bm25Index(terms=dict(vocab), ptr=ptr, docs=docs, weights=weights,
+                     avg_doc_length=avg, doc_count=n, ids=ids)
 
 
 def idf(index: Bm25Index, term: str) -> float:
@@ -128,17 +146,12 @@ def bm25_scores(index: Bm25Index, query_text: str) -> np.ndarray:
 
     Sums over query tokens as given (a repeated token counts each time).
     """
-    terms = [t for t in tokenize(query_text) if t in index.postings]
-    if not terms:  # also covers an all-empty corpus, whose avg length is 0
+    rows = [index.terms[t] for t in tokenize(query_text) if t in index.terms]
+    if not rows:  # also covers an all-empty corpus, which has no terms
         return np.zeros(index.doc_count, dtype=np.float64)
-    slices = [index.postings[t] for t in terms]
-    hits = np.concatenate(slices)
-    docs, tf = hits[:, 0], hits[:, 1]
-    term_idf = np.repeat([idf(index, t) for t in terms],
-                         [len(s) for s in slices])
-    ratio = index.doc_lengths[docs] / index.avg_doc_length
-    norm = index.k1 * (1.0 - index.b + index.b * ratio)
-    return np.bincount(docs, term_idf * tf / (tf + norm),
+    spans = [(index.ptr[i], index.ptr[i + 1]) for i in rows]
+    return np.bincount(np.concatenate([index.docs[s:e] for s, e in spans]),
+                       np.concatenate([index.weights[s:e] for s, e in spans]),
                        minlength=index.doc_count)
 
 

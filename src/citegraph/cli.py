@@ -215,23 +215,23 @@ def _rerank_request(query_text, ranked, records, graph, model, sub=None):
         model=model)
 
 
-def evaluate_corpus(records, *, graph, embeddings, methods: Sequence[str],
-                    k: int = 10,
+def evaluate_corpus(records, *, graph, embeddings, bm25,
+                    methods: Sequence[str], k: int = 10,
                     retriever: retrievermod.RetrieverConfig | None = None,
                     hybrid: baselines.HybridConfig | None = None,
                     seed: int = 0, subset: int = 1000, llm_subset: int = 100,
-                    k1: float = 1.2, b: float = 0.75, scorer=None,
-                    llm_client=None, llm_model: str = "default") -> dict:
+                    scorer=None, llm_client=None,
+                    llm_model: str = "default") -> dict:
     """Run each requested method over a seeded query subset and score it.
 
     Queries are held-out corpus papers; each query's relevant set is its
     own citation list restricted to corpus members, and the paper itself
     is removed from every method's candidates. attn and attn+llm prune
     with the trained `scorer` under `retriever` (default: the stock
-    settings at depth k); hybrid blends with `hybrid`. `graph` and
-    `embeddings` are the records' citation graph and embedding matrix.
-    Returns a mapping with the per-method EvalReports, runs and per-query
-    metric rows, and the run metadata.
+    settings at depth k); hybrid blends with `hybrid`. `graph`,
+    `embeddings` and `bm25` (None if neither bm25 nor hybrid runs) are
+    the records' citation graph, embedding matrix and BM25 index. Returns
+    the per-method EvalReports, runs and per-query rows, and run metadata.
     """
     for method in methods:
         if method not in METHODS:
@@ -250,11 +250,6 @@ def evaluate_corpus(records, *, graph, embeddings, methods: Sequence[str],
     queries = sample_queries(eligible, subset, seed)
     if not queries:
         raise ValueError("no eligible evaluation queries in this corpus")
-
-    needs_bm25 = any(m in ("bm25", "hybrid") for m in methods)
-    index = (baselines.bm25_build(map(corpus.build_text, records),
-                                  ids=graph.node_ids, k1=k1, b=b)
-             if needs_bm25 else None)
 
     def rank_for(method: str, qidx: int, bm, cos, attn) -> RankedList:
         own_id = records[qidx].id
@@ -293,7 +288,7 @@ def evaluate_corpus(records, *, graph, embeddings, methods: Sequence[str],
             if method == "attn+llm" and i not in llm_queries:
                 continue
             if method in ("bm25", "hybrid") and bm is None:
-                bm = baselines.bm25_scores(index,
+                bm = baselines.bm25_scores(bm25,
                                            corpus.build_text(records[i]))
             if method != "bm25" and cos is None:
                 cos = embeddings.scores(embeddings.row(i))
@@ -443,22 +438,27 @@ def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
         raise UsageError("no methods requested")
-    if any(m in _ATTN_METHODS for m in methods):
+    prunes = any(m in _ATTN_METHODS for m in methods)
+    if prunes:
         _require(args, "weights")
     if args.per_query and not args.output:
         raise UsageError("--per-query writes its CSVs into --output; "
                          "pass --output")
     records, _ = _load_corpus(args.corpus)
+    # BM25 first: its build temporaries are freed before the embeddings load
+    bm25 = (baselines.bm25_build(map(corpus.build_text, records), k1=args.k1,
+                                 b=args.b, ids=[r.id for r in records])
+            if {"bm25", "hybrid"} & set(methods) else None)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
     scorer = (gat.load_weights(args.weights, width=embeddings.dim)
-              if args.weights else None)
+              if prunes else None)
     client = _llm_client(args) if "attn+llm" in methods else None
     result = evaluate_corpus(
-        records, graph=graph, embeddings=embeddings, methods=methods,
-        k=args.k, retriever=args.retriever, hybrid=args.hybrid,
-        seed=args.seed, subset=args.subset, llm_subset=args.llm_subset,
-        k1=args.k1, b=args.b, scorer=scorer, llm_client=client,
+        records, graph=graph, embeddings=embeddings, bm25=bm25,
+        methods=methods, k=args.k, retriever=args.retriever,
+        hybrid=args.hybrid, seed=args.seed, subset=args.subset,
+        llm_subset=args.llm_subset, scorer=scorer, llm_client=client,
         llm_model=args.model)
     table = comparison_table(result)
     print(table)

@@ -74,7 +74,9 @@ class IngestReport:
         return asdict(self)
 
 
-_MONTHS = frozenset("jan feb mar apr may jun jul aug sep oct nov dec".split())
+_MONTHS = frozenset(m[:i] for m in "january february march april may june "
+                    "july august september october november december".split()
+                    for i in range(3, len(m) + 1))  # "sep", "sept", ...
 _YEAR_RE = re.compile(r"(?<!\d)\d{4}(?!\d)")
 _WORD_RE = re.compile(r"[A-Za-z]+")
 _STR = {str}
@@ -90,14 +92,14 @@ def _date_flags(raw: str | None) -> tuple[bool, bool]:
 
     The first 4-digit run is the year, which only anchors the month
     search: the date is partial unless the first letter run after the
-    year names a month by its first three letters ("2008 Sep",
-    "2008-Sep"), and a second month name after it is a collapsed range
+    year is a month or its 3+ letter prefix ("2008 Sep", "2008-Sept", not
+    "2008 Marketing"), and a second month after it is a collapsed range
     ("2007 Mar-Apr"). No date (None), or one without a year, is partial.
     """
     match = None if raw is None else _YEAR_RE.search(raw)
     if match is None:
         return True, False
-    words = [w[:3].lower() for w in _WORD_RE.findall(raw, match.end())]
+    words = [w.lower() for w in _WORD_RE.findall(raw, match.end())]
     if not words or words[0] not in _MONTHS:
         return True, False
     return False, len(words) > 1 and words[1] in _MONTHS

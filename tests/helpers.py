@@ -63,8 +63,19 @@ def component_corpus(n_components: int = 20) -> list[str]:
 # corpus parsing, written independently
 # ---------------------------------------------------------------------------
 
-ORACLE_MONTHS = ["jan", "feb", "mar", "apr", "may", "jun",
-                 "jul", "aug", "sep", "oct", "nov", "dec"]
+ORACLE_MONTHS = ["january", "february", "march", "april", "may", "june",
+                 "july", "august", "september", "october", "november",
+                 "december"]
+
+
+def _oracle_month(word):
+    """The month (1-12) that `word` names, in any case, by its full English
+    name or a prefix of that of at least 3 letters; None otherwise."""
+    word = word.lower()
+    for month, name in enumerate(ORACLE_MONTHS, start=1):
+        if len(word) >= 3 and name[:len(word)] == word:
+            return month
+    return None
 
 
 def _oracle_id(raw):
@@ -107,20 +118,19 @@ def _oracle_citations(raw, pid, counts):
 
 def _oracle_date(raw):
     """(year, month, collapsed): the first 4-digit run is the year; the
-    first letter run after it names the month when its first three
-    letters do, and a second month name marks a collapsed range."""
+    first letter run after it names the month when `_oracle_month` reads
+    one in it, and a second month there marks a collapsed range."""
     if not isinstance(raw, str):
         return None, None, False
     match = re.search(r"(?<!\d)\d{4}(?!\d)", raw)
     if not match:
         return None, None, False
-    words = [w[:3].lower() for w in re.findall(r"[A-Za-z]+",
-                                                raw[match.end():])]
-    if not words or words[0] not in ORACLE_MONTHS:
+    months = [_oracle_month(w)
+              for w in re.findall(r"[A-Za-z]+", raw[match.end():])[:2]]
+    if not months or months[0] is None:
         return int(match.group()), None, False
-    month = ORACLE_MONTHS.index(words[0]) + 1
-    return int(match.group()), month, len(words) > 1 and \
-        words[1] in ORACLE_MONTHS
+    return int(match.group()), months[0], len(months) > 1 and \
+        months[1] is not None
 
 
 def _oracle_text(raw):
@@ -412,15 +422,20 @@ def oracle_training_pairs(vectors, train_queries, negatives_per_positive,
 
 
 def evaluation_inputs(records, dim=None, seed=0):
-    """The `graph` and `embeddings` keywords of `cli.evaluate_corpus`: the
-    records' citation graph and their hash embeddings at width `dim`
-    (default: the embedder's) and hash seed `seed`, as `evaluate` builds
-    them without --embeddings."""
+    """The `graph`, `embeddings` and `bm25` keywords of
+    `cli.evaluate_corpus`: the records' citation graph, their hash
+    embeddings at width `dim` (default: the embedder's) and hash seed
+    `seed`, and their BM25 index at the stock k1 and b, as `evaluate`
+    builds them without --embeddings."""
+    from citegraph.baselines import bm25_build
+    from citegraph.corpus import build_text
     from citegraph.embed import DEFAULT_DIM, embed_corpus
     from citegraph.graph import build_graph
     return {"graph": build_graph(records),
             "embeddings": embed_corpus(records, dim=dim or DEFAULT_DIM,
-                                       seed=seed)}
+                                       seed=seed),
+            "bm25": bm25_build(map(build_text, records),
+                               ids=[r.id for r in records])}
 
 
 def train_weights(corpus_path, dim, seed=0):

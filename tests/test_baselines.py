@@ -49,17 +49,26 @@ def test_idf_smoothed_floor_for_ubiquitous_term():
     assert idf(index, "cat") > 0.0
 
 
-def pairs(posting):
-    return [tuple(p) for p in posting.tolist()]
+def term_weights(index, term):
+    """The BM25 weights stored beside `index.postings[term]`."""
+    i = index.terms[term]
+    return index.weights[index.ptr[i]:index.ptr[i + 1]]
 
 
 def test_postings_match_hand_count():
     index = bm25_build(["a b a", "b c", "c c c"])
-    assert pairs(index.postings["a"]) == [(0, 2)]
-    assert pairs(index.postings["b"]) == [(0, 1), (1, 1)]
-    assert pairs(index.postings["c"]) == [(1, 1), (2, 3)]
-    assert index.doc_lengths.tolist() == [3, 2, 3]
+    assert {t: docs.tolist() for t, docs in index.postings.items()} == \
+        {"a": [0], "b": [0, 1], "c": [1, 2]}
+    assert index.ptr.tolist() == [0, 1, 3, 5]
     assert index.avg_doc_length == pytest.approx(8.0 / 3.0)
+    # (term, doc, tf, doc length) counted by hand; norm at k1 1.2, b 0.75
+    for term, doc, tf, length in (("a", 0, 2, 3), ("b", 0, 1, 3),
+                                  ("b", 1, 1, 2), ("c", 1, 1, 2),
+                                  ("c", 2, 3, 3)):
+        norm = 1.2 * (0.25 + 0.75 * length / (8.0 / 3.0))
+        at = index.postings[term].tolist().index(doc)
+        assert term_weights(index, term)[at] == pytest.approx(
+            idf(index, term) * tf / (tf + norm), abs=1e-12), (term, doc)
 
 
 def test_rank_absent_term_empty():
@@ -125,11 +134,13 @@ def test_bm25_build_from_a_generator_equals_build_from_the_list(docs, query):
     streamed = bm25_build((text for text in texts),
                           ids=(f"d{i}" for i in range(len(texts))))
     assert list(streamed.postings) == list(listed.postings)
-    for term, rows in listed.postings.items():
-        assert rows.dtype == streamed.postings[term].dtype == np.int32
+    for term, docs in listed.postings.items():
+        assert docs.dtype == streamed.postings[term].dtype == np.int32
         assert not streamed.postings[term].flags.writeable
-        assert streamed.postings[term].tobytes() == rows.tobytes()
-    assert streamed.doc_lengths.tobytes() == listed.doc_lengths.tobytes()
+        assert streamed.postings[term].tobytes() == docs.tobytes()
+    for name in ("ptr", "docs", "weights"):
+        assert getattr(streamed, name).tobytes() == \
+            getattr(listed, name).tobytes(), name
     assert (streamed.avg_doc_length, streamed.doc_count, streamed.ids) == \
         (listed.avg_doc_length, listed.doc_count, listed.ids)
     text = " ".join(query)
@@ -143,16 +154,20 @@ def test_bm25_keys_past_int32_do_not_wrap():
     n = 50_000
     index = bm25_build(f"t{i}" for i in range(n))
     assert len(index.postings) == n
-    for i, (term, rows) in enumerate(index.postings.items()):
+    for i, (term, docs) in enumerate(index.postings.items()):
         assert term == f"t{i}"
-        assert rows.dtype == np.int32
-        assert rows.tolist() == [[i, 1]]
+        assert docs.dtype == np.int32
+        assert docs.tolist() == [i]
+    # tf 1 in a doc of average length: idf / (1 + k1) for every posting
+    assert np.all(index.weights == math.log((n - 0.5) / 1.5 + 1.0) / 2.2)
 
 
 def test_bm25_build_peak_memory_per_token():
-    """One pass into 32-bit term ids, then in-place int64 keys and an int32
-    (doc, tf) table: over 240,000 tokens the peak traced while building,
-    the index included, stays under 28 bytes per token (about 20.6)."""
+    """One pass into 32-bit term ids, then in-place int64 keys, and last
+    the CSR: int32 docs and tf, and the float64 weights beside their
+    float64 denominators. Over 240,000 tokens (235,268 postings) the peak
+    traced while building, the index included, stays under 28 bytes per
+    token (about 25.7: the last step holds 24 bytes per posting)."""
     rng = np.random.default_rng(3)
     words = [f"term{i}" for i in range(3000)]
     docs, length = 2000, 120
@@ -165,8 +180,73 @@ def test_bm25_build_peak_memory_per_token():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert int(index.doc_lengths.sum()) == docs * length
+    assert index.avg_doc_length == length
     assert peak <= 28 * docs * length, peak / (docs * length)
+
+
+def test_bm25_build_keeps_twelve_bytes_per_posting():
+    """What the index holds once built: an int32 doc and a float64 weight
+    per posting, and per term its dict entry, its string and one int64
+    `ptr` entry (about 115 bytes in all here). A per-term array (a numpy
+    view alone is over 100 bytes) or a per-doc array would not fit."""
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(20000)]
+    texts = [" ".join(words[j] for j in rng.integers(0, 20000, 30))
+             for _ in range(2000)]
+    ids = tuple(f"p{i}" for i in range(len(texts)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = bm25_build(texts, ids=ids)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    postings, terms = len(index.docs), len(index.terms)
+    assert (index.docs.dtype, index.weights.dtype, index.ptr.dtype) == \
+        (np.int32, np.float64, np.int64)
+    assert len(index.weights) == postings and len(index.ptr) == terms + 1
+    assert all(type(i) is int for i in index.terms.values())
+    assert kept <= 12 * postings + 150 * terms + 4096, \
+        ((kept - 12 * postings) / terms)
+
+
+def test_bm25_scores_allocates_per_posting_read():
+    """A query gathers an int32 doc and a float64 weight per posting it
+    reads, which bincount widens to an intp doc, and returns one float64
+    per document: about 20 bytes per posting read, against the 56 of
+    computing each weight per query."""
+    rng = np.random.default_rng(6)
+    words = [f"w{i}" for i in range(500)]
+    texts = [" ".join(words[j] for j in rng.integers(0, 500, 40))
+             for _ in range(3000)]
+    index = bm25_build(texts)
+    for query in (texts[0], texts[1] + " " + texts[2], "w1 w1 w1 unknown"):
+        read = sum(len(index.postings.get(t, ())) for t in tokenize(query))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bm25_scores(index, query)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert read > 500
+        assert peak <= 20 * read + 8 * index.doc_count + 8192, peak / read
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=docs_strategy)
+def test_postings_ascend_by_doc_and_their_length_is_df(docs):
+    index = bm25_build([" ".join(doc) for doc in docs])
+    assert sorted(index.postings) == sorted({t for doc in docs for t in doc})
+    for term, hits in index.postings.items():
+        assert hits.tolist() == [d for d, doc in enumerate(docs)
+                                 if term in doc]
+        assert len(hits) == sum(term in doc for doc in docs)
+        assert idf(index, term) == math.log(
+            (len(docs) - len(hits) + 0.5) / (len(hits) + 0.5) + 1.0)
+        assert term_weights(index, term).tobytes() == \
+            oracle_bm25_loop(docs, [term])[hits].tobytes()
+    assert index.postings.get("unknown", ()) == ()
 
 
 def test_bm25_scores_on_raw_text_match_posting_loop():
@@ -333,14 +413,17 @@ def test_bm25_ids_default_to_indices():
 
 def test_adding_unrelated_doc_keeps_existing_tf_terms():
     base = bm25_build(FIVE_DOCS)
-    grown = bm25_build(FIVE_DOCS + ["entirely unrelated zymurgy content"])
-    for term, posting in base.postings.items():
-        assert [p for p in pairs(grown.postings[term]) if p[0] < 5] == \
-            pairs(posting)
+    texts = FIVE_DOCS + ["entirely unrelated zymurgy content"]
+    grown = bm25_build(texts)
+    for term, docs in base.postings.items():
+        assert grown.postings[term].tolist() == docs.tolist()
+        # the same tf, weighed by the grown corpus's statistics
+        assert term_weights(grown, term).tobytes() == oracle_bm25_loop(
+            [tokenize(t) for t in texts], [term])[docs].tobytes()
     assert grown.doc_count == base.doc_count + 1
     # IDF and avg length shift consistently with the new corpus statistics
     assert grown.avg_doc_length == pytest.approx(
-        (sum(base.doc_lengths) + 4) / 6.0)
+        (base.avg_doc_length * 5 + 4) / 6.0)
     for term in base.postings:
         df = len(grown.postings[term])
         assert idf(grown, term) == pytest.approx(

@@ -169,6 +169,20 @@ def test_evaluate_baselines_run_without_weights(tmp_path, corpus_path):
     assert list(comparison["methods"]) == ["bm25", "dense", "hybrid"]
 
 
+def test_evaluate_baselines_never_read_weights(tmp_path, corpus_path):
+    """bm25, dense and hybrid need no scorer, so a --weights file they
+    are given is not loaded: one missing every key changes nothing."""
+    junk = tmp_path / "junk.json"
+    junk.write_text("{}")
+    for name, extra in (("plain", []), ("junk", ["--weights", junk])):
+        assert run_cli("evaluate", "--corpus", corpus_path,
+                       "--method", "bm25,dense,hybrid", "--per-query",
+                       "--output", tmp_path / name, *extra) == 0
+    for path in sorted((tmp_path / "plain").iterdir()):
+        assert (tmp_path / "junk" / path.name).read_bytes() == \
+            path.read_bytes(), path.name
+
+
 @pytest.mark.parametrize("k1", ["inf", "-1"])
 def test_bad_bm25_k1_is_data_error(corpus_path, capsys, k1):
     assert run_cli("evaluate", "--corpus", corpus_path,
@@ -483,6 +497,31 @@ def test_evaluate_scores_bm25_once_per_query(corpus_path, monkeypatch):
     assert len(calls) == 6
     for method in ("bm25", "hybrid"):
         assert together[method] == rows((method,))[method]
+
+
+def test_evaluate_builds_bm25_before_the_graph_and_embeddings(
+        tmp_path, corpus_path, monkeypatch):
+    """The index build's temporaries are gone before the embedding matrix
+    exists; without bm25 or hybrid no index is built."""
+    order = []
+
+    def logged(name, real):
+        def call(*args, **kwargs):
+            order.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for module, name in ((baselines, "bm25_build"), (cli.graphmod,
+                         "build_graph"), (cli, "_get_embeddings")):
+        monkeypatch.setattr(module, name,
+                            logged(name, getattr(module, name)))
+    for methods, expected in (("dense,hybrid", ["bm25_build", "build_graph",
+                                                "_get_embeddings"]),
+                              ("dense", ["build_graph", "_get_embeddings"])):
+        order.clear()
+        assert run_cli("evaluate", "--corpus", corpus_path,
+                       "--method", methods) == 0
+        assert order == expected, methods
 
 
 def test_eligible_queries_match_record_loop():

@@ -189,14 +189,19 @@ def date_counters(raw_dates):
 
 
 def test_parse_pub_date_examples():
-    # (partial, collapsed) of each date alone; "maybe" opens with "may",
-    # a month name, so the last date reads as the range Dec-May
+    # (partial, collapsed) of each date alone. A month is its name or a
+    # prefix of it of 3 letters or more: "maybe", "Marketing", "Junk" and
+    # "Marsh" only open with a month's first letters, so they name none
     examples = {"2008 Sep": (0, 0), "2007 Mar-Apr": (0, 1), "2010": (1, 0),
                 "2008-Sep": (0, 0), "no year here": (1, 0),
-                "published 1999 Dec maybe": (0, 1)}
+                "published 1999 Dec maybe": (0, 0), "1999 Dec maybe": (0, 0),
+                "2008 Marketing": (1, 0), "2010 Junk-Marsh": (1, 0),
+                "2008 Sept": (0, 0), "2008 September": (0, 0),
+                "2008 sept-OCTOBER": (0, 1), "2008 Se": (1, 0),
+                "2008 Septembers": (1, 0)}
     for raw, counters in examples.items():
         assert date_counters([raw]) == counters, raw
-    assert date_counters(list(examples)) == (2, 2)
+    assert date_counters(list(examples)) == (6, 2)
 
 
 def test_parse_pub_date_never_raises_fuzz():
