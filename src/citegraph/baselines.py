@@ -150,7 +150,8 @@ def bm25_scores(index: Bm25Index, query_text: str) -> np.ndarray:
     if not rows:  # also covers an all-empty corpus, which has no terms
         return np.zeros(index.doc_count, dtype=np.float64)
     spans = [(index.ptr[i], index.ptr[i + 1]) for i in rows]
-    return np.bincount(np.concatenate([index.docs[s:e] for s, e in spans]),
+    return np.bincount(np.concatenate([index.docs[s:e] for s, e in spans],
+                                      dtype=np.intp),
                        np.concatenate([index.weights[s:e] for s, e in spans]),
                        minlength=index.doc_count)
 

@@ -27,6 +27,7 @@ EXIT_NETWORK = 3
 
 METHODS = ("bm25", "dense", "hybrid", "attn", "attn+llm")
 _ATTN_METHODS = ("attn", "attn+llm")  # the methods that prune with the scorer
+_COSINE_VALUES = 65536  # float64 cosine values per chunk of queries: 512 KiB
 
 
 class UsageError(Exception):
@@ -224,14 +225,16 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
                     llm_model: str = "default") -> dict:
     """Run each requested method over a seeded query subset and score it.
 
-    Queries are held-out corpus papers; each query's relevant set is its
-    own citation list restricted to corpus members, and the paper itself
-    is removed from every method's candidates. attn and attn+llm prune
-    with the trained `scorer` under `retriever` (default: the stock
-    settings at depth k); hybrid blends with `hybrid`. `graph`,
-    `embeddings` and `bm25` (None if neither bm25 nor hybrid runs) are
-    the records' citation graph, embedding matrix and BM25 index. Returns
-    the per-method EvalReports, runs and per-query rows, and run metadata.
+    Queries are held-out corpus papers; each query's relevant set is its own
+    citation list restricted to corpus members, and the paper itself is
+    removed from every method's candidates. attn and attn+llm prune with the
+    trained `scorer` under `retriever` (default: the stock settings at depth
+    k); hybrid blends with `hybrid`. `graph`, `embeddings` and `bm25` (None
+    if neither bm25 nor hybrid runs) are the records' citation graph,
+    embedding matrix and BM25 index. Queries go in chunks whose cosine rows,
+    from one `embeddings.scores` call, fill at most 512 KiB (8 queries at
+    8,000 papers); the methods then rank each query alone. Returns the
+    per-method reports, runs and per-query rows, and run metadata.
     """
     for method in methods:
         if method not in METHODS:
@@ -251,7 +254,7 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
     if not queries:
         raise ValueError("no eligible evaluation queries in this corpus")
 
-    def rank_for(method: str, qidx: int, bm, cos, attn) -> RankedList:
+    def rank(method: str, qidx: int, bm, cos, attn) -> RankedList:
         own_id = records[qidx].id
         if method == "bm25":
             ranked = top_k(bm, graph.node_ids, k + 1, "bm25",
@@ -278,24 +281,28 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
                                  if c in graph.index_of)
         for i in queries
     }
-    llm_queries = set(queries[:llm_subset])
+    todo = {i: [m for m in methods if m != "attn+llm" or at < llm_subset]
+            for at, i in enumerate(queries)}
     runs: dict[str, dict[str, RankedList]] = {method: {} for method in methods}
-    for i in queries:
-        # the query's BM25 row, cosine row and (subgraph, ranking), each
-        # computed once and shared by every method that reads it
-        bm = cos = attn = None
-        for method in methods:
-            if method == "attn+llm" and i not in llm_queries:
-                continue
-            if method in ("bm25", "hybrid") and bm is None:
-                bm = baselines.bm25_scores(bm25,
-                                           corpus.build_text(records[i]))
-            if method != "bm25" and cos is None:
-                cos = embeddings.scores(embeddings.row(i))
-            if method in _ATTN_METHODS and attn is None:
-                attn = _attn_query(graph, embeddings, embeddings.row(i), cos,
-                                   scorer, rcfg)
-            runs[method][records[i].id] = rank_for(method, i, bm, cos, attn)
+    chunk = max(1, _COSINE_VALUES // embeddings.node_count)
+    for block in (queries[s:s + chunk] for s in range(0, len(queries), chunk)):
+        # one pass over the matrix scores every cosine row a method reads
+        scored = [i for i in block if set(todo[i]) - {"bm25"}]
+        cos_rows = dict(zip(scored, embeddings.scores(
+            embeddings.vectors[scored]))) if scored else {}
+        for i in block:
+            # the query's BM25 row and (subgraph, ranking), each computed
+            # once and shared by every method that reads it
+            bm, cos, attn = None, cos_rows.get(i), None
+            for method in todo[i]:
+                if method in ("bm25", "hybrid") and bm is None:
+                    bm = baselines.bm25_scores(bm25,
+                                               corpus.build_text(records[i]))
+                if method in _ATTN_METHODS and attn is None:
+                    attn = _attn_query(graph, embeddings, embeddings.row(i),
+                                       cos, scorer, rcfg)
+                runs[method][records[i].id] = rank(method, i, bm, cos, attn)
+        del cos_rows, cos  # only one chunk's rows are alive at a time
     reports: dict[str, metrics.EvalReport] = {}
     rows: dict[str, list[dict]] = {}
     for method, run in runs.items():

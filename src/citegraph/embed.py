@@ -58,6 +58,7 @@ _ASCII_SPLIT = str.maketrans({c: " " for c in map(chr, range(128))
                               if not c.isalnum()})
 _BLOCK = 256  # rows per counting block
 _ROWS = 1024  # rows per parsing block of the TSV loader
+_SLICE = 512  # matrix rows per cosine slice: 1.5 MB at dim 384, within L2
 
 DEFAULT_DIM = 384
 
@@ -100,15 +101,31 @@ class EmbeddingMatrix:
     def scores(self, query: np.ndarray) -> np.ndarray:
         """Cosine similarity of `query` against every row (zero rows give 0).
 
-        An all-zero query has no meaningful similarity and is rejected.
+        `query` is one (dim,) vector, giving an (n,) row, or an (m, dim)
+        stack, giving one row per query; an all-zero query is rejected.
+        The matrix is read in slices of `_SLICE` rows, each scored against
+        every query while it is in cache, so a stack reads it once. Under
+        one BLAS thread each cosine keeps the bytes of a lone `vectors @
+        (q / norm(q))` scan: each query is normalized alone, and slices
+        start at multiples of 16 rows, so each row meets the same kernel.
         """
         q = np.asarray(query, dtype=np.float64)
-        if q.shape != (self.dim,):
+        if q.ndim not in (1, 2) or q.shape[-1] != self.dim:
             raise ValueError(f"query must have dimension {self.dim}, got {q.shape}")
-        qn = np.linalg.norm(q)
-        if qn == 0.0:
+        norms = [np.linalg.norm(v) for v in q.reshape(-1, self.dim)]
+        if 0.0 in norms:
             raise ValueError("degenerate query: zero vector")
-        return np.clip(self.vectors @ (q / qn), -1.0, 1.0)
+        units = [v / qn for v, qn in zip(q.reshape(-1, self.dim), norms)]
+        n = self.node_count
+        out = np.empty((len(units), n))
+        # numpy scores a one-row slice as a vector dot product, not with the
+        # matrix-vector kernel, so a one-row tail joins the slice before it
+        bounds = [0, *range(_SLICE, n - 1, _SLICE), n]
+        for start, stop in zip(bounds, bounds[1:]):
+            for unit, row in zip(units, out):
+                np.matmul(self.vectors[start:stop], unit, out=row[start:stop])
+        np.clip(out, -1.0, 1.0, out=out)
+        return out if q.ndim == 2 else out[0]
 
 
 def _normalize_in_place(out: np.ndarray) -> np.ndarray:

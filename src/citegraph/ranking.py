@@ -54,13 +54,13 @@ def top_k_indices(scores: np.ndarray, k: int,
     """Pool indices in `top_k` order (see there)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    pool = (np.arange(len(scores)) if candidates is None
-            else np.flatnonzero(candidates))
-    neg = -scores[pool]
-    if k < len(pool):
-        keep = ~(neg > np.partition(neg, k - 1)[k - 1])
-        pool, neg = pool[keep], neg[keep]
-    return pool[np.argsort(neg, kind="stable")[:k]]
+    pool = None if candidates is None else np.flatnonzero(candidates)
+    neg = -scores if pool is None else -scores[pool]
+    if k < len(neg):
+        keep = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
+        pool, neg = keep if pool is None else pool[keep], neg[keep]
+    order = np.argsort(neg, kind="stable")[:k]
+    return order if pool is None else pool[order]
 
 
 def top_k(scores: np.ndarray, ids: Sequence[str], k: int, provenance: str,

@@ -232,6 +232,13 @@ def oracle_cosine(u, v):
     return float(u @ v) / norms if norms > 0.0 else 0.0
 
 
+def oracle_scores(vectors, query):
+    """Every row's cosine with `query` as one straight-line matrix-vector
+    scan of the whole matrix, clipped to [-1, 1]."""
+    q = np.asarray(query, dtype=np.float64)
+    return np.clip(np.asarray(vectors) @ (q / np.linalg.norm(q)), -1.0, 1.0)
+
+
 def oracle_retrieve(n, edges, vectors, query, seed, u, b, sigma, hops):
     """Straight-line expand / score / prune loop.
 

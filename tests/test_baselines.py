@@ -13,7 +13,8 @@ from citegraph.baselines import (HybridConfig, bm25_build, bm25_rank,
 from citegraph.embed import EmbeddingMatrix, embed_corpus, tokenize
 from citegraph.graph import build_graph
 from citegraph.corpus import PaperRecord, build_text
-from citegraph.ranking import RankedItem, RankedList, top_k
+from citegraph.ranking import (RankedItem, RankedList, top_k,
+                               top_k_indices)
 from citegraph.retriever import select_seed
 from helpers import (evaluation_inputs, oracle_bm25_loop, oracle_cosine,
                      oracle_top_k)
@@ -211,10 +212,10 @@ def test_bm25_build_keeps_twelve_bytes_per_posting():
 
 
 def test_bm25_scores_allocates_per_posting_read():
-    """A query gathers an int32 doc and a float64 weight per posting it
-    reads, which bincount widens to an intp doc, and returns one float64
-    per document: about 20 bytes per posting read, against the 56 of
-    computing each weight per query."""
+    """A query gathers each posting it reads as an intp doc, the index
+    `bincount` takes without a widening copy, and a float64 weight, and
+    returns one float64 per document: 16 bytes per posting read, against
+    the 56 of computing each weight per query."""
     rng = np.random.default_rng(6)
     words = [f"w{i}" for i in range(500)]
     texts = [" ".join(words[j] for j in rng.integers(0, 500, 40))
@@ -230,7 +231,7 @@ def test_bm25_scores_allocates_per_posting_read():
         finally:
             tracemalloc.stop()
         assert read > 500
-        assert peak <= 20 * read + 8 * index.doc_count + 8192, peak / read
+        assert peak <= 16 * read + 8 * index.doc_count + 8192, peak / read
 
 
 @settings(max_examples=100, deadline=None)
@@ -493,3 +494,21 @@ def test_top_k_equals_full_sort_oracle(case):
     expected = oracle_top_k(scores.tolist(), k, mask)
     assert ranked.ids() == [ids[i] for i in expected]
     assert [it.score for it in ranked.items] == [scores[i] for i in expected]
+
+
+@pytest.mark.parametrize("k", [1, 11, 8000])
+def test_top_k_without_candidates_holds_two_floats_per_score(k):
+    """With no candidate mask a position in the negated scores is its
+    index, so the peak is the negated copy plus the copy `np.partition`
+    sorts (or the argsort of every score): 16 bytes per score, with no
+    index range and no gathered copy of the scores."""
+    scores = np.random.default_rng(k).standard_normal(8000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        picked = top_k_indices(scores, k)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert picked.tolist() == oracle_top_k(scores.tolist(), k)
+    assert peak <= 17 * len(scores) + 8192, peak / len(scores)

@@ -2,6 +2,7 @@ import gc
 import json
 import re
 
+import numpy as np
 import pytest
 
 from citegraph import baselines, cli, retriever
@@ -453,18 +454,19 @@ def test_attn_and_attn_llm_share_one_retrieval_per_query(corpus_path,
 def test_evaluate_scores_each_query_once(corpus_path, monkeypatch):
     records, _ = parse_records(iter(corpus_path.read_text().splitlines()))
     scorer = load_weights(str(train_weights(corpus_path, 32)))
-    calls = []
+    scored = []  # the query rows of each `scores` call
     real = EmbeddingMatrix.scores
 
     def counted(self, query):
-        calls.append(query)
+        scored.append(len(np.atleast_2d(query)))
         return real(self, query)
 
     monkeypatch.setattr(EmbeddingMatrix, "scores", counted)
 
-    def rows(methods):
+    def rows(methods, llm_subset=100):
+        scored.clear()
         result = cli.evaluate_corpus(
-            records, methods=methods, k=3, subset=6,
+            records, methods=methods, k=3, subset=6, llm_subset=llm_subset,
             **evaluation_inputs(records, dim=32),
             retriever=retriever.RetrieverConfig(prune_threshold=0.0, top_k=3),
             scorer=scorer, llm_client=MockClient())
@@ -472,9 +474,69 @@ def test_evaluate_scores_each_query_once(corpus_path, monkeypatch):
 
     methods = ("dense", "hybrid", "attn", "attn+llm")
     together = rows(methods)
-    assert len(calls) == 6
+    assert sum(scored) == 6
     for method in methods:
         assert together[method] == rows((method,))[method]
+        assert sum(scored) == 6
+    rows(("bm25",))
+    assert scored == []  # bm25 reads no cosine row
+    rows(("bm25", "attn+llm"), llm_subset=2)
+    assert sum(scored) == 2  # attn+llm reads only its re-ranked queries'
+
+
+def test_evaluate_cosine_chunks_hold_at_most_512_kib(tmp_path, monkeypatch):
+    # 2,400 papers: the budget holds 27 queries' rows, so 30 queries take
+    # two `scores` calls
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, component_corpus(800))
+    scored = []
+    real = EmbeddingMatrix.scores
+
+    def recorded(self, query):
+        scored.append((len(np.atleast_2d(query)), self.node_count))
+        return real(self, query)
+
+    monkeypatch.setattr(EmbeddingMatrix, "scores", recorded)
+    assert run_cli("evaluate", "--corpus", path, "--dim", "16",
+                   "--method", "dense", "--subset", "30") == 0
+    assert scored == [(27, 2400), (3, 2400)]
+    assert all(8 * m * n <= 512 * 1024 for m, n in scored)
+
+
+def test_evaluate_outputs_do_not_depend_on_the_chunk_size(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, component_corpus(20))
+    weights = train_weights(path, DEFAULT_DIM)
+    args = ["evaluate", "--corpus", path, "--sigma", "0.0", "--subset", "20",
+            "--llm-subset", "10", "--llm-mock", "--weights", weights,
+            "--per-query", "--method", "bm25,dense,hybrid,attn,attn+llm"]
+    records, _ = parse_records(iter(path.read_text().splitlines()))
+    inputs = evaluation_inputs(records)
+    capsys.readouterr()
+    printed, runs = {}, {}
+    budgets = (cli._COSINE_VALUES, 4 * 60, 1)  # one chunk, 4 and 1 query
+    for budget in budgets:
+        monkeypatch.setattr(cli, "_COSINE_VALUES", budget)
+        assert run_cli(*args, "--output", tmp_path / str(budget)) == 0
+        printed[budget] = capsys.readouterr().out
+        result = cli.evaluate_corpus(
+            records, methods=("dense", "hybrid", "attn"), subset=20,
+            scorer=load_weights(str(weights)), **inputs,
+            retriever=retriever.RetrieverConfig(prune_threshold=0.0))
+        runs[budget] = {m: {q: ranked.to_dicts() for q, ranked in run.items()}
+                        for m, run in result["runs"].items()}
+    files = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert "per_query_attn_llm.csv" in files
+    dense = (tmp_path / "1" / "per_query_dense.csv").read_text()
+    assert len(dense.splitlines()) == 1 + 20
+    for budget in budgets[:2]:
+        assert printed[budget] == printed[1]
+        assert runs[budget] == runs[1]
+        for name in files:
+            assert (tmp_path / str(budget) / name).read_bytes() == \
+                (tmp_path / "1" / name).read_bytes()
 
 
 def test_evaluate_scores_bm25_once_per_query(corpus_path, monkeypatch):

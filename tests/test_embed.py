@@ -18,7 +18,8 @@ from citegraph.embed import (EmbeddingMatrix, embed_corpus, hash_counts,
                              write_embeddings)
 from citegraph.graph import build_graph
 
-from helpers import oracle_cosine, oracle_hash_embed, oracle_write_counts
+from helpers import (oracle_cosine, oracle_hash_embed, oracle_scores,
+                     oracle_write_counts)
 
 
 def small_graph(ids):
@@ -474,6 +475,59 @@ def test_scores_matches_cosine_scan():
         assert s[i] == pytest.approx(oracle_cosine(m.vectors[i], q),
                                      abs=1e-12)
     assert s[-1] == 0.0  # empty text row scores zero
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 1100), m=st.integers(1, 20), dim=st.integers(1, 40),
+       zeros=st.lists(st.integers(0, 1099), max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=0, m=3, dim=4, zeros=[], seed=0)
+@example(n=1, m=1, dim=1, zeros=[], seed=0)
+@example(n=511, m=2, dim=16, zeros=[510], seed=1)
+@example(n=512, m=5, dim=40, zeros=[0, 511], seed=2)
+@example(n=513, m=20, dim=7, zeros=[511], seed=3)
+@example(n=1024, m=1, dim=33, zeros=[512], seed=4)
+@example(n=1025, m=8, dim=40, zeros=[1023], seed=5)
+@example(n=1026, m=3, dim=2, zeros=[1025], seed=6)
+def test_batched_scores_rows_bit_equal_to_one_scan_per_query(n, m, dim, zeros,
+                                                            seed):
+    """A stack's rows keep the bytes of one whole-matrix scan per query,
+    across slice edges, a one-row tail, n below one slice and zero rows;
+    unnormalized rows also make the clipping bite."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, (n, 1))
+    vectors[[z for z in zeros if z < n]] = 0.0
+    matrix = EmbeddingMatrix(ids=tuple(f"p{i}" for i in range(n)),
+                             vectors=vectors, dim=dim)
+    stack = rng.standard_normal((m, dim))
+    got = matrix.scores(stack)
+    assert got.shape == (m, n) and got.dtype == np.float64
+    for query, row in zip(stack, got):
+        assert row.tobytes() == oracle_scores(vectors, query).tobytes()
+    one = matrix.scores(stack[-1])
+    assert one.shape == (n,)
+    assert one.tobytes() == got[-1].tobytes()
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_scores_rejects_a_zero_query_anywhere_in_a_stack(at):
+    rng = np.random.default_rng(at)
+    matrix = EmbeddingMatrix(ids=("a", "b"), vectors=rng.standard_normal(
+        (2, 3)), dim=3)
+    stack = rng.standard_normal((5, 3))
+    stack[at] = 0.0
+    with pytest.raises(ValueError, match="degenerate query"):
+        matrix.scores(stack)
+    with pytest.raises(ValueError, match="degenerate query"):
+        matrix.scores(stack[at])
+
+
+@pytest.mark.parametrize("shape", [(4,), (2,), (2, 4), (1, 2), (2, 3, 3),
+                                   (1, 1, 3), ()])
+def test_scores_rejects_a_wrong_width_or_rank(shape):
+    matrix = EmbeddingMatrix(ids=("a",), vectors=np.ones((1, 3)), dim=3)
+    with pytest.raises(ValueError, match="dimension 3"):
+        matrix.scores(np.ones(shape))
 
 
 def test_embedding_matrix_shape_validation():
