@@ -30,6 +30,8 @@ import numpy as np
 from .embed import EmbeddingMatrix, tokenize
 from .ranking import RankedList, top_k
 
+_CHUNK = 8192  # postings per step of the weight computation
+
 
 @dataclass
 class Bm25Index:
@@ -115,20 +117,29 @@ def bm25_build(texts: Iterable[str], ids: Sequence[str] | None = None,
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
     run_keys = keys[starts]
     del keys
-    docs = (run_keys % n).astype(np.int32)
-    df = np.bincount(run_keys // n, minlength=len(vocab))  # per term id
+    docs = np.empty(len(run_keys), dtype=np.int32)
+    np.remainder(run_keys, n, out=docs)  # cast in buffer-sized blocks
+    run_keys //= n  # each run's term id
+    df = np.bincount(run_keys, minlength=len(vocab))
     del run_keys
-    tf = np.diff(np.flatnonzero(np.append(starts, True))).astype(np.int32)
-    del starts
+    # a run's tf is the distance from its first token to the next run's
+    firsts = np.flatnonzero(starts)
+    tf = np.empty(len(firsts), dtype=np.int32)
+    np.subtract(firsts[1:], firsts[:-1], out=tf[:-1])
+    tf[-1:] = len(starts) - firsts[-1:]
+    del starts, firsts
     # idf * tf / (tf + k1 * (1 - b + b * dl / avg)) step by step, the norm
-    # per doc; no posting reads it when every doc is empty (avg 0)
-    den = (k1 * (1.0 - b + b * (doc_lengths / (avg or 1.0))))[docs]
-    den += tf
+    # per doc, over fixed-size chunks of postings; no posting reads the
+    # norm when every doc is empty (avg 0)
+    norm = k1 * (1.0 - b + b * (doc_lengths / (avg or 1.0)))
     weights = np.repeat([math.log((n - d + 0.5) / (d + 0.5) + 1.0)
                          for d in df.tolist()], df)
-    weights *= tf
-    weights /= den
-    del tf, den
+    for s in range(0, len(weights), _CHUNK):
+        w, t = weights[s:s + _CHUNK], tf[s:s + _CHUNK]
+        den = norm[docs[s:s + _CHUNK]]
+        den += t
+        w *= t
+        w /= den
     ptr = np.concatenate(([0], np.cumsum(df)))
     docs.setflags(write=False)  # `postings` hands out views of it
     return Bm25Index(terms=dict(vocab), ptr=ptr, docs=docs, weights=weights,

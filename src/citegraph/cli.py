@@ -1,4 +1,7 @@
-"""Command-line pipelines: build, embed, train, retrieve, evaluate, rerank.
+"""Command-line pipelines: build, embed, train, retrieve, evaluate.
+
+`retrieve --rerank` and evaluate's attn+llm are the two ways to the LLM,
+and both send it the pruned subgraph that the retrieval kept.
 
 Every command is deterministic under a fixed seed (live LLM mode aside).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 network error.
@@ -8,7 +11,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import os
 import sys
 from typing import Sequence
@@ -18,7 +20,7 @@ import numpy as np
 from . import baselines, corpus, embed, gat, metrics, rerank
 from . import graph as graphmod
 from . import retriever as retrievermod
-from .ranking import RankedItem, RankedList, top_k
+from .ranking import RankedList, top_k
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -204,15 +206,16 @@ def _attn_query(graph, embeddings, query, cos, scorer, config):
     return sub, retrievermod.decode_and_rank(sub, cos, embeddings, config)
 
 
-def _rerank_request(query_text, ranked, records, graph, model, sub=None):
+def _rerank_request(query_text, ranked, records, graph, model, sub):
     """The re-rank request for `ranked`: each candidate with its title,
-    and the triplets of `sub` when a retrieved subgraph is given."""
+    and the triplets of the retrieved subgraph `sub` that touch its seed
+    or a candidate."""
+    nodes = [graph.index_of[it.id] for it in ranked.items]
     return rerank.RerankRequest(
         query_text=query_text,
-        candidates=[(it.id, _title_of(records, graph, it.id))
-                    for it in ranked.items],
-        triplets=([] if sub is None
-                  else rerank.verbalize_triplets(sub, graph, records)),
+        candidates=[(records[i].id, records[i].title or records[i].id)
+                    for i in nodes],
+        triplets=rerank.verbalize_triplets(sub, graph, records, nodes),
         model=model)
 
 
@@ -311,11 +314,6 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
     return {"k": k, "seed": seed, "subset": len(queries),
             "excluded": excluded, "methods": reports, "runs": runs,
             "rows": rows, "judgments": judgments}
-
-
-def _title_of(records, graph, pid: str) -> str:
-    record = records[graph.index_of[pid]]
-    return record.title if record.title else record.id
 
 
 def comparison_json(result: dict) -> dict:
@@ -490,76 +488,6 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number; true and false are not numbers."""
-    if type(value) not in (int, float):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _saved_candidates(retrieval, graph) -> RankedList:
-    """The candidates of a saved retrieval, checked entry by entry.
-
-    Each is an object with a corpus paper `id`, a finite number `score`
-    and an optional string `provenance`; an error names the entry.
-    """
-    if not isinstance(retrieval, dict):
-        raise ValueError("retrieval: not a JSON object")
-    candidates = retrieval.get("candidates")
-    if not isinstance(candidates, list):
-        raise ValueError("candidates: not a list")
-    items = []
-    for i, c in enumerate(candidates):
-        where = f"candidates[{i}]"
-        if not isinstance(c, dict):
-            raise ValueError(f"{where}: not an object")
-        pid = c.get("id")
-        if not isinstance(pid, str) or pid not in graph.index_of:
-            raise ValueError(f"{where}.id: not a corpus paper id")
-        if not _is_number(c.get("score")):
-            raise ValueError(f"{where}.score: not a number")
-        provenance = c.get("provenance", "graph")
-        if not isinstance(provenance, str):
-            raise ValueError(f"{where}.provenance: not a string")
-        items.append(RankedItem(id=pid, score=c["score"],
-                                provenance=provenance))
-    return RankedList(items=items)
-
-
-def cmd_rerank(args) -> int:
-    _require(args, "corpus", "input")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        retrieval = json.load(fh)
-    records, _ = _load_corpus(args.corpus)
-    graph = graphmod.build_graph(records)
-    original = _saved_candidates(retrieval, graph)
-    if not original.items:
-        raise ValueError("nothing to rerank: retrieval has no candidates")
-    query_id = retrieval.get("query_id", "query")
-    if not isinstance(query_id, str):
-        raise ValueError("query_id: not a string")
-    if args.query is not None:
-        query_text = args.query
-    elif query_id in graph.index_of:
-        query_text = corpus.build_text(records[graph.index_of[query_id]])
-    else:
-        raise ValueError("query text unavailable: pass --query or use a "
-                         "retrieval whose query_id is a corpus paper id")
-    client = _llm_client(args)
-    request = _rerank_request(query_text, original, records, graph,
-                              args.model)
-    reranked = rerank.rerank(client, request, original)
-    result = {"query_id": query_id, "fallback": reranked.fallback,
-              "candidates": reranked.to_dicts()}
-    if args.output:
-        _write_json(args.output, result)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # parser and entry point
 # ---------------------------------------------------------------------------
@@ -627,14 +555,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--per-query", action="store_true", dest="per_query",
                    help="also write per-query metric CSVs")
     p.set_defaults(func=cmd_evaluate)
-
-    p = subs.add_parser("rerank", help="re-rank a saved retrieval result")
-    _add_common(p, "corpus", "output", "model", llm_mock=True)
-    p.add_argument("--input", type=str, default=None,
-                   help="retrieval JSON produced by the retrieve command")
-    p.add_argument("--query", type=str, default=None,
-                   help="query text (when query_id is not a corpus paper)")
-    p.set_defaults(func=cmd_rerank)
 
     return parser
 

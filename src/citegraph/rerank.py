@@ -1,11 +1,12 @@
 """LLM re-ranking: triplet verbalization, prompting, and robust parsing.
 
-The retrieved subgraph is verbalized as (paper, "cites", paper) triplets
-and sent with the candidate list to a chat-completion endpoint, which is
-asked to reply with a single "RANKING: i1, i2, ..." line. Parsing always
-yields a complete permutation, and any network or format failure degrades
-to the original ranking with a fallback flag; re-ranking is an optional
-enhancement and must never break the pipeline.
+The retrieved subgraph's edges that touch the seed or a candidate are
+verbalized as (paper, "cites", paper) triplets and sent with the candidate
+list to a chat-completion endpoint, which is asked to reply with a single
+"RANKING: i1, i2, ..." line. Parsing always yields a complete
+permutation, and any network or format failure degrades to the original
+ranking with a fallback flag; re-ranking is an optional enhancement and
+must never break the pipeline.
 """
 from __future__ import annotations
 
@@ -52,19 +53,24 @@ class RerankRequest:
 
 
 def verbalize_triplets(subgraph: RetrievedSubgraph, graph: CitationGraph,
-                       records: Sequence[PaperRecord]) -> list[Triplet]:
+                       records: Sequence[PaperRecord],
+                       candidates: Sequence[int]) -> list[Triplet]:
     """One triplet per directed citation edge of `graph` among the kept
-    nodes, titles when present, ids otherwise.
+    nodes with an endpoint at the seed or at one of `candidates` (the node
+    indices being re-ranked); titles when present, ids otherwise.
 
     `records` must be aligned with the graph's node order. Triplets are
     ordered by (source hop, source index, target index), each source's hop
     read from the subgraph's aligned `nodes` and `hops` arrays.
     """
     def label(index: int) -> str:
-        record = records[index]
-        return record.title if record.title else record.id
+        return records[index].title or records[index].id
 
     sources, targets = graph.edges(subgraph.nodes)
+    focus = np.zeros(graph.node_count, dtype=bool)
+    focus[[subgraph.seed, *candidates]] = True
+    touch = focus[sources] | focus[targets]
+    sources, targets = sources[touch], targets[touch]
     hop_of = np.empty(graph.node_count, dtype=np.int64)
     hop_of[subgraph.nodes] = subgraph.hops
     order = np.lexsort((targets, sources, hop_of[sources]))

@@ -274,6 +274,18 @@ def oracle_retrieve(n, edges, vectors, query, seed, u, b, sigma, hops):
     return kept, scores, hop_of
 
 
+def oracle_triplet_pairs(edges, hop_of, seed, candidates):
+    """The (source, target) pairs a re-rank prompt verbalizes, by a loop:
+    each distinct edge with both ends kept (the keys of `hop_of`) and an
+    end at the seed or a candidate, sorted by (source hop, source,
+    target)."""
+    focus = {seed} | set(candidates)
+    rows = sorted((hop_of[u], u, v) for u, v in set(edges)
+                  if u in hop_of and v in hop_of
+                  and (u in focus or v in focus))
+    return [(u, v) for _, u, v in rows]
+
+
 def oracle_top_k(scores, k, candidates=None):
     """The first k pool indices after a full `sorted` by (-score, index)."""
     pool = [i for i in range(len(scores))

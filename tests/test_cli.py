@@ -651,68 +651,13 @@ def test_retrieve_with_mock_rerank(tmp_path, corpus_path, weights, capsys):
         {c["id"] for c in result["candidates"]}
 
 
-def test_rerank_command_on_saved_retrieval(tmp_path, corpus_path, weights,
-                                           capsys):
-    retrieval = tmp_path / "retrieval.json"
-    assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p02h",
-                   "--sigma", "0.0", "--dim", "48", "--weights", weights,
-                   "--output", retrieval) == 0
-    capsys.readouterr()
-    assert run_cli("rerank", "--corpus", corpus_path, "--input", retrieval,
-                   "--llm-mock") == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result["query_id"] == "p02h"
-    assert result["candidates"]
-
-
-def _score_text(retrieval):
-    retrieval["candidates"][0]["score"] = "high"
-    return retrieval
-
-
-def _score_bool(retrieval):
-    retrieval["candidates"][1]["score"] = True
-    return retrieval
-
-
-def _id_outside_corpus(retrieval):
-    retrieval["candidates"][1]["id"] = "zz"
-    return retrieval
-
-
-def _array(retrieval):
-    return [retrieval]
-
-
-@pytest.mark.parametrize("corrupt, message", [
-    (_score_text, "candidates[0].score: not a number"),
-    (_score_bool, "candidates[1].score: not a number"),
-    (_id_outside_corpus, "candidates[1].id: not a corpus paper id"),
-    (_array, "retrieval: not a JSON object")])
-def test_rerank_bad_input_names_the_entry(tmp_path, corpus_path, weights,
-                                          capsys, corrupt, message):
-    retrieval = tmp_path / "retrieval.json"
-    assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p02h",
-                   "--sigma", "0.0", "--dim", "48", "--weights", weights,
-                   "--output", retrieval) == 0
-    retrieval.write_text(json.dumps(corrupt(json.loads(retrieval.read_text()))))
-    capsys.readouterr()
-    assert run_cli("rerank", "--corpus", corpus_path, "--input", retrieval,
-                   "--llm-mock") == 2
-    assert message in capsys.readouterr().err
-
-
-def test_rerank_without_endpoint_is_network_error(tmp_path, corpus_path,
-                                                  weights, monkeypatch,
-                                                  capsys):
+def test_rerank_without_endpoint_is_network_error(corpus_path, weights,
+                                                  monkeypatch, capsys):
     monkeypatch.delenv("CITEGRAPH_LLM_URL", raising=False)
-    retrieval = tmp_path / "retrieval.json"
     assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p02h",
                    "--sigma", "0.0", "--dim", "48", "--weights", weights,
-                   "--output", retrieval) == 0
-    capsys.readouterr()
-    assert run_cli("rerank", "--corpus", corpus_path,
-                   "--input", retrieval) == 3
+                   "--rerank") == 3
+    assert "network error:" in capsys.readouterr().err
 
 
 def test_evaluate_single_method(tmp_path, corpus_path, capsys):

@@ -7,6 +7,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citegraph.corpus import PaperRecord
 from citegraph.ranking import RankedItem, RankedList
@@ -15,7 +17,8 @@ from citegraph.rerank import (EndpointError, HttpChatClient, MockClient,
                               parse_ranking, rerank, verbalize_triplets)
 from citegraph.retriever import (RetrievedSubgraph, RetrieverConfig,
                                  retrieve_subgraph)
-from helpers import citation_graph, retriever_fixture
+from helpers import (citation_graph, oracle_triplet_pairs, random_digraph,
+                     retriever_fixture)
 
 
 def subgraph_with_edges(edges, hops):
@@ -34,23 +37,23 @@ def records(*titles):
 def test_verbalize_uses_titles_then_ids():
     sub, graph = subgraph_with_edges([(0, 1)], {0: 0, 1: 1})
     recs = records("A", "B")
-    assert verbalize_triplets(sub, graph, recs) == \
+    assert verbalize_triplets(sub, graph, recs, [1]) == \
         [Triplet(subject="A", predicate="cites", object="B")]
     recs_untitled = [PaperRecord(id="p0"), PaperRecord(id="p1", title="B")]
-    assert verbalize_triplets(sub, graph, recs_untitled) == \
+    assert verbalize_triplets(sub, graph, recs_untitled, [1]) == \
         [Triplet(subject="p0", predicate="cites", object="B")]
 
 
 def test_verbalize_edgeless():
     sub, graph = subgraph_with_edges([], {0: 0})
-    assert verbalize_triplets(sub, graph, records("A")) == []
+    assert verbalize_triplets(sub, graph, records("A"), []) == []
 
 
 def test_verbalize_four_edges_match_edge_list():
     edges = [(0, 1), (0, 2), (2, 1), (3, 0)]
     sub, graph = subgraph_with_edges(edges, {0: 0, 1: 1, 2: 1, 3: 2})
     recs = records("A", "B", "C", "D")
-    triplets = verbalize_triplets(sub, graph, recs)
+    triplets = verbalize_triplets(sub, graph, recs, [1, 2, 3])
     assert len(triplets) == 4
     names = {f"p{i}": t for i, t in enumerate("ABCD")}
     seen = {(t.subject, t.object) for t in triplets}
@@ -59,19 +62,56 @@ def test_verbalize_four_edges_match_edge_list():
     assert [(t.subject, t.object) for t in triplets[:2]] == \
         [("A", "B"), ("A", "C")]
     assert triplets[-1].subject == "D"  # hop-2 source last
+    # an edge stays when an end is the seed (A) or a candidate: C -> B
+    # goes with candidate D alone and comes back with candidate B
+    pairs = [(t.subject, t.object)
+             for t in verbalize_triplets(sub, graph, recs, [3])]
+    assert pairs == [("A", "B"), ("A", "C"), ("D", "A")]
+    pairs = [(t.subject, t.object)
+             for t in verbalize_triplets(sub, graph, recs, [1])]
+    assert pairs == [("A", "B"), ("A", "C"), ("C", "B"), ("D", "A")]
 
 
 def test_verbalize_covers_kept_pairs_only():
-    fx = retriever_fixture(6)
+    fx = retriever_fixture(1)  # 27 kept nodes with 55 edges among them
     sub = retrieve_subgraph(
         fx["graph"], fx["embeddings"], fx["query"], fx["seed_node"],
         fx["scorer"], RetrieverConfig(hops=fx["hops"], prune_threshold=0.0))
     recs = [PaperRecord(id=pid) for pid in fx["graph"].node_ids]
-    triplets = verbalize_triplets(sub, fx["graph"], recs)
-    kept = set(sub.nodes)
-    expected = sorted((f"n{u}", f"n{v}") for u, v in set(fx["edges"])
-                      if u in kept and v in kept)
-    assert sorted((t.subject, t.object) for t in triplets) == expected
+    candidates = sub.nodes[1::2].tolist()
+    triplets = verbalize_triplets(sub, fx["graph"], recs, candidates)
+    expected = oracle_triplet_pairs(
+        fx["edges"], dict(zip(sub.nodes.tolist(), sub.hops.tolist())),
+        sub.seed, candidates)
+    assert len(expected) < len(fx["graph"].edges(sub.nodes)[0])
+    assert [(t.subject, t.object) for t in triplets] == \
+        [(f"n{u}", f"n{v}") for u, v in expected]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_verbalize_matches_loop_oracle(data):
+    """On random graphs, kept sets, hops and candidate lists (which may
+    name nodes outside the kept set, as dense fill does): the loop
+    oracle's edges, in its order, with their labels."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    n, edges = random_digraph(rng, max_nodes=25)
+    seed = int(rng.integers(0, n))
+    others = [v for v in range(n) if v != seed and rng.random() < 0.6]
+    hop_of = {seed: 0} | {v: int(rng.integers(1, 4)) for v in others}
+    order = sorted(hop_of, key=lambda v: (hop_of[v], v))
+    sub = RetrievedSubgraph(
+        seed=seed, nodes=np.array(order),
+        hops=np.array([hop_of[v] for v in order]),
+        scores=np.ones(len(order)))
+    candidates = [int(v) for v in rng.permutation(n)[:rng.integers(0, n)]]
+    recs = [PaperRecord(id=f"n{i}", title=f"T{i}" if i % 3 else "")
+            for i in range(n)]
+    triplets = verbalize_triplets(sub, citation_graph(n, edges), recs,
+                                  candidates)
+    label = [r.title or r.id for r in recs]
+    assert triplets == [Triplet(label[u], "cites", label[v]) for u, v in
+                        oracle_triplet_pairs(edges, hop_of, seed, candidates)]
 
 
 def request_for(count, triplets=()):
