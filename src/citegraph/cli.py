@@ -3,6 +3,10 @@
 `retrieve --rerank` and evaluate's attn+llm are the two ways to the LLM,
 and both send it the pruned subgraph that the retrieval kept.
 
+Only the corpus, graph and embedding stages load with this module; each
+command imports the other stages it runs, so `build` and `embed` load no
+scorer, retriever, baseline, metric or LLM code.
+
 Every command is deterministic under a fixed seed (live LLM mode aside).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 network error.
 """
@@ -13,14 +17,17 @@ import gc
 import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import baselines, corpus, embed, gat, metrics, rerank
+from . import corpus, embed
 from . import graph as graphmod
-from . import retriever as retrievermod
-from .ranking import RankedList, top_k
+
+if TYPE_CHECKING:
+    from . import baselines
+    from . import retriever as retrievermod
+    from .ranking import RankedList
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,26 +112,40 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, (_, default, _) in _SETTINGS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_values.get(key, default))
-    _validate(args)
+    _validate(args, set(file_values))
     return args
 
 
-def _validate(args: argparse.Namespace) -> None:
+def _validate(args: argparse.Namespace, file_keys: set[str]) -> None:
     """Check the merged settings; the config classes own k, sigma, hops,
     alpha, epochs, lr and negatives, name the flag in their errors, and
-    are built here once for the commands."""
+    are built here once for the commands.
+
+    A config class is built for the commands that take it and for any
+    command whose config file (`file_keys`) sets one of its settings, so
+    a bad value fails in every command, while `build` and `embed` with no
+    such key load none of the modules that define them.
+    """
     if args.dim < 1:
         raise UsageError("dim must be >= 1")
     if args.subset < 1 or args.llm_subset < 1:
         raise UsageError("subset sizes must be >= 1")
     try:
-        args.retriever = retrievermod.RetrieverConfig(
-            hops=args.hops, prune_threshold=args.sigma, top_k=args.k,
-            fallback_to_dense=args.dense_fallback)
-        args.hybrid = baselines.HybridConfig(alpha=args.alpha)
-        args.train = gat.TrainConfig(
-            learning_rate=args.lr, epochs=args.epochs,
-            negatives_per_positive=args.negatives, seed=args.seed)
+        if (args.command in ("retrieve", "evaluate")
+                or file_keys & {"hops", "sigma", "k", "dense_fallback"}):
+            from .retriever import RetrieverConfig
+            args.retriever = RetrieverConfig(
+                hops=args.hops, prune_threshold=args.sigma, top_k=args.k,
+                fallback_to_dense=args.dense_fallback)
+        if args.command == "evaluate" or "alpha" in file_keys:
+            from .baselines import HybridConfig
+            args.hybrid = HybridConfig(alpha=args.alpha)
+        if (args.command == "train"
+                or file_keys & {"lr", "epochs", "negatives", "seed"}):
+            from .gat import TrainConfig
+            args.train = TrainConfig(
+                learning_rate=args.lr, epochs=args.epochs,
+                negatives_per_positive=args.negatives, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -152,6 +173,7 @@ def _get_embeddings(args, records, graph):
 
 
 def _llm_client(args):
+    from . import rerank
     if getattr(args, "llm_mock", False):
         return rerank.MockClient()
     return rerank.HttpChatClient()
@@ -193,6 +215,7 @@ def sample_queries(eligible: Sequence[int], subset: int, seed: int) -> list[int]
 
 
 def _drop_self(ranked: RankedList, own_id: str, k: int) -> RankedList:
+    from .ranking import RankedList
     items = [it for it in ranked.items if it.id != own_id][:k]
     return RankedList(items=items, fallback=ranked.fallback)
 
@@ -200,6 +223,7 @@ def _drop_self(ranked: RankedList, own_id: str, k: int) -> RankedList:
 def _attn_query(graph, embeddings, query, cos, scorer, config):
     """The (subgraph, ranking) of one query's pruned retrieval; `cos` is
     its `embeddings.scores` row."""
+    from . import retriever as retrievermod
     seed_node = retrievermod.select_seed(cos, embeddings, graph)
     sub = retrievermod.retrieve_subgraph(graph, embeddings, query, seed_node,
                                          scorer, config)
@@ -210,6 +234,7 @@ def _rerank_request(query_text, ranked, records, graph, model, sub):
     """The re-rank request for `ranked`: each candidate with its title,
     and the triplets of the retrieved subgraph `sub` that touch its seed
     or a candidate."""
+    from . import rerank
     nodes = [graph.index_of[it.id] for it in ranked.items]
     return rerank.RerankRequest(
         query_text=query_text,
@@ -239,6 +264,9 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
     8,000 papers); the methods then rank each query alone. Returns the
     per-method reports, runs and per-query rows, and run metadata.
     """
+    from . import baselines, metrics
+    from . import retriever as retrievermod
+    from .ranking import top_k
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r}; "
@@ -270,6 +298,7 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
         elif method == "attn":
             _, ranked = attn
         else:  # attn+llm
+            from . import rerank
             sub, ranked = attn
             ranked = _drop_self(ranked, own_id, k)
             if not ranked.items:
@@ -375,6 +404,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import gat
     _require(args, "corpus", "output")
     records, _ = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
@@ -411,6 +441,8 @@ def _query_vector(args, graph, embeddings):
 
 
 def cmd_retrieve(args) -> int:
+    from . import gat
+    from . import retriever as retrievermod
     _require(args, "corpus", "weights")
     if (args.query is None) == (args.paper_id is None):
         raise UsageError("provide exactly one of --query or --paper-id")
@@ -424,6 +456,7 @@ def cmd_retrieve(args) -> int:
                               args.retriever)
     result = retrievermod.retrieval_to_json(query_id, sub, ranked, graph)
     if args.rerank:
+        from . import rerank
         client = _llm_client(args)
         query_text = (args.query if args.paper_id is None else
                       corpus.build_text(records[graph.index_of[query_id]]))
@@ -439,6 +472,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import baselines, metrics
     _require(args, "corpus")
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     if not methods:
@@ -456,8 +490,10 @@ def cmd_evaluate(args) -> int:
             if {"bm25", "hybrid"} & set(methods) else None)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
-    scorer = (gat.load_weights(args.weights, width=embeddings.dim)
-              if prunes else None)
+    scorer = None
+    if prunes:
+        from . import gat
+        scorer = gat.load_weights(args.weights, width=embeddings.dim)
     client = _llm_client(args) if "attn+llm" in methods else None
     result = evaluate_corpus(
         records, graph=graph, embeddings=embeddings, bm25=bm25,
@@ -582,7 +618,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except rerank.EndpointError as exc:
+    except _endpoint_error() as exc:
         print(f"network error: {exc}", file=sys.stderr)
         return EXIT_NETWORK
     except (OSError, ValueError, KeyError) as exc:
@@ -591,6 +627,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _endpoint_error() -> type[Exception] | tuple:
+    """rerank.EndpointError once rerank has loaded, else an empty tuple
+    (which matches nothing): nothing raises it before rerank loads."""
+    rerank = sys.modules.get(f"{__package__}.rerank")
+    return rerank.EndpointError if rerank is not None else ()
 
 
 def entry() -> None:

@@ -6,26 +6,35 @@ bag-of-words embedder provides a self-contained, fully deterministic
 substitute so the whole pipeline runs without any external model. Rows are
 L2-normalized at load time so cosine similarity reduces to a dot product.
 
-`tokenize` (shared with BM25) keeps the maximal runs of `[^\W_]`. For
-ASCII text it lowercases, maps every ASCII non-alphanumeric character to
-a space with one `str.translate` and calls `str.split()`. That is exact:
-over ASCII, `[^\W_]` is `[A-Za-z0-9]`, and every ASCII whitespace
-character is non-alphanumeric, so the split returns exactly the runs the
-regex finds. Other text goes through the regex.
+`tokenize` (shared with BM25) keeps the maximal runs of `[^\W_]` of the
+lowercased text. For ASCII text it maps every ASCII non-alphanumeric
+character to a space with one `str.translate` and calls `str.split()`.
+That is exact: over ASCII, `[^\W_]` is `[A-Za-z0-9]`, and every ASCII
+whitespace character is non-alphanumeric, so the split returns exactly
+the runs the regex finds. Other text goes through the regex.
 
-The hashing embedder hashes each distinct token once per call and counts
-rows in blocks of at most 256: a block's token codes form one flat array,
-each keyed `row * 2*dim + code`, and one `np.bincount` reshaped to
-(rows, dim, 2) gives every row's positive and negative counts. A
-single-text `hash_embed` is a one-row block. Every count is a small
-integer, so the row, its norm and the normalized vector are exact
-whatever the summation order.
+The hashing embedder counts rows in blocks of at most 256 texts and
+tokenizes a block in one pass: each text is lowercased alone, as
+`tokenize` lowercases it (a capital sigma's lowercase depends on the
+letters around it), and the block is joined around the
+sentinel token `Q`, which no lowercased text holds, then split as one
+text by `tokenize`'s rule. Each token is looked up once in a table that
+hashes each distinct token on first use, the sentinel coding to -1; a
+token's row is the number of sentinels before it. Each token is keyed
+`row * 2*dim + code`, and one `np.bincount` reshaped to (rows, dim, 2)
+gives every row's positive and negative counts. `hash_counts` fills an
+int32 matrix, half the size of float64. A single-text `hash_embed` is a
+one-row block. Every count is a small integer, so the row, its norm and
+the normalized vector are exact whatever the summation order.
 
 `embed` writes those counts, not the normalized rows: each value is the
-text of an integer (`0`, `-2`), formatted once per distinct value per
-256-row block and gathered by index. The loader normalizes every row, so
-a loaded count file is bit-equal to `embed_corpus` at the same dim and
-seed, and the file is a fraction of the size of 17-digit floats.
+text of an integer (`0`, `-2`). When a 256-row block's values span fewer
+than 256 integers, as hash counts do, the text of every integer in that
+span is formatted once into a table indexed by `value - least`; a wider
+block looks its values up among its distinct ones by binary search. The
+loader normalizes every row, so a loaded count file is bit-equal to
+`embed_corpus` at the same dim and seed, and the file is a fraction of
+the size of 17-digit floats.
 
 The loader reads the TSV's non-blank lines in blocks of 1024, keeping
 no line numbers, into one (nodes, dim) float64 matrix allocated once the
@@ -60,14 +69,21 @@ _BLOCK = 256  # rows per counting block
 _ROWS = 1024  # rows per parsing block of the TSV loader
 _SLICE = 512  # matrix rows per cosine slice: 1.5 MB at dim 384, within L2
 
+_SENTINEL = "Q"  # parts a block's texts: lower() leaves no text an upper Q
+
 DEFAULT_DIM = 384
+
+
+def _runs(lowered: str) -> list[str]:
+    """The maximal `[^\\W_]` runs of lowercased text."""
+    if lowered.isascii():
+        return lowered.translate(_ASCII_SPLIT).split()
+    return _TOKEN_RE.findall(lowered)
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumerics (shared with BM25)."""
-    if text.isascii():
-        return text.lower().translate(_ASCII_SPLIT).split()
-    return _TOKEN_RE.findall(text.lower())
+    return _runs(text.lower())
 
 
 @dataclass
@@ -143,7 +159,8 @@ def _normalize_in_place(out: np.ndarray) -> np.ndarray:
 
 
 class _TokenCodes(dict):
-    """token -> 2*bucket + (1 if the sign is +1 else 0), hashed on first use.
+    """token -> 2*bucket + (1 if the sign is +1 else 0), hashed on first use;
+    the sentinel token that parts a block's texts codes to -1.
 
     One instance serves one call, so nothing is shared between callers.
     """
@@ -151,7 +168,7 @@ class _TokenCodes(dict):
     def __init__(self, dim: int, seed: int) -> None:
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        super().__init__()
+        super().__init__({_SENTINEL: -1})
         self.dim = dim
         self.key = int(seed).to_bytes(8, "little", signed=True)
 
@@ -165,15 +182,19 @@ class _TokenCodes(dict):
 
     def counts(self, texts: Sequence[str]) -> np.ndarray:
         """Signed token counts per bucket, one integer row of length dim
-        per text; at most `_BLOCK` texts keep the count array small."""
-        tokens = [tokenize(text) for text in texts]
-        lengths = [len(t) for t in tokens]
-        flat = itertools.chain.from_iterable(tokens)
-        codes = np.fromiter(map(self.__getitem__, flat), dtype=np.intp,
-                            count=sum(lengths))
+        per text; at most `_BLOCK` texts keep the count array small.
+
+        The texts are tokenized in one pass: each is lowercased alone,
+        the block is joined around the sentinel token, which codes to -1,
+        and a token's row is the number of sentinels before it.
+        """
+        tokens = _runs(f" {_SENTINEL} ".join([text.lower() for text in texts]))
+        codes = np.fromiter(map(self.__getitem__, tokens), dtype=np.intp,
+                            count=len(tokens))
         rows, width = len(texts), 2 * self.dim
-        codes += np.repeat(np.arange(0, rows * width, width), lengths)
-        pairs = np.bincount(codes, minlength=rows * width)
+        cuts = codes < 0
+        keys = np.cumsum(cuts) * width + codes
+        pairs = np.bincount(keys[~cuts], minlength=rows * width)
         pairs = pairs.reshape(rows, self.dim, 2)
         return pairs[:, :, 1] - pairs[:, :, 0]
 
@@ -190,25 +211,33 @@ def hash_embed(text: str, dim: int = DEFAULT_DIM, seed: int = 0) -> np.ndarray:
         _TokenCodes(dim, seed).counts([text]).astype(np.float64))[0]
 
 
-def hash_counts(records: Sequence[PaperRecord], dim: int,
-                seed: int) -> np.ndarray:
-    """Signed token counts of every record's concatenated text, in corpus
-    order: an (n, dim) float64 array of integers, the rows `embed_corpus`
-    normalizes and `embed` writes."""
+def _counted(records: Sequence[PaperRecord], dim: int, seed: int,
+             dtype: type) -> np.ndarray:
+    """An (n, dim) `dtype` array of every record's signed token counts,
+    filled one `_BLOCK`-row block at a time."""
     codes = _TokenCodes(dim, seed)
-    counts = np.empty((len(records), dim), dtype=np.float64)
+    counts = np.empty((len(records), dim), dtype=dtype)
     for start in range(0, len(records), _BLOCK):
         counts[start:start + _BLOCK] = codes.counts(
             [build_text(r) for r in records[start:start + _BLOCK]])
     return counts
 
 
+def hash_counts(records: Sequence[PaperRecord], dim: int,
+                seed: int) -> np.ndarray:
+    """Signed token counts of every record's concatenated text, in corpus
+    order: an (n, dim) int32 array, half the size of float64, holding the
+    rows `embed_corpus` normalizes and `embed` writes."""
+    return _counted(records, dim, seed, np.int32)
+
+
 def embed_corpus(records: Sequence[PaperRecord], dim: int = DEFAULT_DIM,
                  seed: int = 0) -> EmbeddingMatrix:
-    """Hash-embed every record's concatenated text, in corpus order."""
+    """Hash-embed every record's concatenated text, in corpus order; the
+    counts go straight into the float64 matrix that is normalized."""
     return EmbeddingMatrix(ids=tuple(r.id for r in records),
                            vectors=_normalize_in_place(
-                               hash_counts(records, dim, seed)),
+                               _counted(records, dim, seed, np.float64)),
                            dim=dim)
 
 
@@ -331,38 +360,54 @@ def _first_bad_line(path: str, dim: int) -> str:
                         f"{pid!r}")
 
 
+def _value_texts(block: np.ndarray) -> list[list[str]]:
+    """Each value of a block of integers as `str(int(x))`, row by row.
+
+    When the block's values span fewer than `_BLOCK` integers (hash
+    counts span about 45), a table of the text of every integer in that
+    span is indexed by `value - least`. A wider block, such as one holding
+    both -2**31 and 2**31, whose table would hold billions of strings,
+    looks its values up among its distinct ones by binary search.
+    """
+    if block.size:
+        lo, hi = int(block.min()), int(block.max())
+        if hi - lo < _BLOCK:
+            table = np.array([str(v) for v in range(lo, hi + 1)],
+                             dtype=object)
+            return table[(block - lo).astype(np.intp, copy=False)].tolist()
+    values = _unique(block.ravel())
+    texts = np.array([str(int(x)) for x in values.tolist()], dtype=object)
+    return texts[np.searchsorted(values, block)].tolist()
+
+
 def write_embeddings(path: str, ids: Sequence[str],
                      counts: np.ndarray) -> None:
     """Write the TSV that `load_embeddings` reads, one row of `counts`
     per id, each value as `str(int(x))`, in blocks of 256 rows.
 
     Every value must be a finite integer, such as a `hash_counts` entry;
-    anything else raises ValueError. So does an id holding a tab, CR or
-    LF, which would split its line. Both are checked before the file is
-    opened.
+    a float array holding anything else raises ValueError. So does an id
+    holding a tab, CR or LF, which would split its line. Both are checked
+    before the file is opened.
     """
     counts = np.asarray(counts)
     if counts.ndim != 2 or len(counts) != len(ids):
         raise ValueError(f"counts must have one row per id ({len(ids)}), "
                          f"got shape {counts.shape}")
     starts = range(0, len(ids), _BLOCK)
-    # checked on each block's distinct values: no temporary of the matrix
-    distinct = [_unique(counts[start:start + _BLOCK].ravel())
-                for start in starts]
-    for values in distinct:
-        if not np.isfinite(values).all() or (np.trunc(values) != values).any():
-            raise ValueError("embedding counts must be finite integers")
+    blocks = [counts[start:start + _BLOCK] for start in starts]
+    # checked block by block: no temporary of the matrix
+    if counts.dtype.kind not in "iu" and not all(
+            np.isfinite(block).all() and (np.trunc(block) == block).all()
+            for block in blocks):
+        raise ValueError("embedding counts must be finite integers")
     for pid in ids:
         if "\t" in pid or "\n" in pid or "\r" in pid:
             raise ValueError(f"paper id {pid!r} holds a tab or line break; "
                              "the embeddings TSV cannot store it")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(ids)}\t{counts.shape[1]}\n")
-        for start, values in zip(starts, distinct):
-            block = counts[start:start + _BLOCK]
-            texts = np.array([str(int(x)) for x in values.tolist()],
-                             dtype=object)
-            rows = texts[np.searchsorted(values, block)].tolist()
+        for start, block in zip(starts, blocks):
             fh.write("".join(pid + "\t" + "\t".join(row) + "\n"
                              for pid, row in zip(ids[start:start + _BLOCK],
-                                                 rows)))
+                                                 _value_texts(block))))

@@ -330,11 +330,11 @@ def oracle_bm25_loop(docs, query, k1=1.2, b=0.75):
     return scores
 
 
-def oracle_hash_embed(text, dim, seed):
-    """Signed feature hashing by a per-occurrence loop: every token
+def oracle_hash_counts(text, dim, seed):
+    """Signed feature-hash counts by a per-occurrence loop: every token
     (lowercased alphanumeric run) is hashed with blake2b keyed on the seed,
     the first 8 digest bytes pick the bucket and the 9th byte's low bit the
-    sign; the sum is divided by its L2 norm unless it is zero."""
+    sign."""
     key = int(seed).to_bytes(8, "little", signed=True)
     vec = np.zeros(dim, dtype=np.float64)
     for token in re.findall(r"[^\W_]+", text.lower()):
@@ -342,6 +342,12 @@ def oracle_hash_embed(text, dim, seed):
                                  digest_size=9).digest()
         bucket = int.from_bytes(digest[:8], "little") % dim
         vec[bucket] += 1.0 if digest[8] & 1 else -1.0
+    return vec
+
+
+def oracle_hash_embed(text, dim, seed):
+    """`oracle_hash_counts` divided by its L2 norm unless it is zero."""
+    vec = oracle_hash_counts(text, dim, seed)
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0.0 else vec
 

@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -698,7 +701,7 @@ def test_evaluate_all_methods_deterministic(tmp_path, corpus_path):
 def test_comparison_names_the_llm_client_when_attn_llm_ran(
         tmp_path, corpus_path, weights, monkeypatch, methods, flags, llm):
     # the endpoint client is replaced offline; the report names the model
-    monkeypatch.setattr(cli.rerank, "HttpChatClient", MockClient)
+    monkeypatch.setattr("citegraph.rerank.HttpChatClient", MockClient)
     args = ["evaluate", "--corpus", corpus_path, "--dim", "48", "--subset",
             "4", "--llm-subset", "2", "--weights", weights, "--method",
             methods, *flags]
@@ -732,6 +735,64 @@ def test_evaluate_llm_method_without_endpoint(corpus_path, monkeypatch):
     assert run_cli("evaluate", "--corpus", corpus_path,
                    "--weights", train_weights(corpus_path, DEFAULT_DIM),
                    "--method", "attn+llm") == 3
+
+
+def test_build_config_sets_a_bad_retriever_key(tmp_path, corpus_path,
+                                               capsys):
+    # build takes no retriever settings, yet a bad one in its config file
+    # still fails, with the message retrieve and evaluate give
+    config = tmp_path / "bad.cfg"
+    config.write_text("sigma = 2\n")
+    assert run_cli("build", "--corpus", corpus_path, "--output",
+                   tmp_path / "out", "--config", config) == 1
+    assert capsys.readouterr().err == \
+        "usage error: prune_threshold (--sigma) must be in [0, 1]\n"
+    assert not (tmp_path / "out").exists()
+
+
+# runs one command in a fresh interpreter, then prints on a last line its
+# exit code and the citegraph modules loaded
+LOADED_AFTER = """
+import sys
+from citegraph import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("citegraph")))
+"""
+
+
+def modules_loaded_by(*argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER,
+                           *map(str, argv)], env=env, capture_output=True,
+                          text=True, check=True)
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return set(modules)
+
+
+def test_build_and_embed_load_no_later_stage(tmp_path, corpus_path):
+    later = {f"citegraph.{name}" for name in
+             ("gat", "retriever", "rerank", "baselines", "metrics")}
+    built = modules_loaded_by("build", "--corpus", corpus_path, "--output",
+                              tmp_path / "out")
+    embedded = modules_loaded_by("embed", "--corpus", corpus_path,
+                                 "--output", tmp_path / "emb.tsv")
+    assert {"citegraph.cli", "citegraph.graph"} <= built
+    assert "citegraph.embed" in embedded
+    assert not later & built
+    assert not later & embedded
+
+
+def test_package_names_load_on_first_use():
+    import citegraph
+    from citegraph import RetrieverConfig, build_graph, verbalize_triplets
+    assert RetrieverConfig is retriever.RetrieverConfig
+    assert build_graph.__module__ == "citegraph.graph"
+    assert verbalize_triplets.__module__ == "citegraph.rerank"
+    assert citegraph.parse_records.__module__ == "citegraph.corpus"
+    with pytest.raises(ImportError, match="no_such_name"):
+        from citegraph import no_such_name  # noqa: F401
 
 
 def test_config_file_unknown_key(tmp_path, corpus_path):

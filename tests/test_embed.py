@@ -13,13 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citegraph.corpus import PaperRecord, build_text
-from citegraph.embed import (EmbeddingMatrix, embed_corpus, hash_counts,
-                             hash_embed, load_embeddings, tokenize,
-                             write_embeddings)
+from citegraph.embed import (EmbeddingMatrix, _TokenCodes, embed_corpus,
+                             hash_counts, hash_embed, load_embeddings,
+                             tokenize, write_embeddings)
 from citegraph.graph import build_graph
 
-from helpers import (oracle_cosine, oracle_hash_embed, oracle_scores,
-                     oracle_write_counts)
+from helpers import (oracle_cosine, oracle_hash_counts, oracle_hash_embed,
+                     oracle_scores, oracle_write_counts)
 
 
 def small_graph(ids):
@@ -216,6 +216,38 @@ def test_embed_corpus_bit_identical_to_hash_loop(texts, dim, seed):
             expected.tobytes()
 
 
+# what a block tokenizer could get wrong: the sentinel letter Q in both
+# cases, letters whose lowercase is ASCII (the Kelvin sign), longer (dotted
+# I) or depends on context (final sigma), combining marks, '_', punctuation
+TRICKY_CHARS = "Qq\u212aKkİiΣσςΟΔ09_ -.,!\u0301\u0307東"
+tricky_texts = st.one_of(
+    st.just(""), st.text(st.sampled_from(" .,;!?-_"), max_size=6),
+    st.text(st.sampled_from(TRICKY_CHARS), max_size=30),
+    st.text(st.characters(max_codepoint=127), max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=st.lists(tricky_texts, min_size=1, max_size=8),
+       rows=st.integers(1, 600), step=st.integers(1, 7),
+       dim=st.sampled_from([1, 3, 16, 384]),
+       seed=st.integers(-2 ** 63, 2 ** 63 - 1))
+@example(pool=["QQ q Q", "ΟΔΟΣ Σ", "\u212a K k", "İi", "", "_Q_"],
+         rows=600, step=5, dim=16, seed=0)
+def test_block_counts_equal_a_per_text_loop(pool, rows, step, dim, seed):
+    # `rows` texts cycle through the pool, so the blocks of hash_counts
+    # (256 rows) cross with every mix of ASCII and non-ASCII texts
+    texts = [pool[(i * step) % len(pool)] for i in range(rows)]
+    expected = {text: oracle_hash_counts(text, dim, seed) for text in pool}
+    got = _TokenCodes(dim, seed).counts(texts)
+    assert got.shape == (rows, dim)
+    for text, row in zip(texts, got):
+        assert np.array_equal(row, expected[text]), text
+    counts = hash_counts([PaperRecord(id=f"p{i}", title=text)
+                          for i, text in enumerate(texts)], dim, seed)
+    assert counts.dtype == np.int32
+    assert np.array_equal(counts, got)
+
+
 # 700 rows over three 256-row blocks, drawn from a few repeated counts;
 # -0.0 is written as 0, like 0.0
 MANY_COUNTS = np.random.default_rng(5).choice(
@@ -235,8 +267,16 @@ BLOCK_COUNTS = hash_counts(
 @example(rows=MANY_COUNTS)
 @example(rows=BLOCK_COUNTS)
 def test_write_embeddings_bytes_match_str_int_writer(rows):
-    counts = np.array(rows, dtype=np.float64)
-    ids = tuple(f"id#{i}" for i in range(len(rows)))
+    # float64, as tests write, and int32, as hash_counts gives, and int64;
+    # the largest drawn value, 2**31, does not fit int32
+    for counts in (np.array(rows, dtype=np.float64),
+                   np.clip(rows, -2 ** 31, 2 ** 31 - 1).astype(np.int32),
+                   np.array(rows, dtype=np.float64).astype(np.int64)):
+        check_write_matches_str_int_writer(counts)
+
+
+def check_write_matches_str_int_writer(counts):
+    ids = tuple(f"id#{i}" for i in range(len(counts)))
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.tsv"), os.path.join(tmp, "want.tsv")
         write_embeddings(got, ids, counts)
@@ -248,6 +288,24 @@ def test_write_embeddings_bytes_match_str_int_writer(rows):
     norms = np.linalg.norm(source, axis=1)
     source[norms > 0.0] /= norms[norms > 0.0, None]
     assert loaded.vectors.tobytes() == source.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("lo, hi", [(0, 2 ** 20), (-2 ** 31, 2 ** 31)])
+def test_write_embeddings_builds_no_table_for_a_wide_block(tmp_path, dtype,
+                                                          lo, hi):
+    # a table of every integer from lo to hi would hold 2**20 (or 2**32)
+    # strings; the block's four distinct values are looked up instead
+    counts = np.array([[lo, 1], [hi, 0]], dtype=dtype)
+    path = tmp_path / "emb.tsv"
+    tracemalloc.start()
+    try:
+        write_embeddings(str(path), ["a", "b"], counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert path.read_text() == f"2\t2\na\t{lo}\t1\nb\t{hi}\t0\n"
 
 
 @pytest.mark.parametrize("bad", [0.5, -1e-300, math.nan, math.inf])
