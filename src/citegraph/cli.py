@@ -433,10 +433,6 @@ def _query_vector(args, graph, embeddings):
         if args.paper_id not in graph.index_of:
             raise ValueError(f"unknown paper id {args.paper_id!r}")
         return args.paper_id, embeddings.row(graph.index_of[args.paper_id])
-    if args.embeddings:
-        raise ValueError(
-            "free-text queries need the hashing embedder; with a "
-            "precomputed embedding file, query by --paper-id instead")
     return "query", embed.hash_embed(args.query, dim=args.dim, seed=args.seed)
 
 
@@ -446,6 +442,10 @@ def cmd_retrieve(args) -> int:
     _require(args, "corpus", "weights")
     if (args.query is None) == (args.paper_id is None):
         raise UsageError("provide exactly one of --query or --paper-id")
+    if args.query is not None and args.embeddings:  # before any file is read
+        raise ValueError(
+            "free-text queries need the hashing embedder; with a "
+            "precomputed embedding file, query by --paper-id instead")
     records, _ = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)

@@ -11,18 +11,19 @@ the citations and the text fields that `build_text` joins. Dates are
 parsed for the IngestReport's counters and not kept; language, journal,
 authors and venue are not read.
 
-Each line is stripped and decoded by one bound `JSONDecoder.raw_decode`;
-a decode that stops short of the end of the stripped line is trailing
-data, dropped as `json.loads` would reject it (`str.strip` removes every
-JSON whitespace character, so the check is exact). A UTF-8 byte order
-mark before the first line is not part of the record. A line the decoder
-cannot handle (nesting deeper than the recursion limit, an integer too
-long to convert) is dropped, and so is a line holding a lone surrogate
-(`"\\ud800"`) in any key or string: UTF-8 cannot encode it, and `embed`
-hashes each token's UTF-8 bytes while the embeddings TSV and the graph
-snapshot store ids as UTF-8. A list of distinct non-empty strings, the
-usual `Citations` value, is copied as it is; other values go entry by
-entry through the repairs.
+Each line is stripped and decoded by the bound `scan_once` of one
+`JSONDecoder`, the scanner `raw_decode` calls, without the wrapper that
+turns its StopIteration into a ValueError; a decode that stops short of
+the end of the stripped line is trailing data, dropped as `json.loads`
+would reject it (`str.strip` removes every JSON whitespace character, so
+the check is exact). A UTF-8 byte order mark before the first line is
+not part of the record. A line the decoder cannot handle (nesting
+deeper than the recursion limit, an integer too long to convert) is
+dropped, and so is a line holding a lone surrogate (`"\\ud800"`) in any
+key or string: UTF-8 cannot encode it, and `embed` hashes each token's
+UTF-8 bytes while the embeddings TSV and the graph snapshot store ids as
+UTF-8. A list of distinct non-empty strings, the usual `Citations` value,
+is copied as it is; other values go entry by entry through the repairs.
 """
 from __future__ import annotations
 
@@ -82,7 +83,11 @@ _WORD_RE = re.compile(r"[A-Za-z]+")
 _STR = {str}
 _TEXT_FIELDS = ("title", "abstract", "keywords", "doi")
 # a lone surrogate in the line, or the escape of one; a hit is confirmed
-# on the decoded line, since an escaped surrogate pair is one character
+# on the decoded line, since an escaped surrogate pair is one character.
+# Only a non-ASCII line or one holding the escape is searched. The line
+# is scanned for a backslash before `"\\u"`: a one-character scan runs at
+# memchr speed, over ten times faster than the two-character search, and
+# most lines hold no escape at all
 _SURROGATE = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
 _ENCODE = json.JSONEncoder(ensure_ascii=False).encode  # as json.dumps
 
@@ -242,7 +247,7 @@ def parse_records(lines: Iterable[str]) -> tuple[list[PaperRecord], IngestReport
     records: list[PaperRecord] = []
     seen_ids: set[str] = set()
     dates: dict[str | None, tuple[bool, bool]] = {}  # parsed once
-    decode = json.JSONDecoder().raw_decode
+    decode = json.JSONDecoder().scan_once
     dropped = partial = collapsed_ranges = 0
     lines = iter(lines)
     first = next(lines, None)
@@ -251,8 +256,8 @@ def parse_records(lines: Iterable[str]) -> tuple[list[PaperRecord], IngestReport
     for line in lines:
         stripped = line.strip()
         try:
-            obj, end = decode(stripped)
-        except (ValueError, RecursionError):
+            obj, end = decode(stripped, 0)
+        except (StopIteration, ValueError, RecursionError):
             obj = end = None
         if end != len(stripped) or type(obj) is not dict:
             dropped += 1
@@ -267,7 +272,7 @@ def parse_records(lines: Iterable[str]) -> tuple[list[PaperRecord], IngestReport
         flags = dates.get(raw_date)
         if flags is None:
             flags = dates[raw_date] = _date_flags(raw_date)
-        if (("\\u" in stripped or not stripped.isascii())
+        if (("\\" in stripped and "\\u" in stripped or not stripped.isascii())
                 and _SURROGATE.search(stripped) and not _storable(obj)):
             dropped += 1
             continue

@@ -16,38 +16,50 @@ the runs the regex finds. Other text goes through the regex.
 The hashing embedder counts rows in blocks of at most 256 texts and
 tokenizes a block in one pass: each text is lowercased alone, as
 `tokenize` lowercases it (a capital sigma's lowercase depends on the
-letters around it), and the block is joined around the
-sentinel token `Q`, which no lowercased text holds, then split as one
-text by `tokenize`'s rule. Each token is looked up once in a table that
-hashes each distinct token on first use, the sentinel coding to -1; a
-token's row is the number of sentinels before it. Each token is keyed
-`row * 2*dim + code`, and one `np.bincount` reshaped to (rows, dim, 2)
-gives every row's positive and negative counts. `hash_counts` fills an
-int32 matrix, half the size of float64. A single-text `hash_embed` is a
-one-row block. Every count is a small integer, so the row, its norm and
-the normalized vector are exact whatever the summation order.
+letters around it), and the block is joined around the sentinel token
+`Q`, which no lowercased text holds, then split as one text by
+`tokenize`'s rule. An ASCII block is split as bytes (its UTF-8 encoding,
+one `bytes.translate` that maps every non-alphanumeric byte to a space,
+and `bytes.split()`, exact for the reason `tokenize`'s ASCII split is),
+so no `str` is made for any of its tokens; a block holding other text
+goes through the regex. Each token is looked up once in a table that
+hashes each distinct token on first use, as `str` or as bytes, from a
+copy of one blake2b state that has already taken the key; a token's code
+is the keyed blake2b of its UTF-8 bytes in either form, and the sentinel
+codes to -1 in both. A token's row is the number of sentinels before it.
+Each token is keyed `row * 2*dim + code`, and one `np.bincount` reshaped
+to (rows, dim, 2) gives every row's positive and negative counts.
+`hash_counts` fills an int32 matrix, half the size of float64. A
+single-text `hash_embed` is a one-row block. Every count is a small
+integer, so the row, its norm and the normalized vector are exact
+whatever the summation order.
 
 `embed` writes those counts, not the normalized rows: each value is the
-text of an integer (`0`, `-2`). When a 256-row block's values span fewer
-than 256 integers, as hash counts do, the text of every integer in that
-span is formatted once into a table indexed by `value - least`; a wider
-block looks its values up among its distinct ones by binary search. The
-loader normalizes every row, so a loaded count file is bit-equal to
-`embed_corpus` at the same dim and seed, and the file is a fraction of
-the size of 17-digit floats.
+text of an integer (`0`, `-2`). When a 256-row block's values span at
+most 64 integers, as hash counts do (32-45), the text `"a\tb"` of every
+pair of integers in that span is formatted once into a table (4,096
+texts at most) indexed by `(left - least) * span + (right - least)`, so
+a row is joined from half as many texts; an odd width's last column
+looks up the text of its single value. A wider block looks its values
+up among its distinct ones by binary search. The loader normalizes every
+row, so a loaded count file is bit-equal to `embed_corpus` at the same
+dim and seed, and the file is a fraction of the size of 17-digit floats.
 
-The loader reads the TSV's non-blank lines in blocks of 1024, keeping
-no line numbers, into one (nodes, dim) float64 matrix allocated once the
+The loader reads the TSV's non-blank lines in blocks of 1024, keeping no
+line numbers, into one (nodes, dim) float64 matrix allocated once the
 first block has parsed, each row going straight to its graph node's row.
 A block's value texts (the id cut off at the first tab) are parsed first
 as int32, the format `embed` writes, in one `np.loadtxt` call, then as
 float64 on the first token that is not such an integer, so float TSVs
-(such as precomputed sentence embeddings) load too. A block holding a
-`-0` token goes straight to float64, which keeps the sign of zero; every
-other int32 is exact in float64, so a block loads to the same bits
-whichever parse reads it. A block that fails to parse, repeats an id or
-holds a non-finite value rejects the file, which is then read again from
-the start, one line at a time, to name the first bad line and its id.
+(such as precomputed sentence embeddings) load too. An integer text
+holds a `-` only as the sign of a negative value or of a zero (`-0`), so
+a block whose texts hold more `-` characters than it has negative values
+holds a `-0`-like token and is parsed again as float64, which keeps the
+sign of zero; every other int32 is exact in float64, so a block loads to
+the same bits whichever parse reads it. A block that fails to parse,
+repeats an id or holds a non-finite value rejects the file, which is
+then read again from the start, one line at a time, to name the first
+bad line and its id.
 """
 from __future__ import annotations
 
@@ -65,25 +77,25 @@ from .graph import _unique
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _ASCII_SPLIT = str.maketrans({c: " " for c in map(chr, range(128))
                               if not c.isalnum()})
+# the same map over bytes; an ASCII block holds no byte above 127
+_BYTES_SPLIT = bytes(c if chr(c).isalnum() and c < 128 else 32
+                     for c in range(256))
 _BLOCK = 256  # rows per counting block
 _ROWS = 1024  # rows per parsing block of the TSV loader
 _SLICE = 512  # matrix rows per cosine slice: 1.5 MB at dim 384, within L2
+_PAIRED = 64  # widest value span the writer formats from a two-value table
 
 _SENTINEL = "Q"  # parts a block's texts: lower() leaves no text an upper Q
 
 DEFAULT_DIM = 384
 
 
-def _runs(lowered: str) -> list[str]:
-    """The maximal `[^\\W_]` runs of lowercased text."""
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split on non-alphanumerics (shared with BM25)."""
+    lowered = text.lower()
     if lowered.isascii():
         return lowered.translate(_ASCII_SPLIT).split()
     return _TOKEN_RE.findall(lowered)
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumerics (shared with BM25)."""
-    return _runs(text.lower())
 
 
 @dataclass
@@ -162,19 +174,25 @@ class _TokenCodes(dict):
     """token -> 2*bucket + (1 if the sign is +1 else 0), hashed on first use;
     the sentinel token that parts a block's texts codes to -1.
 
-    One instance serves one call, so nothing is shared between callers.
+    A token is a key as `str` or, from an ASCII block, as its UTF-8
+    `bytes`; both hash the same bytes, so both forms of a token get the
+    same code. One instance serves one call, so nothing is shared between
+    callers.
     """
 
     def __init__(self, dim: int, seed: int) -> None:
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        super().__init__({_SENTINEL: -1})
+        super().__init__({_SENTINEL: -1, _SENTINEL.encode(): -1})
         self.dim = dim
-        self.key = int(seed).to_bytes(8, "little", signed=True)
+        # the keyed state, copied for each new token: the key is hashed once
+        self.keyed = hashlib.blake2b(
+            key=int(seed).to_bytes(8, "little", signed=True), digest_size=9)
 
-    def __missing__(self, token: str) -> int:
-        digest = hashlib.blake2b(token.encode("utf-8"), key=self.key,
-                                 digest_size=9).digest()
+    def __missing__(self, token: str | bytes) -> int:
+        state = self.keyed.copy()
+        state.update(token if type(token) is bytes else token.encode("utf-8"))
+        digest = state.digest()
         code = 2 * (int.from_bytes(digest[:8], "little") % self.dim) \
             + (digest[8] & 1)
         self[token] = code
@@ -186,9 +204,12 @@ class _TokenCodes(dict):
 
         The texts are tokenized in one pass: each is lowercased alone,
         the block is joined around the sentinel token, which codes to -1,
-        and a token's row is the number of sentinels before it.
+        and a token's row is the number of sentinels before it. An ASCII
+        block is split as bytes, with no `str` made per token.
         """
-        tokens = _runs(f" {_SENTINEL} ".join([text.lower() for text in texts]))
+        joined = f" {_SENTINEL} ".join([text.lower() for text in texts])
+        tokens = (joined.encode().translate(_BYTES_SPLIT).split()
+                  if joined.isascii() else _TOKEN_RE.findall(joined))
         codes = np.fromiter(map(self.__getitem__, tokens), dtype=np.intp,
                             count=len(tokens))
         rows, width = len(texts), 2 * self.dim
@@ -246,21 +267,23 @@ def _parse_block(tails: list[str], dim: int) -> np.ndarray | None:
     integer, float64 otherwise, None when a row has the wrong field count
     or a token is not a number.
 
-    A `-0` token would lose its sign as an integer, so a block holding one
-    goes straight to float64. `np.loadtxt` would skip an empty value text
-    as a blank line, so such a block is not parsed at all.
+    A `-0` token would lose its sign as an integer, so a block is parsed
+    again as float64 when its texts hold more `-` characters than it has
+    negative values. `np.loadtxt` would skip an empty value text as a
+    blank line, so such a block is not parsed at all.
     """
     if "\n" in tails or "" in tails:
         return None
-    dtypes = ((np.float64,) if "-0" in "\t".join(tails)
-              else (np.int32, np.float64))
-    for dtype in dtypes:
+    for dtype in (np.int32, np.float64):
         try:
             # comments=None: a value text holding '#' is not a number
             block = np.loadtxt(tails, dtype=dtype, delimiter="\t",
                                comments=None, ndmin=2)
         except ValueError:
             continue
+        if dtype is np.int32 and (sum(text.count("-") for text in tails)
+                                  != np.count_nonzero(block < 0)):
+            continue  # a `-0`: its sign needs the float64 parse
         if block.shape == (len(tails), dim):
             return block
     return None
@@ -361,20 +384,30 @@ def _first_bad_line(path: str, dim: int) -> str:
 
 
 def _value_texts(block: np.ndarray) -> list[list[str]]:
-    """Each value of a block of integers as `str(int(x))`, row by row.
+    """Each row of a block of integers as the texts of its values,
+    `str(int(x))`, two values to a text joined by a tab.
 
-    When the block's values span fewer than `_BLOCK` integers (hash
-    counts span about 45), a table of the text of every integer in that
-    span is indexed by `value - least`. A wider block, such as one holding
-    both -2**31 and 2**31, whose table would hold billions of strings,
-    looks its values up among its distinct ones by binary search.
+    When the block's values span at most `_PAIRED` integers (hash counts
+    span 32-45), a table holds the text `"a\\tb"` of every pair of
+    integers in that span, indexed by `(left - least) * span + (right -
+    least)`, and the text of every single integer after it, which an odd
+    width's last column looks up alone. A wider block, such as one
+    holding both -2**31 and 2**31, whose table would hold billions of
+    strings, looks its values up among its distinct ones by binary search.
     """
     if block.size:
-        lo, hi = int(block.min()), int(block.max())
-        if hi - lo < _BLOCK:
-            table = np.array([str(v) for v in range(lo, hi + 1)],
-                             dtype=object)
-            return table[(block - lo).astype(np.intp, copy=False)].tolist()
+        least = int(block.min())
+        span = int(block.max()) - least + 1
+        if span <= _PAIRED:
+            singles = [str(v) for v in range(least, least + span)]
+            table = np.array([a + "\t" + b for a in singles for b in singles]
+                             + singles, dtype=object)
+            at = (block - least).astype(np.intp, copy=False)
+            half, odd = divmod(block.shape[1], 2)
+            pairs = at[:, 0:2 * half:2] * span + at[:, 1::2]
+            if odd:
+                pairs = np.column_stack([pairs, span * span + at[:, -1]])
+            return table[pairs].tolist()
     values = _unique(block.ravel())
     texts = np.array([str(int(x)) for x in values.tolist()], dtype=object)
     return texts[np.searchsorted(values, block)].tolist()

@@ -634,13 +634,22 @@ def test_retrieve_unknown_paper_id(corpus_path):
                    "--paper-id", "ghost") == 2
 
 
-def test_retrieve_free_text_with_tsv_is_data_error(tmp_path, corpus_path):
+def test_retrieve_free_text_with_tsv_is_data_error(tmp_path, corpus_path,
+                                                   capsys):
     tsv = tmp_path / "emb.tsv"
     assert run_cli("embed", "--corpus", corpus_path, "--output", tsv,
                    "--dim", "16") == 0
+    weights = train_weights(corpus_path, 16)
+    capsys.readouterr()
+    message = "data error: free-text queries need the hashing embedder"
     assert run_cli("retrieve", "--corpus", corpus_path, "--embeddings", tsv,
-                   "--weights", train_weights(corpus_path, 16),
+                   "--weights", weights, "--query", "anything") == 2
+    assert message in capsys.readouterr().err
+    # rejected before any file is read: a missing corpus is not reported
+    assert run_cli("retrieve", "--corpus", tmp_path / "missing.jsonl",
+                   "--embeddings", tsv, "--weights", weights,
                    "--query", "anything") == 2
+    assert message in capsys.readouterr().err
 
 
 def test_retrieve_with_mock_rerank(tmp_path, corpus_path, weights, capsys):

@@ -343,6 +343,10 @@ def check_against_oracle(lines):
 @example(lines=['{"publication_ID": "p1", "title": "\\ud83d\\ude00"}',
                 '{"publication_ID": "p2", "title": "\\\\ud800"}',
                 '{"publication_ID": "p3", "\\udc00": 1}'], bom=False)
+@example(lines=['{"publication_ID": "e1", "title": "say \\"hi\\""}',
+                '{"publication_ID": "e2", "title": "a\\\\b", "doi": "\\u00e9"}',
+                '{"publication_ID": "e3", "title": "\\"x\\" \\ud800"}'],
+         bom=False)
 def test_parse_records_equals_oracle(lines, bom):
     if bom and lines:
         lines = ["\ufeff" + lines[0]] + lines[1:]

@@ -233,6 +233,10 @@ tricky_texts = st.one_of(
        seed=st.integers(-2 ** 63, 2 ** 63 - 1))
 @example(pool=["QQ q Q", "ΟΔΟΣ Σ", "\u212a K k", "İi", "", "_Q_"],
          rows=600, step=5, dim=16, seed=0)
+# a block of 256 ASCII rows, split as bytes, then a non-ASCII row sharing
+# their words: one table holds bytes and str keys for the same tokens
+@example(pool=["Graph attention graph Q"] * 256 + ["graph attention naïve"],
+         rows=257, step=1, dim=16, seed=0)
 def test_block_counts_equal_a_per_text_loop(pool, rows, step, dim, seed):
     # `rows` texts cycle through the pool, so the blocks of hash_counts
     # (256 rows) cross with every mix of ASCII and non-ASCII texts
@@ -256,6 +260,12 @@ MANY_COUNTS = np.random.default_rng(5).choice(
 BLOCK_COUNTS = hash_counts(
     [PaperRecord(id=f"p{i}", title=t) for i, t in enumerate(BLOCK_TEXTS)],
     16, 3).tolist()
+# 300 rows at the default 384 dimensions, 80 Zipf-drawn words each: its two
+# blocks span 42 and 33 integers, as hash counts of a real corpus do
+WIDE_COUNTS = hash_counts(
+    [PaperRecord(id=f"p{i}", title=" ".join(
+        f"w{j}" for j in np.random.default_rng(i).zipf(1.2, size=80)))
+     for i in range(300)], 384, 1).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -266,6 +276,11 @@ BLOCK_COUNTS = hash_counts(
 @example(rows=[[2 ** 31, -2 ** 31, 0], [0, 0, 0], [-1, 1, 2 ** 31]])
 @example(rows=MANY_COUNTS)
 @example(rows=BLOCK_COUNTS)
+@example(rows=[[1, -2, 3], [0, 0, 7]])  # odd widths: the last column alone
+@example(rows=[[-3, 4, 0, 1, -1], [2, 2, 2, 2, 2]])
+@example(rows=[[-31, 32], [0, 5]])  # spans 64 integers: the pair table
+@example(rows=[[-32, 32], [0, 5]])  # spans 65: binary search
+@example(rows=WIDE_COUNTS)
 def test_write_embeddings_bytes_match_str_int_writer(rows):
     # float64, as tests write, and int32, as hash_counts gives, and int64;
     # the largest drawn value, 2**31, does not fit int32
@@ -306,6 +321,23 @@ def test_write_embeddings_builds_no_table_for_a_wide_block(tmp_path, dtype,
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
     assert path.read_text() == f"2\t2\na\t{lo}\t1\nb\t{hi}\t0\n"
+
+
+@pytest.mark.parametrize("least, built", [(-31, True), (-32, False)])
+def test_write_embeddings_pairs_values_of_at_most_64_integers(tmp_path, least,
+                                                              built):
+    # a block spanning 64 integers is written from a table of 64 * 64 pair
+    # texts; one spanning 65 builds no such table but looks up its values
+    counts = np.array([[least, 32], [0, 1]], dtype=np.int32)
+    path = tmp_path / "emb.tsv"
+    tracemalloc.start()
+    try:
+        write_embeddings(str(path), ["a", "b"], counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak > 64 * 1024) == built, peak
+    assert path.read_text() == f"2\t2\na\t{least}\t32\nb\t0\t1\n"
 
 
 @pytest.mark.parametrize("bad", [0.5, -1e-300, math.nan, math.inf])
@@ -413,6 +445,23 @@ def test_integer_tokens_load_bit_equal_to_float_parse(data, dim, n, seed,
                 fh.write(("\r\n" if crlf else "\n").join(lines) + "\n")
             loaded = load_embeddings(path, small_graph(ids))
     assert loaded.vectors.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("token", ["-0", "-00", "+0", "-3", "0"])
+def test_signed_zero_token_keeps_its_sign(tmp_path, token):
+    """An integer block holding `-0` beside `token` loads as the float
+    parse reads it, -0.0 kept, though other rows hold negative values."""
+    rows = [["1", "-2"], ["-0", token], [token, "-3"], ["0", "5"]]
+    ids = [f"p{i}" for i in range(len(rows))]
+    path = tmp_path / "emb.tsv"
+    path.write_text("".join([f"{len(rows)}\t2\n"] + [
+        pid + "\t" + "\t".join(row) + "\n" for pid, row in zip(ids, rows)]))
+    expected = np.array([[float(t) for t in row] for row in rows])
+    norms = np.linalg.norm(expected, axis=1)
+    expected[norms > 0.0] /= norms[norms > 0.0, None]
+    loaded = load_embeddings(str(path), small_graph(ids))
+    assert loaded.vectors.tobytes() == expected.tobytes()
+    assert np.signbit(loaded.vectors[1, 0])
 
 
 # the two plain cases keep their ids; the others add an inf or nan on the
