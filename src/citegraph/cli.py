@@ -44,20 +44,11 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration: flat key=value file, overridden by CLI flags
+# settings: one --flag each
 # ---------------------------------------------------------------------------
 
-def _to_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-# Every setting is both a --flag and a config-file key:
-# name -> (type, default, help). A `_to_bool` setting is an on/off flag.
+# Every setting is a --flag: name -> (type, default, help). A `bool`
+# setting is an on/off pair, --name and --no-name.
 _SETTINGS = {
     "corpus": (str, None, "corpus JSONL path"),
     "embeddings": (str, None, "embedding TSV path"),
@@ -73,7 +64,7 @@ _SETTINGS = {
     "dim": (int, embed.DEFAULT_DIM, "hash embedding dimension"),
     "k1": (float, 1.2, "BM25 k1"),
     "b": (float, 0.75, "BM25 b"),
-    "dense_fallback": (_to_bool, True,
+    "dense_fallback": (bool, True,
                        "pad short candidate lists with dense hits"),
     "epochs": (int, 200, "training epochs"),
     "lr": (float, 0.5, "training learning rate"),
@@ -84,64 +75,28 @@ _SETTINGS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in _SETTINGS:
-                raise UsageError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _SETTINGS[key][0](raw.strip())
-            except ValueError as exc:
-                raise UsageError(f"{path}:{line_no}: bad value for "
-                                 f"{key}: {exc}") from exc
-    return values
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
-    for key, (_, default, _) in _SETTINGS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, file_values.get(key, default))
-    _validate(args, set(file_values))
-    return args
-
-
-def _validate(args: argparse.Namespace, file_keys: set[str]) -> None:
-    """Check the merged settings; the config classes own k, sigma, hops,
+def _validate(args: argparse.Namespace) -> None:
+    """Check the parsed settings of a command; a setting the command has
+    no flag for is not checked. The config classes own k, sigma, hops,
     alpha, epochs, lr and negatives, name the flag in their errors, and
-    are built here once for the commands.
-
-    A config class is built for the commands that take it and for any
-    command whose config file (`file_keys`) sets one of its settings, so
-    a bad value fails in every command, while `build` and `embed` with no
-    such key load none of the modules that define them.
+    are built here once, each only for the commands that take it, so
+    `build` and `embed` load none of the modules that define them.
     """
-    if args.dim < 1:
+    settings = vars(args)
+    if settings.get("dim", 1) < 1:
         raise UsageError("dim must be >= 1")
-    if args.subset < 1 or args.llm_subset < 1:
+    if min(settings.get("subset", 1), settings.get("llm_subset", 1)) < 1:
         raise UsageError("subset sizes must be >= 1")
     try:
-        if (args.command in ("retrieve", "evaluate")
-                or file_keys & {"hops", "sigma", "k", "dense_fallback"}):
+        if args.command in ("retrieve", "evaluate"):
             from .retriever import RetrieverConfig
             args.retriever = RetrieverConfig(
                 hops=args.hops, prune_threshold=args.sigma, top_k=args.k,
                 fallback_to_dense=args.dense_fallback)
-        if args.command == "evaluate" or "alpha" in file_keys:
+        if args.command == "evaluate":
             from .baselines import HybridConfig
             args.hybrid = HybridConfig(alpha=args.alpha)
-        if (args.command == "train"
-                or file_keys & {"lr", "epochs", "negatives", "seed"}):
+        if args.command == "train":
             from .gat import TrainConfig
             args.train = TrainConfig(
                 learning_rate=args.lr, epochs=args.epochs,
@@ -153,8 +108,7 @@ def _validate(args: argparse.Namespace, file_keys: set[str]) -> None:
 def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name) is None:
-            raise UsageError(f"--{name.replace('_', '-')} is required "
-                             f"(flag or config file)")
+            raise UsageError(f"--{name.replace('_', '-')} is required")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +116,8 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_corpus(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 becomes a lone surrogate, which drops its line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return corpus.parse_records(fh)
 
 
@@ -535,18 +490,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser, *names: str,
                 llm_mock: bool = False) -> None:
-    """Add --config, a flag for each named setting and, with `llm_mock`,
-    the --llm-mock switch."""
-    sub.add_argument("--config", type=str, default=None,
-                     help="flat key=value config file")
+    """Add a flag for each named setting and, with `llm_mock`, the
+    --llm-mock switch."""
     for name in names:
-        kind, _, help_text = _SETTINGS[name]
+        kind, default, help_text = _SETTINGS[name]
         flag = f"--{name.replace('_', '-')}"
-        if kind is _to_bool:
+        if kind is bool:
             sub.add_argument(flag, action=argparse.BooleanOptionalAction,
-                             default=None, dest=name, help=help_text)
+                             default=default, dest=name, help=help_text)
         else:
-            sub.add_argument(flag, type=kind, default=None, dest=name,
+            sub.add_argument(flag, type=kind, default=default, dest=name,
                              help=help_text)
     if llm_mock:
         sub.add_argument("--llm-mock", action="store_true", dest="llm_mock",
@@ -613,7 +566,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
-        args = _merge_config(args)
+        _validate(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -22,8 +22,11 @@ deeper than the recursion limit, an integer too long to convert) is
 dropped, and so is a line holding a lone surrogate (`"\\ud800"`) in any
 key or string: UTF-8 cannot encode it, and `embed` hashes each token's
 UTF-8 bytes while the embeddings TSV and the graph snapshot store ids as
-UTF-8. A list of distinct non-empty strings, the usual `Citations` value,
-is copied as it is; other values go entry by entry through the repairs.
+UTF-8. The commands read the corpus with `errors="surrogateescape"`, so
+a line that is not valid UTF-8 holds a lone surrogate for each bad byte
+and is skipped and counted the same way. A list of distinct non-empty
+strings, the usual `Citations` value, is copied as it is; other values
+go entry by entry through the repairs.
 """
 from __future__ import annotations
 
@@ -82,13 +85,13 @@ _YEAR_RE = re.compile(r"(?<!\d)\d{4}(?!\d)")
 _WORD_RE = re.compile(r"[A-Za-z]+")
 _STR = {str}
 _TEXT_FIELDS = ("title", "abstract", "keywords", "doi")
-# a lone surrogate in the line, or the escape of one; a hit is confirmed
-# on the decoded line, since an escaped surrogate pair is one character.
-# Only a non-ASCII line or one holding the escape is searched. The line
-# is scanned for a backslash before `"\\u"`: a one-character scan runs at
-# memchr speed, over ten times faster than the two-character search, and
-# most lines hold no escape at all
-_SURROGATE = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
+# the escape of a lone surrogate, searched for only in a line holding
+# `"\\u"`, which is scanned for a backslash first (at memchr speed; most
+# lines hold no escape); a hit is confirmed on the decoded line, since an
+# escaped surrogate pair is one character. A raw lone surrogate, which a
+# byte that is not UTF-8 becomes under `surrogateescape`, can only be in
+# a non-ASCII line, and one `str.encode` of the line finds it
+_SURROGATE = re.compile(r"\\u[dD][89a-fA-F]")
 _ENCODE = json.JSONEncoder(ensure_ascii=False).encode  # as json.dumps
 
 
@@ -224,12 +227,12 @@ def _record(obj: dict, pid: str, report: IngestReport,
     return PaperRecord(pid, citations, title, abstract, keywords, doi)
 
 
-def _storable(obj: dict) -> bool:
-    """False when a key or string of a decoded line holds a lone
-    surrogate, which UTF-8 cannot encode, or a value nested too deep to
-    encode."""
+def _storable(value: str | dict) -> bool:
+    """False when a line, or the object decoded from it, holds a lone
+    surrogate in a key or string, which UTF-8 cannot encode, or a value
+    nested too deep to encode."""
     try:
-        _ENCODE(obj).encode("utf-8")
+        (value if type(value) is str else _ENCODE(value)).encode()
     except (UnicodeEncodeError, RecursionError):
         return False
     return True
@@ -272,8 +275,10 @@ def parse_records(lines: Iterable[str]) -> tuple[list[PaperRecord], IngestReport
         flags = dates.get(raw_date)
         if flags is None:
             flags = dates[raw_date] = _date_flags(raw_date)
-        if (("\\" in stripped and "\\u" in stripped or not stripped.isascii())
-                and _SURROGATE.search(stripped) and not _storable(obj)):
+        if (("\\" in stripped and "\\u" in stripped
+             and _SURROGATE.search(stripped)
+             or not stripped.isascii() and not _storable(stripped))
+                and not _storable(obj)):
             dropped += 1
             continue
         records.append(_record(obj, pid, report))

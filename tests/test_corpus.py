@@ -347,6 +347,11 @@ def check_against_oracle(lines):
                 '{"publication_ID": "e2", "title": "a\\\\b", "doi": "\\u00e9"}',
                 '{"publication_ID": "e3", "title": "\\"x\\" \\ud800"}'],
          bom=False)
+@example(lines=['{"publication_ID": "a1", "title": "Réseaux über naïve"}',
+                '{"publication_ID": "a2", "title": "raw \ud800 surrogate"}',
+                '{"publication_ID": "a3", "title": "café \\ud800"}',
+                '{"publication_ID": "a4", "doi": "\udcff", "doi": "é"}'],
+         bom=False)
 def test_parse_records_equals_oracle(lines, bom):
     if bom and lines:
         lines = ["\ufeff" + lines[0]] + lines[1:]

@@ -58,6 +58,7 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
 
 def test_readme_config_keys_are_the_cli_settings():
     text = README.read_text(encoding="utf-8")
-    listed = re.search(r"mirroring the flag names \((.*?)\)", text,
+    listed = re.search(r"lists them\) out of (.*?)\. ", text,
                        re.DOTALL).group(1)
-    assert re.findall(r"`(\w+)`", listed) == list(cli._SETTINGS)
+    flags = re.findall(r"`--([\w-]+)`", listed)
+    assert [flag.replace("-", "_") for flag in flags] == list(cli._SETTINGS)
