@@ -67,7 +67,7 @@ def test_build_survives_corrupt_line(tmp_path, capsys):
     assert "dropped=1" in capsys.readouterr().out
 
 
-def test_line_that_is_not_utf8_is_dropped(tmp_path, corpus_path, capsys):
+def test_line_that_is_not_utf8_is_dropped(tmp_path, corpus_path):
     """A byte that is not UTF-8 drops its line alone: `build` and `embed`
     write what they write for the corpus without that line."""
     bad = tmp_path / "bad.jsonl"
