@@ -88,7 +88,10 @@ def bm25_build(texts: Iterable[str], ids: Sequence[str] | None = None,
     """Index a corpus of texts (tokenizer shared with the hash embedder).
 
     `texts` is read once, in order; the number read is the doc count.
+    k1 and b (standard values by default) are checked before any text is read.
     """
+    if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
+        raise ValueError("BM25 needs a finite k1 >= 0 and b in [0, 1]")
     vocab = _Vocab()
     term_ids = array("i")
     lengths = array("q")
@@ -99,8 +102,6 @@ def bm25_build(texts: Iterable[str], ids: Sequence[str] | None = None,
     n = len(lengths)
     if n == 0:
         raise ValueError("cannot build a BM25 index over an empty corpus")
-    if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
-        raise ValueError("BM25 needs a finite k1 >= 0 and b in [0, 1]")
     ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
     if len(ids) != n:
         raise ValueError("ids and texts must have equal length")

@@ -62,13 +62,8 @@ _SETTINGS = {
     "subset": (int, 1000, "evaluation/training subset size"),
     "llm_subset": (int, 100, "query count for LLM re-ranking"),
     "dim": (int, embed.DEFAULT_DIM, "hash embedding dimension"),
-    "k1": (float, 1.2, "BM25 k1"),
-    "b": (float, 0.75, "BM25 b"),
     "dense_fallback": (bool, True,
                        "pad short candidate lists with dense hits"),
-    "epochs": (int, 200, "training epochs"),
-    "lr": (float, 0.5, "training learning rate"),
-    "negatives": (int, 1, "negatives per positive"),
     "method": (str, "bm25,dense,hybrid,attn",
                f"comma-separated methods ({', '.join(METHODS)})"),
     "model": (str, "default", "chat model id"),
@@ -77,10 +72,10 @@ _SETTINGS = {
 
 def _validate(args: argparse.Namespace) -> None:
     """Check the parsed settings of a command; a setting the command has
-    no flag for is not checked. The config classes own k, sigma, hops,
-    alpha, epochs, lr and negatives, name the flag in their errors, and
-    are built here once, each only for the commands that take it, so
-    `build` and `embed` load none of the modules that define them.
+    no flag for is not checked. The config classes own k, sigma, hops
+    and alpha, name the flag in their errors, and are built here once,
+    each only for the commands that take it, so `build`, `embed` and
+    `train` load none of the modules that define them.
     """
     settings = vars(args)
     if settings.get("dim", 1) < 1:
@@ -96,11 +91,6 @@ def _validate(args: argparse.Namespace) -> None:
         if args.command == "evaluate":
             from .baselines import HybridConfig
             args.hybrid = HybridConfig(alpha=args.alpha)
-        if args.command == "train":
-            from .gat import TrainConfig
-            args.train = TrainConfig(
-                learning_rate=args.lr, epochs=args.epochs,
-                negatives_per_positive=args.negatives, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -334,8 +324,6 @@ def cmd_build(args) -> int:
     corpus.write_ingest_report(os.path.join(args.output, "ingest_report.json"),
                                report)
     graphmod.save_snapshot(graph, os.path.join(args.output, "graph.cgr"))
-    if args.edge_list:
-        graphmod.write_edge_list(graph, os.path.join(args.output, "edges.txt"))
     print(f"records: parsed={report.records_parsed} "
           f"dropped={report.records_dropped}")
     print(f"graph: {graph.node_count} nodes, {graph.edge_count} edges")
@@ -375,11 +363,11 @@ def cmd_train(args) -> int:
                             if c in graph.index_of))
         for i in picked
     ]
-    result = gat.train_scorer(graph, embeddings, train_queries, args.train)
+    result = gat.train_scorer(graph, embeddings, train_queries, args.seed)
     gat.save_weights(args.output, embeddings.dim, result.params)
     print(f"trained scorer on {len(train_queries)} queries: "
           f"loss {result.losses[0]:.6f} -> {result.losses[-1]:.6f} "
-          f"({args.epochs} epochs)")
+          f"({gat.EPOCHS} epochs)")
     return EXIT_OK
 
 
@@ -440,8 +428,8 @@ def cmd_evaluate(args) -> int:
                          "pass --output")
     records, _ = _load_corpus(args.corpus)
     # BM25 first: its build temporaries are freed before the embeddings load
-    bm25 = (baselines.bm25_build(map(corpus.build_text, records), k1=args.k1,
-                                 b=args.b, ids=[r.id for r in records])
+    bm25 = (baselines.bm25_build(map(corpus.build_text, records),
+                                 ids=[r.id for r in records])
             if {"bm25", "hybrid"} & set(methods) else None)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
@@ -513,8 +501,6 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("build", help="parse corpus, build graph snapshot")
     _add_common(p, "corpus", "output")
-    p.add_argument("--edge-list", action="store_true", dest="edge_list",
-                   help="also write a text edge list")
     p.set_defaults(func=cmd_build)
 
     p = subs.add_parser("embed", help="hash-embed the corpus or validate a TSV")
@@ -522,8 +508,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_embed)
 
     p = subs.add_parser("train", help="train the relevance scorer")
-    _add_common(p, "corpus", "embeddings", "output", "dim", "seed", "subset",
-                "epochs", "lr", "negatives")
+    _add_common(p, "corpus", "embeddings", "output", "dim", "seed", "subset")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("retrieve", help="retrieve candidates for one query")
@@ -539,8 +524,8 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("evaluate", help="compare retrieval methods")
     _add_common(p, "corpus", "embeddings", "weights", "output", "k", "sigma",
-                "hops", "alpha", "seed", "subset", "llm_subset", "dim", "k1",
-                "b", "dense_fallback", "method", "model", llm_mock=True)
+                "hops", "alpha", "seed", "subset", "llm_subset", "dim",
+                "dense_fallback", "method", "model", llm_mock=True)
     p.add_argument("--per-query", action="store_true", dest="per_query",
                    help="also write per-query metric CSVs")
     p.set_defaults(func=cmd_evaluate)

@@ -2,13 +2,14 @@
 
 Relevance against a query is a single logistic unit over the
 concatenated [embedding row ; query] vector, fitted on embedding rows
-and scoring embedding rows. Training is full-batch gradient descent on
-binary cross-entropy over [row ; query] pairs; since the query adds one
-constant per query to the logit, each pair row and each query is stored
-once, never the pair matrix. A weights file stores the scorer and the
-embedding width it was fitted at. (The module name comes from the
-paper's graph attention; no attention layer is applied, since untrained
-weight layers only degraded the pruning signal.)
+and scoring embedding rows. Training is full-batch gradient descent, at
+a fixed rate for a fixed number of epochs, on binary cross-entropy over
+[row ; query] pairs with one sampled negative per positive; since the
+query adds one constant per query to the logit, each pair row and each
+query is stored once, never the pair matrix. A weights file stores the
+scorer and the embedding width it was fitted at. (The module name comes
+from the paper's graph attention; no attention layer is applied, since
+untrained weight layers only degraded the pruning signal.)
 """
 from __future__ import annotations
 
@@ -26,6 +27,13 @@ from .graph import CitationGraph
 # when the logit saturates in float64
 _SCORE_LO = float(np.nextafter(0.0, 1.0))
 _SCORE_HI = float(np.nextafter(1.0, 0.0))
+
+# Training settings. On unit (or zero) rows and queries the loss gradient
+# is Lipschitz with constant at most (1 + 1 + 1) / 4 = 0.75 (row, query
+# and bias), so this rate, below 2 / 0.75, never raises the loss.
+LEARNING_RATE = 0.5
+EPOCHS = 200
+NEGATIVES_PER_POSITIVE = 1
 
 
 @dataclass
@@ -96,43 +104,24 @@ class TrainingQuery:
 
 
 @dataclass
-class TrainConfig:
-    learning_rate: float = 0.5
-    epochs: int = 200
-    negatives_per_positive: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate)
-                and self.learning_rate > 0.0):
-            raise ValueError(
-                "learning_rate (--lr) must be a finite number > 0")
-        if self.epochs < 0:
-            raise ValueError("epochs (--epochs) must be >= 0")
-        if self.negatives_per_positive < 1:
-            raise ValueError(
-                "negatives_per_positive (--negatives) must be >= 1")
-
-
-@dataclass
 class TrainResult:
     params: ScorerParams
-    losses: list[float]  # length epochs + 1: initial loss, then one per step
+    losses: list[float]  # length EPOCHS + 1: initial loss, then one per step
 
 
 def _training_pairs(embeddings: EmbeddingMatrix,
                     train_queries: Sequence[TrainingQuery],
-                    config: TrainConfig) -> tuple[np.ndarray, ...]:
+                    seed: int) -> tuple[np.ndarray, ...]:
     """The labelled pairs [R[i] ; Q[group[i]]] as pair rows R, queries Q
     (each stored once), each pair's query index `group`, and labels y.
 
     Pairs go query by query. A query contributes its in-range positives in
     the order given, repeats kept (label 1), then its sampled negatives
     ascending by node index (label 0). The negatives are drawn query by
-    query from one generator seeded with `config.seed`, so the seed fixes
-    the output bit for bit. A query with no in-range positive is skipped.
+    query from one generator seeded with `seed`, so the seed fixes the
+    output bit for bit. A query with no in-range positive is skipped.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     n = embeddings.node_count
     queries: list[np.ndarray] = []
     nodes: list[np.ndarray] = []
@@ -144,7 +133,7 @@ def _training_pairs(embeddings: EmbeddingMatrix,
         negative = np.ones(n, dtype=bool)
         negative[positives] = False
         pool = np.flatnonzero(negative)
-        wanted = min(len(pool), config.negatives_per_positive * len(positives))
+        wanted = min(len(pool), NEGATIVES_PER_POSITIVE * len(positives))
         negatives = (np.sort(rng.choice(pool, size=wanted, replace=False))
                      if wanted > 0 else pool[:0])
         queries.append(np.asarray(tq.query, dtype=np.float64))
@@ -159,35 +148,38 @@ def _training_pairs(embeddings: EmbeddingMatrix,
 
 def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,
                  train_queries: Sequence[TrainingQuery],
-                 config: TrainConfig) -> TrainResult:
+                 seed: int) -> TrainResult:
     """Fit the relevance scorer on citation membership.
 
     Label 1 pairs a query with each of its cited nodes; label 0 pairs it
     with negatives sampled uniformly (without replacement) from the rest
-    of the graph, `negatives_per_positive` per positive. Full-batch
-    gradient descent on the [row ; query] loss, computed from rows and
-    queries stored once; with a fixed seed the result is bit-identical
-    across runs. The returned loss trace holds the initial loss followed
-    by the loss after each epoch. A run whose final loss is not finite,
-    or is above the initial loss, diverged (a learning rate too large for
-    the data) and raises ValueError.
+    of the graph, NEGATIVES_PER_POSITIVE per positive, drawn under `seed`.
+    EPOCHS steps of full-batch gradient descent at LEARNING_RATE on the
+    [row ; query] loss, computed from rows and queries stored once; with a
+    fixed seed the result is bit-identical across runs. The returned loss
+    trace holds the initial loss followed by the loss after each epoch. A
+    run whose final loss is not finite, or is above the initial loss by
+    more than rounding, diverged (rows or queries too long for the fixed
+    rate) and raises ValueError.
     """
     if graph.node_count != embeddings.node_count:
         raise ValueError("graph and embeddings disagree on node count")
-    pairs = _training_pairs(embeddings, train_queries, config)
+    pairs = _training_pairs(embeddings, train_queries, seed)
     u, b = np.zeros(pairs[0].shape[1] + pairs[1].shape[1]), 0.0
     loss, grad_u, grad_b = loss_and_gradient(u, b, *pairs)
     losses = [loss]
     # a diverging run overflows; it is reported once, below
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
-            u = u - config.learning_rate * grad_u
-            b = b - config.learning_rate * grad_b
+        for _ in range(EPOCHS):
+            u = u - LEARNING_RATE * grad_u
+            b = b - LEARNING_RATE * grad_b
             loss, grad_u, grad_b = loss_and_gradient(u, b, *pairs)
             losses.append(loss)
-    if not loss <= losses[0]:  # also true for nan
+    # a run with nothing to learn stays at its first loss to rounding
+    if not loss <= losses[0] * (1.0 + 1e-12):  # also true for nan
         raise ValueError(f"training diverged: loss {losses[0]:.6f} -> "
-                         f"{loss:.6g}; lower the learning rate (--lr)")
+                         f"{loss:.6g}; the fixed rate {LEARNING_RATE} "
+                         f"needs rows and queries of norm <= 1")
     return TrainResult(params=ScorerParams(u=u, b=b), losses=losses)
 
 

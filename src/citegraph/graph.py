@@ -82,14 +82,11 @@ class CitationGraph:
         _, found = _gather_rows(self.indptr, self.indices, sources)
         return _unique(found[~visited[found]])
 
-    def edges(self, among: np.ndarray | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """Directed edges as aligned (sources, targets) arrays, ascending by
-        source then target; with `among`, only those with both endpoints
-        in it."""
-        n = self.node_count
-        nodes = np.arange(n) if among is None else _unique(among)
-        inside = np.zeros(n, dtype=bool)
+    def edges(self, among: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The directed edges with both endpoints in `among`, as aligned
+        (sources, targets) arrays, ascending by source then target."""
+        nodes = _unique(among)
+        inside = np.zeros(self.node_count, dtype=bool)
         inside[nodes] = True
         pos, targets = _gather_rows(self.out_indptr, self.out_indices, nodes)
         keep = inside[targets]
@@ -192,11 +189,3 @@ def load_snapshot(path: str) -> CitationGraph:
         raise ValueError("snapshot adjacency rows must be sorted and duplicate-free")
     return _graph(tuple(ids), index_of, keys)
 
-
-def write_edge_list(graph: CitationGraph, path: str) -> None:
-    """Debug export: one 'source_id target_id' line per directed edge."""
-    ids = graph.node_ids
-    sources, targets = graph.edges()
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in zip(sources.tolist(), targets.tolist()):
-            fh.write(f"{ids[u]} {ids[v]}\n")

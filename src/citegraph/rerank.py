@@ -29,6 +29,8 @@ URL_ENV = "CITEGRAPH_LLM_URL"
 TOKEN_ENV = "CITEGRAPH_LLM_TOKEN"
 
 PREDICATE = "cites"
+MAX_TOKENS = 512
+TEMPERATURE = 0.0  # deterministic output is required for testing
 
 
 class EndpointError(Exception):
@@ -48,8 +50,6 @@ class RerankRequest:
     candidates: list[tuple[str, str]]  # (paper id, display title)
     triplets: list[Triplet] = field(default_factory=list)
     model: str = "default"
-    max_tokens: int = 512
-    temperature: float = 0.0  # deterministic output is required for testing
 
 
 def verbalize_triplets(subgraph: RetrievedSubgraph, graph: CitationGraph,
@@ -226,8 +226,8 @@ def rerank(client, request: RerankRequest, original: RankedList) -> RankedList:
         return original
     prompt = build_prompt(request)
     try:
-        reply = client.complete(prompt, request.model, request.temperature,
-                                request.max_tokens)
+        reply = client.complete(prompt, request.model, TEMPERATURE,
+                                MAX_TOKENS)
     except Exception:
         return dataclasses.replace(original, fallback=True)
     permutation, parse_fallback = parse_ranking(reply, len(original.items))

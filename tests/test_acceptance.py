@@ -17,8 +17,8 @@ import pytest
 from citegraph import cli
 from citegraph.baselines import HybridConfig, bm25_build, bm25_rank, bm25_scores, dense_rank, hybrid_rank
 from citegraph.embed import EmbeddingMatrix, hash_embed, tokenize
-from citegraph.gat import (TrainConfig, TrainingQuery, loss_and_gradient,
-                           relevance_scores, train_scorer)
+from citegraph.gat import (TrainingQuery, loss_and_gradient, relevance_scores,
+                           train_scorer)
 from citegraph.graph import build_graph
 from citegraph.metrics import (first_relevant_rank, ndcg_at_k, precision_at_k,
                                recall_at_k)
@@ -147,8 +147,7 @@ def test_criterion_05_gradient_check_and_separable_training():
     query = np.array([0.0, 1.0])
     result = train_scorer(
         graph, embeddings,
-        [TrainingQuery(query=query, positives=(0, 1, 2, 3))],
-        TrainConfig(learning_rate=0.5, epochs=400, seed=0))
+        [TrainingQuery(query=query, positives=(0, 1, 2, 3))], 0)
     for prev, cur in zip(result.losses, result.losses[1:]):
         assert cur <= prev + 1e-12
     scores = relevance_scores(vectors, query, result.params)

@@ -272,6 +272,15 @@ def test_bm25_build_rejects_bad_parameters():
             bm25_build(FIVE_DOCS, k1=k1, b=b)
 
 
+def test_bm25_build_checks_parameters_before_reading_a_text():
+    def texts():
+        raise AssertionError("a text was read")
+        yield  # a generator: the body runs on the first read
+
+    with pytest.raises(ValueError, match="finite k1 >= 0"):
+        bm25_build(texts(), k1=-1.0)
+
+
 def test_bm25_scores_nonnegative_property():
     rng = np.random.default_rng(0)
     vocab = ["alpha", "beta", "gamma", "delta", "epsilon"]

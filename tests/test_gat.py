@@ -5,14 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citegraph.embed import EmbeddingMatrix
-from citegraph.gat import (ScorerParams, TrainConfig, TrainingQuery,
-                           _training_pairs, load_weights, loss_and_gradient,
-                           relevance_scores, save_weights, sigmoid,
-                           train_scorer)
+from citegraph.gat import (EPOCHS, LEARNING_RATE, NEGATIVES_PER_POSITIVE,
+                           ScorerParams, TrainingQuery, _training_pairs,
+                           load_weights, loss_and_gradient, relevance_scores,
+                           save_weights, sigmoid, train_scorer)
 from helpers import (citation_graph, oracle_loss_and_gradient, oracle_sigmoid,
                      oracle_training_pairs, random_pairs, random_scorer)
 
@@ -117,8 +117,8 @@ def test_training_matches_full_matrix_oracle_descent():
     queries = [TrainingQuery(query=rng.normal(size=dim), positives=tuple(
         rng.integers(0, n, int(rng.integers(1, 5))).tolist()))
         for _ in range(8)]
-    config = TrainConfig(learning_rate=0.5, epochs=200, seed=3)
-    result = train_scorer(citation_graph(n, []), embeddings, queries, config)
+    assert (LEARNING_RATE, EPOCHS, NEGATIVES_PER_POSITIVE) == (0.5, 200, 1)
+    result = train_scorer(citation_graph(n, []), embeddings, queries, 3)
     X, y = oracle_training_pairs(vectors, queries, 1, 3)
     u, b = np.zeros(2 * dim), 0.0
     loss, gu, gb = oracle_loss_and_gradient(u, b, X, y)
@@ -145,9 +145,8 @@ def separable_fixture():
 
 def test_training_separable_reaches_full_accuracy():
     graph, embeddings, queries, query = separable_fixture()
-    config = TrainConfig(learning_rate=0.5, epochs=400, seed=0)
-    result = train_scorer(graph, embeddings, queries, config)
-    assert len(result.losses) == 401
+    result = train_scorer(graph, embeddings, queries, 0)
+    assert len(result.losses) == EPOCHS + 1
     for prev, cur in zip(result.losses, result.losses[1:]):
         assert cur <= prev + 1e-12
     scores = relevance_scores(embeddings.vectors, query, result.params)
@@ -155,38 +154,58 @@ def test_training_separable_reaches_full_accuracy():
     assert list(predictions) == [True] * 4 + [False] * 4
 
 
-def test_training_zero_epochs_returns_initial_params():
-    graph, embeddings, queries, _ = separable_fixture()
-    result = train_scorer(graph, embeddings, queries,
-                          TrainConfig(epochs=0, seed=0))
-    assert np.all(result.params.u == 0.0)
-    assert result.params.b == 0.0
-    assert len(result.losses) == 1
-    assert result.losses[0] == pytest.approx(np.log(2.0), abs=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), dim=st.integers(1, 4),
+       positives=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=4),
+                          min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+# every pair row and query is 1: nothing to learn, the loss stays at log 2
+@example(n=7, dim=1, positives=[[0, 0], [0, 0, 0]], seed=44)
+def test_training_loss_never_rises_on_unit_rows(n, dim, positives, seed):
+    """Unit or zero rows and unit queries bound the gradient's Lipschitz
+    constant by (1 + 1 + 1) / 4 = 0.75 < 2 / LEARNING_RATE, so every step
+    at the fixed rate lowers the loss or leaves it (to rounding), and no
+    run is taken for a diverging one."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, dim))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors[rng.random(n) < 0.2] = 0.0
+    embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(n)),
+                                 vectors=vectors, dim=dim)
+    queries = []
+    for p in positives:
+        query = rng.standard_normal(dim)
+        queries.append(TrainingQuery(query=query / np.linalg.norm(query),
+                                     positives=tuple(v % n for v in p)))
+    losses = train_scorer(citation_graph(n, []), embeddings, queries,
+                          seed).losses
+    assert len(losses) == EPOCHS + 1
+    for prev, cur in zip(losses, losses[1:]):
+        assert cur <= prev + 1e-12 * prev
 
 
-@pytest.mark.parametrize("learning_rate, epochs, final", [
-    (1e308, 3, "inf"), (1e6, 5, "205556")])
-def test_training_divergence_is_value_error(learning_rate, epochs, final):
-    # not separable: node 2 is a negative of both queries, and nodes 0 and
-    # 1 are each one query's positive and the other's negative
-    embeddings = EmbeddingMatrix(ids=("n0", "n1", "n2"), dim=2, vectors=[
-        [1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+@pytest.mark.parametrize("scale, final", [(1e3, "56241.9"), (1e200, "nan")])
+def test_training_divergence_is_value_error(scale, final):
+    """Rows far longer than unit overshoot at the fixed rate, and the run
+    fails on its final loss, finite or not."""
+    # not separable: nodes 0 and 1 are each one query's positive and may
+    # be the other's negative
+    embeddings = EmbeddingMatrix(ids=("n0", "n1", "n2"), dim=2, vectors=scale
+                                 * np.array([[1.0, 0.0], [0.0, 1.0],
+                                             [0.6, 0.8]]))
     query = np.array([1.0, 0.0])
     queries = [TrainingQuery(query=query, positives=(0,)),
                TrainingQuery(query=query, positives=(1,))]
-    config = TrainConfig(learning_rate=learning_rate, epochs=epochs,
-                         negatives_per_positive=2)
-    with pytest.raises(ValueError,
-                       match=f"training diverged: loss 0.693147 -> {final};"):
-        train_scorer(citation_graph(3, []), embeddings, queries, config)
+    message = (f"^training diverged: loss 0.693147 -> {final}; the fixed "
+               "rate 0.5 needs rows and queries of norm <= 1$")
+    with pytest.raises(ValueError, match=message):
+        train_scorer(citation_graph(3, []), embeddings, queries, 0)
 
 
 def test_training_deterministic_across_runs():
     graph, embeddings, queries, _ = separable_fixture()
-    config = TrainConfig(learning_rate=0.3, epochs=50, seed=9)
-    a = train_scorer(graph, embeddings, queries, config)
-    b = train_scorer(graph, embeddings, queries, config)
+    a = train_scorer(graph, embeddings, queries, 9)
+    b = train_scorer(graph, embeddings, queries, 9)
     assert np.array_equal(a.params.u, b.params.u)
     assert a.params.b == b.params.b
     assert a.losses == b.losses
@@ -196,17 +215,16 @@ def test_training_without_positives_errors():
     graph, embeddings, _, query = separable_fixture()
     with pytest.raises(ValueError, match="no positive"):
         train_scorer(graph, embeddings,
-                     [TrainingQuery(query=query, positives=())],
-                     TrainConfig())
+                     [TrainingQuery(query=query, positives=())], 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 12), dim=st.integers(1, 5),
        positives=st.lists(st.lists(st.integers(-3, 14), max_size=4),
                           min_size=1, max_size=6),
-       negatives_per_positive=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
-def test_training_pairs_bit_equal_to_row_by_row_oracle(
-        n, dim, positives, negatives_per_positive, seed):
+       seed=st.integers(0, 2 ** 16))
+def test_training_pairs_bit_equal_to_row_by_row_oracle(n, dim, positives,
+                                                       seed):
     """Repeated and out-of-range positives, pools smaller than the wanted
     negatives and queries with no positives all give the oracle's X and
     y, or its error: R and Q[group] are X's row and query halves."""
@@ -216,19 +234,17 @@ def test_training_pairs_bit_equal_to_row_by_row_oracle(
                                  dim=dim)
     queries = [TrainingQuery(query=rng.standard_normal(dim),
                              positives=tuple(p)) for p in positives]
-    config = TrainConfig(negatives_per_positive=negatives_per_positive,
-                         seed=seed)
     if not any(0 <= p < n for ps in positives for p in ps):
         message = "^no positive .node, query. pairs available for training$"
         with pytest.raises(ValueError, match=message):
-            _training_pairs(embeddings, queries, config)
+            _training_pairs(embeddings, queries, seed)
         with pytest.raises(ValueError, match=message):
             oracle_training_pairs(embeddings.vectors, queries,
-                                  negatives_per_positive, seed)
+                                  NEGATIVES_PER_POSITIVE, seed)
         return
-    R, Q, group, y = _training_pairs(embeddings, queries, config)
+    R, Q, group, y = _training_pairs(embeddings, queries, seed)
     X_ref, y_ref = oracle_training_pairs(embeddings.vectors, queries,
-                                         negatives_per_positive, seed)
+                                         NEGATIVES_PER_POSITIVE, seed)
     for half, ref in ((R, X_ref[:, :dim]), (Q[group], X_ref[:, dim:])):
         assert half.dtype == ref.dtype and half.shape == ref.shape
         assert half.tobytes() == ref.tobytes()
@@ -253,11 +269,11 @@ def test_train_scorer_peak_memory_stays_near_the_pair_rows():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        train_scorer(graph, embeddings, queries, TrainConfig())
+        train_scorer(graph, embeddings, queries, 0)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    R = _training_pairs(embeddings, queries, TrainConfig())[0]
+    R = _training_pairs(embeddings, queries, 0)[0]
     assert R.shape == (2500, dim)
     assert peak <= 1.25 * R.nbytes + (1 << 20), peak / R.nbytes
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from citegraph.corpus import PaperRecord
 from citegraph.graph import (CitationGraph, build_graph, load_snapshot,
-                             save_snapshot, write_edge_list)
+                             save_snapshot)
 from helpers import oracle_bfs_ball, random_digraph
 
 
@@ -26,7 +26,7 @@ def graph_from_edges(n, edges):
     return make_graph(adjacency)
 
 
-def edge_pairs(g, among=None):
+def edge_pairs(g, among):
     """`g.edges(among)` as a list of (source, target) pairs."""
     sources, targets = g.edges(among)
     assert len(sources) == len(targets)
@@ -155,7 +155,7 @@ def test_k_hop_monotone_in_k():
 
 def test_edges_among_keeps_inner_edges():
     g = make_graph({"a": ["b", "c"], "b": ["c"], "c": ["a"]})
-    assert edge_pairs(g) == [(0, 1), (0, 2), (1, 2), (2, 0)]
+    assert edge_pairs(g, np.arange(3)) == [(0, 1), (0, 2), (1, 2), (2, 0)]
     assert edge_pairs(g, np.array([2, 0])) == [(0, 2), (2, 0)]
 
 
@@ -205,7 +205,7 @@ def test_snapshot_bytes_helper_writes_loadable_layout(tmp_path):
     path = tmp_path / "ok.cgr"
     path.write_bytes(snapshot_bytes(["a", "b", "c"], [2, 0, 1], [1, 2, 0]))
     g = load_snapshot(str(path))
-    assert edge_pairs(g) == [(0, 1), (0, 2), (2, 0)]
+    assert edge_pairs(g, np.arange(3)) == [(0, 1), (0, 2), (2, 0)]
     resaved = tmp_path / "resaved.cgr"
     save_snapshot(g, str(resaved))
     assert resaved.read_bytes() == path.read_bytes()
@@ -264,9 +264,3 @@ def test_load_snapshot_loads_or_raises_value_error(tail):
             return
     assert isinstance(graph, CitationGraph)
 
-
-def test_edge_list_export(tmp_path):
-    g = make_graph({"a": ["b", "c"], "b": ["c"], "c": []})
-    path = tmp_path / "edges.txt"
-    write_edge_list(g, str(path))
-    assert path.read_text().splitlines() == ["a b", "a c", "b c"]
