@@ -47,8 +47,7 @@ class UsageError(Exception):
 # settings: one --flag each
 # ---------------------------------------------------------------------------
 
-# Every setting is a --flag: name -> (type, default, help). A `bool`
-# setting is an on/off pair, --name and --no-name.
+# Every setting is a --flag: name -> (type, default, help).
 _SETTINGS = {
     "corpus": (str, None, "corpus JSONL path"),
     "embeddings": (str, None, "embedding TSV path"),
@@ -62,8 +61,6 @@ _SETTINGS = {
     "subset": (int, 1000, "evaluation/training subset size"),
     "llm_subset": (int, 100, "query count for LLM re-ranking"),
     "dim": (int, embed.DEFAULT_DIM, "hash embedding dimension"),
-    "dense_fallback": (bool, True,
-                       "pad short candidate lists with dense hits"),
     "method": (str, "bm25,dense,hybrid,attn",
                f"comma-separated methods ({', '.join(METHODS)})"),
     "model": (str, "default", "chat model id"),
@@ -86,8 +83,7 @@ def _validate(args: argparse.Namespace) -> None:
         if args.command in ("retrieve", "evaluate"):
             from .retriever import RetrieverConfig
             args.retriever = RetrieverConfig(
-                hops=args.hops, prune_threshold=args.sigma, top_k=args.k,
-                fallback_to_dense=args.dense_fallback)
+                hops=args.hops, prune_threshold=args.sigma, top_k=args.k)
         if args.command == "evaluate":
             from .baselines import HybridConfig
             args.hybrid = HybridConfig(alpha=args.alpha)
@@ -165,14 +161,17 @@ def _drop_self(ranked: RankedList, own_id: str, k: int) -> RankedList:
     return RankedList(items=items, fallback=ranked.fallback)
 
 
-def _attn_query(graph, embeddings, query, cos, scorer, config):
+def _attn_query(graph, embeddings, query, cos, scorer, config, *,
+                leave_out_seed: bool):
     """The (subgraph, ranking) of one query's pruned retrieval; `cos` is
-    its `embeddings.scores` row."""
+    its `embeddings.scores` row. A query that is a corpus paper leaves its
+    seed out of the ranking; free text may list it."""
     from . import retriever as retrievermod
     seed_node = retrievermod.select_seed(cos, embeddings, graph)
     sub = retrievermod.retrieve_subgraph(graph, embeddings, query, seed_node,
                                          scorer, config)
-    return sub, retrievermod.decode_and_rank(sub, cos, embeddings, config)
+    return sub, retrievermod.decode_and_rank(
+        sub, cos, embeddings, config, seed_node if leave_out_seed else None)
 
 
 def _rerank_request(query_text, ranked, records, graph, model, sub):
@@ -277,7 +276,7 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
                                                corpus.build_text(records[i]))
                 if method in _ATTN_METHODS and attn is None:
                     attn = _attn_query(graph, embeddings, embeddings.row(i),
-                                       cos, scorer, rcfg)
+                                       cos, scorer, rcfg, leave_out_seed=True)
                 runs[method][records[i].id] = rank(method, i, bm, cos, attn)
         del cos_rows, cos  # only one chunk's rows are alive at a time
     reports: dict[str, metrics.EvalReport] = {}
@@ -396,7 +395,8 @@ def cmd_retrieve(args) -> int:
     query_id, query = _query_vector(args, graph, embeddings)
     sub, ranked = _attn_query(graph, embeddings, query,
                               embeddings.scores(query), scorer,
-                              args.retriever)
+                              args.retriever,
+                              leave_out_seed=args.paper_id is not None)
     result = retrievermod.retrieval_to_json(query_id, sub, ranked, graph)
     if args.rerank:
         from . import rerank
@@ -482,13 +482,8 @@ def _add_common(sub: argparse.ArgumentParser, *names: str,
     --llm-mock switch."""
     for name in names:
         kind, default, help_text = _SETTINGS[name]
-        flag = f"--{name.replace('_', '-')}"
-        if kind is bool:
-            sub.add_argument(flag, action=argparse.BooleanOptionalAction,
-                             default=default, dest=name, help=help_text)
-        else:
-            sub.add_argument(flag, type=kind, default=default, dest=name,
-                             help=help_text)
+        sub.add_argument(f"--{name.replace('_', '-')}", type=kind,
+                         default=default, dest=name, help=help_text)
     if llm_mock:
         sub.add_argument("--llm-mock", action="store_true", dest="llm_mock",
                          help="use the offline mock chat client")
@@ -513,8 +508,7 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("retrieve", help="retrieve candidates for one query")
     _add_common(p, "corpus", "embeddings", "weights", "output", "k", "sigma",
-                "hops", "seed", "dim", "dense_fallback", "model",
-                llm_mock=True)
+                "hops", "seed", "dim", "model", llm_mock=True)
     p.add_argument("--query", type=str, default=None, help="free query text")
     p.add_argument("--paper-id", type=str, default=None, dest="paper_id",
                    help="query by corpus paper id")
@@ -525,7 +519,7 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("evaluate", help="compare retrieval methods")
     _add_common(p, "corpus", "embeddings", "weights", "output", "k", "sigma",
                 "hops", "alpha", "seed", "subset", "llm_subset", "dim",
-                "dense_fallback", "method", "model", llm_mock=True)
+                "method", "model", llm_mock=True)
     p.add_argument("--per-query", action="store_true", dest="per_query",
                    help="also write per-query metric CSVs")
     p.set_defaults(func=cmd_evaluate)

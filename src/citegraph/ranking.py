@@ -16,7 +16,9 @@ class RankedItem:
 
 @dataclass
 class RankedList:
-    """Candidates ordered by non-increasing score with unique ids.
+    """Candidates with unique ids, each provenance's scores non-increasing
+    (the retriever's `dense-fallback` tier follows its `graph` tier and may
+    score higher than the last graph item).
 
     `fallback` is set when the list is a graceful degradation (for example
     a re-rank that could not be applied); items keep their provenance.
@@ -29,9 +31,12 @@ class RankedList:
         ids = [item.id for item in self.items]
         if len(ids) != len(set(ids)):
             raise ValueError("ranked list contains duplicate ids")
-        for prev, cur in zip(self.items, self.items[1:]):
-            if cur.score > prev.score:
-                raise ValueError("ranked list scores must be non-increasing")
+        last: dict[str, float] = {}
+        for item in self.items:
+            if item.score > last.setdefault(item.provenance, item.score):
+                raise ValueError("ranked list scores must be non-increasing "
+                                 "within each provenance")
+            last[item.provenance] = item.score
 
     def ids(self) -> list[str]:
         return [item.id for item in self.items]

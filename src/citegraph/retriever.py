@@ -21,6 +21,9 @@ the query's cosine row already reads.
 vector: the caller computes it once per query (that call rejects an
 all-zero query) and every step that ranks by cosine reads it.
 `retrieve_subgraph` takes the query vector, which the scorer reads.
+
+`decode_and_rank` lists the kept nodes first: dense hits only top up a
+list shorter than top_k, after every kept node.
 """
 from __future__ import annotations
 
@@ -39,7 +42,6 @@ class RetrieverConfig:
     hops: int = 3
     prune_threshold: float = 0.5
     top_k: int = 10
-    fallback_to_dense: bool = True
 
     def __post_init__(self) -> None:
         if self.hops < 1:
@@ -122,32 +124,30 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
 
 
 def decode_and_rank(subgraph: RetrievedSubgraph, cos: np.ndarray,
-                    embeddings: EmbeddingMatrix,
-                    config: RetrieverConfig) -> RankedList:
-    """Rank kept nodes (seed excluded) by embedding cosine to the query.
+                    embeddings: EmbeddingMatrix, config: RetrieverConfig,
+                    leave_out: int | None) -> RankedList:
+    """The kept nodes by cosine to the query, then the dense fill.
 
-    `cos` is the query's `embeddings.scores` row; kept nodes and dense
-    fallback are both scored from it, so the combined list is on one
-    scale. When fewer than top_k candidates survive and dense fallback is
-    enabled, the remaining slots are filled with the highest-cosine nodes
-    not already present (never the seed), flagged "dense-fallback"; the
-    combined list is ordered by score with index tie-breaks.
+    Every score is read from `cos`, the query's `embeddings.scores` row.
+    Up to top_k kept nodes other than `leave_out` come first, flagged
+    "graph"; the best nodes neither kept nor `leave_out` fill the rest,
+    flagged "dense-fallback". Each tier is ordered by cosine, ties to the
+    lower index; the fill is appended, so its first score can exceed the
+    last graph score. A corpus-paper query leaves out its seed (the paper
+    itself); free text passes None, so its closest paper can be listed.
     """
     kept = np.zeros(embeddings.node_count, dtype=bool)
     kept[subgraph.nodes] = True
-    kept[subgraph.seed] = False
+    pool = ~kept
+    if leave_out is not None:
+        kept[leave_out] = pool[leave_out] = False
     picked = top_k_indices(cos, config.top_k, kept)
-    if len(picked) < config.top_k and config.fallback_to_dense:
-        pool = ~kept
-        pool[subgraph.seed] = False
-        fill = top_k_indices(cos, config.top_k - len(picked), pool)
-        picked = np.concatenate([picked, fill])
-        picked = picked[np.lexsort((picked, -cos[picked]))]
-
+    fill = (top_k_indices(cos, config.top_k - len(picked), pool)
+            if len(picked) < config.top_k else picked[:0])
     return RankedList(items=[
-        RankedItem(id=embeddings.ids[u], score=float(cos[u]),
-                   provenance="graph" if kept[u] else "dense-fallback")
-        for u in picked.tolist()
+        RankedItem(id=embeddings.ids[u], score=float(cos[u]), provenance=tier)
+        for tier, nodes in (("graph", picked), ("dense-fallback", fill))
+        for u in nodes.tolist()
     ])
 
 

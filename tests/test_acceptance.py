@@ -233,7 +233,7 @@ def test_criterion_08_end_to_end_synthetic_recovery(tmp_path):
     code = cli.main([
         "evaluate", "--corpus", str(corpus_path), "--method", "attn",
         "--sigma", "0.0", "--hops", "2", "--k", "10", "--dim", "64",
-        "--seed", "0", "--no-dense-fallback", "--output", str(out),
+        "--seed", "0", "--output", str(out),
         "--weights", str(train_weights(corpus_path, 64, seed=0)),
     ])
     assert code == 0

@@ -184,11 +184,13 @@ def test_config_is_an_unrecognised_argument(tmp_path, corpus_path, weights,
 
 @pytest.mark.parametrize("command, flag", [
     ("evaluate", "--k1 1.2"), ("evaluate", "--b 0.75"),
-    ("build", "--edge-list")])
+    ("build", "--edge-list"), ("evaluate", "--no-dense-fallback"),
+    ("retrieve", "--dense-fallback")])
 def test_retired_flag_is_unrecognised_even_at_its_one_value(
         tmp_path, corpus_path, capsys, command, flag):
-    """BM25's k1 and b and the text edge list have no flag: passing the
-    one value each took exits 1 before any file is written."""
+    """BM25's k1 and b, the text edge list and the dense fill have no
+    flag: passing the one value each took exits 1 before any file is
+    written."""
     out = tmp_path / "out"
     assert run_cli(command, "--corpus", corpus_path, "--output", out,
                    *flag.split()) == 1
@@ -652,6 +654,19 @@ def test_retrieve_by_text_selects_own_paper_as_seed(tmp_path, corpus_path,
     ids = [c["id"] for c in result["candidates"]]
     assert set(records[0].citations) <= set(ids)
     assert result["trace"][0]["hop"] == 1
+
+
+def test_retrieve_by_text_lists_the_paper_it_quotes(corpus_path, weights,
+                                                   capsys):
+    """A free-text query leaves nothing out, so the paper whose own text
+    it is comes first, as a graph candidate."""
+    records, _ = parse_records(iter(corpus_path.read_text().splitlines()))
+    for record in records:
+        assert run_cli("retrieve", "--corpus", corpus_path, "--query",
+                       build_text(record), "--dim", "48",
+                       "--weights", weights) == 0
+        first = json.loads(capsys.readouterr().out)["candidates"][0]
+        assert (first["id"], first["provenance"]) == (record.id, "graph")
 
 
 def test_retrieve_k_one(tmp_path, corpus_path, weights, capsys):

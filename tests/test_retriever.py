@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from citegraph.embed import EmbeddingMatrix
 from citegraph.gat import relevance_scores
+from citegraph.ranking import RankedItem, RankedList
 from citegraph.retriever import (RetrievedSubgraph, RetrieverConfig,
                                  decode_and_rank, retrieve_subgraph,
                                  retrieval_to_json, select_seed)
@@ -150,7 +151,7 @@ def test_scores_come_from_embedding_rows():
         assert sub.scores[1:].tolist() == pytest.approx(expected.tolist(),
                                                         abs=1e-12)
         ranked = decode_and_rank(sub, fx["embeddings"].scores(query),
-                                 fx["embeddings"], cfg)
+                                 fx["embeddings"], cfg, sub.seed)
         cos = fx["embeddings"].scores(query)
         assert ranked.items
         for item in ranked.items:
@@ -216,72 +217,64 @@ def test_deep_hops_reuse_last_layer():
         [scores[v] for v in kept], abs=1e-9)
 
 
-def test_decode_and_rank_seed_only_no_fallback():
-    fx = retriever_fixture(7)
-    sub, _ = run_fixture(fx, sigma=1.0)
-    cfg = RetrieverConfig(fallback_to_dense=False)
-    ranked = decode_and_rank(sub, fx["embeddings"].scores(fx["query"]),
-                             fx["embeddings"], cfg)
-    assert len(ranked) == 0
+def test_decode_and_rank_graph_tier_then_dense_fill():
+    """On 25 fixtures at sigma 0, 0.5 and 1, depth 3 and 10, leaving out
+    the seed or nothing: the graph tier is the kept nodes but the left-out
+    one by (-cosine, index), up to k; the best k - #graph nodes neither
+    kept nor left out follow in the same order as the dense fill; every
+    score is the query's cosine and every item names its tier. Among the
+    cases are a seed-only retrieval, whose graph tier is empty, and kept
+    nodes of negative cosine, which are listed all the same."""
+    empty_graph_tier = negative_graph_item = False
+    for fixture_seed in range(25):
+        fx = retriever_fixture(fixture_seed)
+        emb, query = fx["embeddings"], fx["query"]
+        cos = emb.scores(query)
+
+        def best(nodes):
+            return sorted(nodes, key=lambda v: (-cos[v], v))
+
+        for sigma in (0.0, 0.5, 1.0):
+            sub, _ = run_fixture(fx, sigma=sigma)
+            for top_k in (3, 10):
+                for leave_out in (sub.seed, None):
+                    ranked = decode_and_rank(sub, cos, emb,
+                                             RetrieverConfig(top_k=top_k),
+                                             leave_out)
+                    kept = set(sub.nodes.tolist()) - {leave_out}
+                    graph = best(kept)[:top_k]
+                    fill = best(set(range(fx["n"])) - kept - {leave_out})
+                    fill = fill[:top_k - len(graph)]
+                    expected = [emb.ids[v] for v in graph + fill]
+                    assert ranked.ids() == expected, (fixture_seed, sigma)
+                    assert [it.provenance for it in ranked.items] == \
+                        ["graph"] * len(graph) + ["dense-fallback"] * len(fill)
+                    for item, v in zip(ranked.items, graph + fill):
+                        assert item.score == cos[v] == pytest.approx(
+                            oracle_cosine(emb.vectors[v], query), abs=1e-12)
+                    empty_graph_tier |= not graph
+                    negative_graph_item |= any(cos[v] < 0 for v in graph)
+    assert empty_graph_tier and negative_graph_item
 
 
-def test_decode_and_rank_single_candidate():
-    emb = matrix(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    sub = RetrievedSubgraph(seed=0, nodes=np.array([0, 1]),
-                            hops=np.array([0, 1]), scores=np.array([1.0, 0.6]))
-    cfg = RetrieverConfig(fallback_to_dense=False)
-    ranked = decode_and_rank(sub, emb.scores(np.array([1.0, 0.0])), emb, cfg)
-    assert ranked.ids() == ["n1"]  # kept regardless of its (negative) score
-    assert ranked.items[0].score < 0
-
-
-def test_decode_and_rank_matches_sort_oracle():
-    fx = retriever_fixture(8)
-    sub, cfg = run_fixture(fx, sigma=0.0)
-    cfg = RetrieverConfig(hops=cfg.hops, prune_threshold=0.0, top_k=3,
-                          fallback_to_dense=False)
-    ranked = decode_and_rank(sub, fx["embeddings"].scores(fx["query"]),
-                             fx["embeddings"], cfg)
-    scored = []
-    for v in sub.nodes:
-        if v == sub.seed:
-            continue
-        h = fx["embeddings"].vectors[v]
-        denom = np.linalg.norm(h) * np.linalg.norm(fx["query"])
-        score = float(h @ fx["query"]) / denom if denom else 0.0
-        scored.append((v, score))
-    expected = [f"n{v}" for v, _ in
-                sorted(scored, key=lambda t: (-t[1], t[0]))[:3]]
-    assert ranked.ids() == expected
-    assert all(it.provenance == "graph" for it in ranked.items)
-
-
-def test_decode_and_rank_dense_fallback_pads_and_flags():
-    g = citation_graph(5, [(0, 1)])
-    vectors = np.array([[1.0, 0.0], [0.8, 0.6], [0.6, 0.8], [0.0, 1.0],
-                        [-1.0, 0.0]])
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    emb = matrix(vectors)
-    sub = RetrievedSubgraph(seed=0, nodes=np.array([0, 1]),
-                            hops=np.array([0, 1]), scores=np.array([1.0, 0.9]))
-    cfg = RetrieverConfig(top_k=3, fallback_to_dense=True)
-    query = np.array([1.0, 0.0])
-    ranked = decode_and_rank(sub, emb.scores(query), emb, cfg)
-    assert len(ranked) == 3
-    assert "n0" not in ranked.ids()  # seed never appears, even as padding
-    provenance = {it.id: it.provenance for it in ranked.items}
-    assert provenance["n1"] == "graph"
-    assert set(ranked.ids()) == {"n1", "n2", "n3"}
-    assert provenance["n2"] == provenance["n3"] == "dense-fallback"
-    scores = [it.score for it in ranked.items]
-    assert scores == sorted(scores, reverse=True)
+def test_ranked_list_scores_fall_within_each_provenance():
+    graph = [RankedItem("a", 0.5), RankedItem("b", 0.2)]
+    fill = [RankedItem("c", 0.9, "dense-fallback"),
+            RankedItem("d", 0.1, "dense-fallback")]
+    assert RankedList(items=graph + fill).ids() == ["a", "b", "c", "d"]
+    with pytest.raises(ValueError, match="non-increasing"):
+        RankedList(items=graph + fill[::-1])
+    with pytest.raises(ValueError, match="non-increasing"):
+        RankedList(items=graph[::-1] + fill)
+    with pytest.raises(ValueError, match="duplicate"):
+        RankedList(items=graph + [RankedItem("a", 0.1, "dense-fallback")])
 
 
 def test_retrieval_json_shape():
     fx = retriever_fixture(10)
     sub, cfg = run_fixture(fx)
     ranked = decode_and_rank(sub, fx["embeddings"].scores(fx["query"]),
-                             fx["embeddings"], cfg)
+                             fx["embeddings"], cfg, sub.seed)
     out = retrieval_to_json("q1", sub, ranked, fx["graph"])
     assert set(out) == {"query_id", "seed", "candidates", "trace"}
     assert out["seed"] == fx["graph"].node_ids[fx["seed_node"]]
