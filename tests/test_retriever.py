@@ -217,6 +217,74 @@ def test_deep_hops_reuse_last_layer():
         [scores[v] for v in kept], abs=1e-9)
 
 
+def graph_tier(ranked):
+    return [it for it in ranked.items if it.provenance == "graph"]
+
+
+def test_decode_and_rank_seed_only_no_fallback():
+    fx = retriever_fixture(7)
+    sub, cfg = run_fixture(fx, sigma=1.0)
+    ranked = decode_and_rank(sub, fx["embeddings"].scores(fx["query"]),
+                             fx["embeddings"], cfg, sub.seed)
+    assert graph_tier(ranked) == []  # the graph-only list is empty
+    assert len(ranked) == min(cfg.top_k, fx["n"] - 1)
+    assert all(it.provenance == "dense-fallback" for it in ranked.items)
+    assert fx["embeddings"].ids[sub.seed] not in ranked.ids()
+
+
+def test_decode_and_rank_single_candidate():
+    emb = matrix(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    sub = RetrievedSubgraph(seed=0, nodes=np.array([0, 1]),
+                            hops=np.array([0, 1]), scores=np.array([1.0, 0.6]))
+    ranked = decode_and_rank(sub, emb.scores(np.array([1.0, 0.0])), emb,
+                             RetrieverConfig(), sub.seed)
+    assert ranked.ids() == ["n1"]  # kept regardless of its (negative) score
+    assert ranked.items[0].score < 0
+    assert ranked.items[0].provenance == "graph"
+
+
+def test_decode_and_rank_matches_sort_oracle():
+    fx = retriever_fixture(8)
+    sub, cfg = run_fixture(fx, sigma=0.0)
+    cfg = RetrieverConfig(hops=cfg.hops, prune_threshold=0.0, top_k=3)
+    ranked = decode_and_rank(sub, fx["embeddings"].scores(fx["query"]),
+                             fx["embeddings"], cfg, sub.seed)
+    scored = []
+    for v in sub.nodes:
+        if v == sub.seed:
+            continue
+        h = fx["embeddings"].vectors[v]
+        denom = np.linalg.norm(h) * np.linalg.norm(fx["query"])
+        score = float(h @ fx["query"]) / denom if denom else 0.0
+        scored.append((v, score))
+    expected = [f"n{v}" for v, _ in
+                sorted(scored, key=lambda t: (-t[1], t[0]))[:3]]
+    assert [it.id for it in graph_tier(ranked)] == expected
+    assert ranked.ids()[:len(expected)] == expected
+    assert len(expected) == 3  # the ball is wide enough that no fill is due
+    assert all(it.provenance == "graph" for it in ranked.items)
+
+
+def test_decode_and_rank_dense_fallback_pads_and_flags():
+    vectors = np.array([[1.0, 0.0], [0.8, 0.6], [0.6, 0.8], [0.0, 1.0],
+                        [-1.0, 0.0]])
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    emb = matrix(vectors)
+    sub = RetrievedSubgraph(seed=0, nodes=np.array([0, 1]),
+                            hops=np.array([0, 1]), scores=np.array([1.0, 0.9]))
+    cfg = RetrieverConfig(top_k=3)
+    query = np.array([1.0, 0.0])
+    ranked = decode_and_rank(sub, emb.scores(query), emb, cfg, sub.seed)
+    assert len(ranked) == 3
+    assert "n0" not in ranked.ids()  # seed never appears, even as padding
+    provenance = {it.id: it.provenance for it in ranked.items}
+    assert provenance["n1"] == "graph"
+    assert ranked.ids() == ["n1", "n2", "n3"]  # graph tier, then the fill
+    assert provenance["n2"] == provenance["n3"] == "dense-fallback"
+    scores = [it.score for it in ranked.items]
+    assert scores == sorted(scores, reverse=True)
+
+
 def test_decode_and_rank_graph_tier_then_dense_fill():
     """On 25 fixtures at sigma 0, 0.5 and 1, depth 3 and 10, leaving out
     the seed or nothing: the graph tier is the kept nodes but the left-out
