@@ -21,8 +21,8 @@ _EXPORTS = {
     **dict.fromkeys(("CitationGraph", "build_graph"), "graph"),
     **dict.fromkeys(("EmbeddingMatrix", "embed_corpus", "hash_embed",
                      "load_embeddings"), "embed"),
-    **dict.fromkeys(("ScorerParams", "TrainingQuery", "relevance_scores",
-                     "train_scorer"), "gat"),
+    **dict.fromkeys(("ScorerParams", "relevance_scores", "train_scorer"),
+                    "gat"),
     **dict.fromkeys(("RankedItem", "RankedList"), "ranking"),
     **dict.fromkeys(("RetrievedSubgraph", "RetrieverConfig", "decode_and_rank",
                      "retrieve_subgraph", "select_seed"), "retriever"),

@@ -161,17 +161,18 @@ def _drop_self(ranked: RankedList, own_id: str, k: int) -> RankedList:
     return RankedList(items=items, fallback=ranked.fallback)
 
 
-def _attn_query(graph, embeddings, query, cos, scorer, config, *,
-                leave_out_seed: bool):
+def _attn_query(graph, embeddings, query, cos, scorer, config,
+                leave_out: int | None):
     """The (subgraph, ranking) of one query's pruned retrieval; `cos` is
-    its `embeddings.scores` row. A query that is a corpus paper leaves its
-    seed out of the ranking; free text may list it."""
+    its `embeddings.scores` row. `leave_out` is the node never listed: a
+    corpus paper's own index (a paper with the same text can be listed),
+    or None for free text, which may list its closest paper."""
     from . import retriever as retrievermod
     seed_node = retrievermod.select_seed(cos, embeddings, graph)
     sub = retrievermod.retrieve_subgraph(graph, embeddings, query, seed_node,
                                          scorer, config)
-    return sub, retrievermod.decode_and_rank(
-        sub, cos, embeddings, config, seed_node if leave_out_seed else None)
+    return sub, retrievermod.decode_and_rank(sub, cos, embeddings, config,
+                                             leave_out)
 
 
 def _rerank_request(query_text, ranked, records, graph, model, sub):
@@ -197,16 +198,17 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
                     llm_model: str = "default") -> dict:
     """Run each requested method over a seeded query subset and score it.
 
-    Queries are held-out corpus papers; each query's relevant set is its own
-    citation list restricted to corpus members, and the paper itself is
-    removed from every method's candidates. attn and attn+llm prune with the
-    trained `scorer` under `retriever` (default: the stock settings at depth
-    k); hybrid blends with `hybrid`. `graph`, `embeddings` and `bm25` (None
-    if neither bm25 nor hybrid runs) are the records' citation graph,
-    embedding matrix and BM25 index. Queries go in chunks whose cosine rows,
-    from one `embeddings.scores` call, fill at most 512 KiB (8 queries at
-    8,000 papers); the methods then rank each query alone. Returns the
-    per-method reports, runs and per-query rows, and run metadata.
+    Queries are held-out corpus papers, each a node of `graph`; a query's
+    relevant set is the papers its out-row cites, and the query node
+    itself is removed from every method's candidates. attn and attn+llm
+    prune with the trained `scorer` under `retriever` (default: the stock
+    settings at depth k); hybrid blends with `hybrid`. `graph`,
+    `embeddings` and `bm25` (None if neither bm25 nor hybrid runs) are the
+    records' citation graph, embedding matrix and BM25 index. Queries go
+    in chunks whose cosine rows, from one `embeddings.scores` call, fill at
+    most 512 KiB (8 queries at 8,000 papers); the methods then rank each
+    query alone. Returns the per-method reports, runs and per-query rows,
+    and run metadata.
     """
     from . import baselines, metrics
     from . import retriever as retrievermod
@@ -252,9 +254,10 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
             return rerank.rerank(llm_client, request, ranked)
         return _drop_self(ranked, own_id, k)
 
+    indptr, cited = graph.out_indptr, graph.out_indices
     judgments = {
-        records[i].id: frozenset(c for c in records[i].citations
-                                 if c in graph.index_of)
+        graph.node_ids[i]: frozenset(
+            graph.node_ids[j] for j in cited[indptr[i]:indptr[i + 1]].tolist())
         for i in queries
     }
     todo = {i: [m for m in methods if m != "attn+llm" or at < llm_subset]
@@ -276,7 +279,7 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
                                                corpus.build_text(records[i]))
                 if method in _ATTN_METHODS and attn is None:
                     attn = _attn_query(graph, embeddings, embeddings.row(i),
-                                       cos, scorer, rcfg, leave_out_seed=True)
+                                       cos, scorer, rcfg, i)
                 runs[method][records[i].id] = rank(method, i, bm, cos, attn)
         del cos_rows, cos  # only one chunk's rows are alive at a time
     reports: dict[str, metrics.EvalReport] = {}
@@ -355,27 +358,23 @@ def cmd_train(args) -> int:
     if not eligible:
         raise ValueError("no training queries: no paper has in-corpus citations")
     picked = sample_queries(eligible, args.subset, args.seed)
-    train_queries = [
-        gat.TrainingQuery(
-            query=embeddings.row(i),
-            positives=tuple(graph.index_of[c] for c in records[i].citations
-                            if c in graph.index_of))
-        for i in picked
-    ]
-    result = gat.train_scorer(graph, embeddings, train_queries, args.seed)
+    result = gat.train_scorer(graph, embeddings, picked, args.seed)
     gat.save_weights(args.output, embeddings.dim, result.params)
-    print(f"trained scorer on {len(train_queries)} queries: "
+    print(f"trained scorer on {len(picked)} queries: "
           f"loss {result.losses[0]:.6f} -> {result.losses[-1]:.6f} "
           f"({gat.EPOCHS} epochs)")
     return EXIT_OK
 
 
 def _query_vector(args, graph, embeddings):
-    if args.paper_id is not None:
-        if args.paper_id not in graph.index_of:
-            raise ValueError(f"unknown paper id {args.paper_id!r}")
-        return args.paper_id, embeddings.row(graph.index_of[args.paper_id])
-    return "query", embed.hash_embed(args.query, dim=args.dim, seed=args.seed)
+    """The query's id, vector and node index (None for free text)."""
+    if args.paper_id is None:
+        return "query", embed.hash_embed(args.query, dim=args.dim,
+                                         seed=args.seed), None
+    if args.paper_id not in graph.index_of:
+        raise ValueError(f"unknown paper id {args.paper_id!r}")
+    node = graph.index_of[args.paper_id]
+    return args.paper_id, embeddings.row(node), node
 
 
 def cmd_retrieve(args) -> int:
@@ -392,17 +391,16 @@ def cmd_retrieve(args) -> int:
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
     scorer = gat.load_weights(args.weights, width=embeddings.dim)
-    query_id, query = _query_vector(args, graph, embeddings)
+    query_id, query, node = _query_vector(args, graph, embeddings)
     sub, ranked = _attn_query(graph, embeddings, query,
                               embeddings.scores(query), scorer,
-                              args.retriever,
-                              leave_out_seed=args.paper_id is not None)
+                              args.retriever, node)
     result = retrievermod.retrieval_to_json(query_id, sub, ranked, graph)
     if args.rerank:
         from . import rerank
         client = _llm_client(args)
-        query_text = (args.query if args.paper_id is None else
-                      corpus.build_text(records[graph.index_of[query_id]]))
+        query_text = (args.query if node is None else
+                      corpus.build_text(records[node]))
         request = _rerank_request(query_text, ranked, records, graph,
                                   args.model, sub)
         reranked = rerank.rerank(client, request, ranked)

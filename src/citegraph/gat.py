@@ -2,8 +2,10 @@
 
 Relevance against a query is a single logistic unit over the
 concatenated [embedding row ; query] vector, fitted on embedding rows
-and scoring embedding rows. Training is full-batch gradient descent, at
-a fixed rate for a fixed number of epochs, on binary cross-entropy over
+and scoring embedding rows. A training query is a node of the citation
+graph: its vector is its embedding row, and its positives are the nodes
+its out-row cites. Training is full-batch gradient descent, at a fixed
+rate for a fixed number of epochs, on binary cross-entropy over
 [row ; query] pairs with one sampled negative per positive; since the
 query adds one constant per query to the logit, each pair row and each
 query is stored once, never the pair matrix. A weights file stores the
@@ -96,67 +98,59 @@ def loss_and_gradient(u: np.ndarray, b: float, rows: np.ndarray,
 
 
 @dataclass
-class TrainingQuery:
-    """One supervised query: its embedding and the node indices it cites."""
-
-    query: np.ndarray
-    positives: tuple[int, ...]
-
-
-@dataclass
 class TrainResult:
     params: ScorerParams
     losses: list[float]  # length EPOCHS + 1: initial loss, then one per step
 
 
-def _training_pairs(embeddings: EmbeddingMatrix,
-                    train_queries: Sequence[TrainingQuery],
+def _training_pairs(graph: CitationGraph, embeddings: EmbeddingMatrix,
+                    queries: Sequence[int],
                     seed: int) -> tuple[np.ndarray, ...]:
-    """The labelled pairs [R[i] ; Q[group[i]]] as pair rows R, queries Q
-    (each stored once), each pair's query index `group`, and labels y.
+    """The labelled pairs [R[i] ; Q[group[i]]] as pair rows R, query rows
+    Q (each stored once), each pair's query position `group`, and labels y.
 
-    Pairs go query by query. A query contributes its in-range positives in
-    the order given, repeats kept (label 1), then its sampled negatives
+    Pairs go query by query. A query node contributes the nodes its
+    out-row cites, in index order (label 1), then its sampled negatives
     ascending by node index (label 0). The negatives are drawn query by
     query from one generator seeded with `seed`, so the seed fixes the
-    output bit for bit. A query with no in-range positive is skipped.
+    output bit for bit. A query that cites nothing raises ValueError.
     """
+    if not len(queries):
+        raise ValueError("no positive (node, query) pairs available for training")
     rng = np.random.default_rng(seed)
-    n = embeddings.node_count
-    queries: list[np.ndarray] = []
+    n, indptr, cited = graph.node_count, graph.out_indptr, graph.out_indices
     nodes: list[np.ndarray] = []
     labels: list[np.ndarray] = []
-    for tq in train_queries:
-        positives = [p for p in tq.positives if 0 <= p < n]
-        if not positives:  # no positives, so no negatives are drawn
-            continue
+    for q in queries:
+        positives = cited[indptr[q]:indptr[q + 1]]
+        if not len(positives):
+            raise ValueError(f"training query {graph.node_ids[q]!r} cites "
+                             f"no corpus paper")
         negative = np.ones(n, dtype=bool)
         negative[positives] = False
-        pool = np.flatnonzero(negative)
+        pool = np.flatnonzero(negative)  # never empty: q does not cite itself
         wanted = min(len(pool), NEGATIVES_PER_POSITIVE * len(positives))
-        negatives = (np.sort(rng.choice(pool, size=wanted, replace=False))
-                     if wanted > 0 else pool[:0])
-        queries.append(np.asarray(tq.query, dtype=np.float64))
+        negatives = np.sort(rng.choice(pool, size=wanted, replace=False))
         nodes.append(np.concatenate([positives, negatives]))
         labels.append(np.repeat([1.0, 0.0], [len(positives), len(negatives)]))
-    if not queries:
-        raise ValueError("no positive (node, query) pairs available for training")
     group = np.repeat(np.arange(len(queries)), [len(v) for v in nodes])
-    return (embeddings.vectors[np.concatenate(nodes)], np.stack(queries),
+    return (embeddings.vectors[np.concatenate(nodes)],
+            embeddings.vectors[np.asarray(queries, dtype=np.intp)],
             group, np.concatenate(labels))
 
 
 def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,
-                 train_queries: Sequence[TrainingQuery],
-                 seed: int) -> TrainResult:
+                 queries: Sequence[int], seed: int) -> TrainResult:
     """Fit the relevance scorer on citation membership.
 
-    Label 1 pairs a query with each of its cited nodes; label 0 pairs it
-    with negatives sampled uniformly (without replacement) from the rest
-    of the graph, NEGATIVES_PER_POSITIVE per positive, drawn under `seed`.
-    EPOCHS steps of full-batch gradient descent at LEARNING_RATE on the
-    [row ; query] loss, computed from rows and queries stored once; with a
-    fixed seed the result is bit-identical across runs. The returned loss
+    Each query is a node index. Label 1 pairs its embedding row with each
+    node its out-row cites; label 0 pairs it with negatives sampled
+    uniformly (without replacement) from the nodes it does not cite,
+    NEGATIVES_PER_POSITIVE per positive, drawn under `seed`. A query that
+    cites nothing raises ValueError naming it. EPOCHS steps of full-batch
+    gradient descent at LEARNING_RATE on the [row ; query] loss, computed
+    from rows and queries stored once; with a fixed seed the result is
+    bit-identical across runs. The returned loss
     trace holds the initial loss followed by the loss after each epoch. A
     run whose final loss is not finite, or is above the initial loss by
     more than rounding, diverged (rows or queries too long for the fixed
@@ -164,7 +158,7 @@ def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,
     """
     if graph.node_count != embeddings.node_count:
         raise ValueError("graph and embeddings disagree on node count")
-    pairs = _training_pairs(embeddings, train_queries, seed)
+    pairs = _training_pairs(graph, embeddings, queries, seed)
     u, b = np.zeros(pairs[0].shape[1] + pairs[1].shape[1]), 0.0
     loss, grad_u, grad_b = loss_and_gradient(u, b, *pairs)
     losses = [loss]

@@ -177,7 +177,11 @@ class HttpChatClient:
                                              headers=headers, method="POST")
                 with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                     body = json.loads(resp.read().decode("utf-8"))
-                return body["choices"][0]["message"]["content"]
+                content = body["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"reply content is "
+                                    f"{type(content).__name__}, not text")
+                return content
             except (urllib.error.URLError, OSError, KeyError, IndexError,
                     json.JSONDecodeError, TypeError) as exc:
                 if isinstance(exc, urllib.error.HTTPError):

@@ -133,8 +133,9 @@ def decode_and_rank(subgraph: RetrievedSubgraph, cos: np.ndarray,
     "graph"; the best nodes neither kept nor `leave_out` fill the rest,
     flagged "dense-fallback". Each tier is ordered by cosine, ties to the
     lower index; the fill is appended, so its first score can exceed the
-    last graph score. A corpus-paper query leaves out its seed (the paper
-    itself); free text passes None, so its closest paper can be listed.
+    last graph score. A corpus-paper query leaves out its own node, so a
+    paper with the same text can be listed; free text passes None, so its
+    closest paper can be listed.
     """
     kept = np.zeros(embeddings.node_count, dtype=bool)
     kept[subgraph.nodes] = True

@@ -416,22 +416,26 @@ def random_pairs(rng, m, d, queries):
             (rng.random(m) < 0.5).astype(float))
 
 
-def oracle_training_pairs(vectors, train_queries, negatives_per_positive,
+def oracle_training_pairs(vectors, edges, queries, negatives_per_positive,
                           seed):
-    """Training pairs built one row at a time: each pair's [row ; query]
-    concatenated on its own, then all rows stacked. The negatives are
+    """Training pairs built one row at a time from the edge list of a
+    `citation_graph(len(vectors), edges)` fixture: query node q's
+    positives are the distinct targets v != q of its edges (q, v),
+    ascending, its query half is vectors[q], and each pair's [row ; query]
+    is concatenated on its own, then all rows stacked. The negatives are
     drawn with the same generator calls, query by query, as the scorer's
     builder, so its X and y must equal these bit for bit."""
+    if not queries:
+        raise ValueError("no positive (node, query) pairs available for training")
     rng = np.random.default_rng(seed)
     n = len(vectors)
     feats, labels = [], []
-    total_pos = 0
-    for tq in train_queries:
-        q = np.asarray(tq.query, dtype=np.float64)
-        positives = [p for p in tq.positives if 0 <= p < n]
-        total_pos += len(positives)
+    for q in queries:
+        positives = sorted({v for u, v in edges if u == q and v != q})
+        if not positives:
+            raise ValueError(f"training query 'n{q}' cites no corpus paper")
         for p in positives:
-            feats.append(np.concatenate([vectors[p], q]))
+            feats.append(np.concatenate([vectors[p], vectors[q]]))
             labels.append(1.0)
         negative = np.ones(n, dtype=bool)
         negative[positives] = False
@@ -439,10 +443,8 @@ def oracle_training_pairs(vectors, train_queries, negatives_per_positive,
         wanted = min(len(pool), negatives_per_positive * len(positives))
         if wanted > 0:
             for neg in sorted(rng.choice(pool, size=wanted, replace=False)):
-                feats.append(np.concatenate([vectors[neg], q]))
+                feats.append(np.concatenate([vectors[neg], vectors[q]]))
                 labels.append(0.0)
-    if total_pos == 0:
-        raise ValueError("no positive (node, query) pairs available for training")
     return np.stack(feats), np.asarray(labels, dtype=np.float64)
 
 

@@ -17,8 +17,7 @@ import pytest
 from citegraph import cli
 from citegraph.baselines import HybridConfig, bm25_build, bm25_rank, bm25_scores, dense_rank, hybrid_rank
 from citegraph.embed import EmbeddingMatrix, hash_embed, tokenize
-from citegraph.gat import (TrainingQuery, loss_and_gradient, relevance_scores,
-                           train_scorer)
+from citegraph.gat import loss_and_gradient, relevance_scores, train_scorer
 from citegraph.graph import build_graph
 from citegraph.metrics import (first_relevant_rank, ndcg_at_k, precision_at_k,
                                recall_at_k)
@@ -140,17 +139,15 @@ def test_criterion_05_gradient_check_and_separable_training():
         worst = max(worst, rel)
         assert rel < 1e-4
 
-    vectors = np.array([[1.0, 0.0]] * 4 + [[-1.0, 0.0]] * 4)
-    embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(8)),
+    # query node 8 at (0, 1) cites the four nodes at (+1, 0)
+    vectors = np.array([[1.0, 0.0]] * 4 + [[-1.0, 0.0]] * 4 + [[0.0, 1.0]])
+    embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(9)),
                                  vectors=vectors, dim=2)
-    graph = citation_graph(8, [])
-    query = np.array([0.0, 1.0])
-    result = train_scorer(
-        graph, embeddings,
-        [TrainingQuery(query=query, positives=(0, 1, 2, 3))], 0)
+    graph = citation_graph(9, [(8, 0), (8, 1), (8, 2), (8, 3)])
+    result = train_scorer(graph, embeddings, [8], 0)
     for prev, cur in zip(result.losses, result.losses[1:]):
         assert cur <= prev + 1e-12
-    scores = relevance_scores(vectors, query, result.params)
+    scores = relevance_scores(vectors[:8], vectors[8], result.params)
     accuracy = float(np.mean((scores >= 0.5) == np.array(
         [True] * 4 + [False] * 4)))
     assert accuracy == 1.0

@@ -669,6 +669,46 @@ def test_retrieve_by_text_lists_the_paper_it_quotes(corpus_path, weights,
         assert (first["id"], first["provenance"]) == (record.id, "graph")
 
 
+@pytest.fixture()
+def twin_corpus(tmp_path):
+    """Two 3-paper components, then twins A and B with the same text: A
+    cites a leaf and B cites A, so the lower-index A is the seed of B's
+    query and B lies one hop from it."""
+    path = tmp_path / "twins.jsonl"
+    text = {"title": "twin survey", "abstract": "the same words twice"}
+    write_jsonl(path, component_corpus(2) + [
+        corpus_line("twin-a", ["p00a"], **text),
+        corpus_line("twin-b", ["twin-a"], **text)])
+    return path
+
+
+def test_retrieve_by_paper_id_leaves_out_the_paper_not_its_twin(
+        twin_corpus, capsys):
+    assert run_cli("retrieve", "--corpus", twin_corpus, "--paper-id",
+                   "twin-b", "--k", "3", "--sigma", "0.0", "--dim", "48",
+                   "--weights", train_weights(twin_corpus, 48)) == 0
+    result = json.loads(capsys.readouterr().out)
+    ids = [c["id"] for c in result["candidates"]]
+    assert result["seed"] == "twin-a"
+    assert "twin-b" not in ids and len(ids) == 3
+    assert ids[0] == "twin-a"
+
+
+def test_evaluate_leaves_out_the_query_not_its_twin(twin_corpus):
+    records, _ = parse_records(iter(twin_corpus.read_text().splitlines()))
+    result = cli.evaluate_corpus(
+        records, methods=cli.METHODS, k=3, **evaluation_inputs(records,
+                                                               dim=48),
+        retriever=retriever.RetrieverConfig(prune_threshold=0.0, top_k=3),
+        scorer=load_weights(str(train_weights(twin_corpus, 48))),
+        llm_client=MockClient())
+    assert result["judgments"]["twin-b"] == {"twin-a"}
+    for method in cli.METHODS:
+        ids = result["runs"][method]["twin-b"].ids()
+        assert "twin-b" not in ids and len(ids) == 3, method
+        assert "twin-a" in ids, method
+
+
 def test_retrieve_k_one(tmp_path, corpus_path, weights, capsys):
     assert run_cli("retrieve", "--corpus", corpus_path, "--paper-id", "p00h",
                    "--sigma", "0.0", "--k", "1", "--dim", "48",

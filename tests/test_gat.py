@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from citegraph.embed import EmbeddingMatrix
 from citegraph.gat import (EPOCHS, LEARNING_RATE, NEGATIVES_PER_POSITIVE,
-                           ScorerParams, TrainingQuery, _training_pairs,
+                           ScorerParams, _training_pairs,
                            load_weights, loss_and_gradient, relevance_scores,
                            save_weights, sigmoid, train_scorer)
 from helpers import (citation_graph, oracle_loss_and_gradient, oracle_sigmoid,
@@ -114,12 +115,13 @@ def test_training_matches_full_matrix_oracle_descent():
     vectors = rng.normal(size=(n, dim))
     embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(n)),
                                  vectors=vectors, dim=dim)
-    queries = [TrainingQuery(query=rng.normal(size=dim), positives=tuple(
-        rng.integers(0, n, int(rng.integers(1, 5))).tolist()))
-        for _ in range(8)]
+    queries = list(range(0, n, 5))
+    # 1 to 4 citations per query, never of itself, repeats allowed
+    edges = [(q, int(v)) for q in queries for v in (q + 1 + rng.integers(
+        0, n - 1, int(rng.integers(1, 5)))) % n]
     assert (LEARNING_RATE, EPOCHS, NEGATIVES_PER_POSITIVE) == (0.5, 200, 1)
-    result = train_scorer(citation_graph(n, []), embeddings, queries, 3)
-    X, y = oracle_training_pairs(vectors, queries, 1, 3)
+    result = train_scorer(citation_graph(n, edges), embeddings, queries, 3)
+    X, y = oracle_training_pairs(vectors, edges, queries, 1, 3)
     u, b = np.zeros(2 * dim), 0.0
     loss, gu, gb = oracle_loss_and_gradient(u, b, X, y)
     losses = [loss]
@@ -133,14 +135,13 @@ def test_training_matches_full_matrix_oracle_descent():
 
 
 def separable_fixture():
-    # four positives at (+1, 0), four negatives at (-1, 0): linearly separable
-    vectors = np.array([[1.0, 0.0]] * 4 + [[-1.0, 0.0]] * 4)
-    ids = tuple(f"n{i}" for i in range(8))
+    # query node 8 at (0, 1) cites four nodes at (+1, 0); four at (-1, 0)
+    # and node 8 itself make its negatives: linearly separable
+    vectors = np.array([[1.0, 0.0]] * 4 + [[-1.0, 0.0]] * 4 + [[0.0, 1.0]])
+    ids = tuple(f"n{i}" for i in range(9))
     embeddings = EmbeddingMatrix(ids=ids, vectors=vectors, dim=2)
-    graph = citation_graph(8, [])
-    query = np.array([0.0, 1.0])
-    queries = [TrainingQuery(query=query, positives=(0, 1, 2, 3))]
-    return graph, embeddings, queries, query
+    graph = citation_graph(9, [(8, 0), (8, 1), (8, 2), (8, 3)])
+    return graph, embeddings, [8], vectors[8]
 
 
 def test_training_separable_reaches_full_accuracy():
@@ -149,57 +150,55 @@ def test_training_separable_reaches_full_accuracy():
     assert len(result.losses) == EPOCHS + 1
     for prev, cur in zip(result.losses, result.losses[1:]):
         assert cur <= prev + 1e-12
-    scores = relevance_scores(embeddings.vectors, query, result.params)
+    scores = relevance_scores(embeddings.vectors[:8], query, result.params)
     predictions = scores >= 0.5
     assert list(predictions) == [True] * 4 + [False] * 4
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 10), dim=st.integers(1, 4),
-       positives=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=4),
-                          min_size=1, max_size=4),
+@given(n=st.integers(2, 10), dim=st.integers(1, 4),
+       cites=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 8)),
+                      min_size=1, max_size=12),
        seed=st.integers(0, 2 ** 16))
-# every pair row and query is 1: nothing to learn, the loss stays at log 2
-@example(n=7, dim=1, positives=[[0, 0], [0, 0, 0]], seed=44)
-def test_training_loss_never_rises_on_unit_rows(n, dim, positives, seed):
-    """Unit or zero rows and unit queries bound the gradient's Lipschitz
-    constant by (1 + 1 + 1) / 4 = 0.75 < 2 / LEARNING_RATE, so every step
-    at the fixed rate lowers the loss or leaves it (to rounding), and no
-    run is taken for a diverging one."""
+# two nodes that cite each other, both rows 1: every pair row and query is
+# 1, so there is nothing to learn and the loss stays at log 2
+@example(n=2, dim=1, cites=[(0, 0), (1, 0)], seed=6)
+def test_training_loss_never_rises_on_unit_rows(n, dim, cites, seed):
+    """Unit or zero rows, queries among them, bound the gradient's
+    Lipschitz constant by (1 + 1 + 1) / 4 = 0.75 < 2 / LEARNING_RATE, so
+    every step at the fixed rate lowers the loss or leaves it (to
+    rounding), and no run is taken for a diverging one."""
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((n, dim))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     vectors[rng.random(n) < 0.2] = 0.0
     embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(n)),
                                  vectors=vectors, dim=dim)
-    queries = []
-    for p in positives:
-        query = rng.standard_normal(dim)
-        queries.append(TrainingQuery(query=query / np.linalg.norm(query),
-                                     positives=tuple(v % n for v in p)))
-    losses = train_scorer(citation_graph(n, []), embeddings, queries,
+    # node u mod n cites its (v mod n-1)-th other node
+    edges = [(u % n, (u % n + 1 + v % (n - 1)) % n) for u, v in cites]
+    queries = list(dict.fromkeys(u for u, _ in edges))  # each citing node
+    losses = train_scorer(citation_graph(n, edges), embeddings, queries,
                           seed).losses
     assert len(losses) == EPOCHS + 1
     for prev, cur in zip(losses, losses[1:]):
         assert cur <= prev + 1e-12 * prev
 
 
-@pytest.mark.parametrize("scale, final", [(1e3, "56241.9"), (1e200, "nan")])
+@pytest.mark.parametrize("scale, final", [(1e3, "109375"), (1e200, "nan")])
 def test_training_divergence_is_value_error(scale, final):
     """Rows far longer than unit overshoot at the fixed rate, and the run
     fails on its final loss, finite or not."""
-    # not separable: nodes 0 and 1 are each one query's positive and may
-    # be the other's negative
-    embeddings = EmbeddingMatrix(ids=("n0", "n1", "n2"), dim=2, vectors=scale
-                                 * np.array([[1.0, 0.0], [0.0, 1.0],
-                                             [0.6, 0.8]]))
-    query = np.array([1.0, 0.0])
-    queries = [TrainingQuery(query=query, positives=(0,)),
-               TrainingQuery(query=query, positives=(1,))]
+    # not separable: query nodes 2 and 3 share node 0's row and cite nodes
+    # 0 and 1, so every negative pair [row ; query] repeats a positive one
+    embeddings = EmbeddingMatrix(ids=("n0", "n1", "n2", "n3"), dim=2,
+                                 vectors=scale * np.array([
+                                     [1.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                                     [1.0, 0.0]]))
     message = (f"^training diverged: loss 0.693147 -> {final}; the fixed "
                "rate 0.5 needs rows and queries of norm <= 1$")
     with pytest.raises(ValueError, match=message):
-        train_scorer(citation_graph(3, []), embeddings, queries, 0)
+        train_scorer(citation_graph(4, [(2, 0), (3, 1)]), embeddings, [2, 3],
+                     0)
 
 
 def test_training_deterministic_across_runs():
@@ -212,39 +211,45 @@ def test_training_deterministic_across_runs():
 
 
 def test_training_without_positives_errors():
-    graph, embeddings, _, query = separable_fixture()
+    graph, embeddings, _, _ = separable_fixture()
     with pytest.raises(ValueError, match="no positive"):
-        train_scorer(graph, embeddings,
-                     [TrainingQuery(query=query, positives=())], 0)
+        train_scorer(graph, embeddings, [], 0)
+
+
+def test_training_query_without_out_edge_errors():
+    graph, embeddings, _, _ = separable_fixture()
+    with pytest.raises(ValueError,
+                       match="^training query 'n4' cites no corpus paper$"):
+        train_scorer(graph, embeddings, [8, 4], 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 12), dim=st.integers(1, 5),
-       positives=st.lists(st.lists(st.integers(-3, 14), max_size=4),
-                          min_size=1, max_size=6),
+       cites=st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=4),
+                      max_size=6),
        seed=st.integers(0, 2 ** 16))
-def test_training_pairs_bit_equal_to_row_by_row_oracle(n, dim, positives,
-                                                       seed):
-    """Repeated and out-of-range positives, pools smaller than the wanted
-    negatives and queries with no positives all give the oracle's X and
-    y, or its error: R and Q[group] are X's row and query halves."""
+def test_training_pairs_bit_equal_to_row_by_row_oracle(n, dim, cites, seed):
+    """Query j is node j mod n and cites each of cites[j] mod n. Repeated
+    citations and queries, self-citations, pools smaller than the wanted
+    negatives, a query that cites only itself and no query at all give
+    the oracle's X and y, or its error: R and Q[group] are X's row and
+    query halves."""
     rng = np.random.default_rng(seed)
     embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(n)),
                                  vectors=rng.standard_normal((n, dim)),
                                  dim=dim)
-    queries = [TrainingQuery(query=rng.standard_normal(dim),
-                             positives=tuple(p)) for p in positives]
-    if not any(0 <= p < n for ps in positives for p in ps):
-        message = "^no positive .node, query. pairs available for training$"
-        with pytest.raises(ValueError, match=message):
-            _training_pairs(embeddings, queries, seed)
-        with pytest.raises(ValueError, match=message):
-            oracle_training_pairs(embeddings.vectors, queries,
-                                  NEGATIVES_PER_POSITIVE, seed)
+    queries = [j % n for j in range(len(cites))]
+    edges = [(j % n, v % n) for j, vs in enumerate(cites) for v in vs]
+    graph = citation_graph(n, edges)
+    try:
+        X_ref, y_ref = oracle_training_pairs(embeddings.vectors, edges,
+                                             queries, NEGATIVES_PER_POSITIVE,
+                                             seed)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _training_pairs(graph, embeddings, queries, seed)
         return
-    R, Q, group, y = _training_pairs(embeddings, queries, seed)
-    X_ref, y_ref = oracle_training_pairs(embeddings.vectors, queries,
-                                         NEGATIVES_PER_POSITIVE, seed)
+    R, Q, group, y = _training_pairs(graph, embeddings, queries, seed)
     for half, ref in ((R, X_ref[:, :dim]), (Q[group], X_ref[:, dim:])):
         assert half.dtype == ref.dtype and half.shape == ref.shape
         assert half.tobytes() == ref.tobytes()
@@ -262,10 +267,9 @@ def test_train_scorer_peak_memory_stays_near_the_pair_rows():
     embeddings = EmbeddingMatrix(ids=tuple(f"n{i}" for i in range(n)),
                                  vectors=rng.standard_normal((n, dim)),
                                  dim=dim)
-    queries = [TrainingQuery(query=rng.standard_normal(dim),
-                             positives=tuple(rng.integers(0, n, 5).tolist()))
-               for _ in range(250)]
-    graph = citation_graph(n, [])
+    queries = list(range(250))  # each cites 5 distinct other nodes
+    graph = citation_graph(n, [(q, (q + 1 + int(v)) % n) for q in queries
+                               for v in rng.choice(n - 1, 5, replace=False)])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -273,7 +277,7 @@ def test_train_scorer_peak_memory_stays_near_the_pair_rows():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    R = _training_pairs(embeddings, queries, 0)[0]
+    R = _training_pairs(graph, embeddings, queries, 0)[0]
     assert R.shape == (2500, dim)
     assert peak <= 1.25 * R.nbytes + (1 << 20), peak / R.nbytes
 

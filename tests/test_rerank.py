@@ -278,6 +278,7 @@ def test_http_client_requires_url(monkeypatch):
 class _ChatHandler(BaseHTTPRequestHandler):
     fail_times = 0
     seen: list[dict] = []
+    content = "RANKING: 2, 1\nbecause the graph says so"
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -289,7 +290,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         payload = json.dumps({"choices": [{"message": {
-            "content": "RANKING: 2, 1\nbecause the graph says so"}}]})
+            "content": type(self).content}}]})
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -343,3 +344,14 @@ def test_rerank_via_http_end_to_end(chat_server):
     out = rerank(client, request_for(2), ranked(2))
     assert out.ids() == ["p1", "p0"]
     assert not out.fallback
+
+
+@pytest.mark.parametrize("content", [None, 7])
+def test_rerank_falls_back_when_the_reply_content_is_not_text(
+        chat_server, monkeypatch, content):
+    monkeypatch.setattr(_ChatHandler, "content", content)
+    client = HttpChatClient(url=chat_server, timeout=5.0, retries=1)
+    out = rerank(client, request_for(2), ranked(2))
+    assert out.ids() == ["p0", "p1"]
+    assert out.fallback
+    assert len(_ChatHandler.seen) == 2  # retried before giving up
