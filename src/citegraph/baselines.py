@@ -1,6 +1,6 @@
 """Retrieval baselines: BM25, dense cosine scan, and their hybrid blend.
 
-Each baseline scores every document and ranks with `ranking.top_k`.
+Each baseline scores every document and ranks with `top_k` (ranking.py).
 `bm25_build` makes one pass over the texts, which may be any iterable:
 each paper's tokens (the embedder's `tokenize`) become 32-bit term ids in
 one flat `array('i')`, so no per-paper array or text outlives its paper.

@@ -69,8 +69,8 @@ _SETTINGS = {
 
 def _validate(args: argparse.Namespace) -> None:
     """Check the parsed settings of a command; a setting the command has
-    no flag for is not checked. The config classes own k, sigma, hops
-    and alpha, name the flag in their errors, and are built here once,
+    no flag for is not checked. The config classes own sigma, hops and
+    alpha, name the flag in their errors, and are built here once,
     each only for the commands that take it, so `build`, `embed` and
     `train` load none of the modules that define them.
     """
@@ -79,11 +79,13 @@ def _validate(args: argparse.Namespace) -> None:
         raise UsageError("dim must be >= 1")
     if min(settings.get("subset", 1), settings.get("llm_subset", 1)) < 1:
         raise UsageError("subset sizes must be >= 1")
+    if settings.get("k", 1) < 1:
+        raise UsageError("k (--k) must be >= 1")
     try:
         if args.command in ("retrieve", "evaluate"):
             from .retriever import RetrieverConfig
-            args.retriever = RetrieverConfig(
-                hops=args.hops, prune_threshold=args.sigma, top_k=args.k)
+            args.retriever = RetrieverConfig(hops=args.hops,
+                                             prune_threshold=args.sigma)
         if args.command == "evaluate":
             from .baselines import HybridConfig
             args.hybrid = HybridConfig(alpha=args.alpha)
@@ -155,23 +157,17 @@ def sample_queries(eligible: Sequence[int], subset: int, seed: int) -> list[int]
     return sorted(int(i) for i in picked)
 
 
-def _drop_self(ranked: RankedList, own_id: str, k: int) -> RankedList:
-    from .ranking import RankedList
-    items = [it for it in ranked.items if it.id != own_id][:k]
-    return RankedList(items=items, fallback=ranked.fallback)
-
-
-def _attn_query(graph, embeddings, query, cos, scorer, config,
+def _attn_query(graph, embeddings, query, cos, scorer, config, k: int,
                 leave_out: int | None):
-    """The (subgraph, ranking) of one query's pruned retrieval; `cos` is
-    its `embeddings.scores` row. `leave_out` is the node never listed: a
+    """The (subgraph, ranking of k) of one query's pruned retrieval; `cos`
+    is its `embeddings.scores` row. `leave_out` is the node never listed: a
     corpus paper's own index (a paper with the same text can be listed),
     or None for free text, which may list its closest paper."""
     from . import retriever as retrievermod
     seed_node = retrievermod.select_seed(cos, embeddings, graph)
     sub = retrievermod.retrieve_subgraph(graph, embeddings, query, seed_node,
                                          scorer, config)
-    return sub, retrievermod.decode_and_rank(sub, cos, embeddings, config,
+    return sub, retrievermod.decode_and_rank(sub, cos, embeddings, k,
                                              leave_out)
 
 
@@ -199,10 +195,11 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
     """Run each requested method over a seeded query subset and score it.
 
     Queries are held-out corpus papers, each a node of `graph`; a query's
-    relevant set is the papers its out-row cites, and the query node
-    itself is removed from every method's candidates. attn and attn+llm
-    prune with the trained `scorer` under `retriever` (default: the stock
-    settings at depth k); hybrid blends with `hybrid`. `graph`,
+    relevant set is the papers its out-row cites. Every method ranks the
+    k best papers of one pool, every node but the query's own (bm25 only
+    those of positive score); attn+llm re-ranks attn's list. attn and
+    attn+llm prune with the trained `scorer` under `retriever` (default:
+    the stock walk); hybrid blends with `hybrid`. `graph`,
     `embeddings` and `bm25` (None if neither bm25 nor hybrid runs) are the
     records' citation graph, embedding matrix and BM25 index. Queries go
     in chunks whose cosine rows, from one `embeddings.scores` call, fill at
@@ -223,7 +220,7 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
     if "attn+llm" in methods and llm_client is None:
         raise UsageError("attn+llm needs a chat client: pass --llm-mock or "
                          "configure the endpoint")
-    rcfg = retriever or retrievermod.RetrieverConfig(top_k=k)
+    rcfg = retriever or retrievermod.RetrieverConfig()
     hycfg = hybrid or baselines.HybridConfig()
 
     eligible, excluded = eligible_queries(graph, embeddings)
@@ -231,28 +228,25 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
     if not queries:
         raise ValueError("no eligible evaluation queries in this corpus")
 
+    # every method ranks this pool: each paper but the query being ranked
+    pool = np.ones(graph.node_count, dtype=bool)
+
     def rank(method: str, qidx: int, bm, cos, attn) -> RankedList:
-        own_id = records[qidx].id
         if method == "bm25":
-            ranked = top_k(bm, graph.node_ids, k + 1, "bm25",
-                           candidates=bm > 0.0)
-        elif method == "dense":
-            ranked = top_k(cos, embeddings.ids, k + 1, "dense")
-        elif method == "hybrid":
+            return top_k(bm, graph.node_ids, k, "bm25",
+                         candidates=pool & (bm > 0.0))
+        if method == "dense":
+            return top_k(cos, embeddings.ids, k, "dense", candidates=pool)
+        if method == "hybrid":
             blend = baselines.hybrid_scores(bm, cos, hycfg)
-            ranked = top_k(blend, graph.node_ids, k + 1, "hybrid")
-        elif method == "attn":
-            _, ranked = attn
-        else:  # attn+llm
-            from . import rerank
-            sub, ranked = attn
-            ranked = _drop_self(ranked, own_id, k)
-            if not ranked.items:
-                return ranked
-            request = _rerank_request(corpus.build_text(records[qidx]),
-                                      ranked, records, graph, llm_model, sub)
-            return rerank.rerank(llm_client, request, ranked)
-        return _drop_self(ranked, own_id, k)
+            return top_k(blend, graph.node_ids, k, "hybrid", candidates=pool)
+        sub, ranked = attn
+        if method == "attn":
+            return ranked
+        from . import rerank
+        request = _rerank_request(corpus.build_text(records[qidx]), ranked,
+                                  records, graph, llm_model, sub)
+        return rerank.rerank(llm_client, request, ranked)
 
     indptr, cited = graph.out_indptr, graph.out_indices
     judgments = {
@@ -273,14 +267,16 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
             # the query's BM25 row and (subgraph, ranking), each computed
             # once and shared by every method that reads it
             bm, cos, attn = None, cos_rows.get(i), None
+            pool[i] = False
             for method in todo[i]:
                 if method in ("bm25", "hybrid") and bm is None:
                     bm = baselines.bm25_scores(bm25,
                                                corpus.build_text(records[i]))
                 if method in _ATTN_METHODS and attn is None:
                     attn = _attn_query(graph, embeddings, embeddings.row(i),
-                                       cos, scorer, rcfg, i)
+                                       cos, scorer, rcfg, k, i)
                 runs[method][records[i].id] = rank(method, i, bm, cos, attn)
+            pool[i] = True
         del cos_rows, cos  # only one chunk's rows are alive at a time
     reports: dict[str, metrics.EvalReport] = {}
     rows: dict[str, list[dict]] = {}
@@ -394,7 +390,7 @@ def cmd_retrieve(args) -> int:
     query_id, query, node = _query_vector(args, graph, embeddings)
     sub, ranked = _attn_query(graph, embeddings, query,
                               embeddings.scores(query), scorer,
-                              args.retriever, node)
+                              args.retriever, args.k, node)
     result = retrievermod.retrieval_to_json(query_id, sub, ranked, graph)
     if args.rerank:
         from . import rerank

@@ -236,8 +236,8 @@ def rerank(client, request: RerankRequest, original: RankedList) -> RankedList:
         return dataclasses.replace(original, fallback=True)
     permutation, parse_fallback = parse_ranking(reply, len(original.items))
     items = [
-        RankedItem(id=original.items[pos - 1].id, score=1.0 / (rank + 1),
+        RankedItem(id=original.items[pos - 1].id, score=1.0 / rank,
                    provenance=original.items[pos - 1].provenance)
-        for rank, pos in enumerate(permutation)
+        for rank, pos in enumerate(permutation, start=1)
     ]
     return RankedList(items=items, fallback=parse_fallback)

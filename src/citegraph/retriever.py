@@ -22,8 +22,9 @@ vector: the caller computes it once per query (that call rejects an
 all-zero query) and every step that ranks by cosine reads it.
 `retrieve_subgraph` takes the query vector, which the scorer reads.
 
-`decode_and_rank` lists the kept nodes first: dense hits only top up a
-list shorter than top_k, after every kept node.
+`decode_and_rank` lists the k best papers other than the node left out:
+the kept nodes first, then dense hits, which only top up a list shorter
+than k, after every kept node.
 """
 from __future__ import annotations
 
@@ -41,15 +42,12 @@ from .ranking import RankedItem, RankedList, top_k_indices
 class RetrieverConfig:
     hops: int = 3
     prune_threshold: float = 0.5
-    top_k: int = 10
 
     def __post_init__(self) -> None:
         if self.hops < 1:
             raise ValueError("hops (--hops) must be >= 1")
         if not 0.0 <= self.prune_threshold <= 1.0:
             raise ValueError("prune_threshold (--sigma) must be in [0, 1]")
-        if self.top_k < 1:
-            raise ValueError("top_k (--k) must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,12 +122,12 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
 
 
 def decode_and_rank(subgraph: RetrievedSubgraph, cos: np.ndarray,
-                    embeddings: EmbeddingMatrix, config: RetrieverConfig,
+                    embeddings: EmbeddingMatrix, k: int,
                     leave_out: int | None) -> RankedList:
-    """The kept nodes by cosine to the query, then the dense fill.
+    """The k best papers: kept nodes by cosine to the query, then the fill.
 
     Every score is read from `cos`, the query's `embeddings.scores` row.
-    Up to top_k kept nodes other than `leave_out` come first, flagged
+    Up to k kept nodes other than `leave_out` come first, flagged
     "graph"; the best nodes neither kept nor `leave_out` fill the rest,
     flagged "dense-fallback". Each tier is ordered by cosine, ties to the
     lower index; the fill is appended, so its first score can exceed the
@@ -142,9 +140,9 @@ def decode_and_rank(subgraph: RetrievedSubgraph, cos: np.ndarray,
     pool = ~kept
     if leave_out is not None:
         kept[leave_out] = pool[leave_out] = False
-    picked = top_k_indices(cos, config.top_k, kept)
-    fill = (top_k_indices(cos, config.top_k - len(picked), pool)
-            if len(picked) < config.top_k else picked[:0])
+    picked = top_k_indices(cos, k, kept)
+    fill = (top_k_indices(cos, k - len(picked), pool)
+            if len(picked) < k else picked[:0])
     return RankedList(items=[
         RankedItem(id=embeddings.ids[u], score=float(cos[u]), provenance=tier)
         for tier, nodes in (("graph", picked), ("dense-fallback", fill))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from citegraph import cli
 from citegraph.baselines import (HybridConfig, bm25_build, bm25_rank,
-                                 bm25_scores, dense_rank, hybrid_rank, idf)
+                                 bm25_scores, dense_rank, hybrid_rank,
+                                 hybrid_scores, idf)
 from citegraph.embed import EmbeddingMatrix, embed_corpus, tokenize
 from citegraph.graph import build_graph
 from citegraph.corpus import PaperRecord, build_text
@@ -469,6 +470,48 @@ def test_evaluate_hybrid_matches_hybrid_rank_over_full_lists():
                            universe=ids)
         expected = [it for it in full.to_dicts() if it["id"] != pid][:k]
         assert run[pid].to_dicts() == expected
+
+
+@st.composite
+def tied_corpora(draw):
+    """Up to 12 papers, each citing the next, whose texts are drawn from
+    at most 3 strings, so that tied scores straddle position k; and k from
+    1 to one past the paper count."""
+    n = draw(st.integers(2, 12))
+    texts = draw(st.lists(st.sampled_from(FIVE_DOCS), min_size=1, max_size=3,
+                          unique=True))
+    titles = draw(st.lists(st.sampled_from(texts), min_size=n, max_size=n))
+    records = [PaperRecord(id=f"p{i}", title=title,
+                           citations=[f"p{(i + 1) % n}"])
+               for i, title in enumerate(titles)]
+    return records, draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=tied_corpora())
+def test_evaluate_ranks_the_k_best_papers_but_the_query(case):
+    """bm25, dense and hybrid each list the first k of a full sort of one
+    pool, every paper but the query (for bm25, of positive score only)."""
+    records, k = case
+    inputs = evaluation_inputs(records, dim=16)
+    cfg = HybridConfig()
+    result = cli.evaluate_corpus(records, methods=("bm25", "dense", "hybrid"),
+                                 k=k, hybrid=cfg, **inputs)
+    emb = inputs["embeddings"]
+    assert result["runs"]["dense"]
+    for pid in result["runs"]["dense"]:
+        i = inputs["graph"].index_of[pid]
+        bm = bm25_scores(inputs["bm25"], build_text(records[i]))
+        cos = emb.scores(emb.row(i))
+        others = np.arange(len(records)) != i
+        for method, scores, pool in (
+                ("bm25", bm, others & (bm > 0.0)), ("dense", cos, others),
+                ("hybrid", hybrid_scores(bm, cos, cfg), others)):
+            expected = oracle_top_k(scores.tolist(), k, pool)
+            ranked = result["runs"][method][pid]
+            assert ranked.ids() == [records[j].id for j in expected], method
+            assert [it.score for it in ranked.items] == \
+                [scores[j] for j in expected], method
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)

@@ -368,7 +368,8 @@ def test_train_bad_setting_is_usage_error_naming_the_flag(
 
 @pytest.mark.parametrize("command, flag, value, message", [
     ("evaluate", "--sigma", "2", "prune_threshold (--sigma) must be in [0, 1]"),
-    ("evaluate", "--k", "0", "top_k (--k) must be >= 1"),
+    ("evaluate", "--k", "0", "k (--k) must be >= 1"),
+    ("retrieve", "--k", "0", "k (--k) must be >= 1"),
     ("evaluate", "--hops", "0", "hops (--hops) must be >= 1"),
     ("evaluate", "--alpha", "1.5", "alpha (--alpha) must be in [0, 1]"),
     ("retrieve", "--sigma", "-0.1",
@@ -478,7 +479,7 @@ def test_attn_and_attn_llm_share_one_retrieval_per_query(corpus_path,
         result = cli.evaluate_corpus(
             records, methods=methods, k=3, subset=6, llm_subset=4,
             **evaluation_inputs(records, dim=32),
-            retriever=retriever.RetrieverConfig(prune_threshold=0.0, top_k=3),
+            retriever=retriever.RetrieverConfig(prune_threshold=0.0),
             scorer=scorer, llm_client=MockClient(reverse))
         return result["rows"], len(calls)
 
@@ -507,7 +508,7 @@ def test_evaluate_scores_each_query_once(corpus_path, monkeypatch):
         result = cli.evaluate_corpus(
             records, methods=methods, k=3, subset=6, llm_subset=llm_subset,
             **evaluation_inputs(records, dim=32),
-            retriever=retriever.RetrieverConfig(prune_threshold=0.0, top_k=3),
+            retriever=retriever.RetrieverConfig(prune_threshold=0.0),
             scorer=scorer, llm_client=MockClient())
         return result["rows"]
 
@@ -699,7 +700,7 @@ def test_evaluate_leaves_out_the_query_not_its_twin(twin_corpus):
     result = cli.evaluate_corpus(
         records, methods=cli.METHODS, k=3, **evaluation_inputs(records,
                                                                dim=48),
-        retriever=retriever.RetrieverConfig(prune_threshold=0.0, top_k=3),
+        retriever=retriever.RetrieverConfig(prune_threshold=0.0),
         scorer=load_weights(str(train_weights(twin_corpus, 48))),
         llm_client=MockClient())
     assert result["judgments"]["twin-b"] == {"twin-a"}
@@ -707,6 +708,23 @@ def test_evaluate_leaves_out_the_query_not_its_twin(twin_corpus):
         ids = result["runs"][method]["twin-b"].ids()
         assert "twin-b" not in ids and len(ids) == 3, method
         assert "twin-a" in ids, method
+
+
+def test_attn_lists_as_many_papers_as_the_other_methods(tmp_path):
+    """attn's depth is evaluate's k: at k 15 on 60 papers, attn and
+    attn+llm list 15 papers per query, as dense does."""
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, component_corpus(20))
+    records, _ = parse_records(iter(path.read_text().splitlines()))
+    result = cli.evaluate_corpus(
+        records, methods=("dense", "attn", "attn+llm"), k=15,
+        **evaluation_inputs(records, dim=48),
+        retriever=retriever.RetrieverConfig(hops=2, prune_threshold=0.0),
+        scorer=load_weights(str(train_weights(path, 48))),
+        llm_client=MockClient())
+    for method in ("dense", "attn", "attn+llm"):
+        lengths = {len(ranked) for ranked in result["runs"][method].values()}
+        assert lengths == {min(15, len(records) - 1)}, method
 
 
 def test_retrieve_k_one(tmp_path, corpus_path, weights, capsys):

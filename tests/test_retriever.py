@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,13 +147,13 @@ def test_scores_come_from_embedding_rows():
     graph candidates and dense fallback share the query's cosine scores."""
     for fixture_seed in range(25):
         fx = retriever_fixture(fixture_seed)
-        sub, cfg = run_fixture(fx, sigma=0.0)
+        sub, _ = run_fixture(fx, sigma=0.0)
         rows, query = fx["embeddings"].vectors, fx["query"]
         expected = relevance_scores(rows[sub.nodes[1:]], query, fx["scorer"])
         assert sub.scores[1:].tolist() == pytest.approx(expected.tolist(),
                                                         abs=1e-12)
         ranked = decode_and_rank(sub, fx["embeddings"].scores(query),
-                                 fx["embeddings"], cfg, sub.seed)
+                                 fx["embeddings"], 10, sub.seed)
         cos = fx["embeddings"].scores(query)
         assert ranked.items
         for item in ranked.items:
@@ -223,11 +225,11 @@ def graph_tier(ranked):
 
 def test_decode_and_rank_seed_only_no_fallback():
     fx = retriever_fixture(7)
-    sub, cfg = run_fixture(fx, sigma=1.0)
+    sub, _ = run_fixture(fx, sigma=1.0)
     ranked = decode_and_rank(sub, fx["embeddings"].scores(fx["query"]),
-                             fx["embeddings"], cfg, sub.seed)
+                             fx["embeddings"], 10, sub.seed)
     assert graph_tier(ranked) == []  # the graph-only list is empty
-    assert len(ranked) == min(cfg.top_k, fx["n"] - 1)
+    assert len(ranked) == min(10, fx["n"] - 1)
     assert all(it.provenance == "dense-fallback" for it in ranked.items)
     assert fx["embeddings"].ids[sub.seed] not in ranked.ids()
 
@@ -236,8 +238,8 @@ def test_decode_and_rank_single_candidate():
     emb = matrix(np.array([[1.0, 0.0], [-1.0, 0.0]]))
     sub = RetrievedSubgraph(seed=0, nodes=np.array([0, 1]),
                             hops=np.array([0, 1]), scores=np.array([1.0, 0.6]))
-    ranked = decode_and_rank(sub, emb.scores(np.array([1.0, 0.0])), emb,
-                             RetrieverConfig(), sub.seed)
+    ranked = decode_and_rank(sub, emb.scores(np.array([1.0, 0.0])), emb, 10,
+                             sub.seed)
     assert ranked.ids() == ["n1"]  # kept regardless of its (negative) score
     assert ranked.items[0].score < 0
     assert ranked.items[0].provenance == "graph"
@@ -245,10 +247,9 @@ def test_decode_and_rank_single_candidate():
 
 def test_decode_and_rank_matches_sort_oracle():
     fx = retriever_fixture(8)
-    sub, cfg = run_fixture(fx, sigma=0.0)
-    cfg = RetrieverConfig(hops=cfg.hops, prune_threshold=0.0, top_k=3)
+    sub, _ = run_fixture(fx, sigma=0.0)
     ranked = decode_and_rank(sub, fx["embeddings"].scores(fx["query"]),
-                             fx["embeddings"], cfg, sub.seed)
+                             fx["embeddings"], 3, sub.seed)
     scored = []
     for v in sub.nodes:
         if v == sub.seed:
@@ -272,9 +273,8 @@ def test_decode_and_rank_dense_fallback_pads_and_flags():
     emb = matrix(vectors)
     sub = RetrievedSubgraph(seed=0, nodes=np.array([0, 1]),
                             hops=np.array([0, 1]), scores=np.array([1.0, 0.9]))
-    cfg = RetrieverConfig(top_k=3)
     query = np.array([1.0, 0.0])
-    ranked = decode_and_rank(sub, emb.scores(query), emb, cfg, sub.seed)
+    ranked = decode_and_rank(sub, emb.scores(query), emb, 3, sub.seed)
     assert len(ranked) == 3
     assert "n0" not in ranked.ids()  # seed never appears, even as padding
     provenance = {it.id: it.provenance for it in ranked.items}
@@ -304,15 +304,13 @@ def test_decode_and_rank_graph_tier_then_dense_fill():
 
         for sigma in (0.0, 0.5, 1.0):
             sub, _ = run_fixture(fx, sigma=sigma)
-            for top_k in (3, 10):
+            for k in (3, 10):
                 for leave_out in (sub.seed, None):
-                    ranked = decode_and_rank(sub, cos, emb,
-                                             RetrieverConfig(top_k=top_k),
-                                             leave_out)
+                    ranked = decode_and_rank(sub, cos, emb, k, leave_out)
                     kept = set(sub.nodes.tolist()) - {leave_out}
-                    graph = best(kept)[:top_k]
+                    graph = best(kept)[:k]
                     fill = best(set(range(fx["n"])) - kept - {leave_out})
-                    fill = fill[:top_k - len(graph)]
+                    fill = fill[:k - len(graph)]
                     expected = [emb.ids[v] for v in graph + fill]
                     assert ranked.ids() == expected, (fixture_seed, sigma)
                     assert [it.provenance for it in ranked.items] == \
@@ -340,9 +338,9 @@ def test_ranked_list_scores_fall_within_each_provenance():
 
 def test_retrieval_json_shape():
     fx = retriever_fixture(10)
-    sub, cfg = run_fixture(fx)
+    sub, _ = run_fixture(fx)
     ranked = decode_and_rank(sub, fx["embeddings"].scores(fx["query"]),
-                             fx["embeddings"], cfg, sub.seed)
+                             fx["embeddings"], 10, sub.seed)
     out = retrieval_to_json("q1", sub, ranked, fx["graph"])
     assert set(out) == {"query_id", "seed", "candidates", "trace"}
     assert out["seed"] == fx["graph"].node_ids[fx["seed_node"]]
@@ -357,5 +355,5 @@ def test_config_validation():
         RetrieverConfig(hops=0)
     with pytest.raises(ValueError, match=r"prune_threshold \(--sigma\)"):
         RetrieverConfig(prune_threshold=1.5)
-    with pytest.raises(ValueError, match=r"top_k \(--k\)"):
-        RetrieverConfig(top_k=0)
+    assert [f.name for f in fields(RetrieverConfig)] == ["hops",
+                                                          "prune_threshold"]
