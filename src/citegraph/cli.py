@@ -194,18 +194,21 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
                     llm_model: str = "default") -> dict:
     """Run each requested method over a seeded query subset and score it.
 
-    Queries are held-out corpus papers, each a node of `graph`; a query's
-    relevant set is the papers its out-row cites. Every method ranks the
-    k best papers of one pool, every node but the query's own (bm25 only
-    those of positive score); attn+llm re-ranks attn's list. attn and
-    attn+llm prune with the trained `scorer` under `retriever` (default:
-    the stock walk); hybrid blends with `hybrid`. `graph`,
-    `embeddings` and `bm25` (None if neither bm25 nor hybrid runs) are the
-    records' citation graph, embedding matrix and BM25 index. Queries go
-    in chunks whose cosine rows, from one `embeddings.scores` call, fill at
-    most 512 KiB (8 queries at 8,000 papers); the methods then rank each
-    query alone. Returns the per-method reports, runs and per-query rows,
-    and run metadata.
+    Queries are held-out corpus papers, each a node of `graph`, sampled
+    from the odd positions of `eligible_queries` (`train` samples the even
+    ones); a query's relevant set is the papers its out-row cites. No
+    method lists the query: bm25, dense and hybrid rank the k best papers
+    of a pool of every node but the query (for bm25, only those of
+    positive score), attn leaves the query node out of its k, and
+    attn+llm re-ranks attn's list. attn and attn+llm prune with the
+    trained `scorer` under `retriever` (default: the stock walk); hybrid
+    blends with `hybrid`. `graph`, `embeddings` and `bm25` (None if
+    neither bm25 nor hybrid runs) are the records' citation graph,
+    embedding matrix and BM25 index. Queries go in chunks whose cosine
+    rows, from one `embeddings.scores` call, fill at most 512 KiB (8
+    queries at 8,000 papers); the methods then rank each query alone.
+    Returns the per-method reports, runs and per-query rows, and run
+    metadata.
     """
     from . import baselines, metrics
     from . import retriever as retrievermod
@@ -224,7 +227,7 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
     hycfg = hybrid or baselines.HybridConfig()
 
     eligible, excluded = eligible_queries(graph, embeddings)
-    queries = sample_queries(eligible, subset, seed)
+    queries = sample_queries(eligible[1::2], subset, seed)
     if not queries:
         raise ValueError("no eligible evaluation queries in this corpus")
 
@@ -353,7 +356,7 @@ def cmd_train(args) -> int:
     eligible, _ = eligible_queries(graph, embeddings)
     if not eligible:
         raise ValueError("no training queries: no paper has in-corpus citations")
-    picked = sample_queries(eligible, args.subset, args.seed)
+    picked = sample_queries(eligible[0::2], args.subset, args.seed)
     result = gat.train_scorer(graph, embeddings, picked, args.seed)
     gat.save_weights(args.output, embeddings.dim, result.params)
     print(f"trained scorer on {len(picked)} queries: "

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from citegraph import baselines, cli, retriever
+from citegraph import baselines, cli, gat, retriever
 from citegraph.corpus import build_text, parse_records
 from citegraph.embed import DEFAULT_DIM, EmbeddingMatrix, embed_corpus
 from citegraph.gat import load_weights
@@ -325,7 +325,50 @@ def test_train_writes_loadable_weights(tmp_path, corpus_path, capsys):
                    "--dim", "24", "--seed", "3") == 0
     scorer = load_weights(str(weights_path))
     assert scorer.u.shape == (48,)
-    assert "trained scorer on 6 queries" in capsys.readouterr().out
+    assert "trained scorer on 3 queries" in capsys.readouterr().out
+
+
+def test_train_and_evaluate_sample_disjoint_halves(tmp_path, monkeypatch):
+    """train samples the even positions of `eligible_queries` and evaluate
+    the odd ones, so at the same seed and subset no query is in both."""
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, component_corpus(20))
+    records, _ = parse_records(iter(path.read_text().splitlines()))
+    graph = build_graph(records)
+    eligible, _ = cli.eligible_queries(graph, embed_corpus(records, dim=16))
+    trained = []
+    real = gat.train_scorer
+
+    def recorded(*args):
+        trained.extend(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(gat, "train_scorer", recorded)
+    common = ["--corpus", path, "--dim", "16", "--seed", "2", "--subset", "6"]
+    assert run_cli("train", *common, "--output", tmp_path / "w.json") == 0
+    assert run_cli("evaluate", *common, "--method", "dense", "--per-query",
+                   "--output", tmp_path / "eval") == 0
+    rows = (tmp_path / "eval" / "per_query_dense.csv").read_text()
+    evaluated = [graph.index_of[row.split(",")[0]]
+                 for row in rows.splitlines()[1:]]
+    assert len(trained) == len(evaluated) == 6
+    assert set(trained) <= set(eligible[0::2])
+    assert set(evaluated) <= set(eligible[1::2])
+    assert not set(trained) & set(evaluated)
+
+
+def test_a_lone_eligible_paper_trains_but_leaves_nothing_to_evaluate(
+        tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [corpus_line("a", ["b"], title="citing paper"),
+                       corpus_line("b", [], title="cited paper")])
+    assert run_cli("train", "--corpus", path, "--dim", "16",
+                   "--output", tmp_path / "w.json") == 0
+    assert "trained scorer on 1 queries" in capsys.readouterr().out
+    assert run_cli("evaluate", "--corpus", path, "--dim", "16",
+                   "--method", "dense") == 2
+    assert capsys.readouterr().err == \
+        "data error: no eligible evaluation queries in this corpus\n"
 
 
 def test_tsv_from_embed_gives_the_same_results_as_hashing(tmp_path):
@@ -477,7 +520,7 @@ def test_attn_and_attn_llm_share_one_retrieval_per_query(corpus_path,
     def rows(methods):
         calls.clear()
         result = cli.evaluate_corpus(
-            records, methods=methods, k=3, subset=6, llm_subset=4,
+            records, methods=methods, k=3, subset=6, llm_subset=2,
             **evaluation_inputs(records, dim=32),
             retriever=retriever.RetrieverConfig(prune_threshold=0.0),
             scorer=scorer, llm_client=MockClient(reverse))
@@ -486,9 +529,9 @@ def test_attn_and_attn_llm_share_one_retrieval_per_query(corpus_path,
     both, both_calls = rows(("attn", "attn+llm"))
     attn, attn_calls = rows(("attn",))
     llm, llm_calls = rows(("attn+llm",))
-    assert (both_calls, attn_calls, llm_calls) == (6, 6, 4)
+    assert (both_calls, attn_calls, llm_calls) == (3, 3, 2)
     assert both == {**attn, **llm}
-    assert both["attn"][:4] != both["attn+llm"]  # the re-rank took effect
+    assert both["attn"][:2] != both["attn+llm"]  # the re-rank took effect
 
 
 def test_evaluate_scores_each_query_once(corpus_path, monkeypatch):
@@ -514,10 +557,10 @@ def test_evaluate_scores_each_query_once(corpus_path, monkeypatch):
 
     methods = ("dense", "hybrid", "attn", "attn+llm")
     together = rows(methods)
-    assert sum(scored) == 6
+    assert sum(scored) == 3  # the evaluation half of 6 queries
     for method in methods:
         assert together[method] == rows((method,))[method]
-        assert sum(scored) == 6
+        assert sum(scored) == 3
     rows(("bm25",))
     assert scored == []  # bm25 reads no cosine row
     rows(("bm25", "attn+llm"), llm_subset=2)
@@ -549,8 +592,8 @@ def test_evaluate_outputs_do_not_depend_on_the_chunk_size(tmp_path,
     path = tmp_path / "corpus.jsonl"
     write_jsonl(path, component_corpus(20))
     weights = train_weights(path, DEFAULT_DIM)
-    args = ["evaluate", "--corpus", path, "--sigma", "0.0", "--subset", "20",
-            "--llm-subset", "10", "--llm-mock", "--weights", weights,
+    args = ["evaluate", "--corpus", path, "--sigma", "0.0", "--subset", "10",
+            "--llm-subset", "5", "--llm-mock", "--weights", weights,
             "--per-query", "--method", "bm25,dense,hybrid,attn,attn+llm"]
     records, _ = parse_records(iter(path.read_text().splitlines()))
     inputs = evaluation_inputs(records)
@@ -562,7 +605,7 @@ def test_evaluate_outputs_do_not_depend_on_the_chunk_size(tmp_path,
         assert run_cli(*args, "--output", tmp_path / str(budget)) == 0
         printed[budget] = capsys.readouterr().out
         result = cli.evaluate_corpus(
-            records, methods=("dense", "hybrid", "attn"), subset=20,
+            records, methods=("dense", "hybrid", "attn"), subset=10,
             scorer=load_weights(str(weights)), **inputs,
             retriever=retriever.RetrieverConfig(prune_threshold=0.0))
         runs[budget] = {m: {q: ranked.to_dicts() for q, ranked in run.items()}
@@ -570,7 +613,7 @@ def test_evaluate_outputs_do_not_depend_on_the_chunk_size(tmp_path,
     files = sorted(p.name for p in (tmp_path / "1").iterdir())
     assert "per_query_attn_llm.csv" in files
     dense = (tmp_path / "1" / "per_query_dense.csv").read_text()
-    assert len(dense.splitlines()) == 1 + 20
+    assert len(dense.splitlines()) == 1 + 10  # the evaluation half
     for budget in budgets[:2]:
         assert printed[budget] == printed[1]
         assert runs[budget] == runs[1]
@@ -596,7 +639,7 @@ def test_evaluate_scores_bm25_once_per_query(corpus_path, monkeypatch):
                                    )["rows"]
 
     together = rows(("bm25", "hybrid"))
-    assert len(calls) == 6
+    assert len(calls) == 3  # the evaluation half of 6 queries
     for method in ("bm25", "hybrid"):
         assert together[method] == rows((method,))[method]
 
@@ -782,13 +825,13 @@ def test_rerank_without_endpoint_is_network_error(corpus_path, weights,
 def test_evaluate_single_method(tmp_path, corpus_path, capsys):
     out = tmp_path / "eval"
     assert run_cli("evaluate", "--corpus", corpus_path, "--method", "bm25",
-                   "--output", out, "--subset", "5", "--per-query") == 0
+                   "--output", out, "--subset", "2", "--per-query") == 0
     comparison = json.loads((out / "comparison.json").read_text())
     assert list(comparison["methods"]) == ["bm25"]
     assert (out / "report_bm25.json").exists()
     per_query = (out / "per_query_bm25.csv").read_text().splitlines()
     assert per_query[0] == "query_id,recall,precision,rr,ndcg"
-    assert len(per_query) == 6  # header + 5 queries
+    assert len(per_query) == 3  # header + 2 of the 3 evaluation queries
     assert "bm25" in capsys.readouterr().out
 
 
