@@ -8,8 +8,13 @@ every row is sorted, duplicate-free and self-loop-free. The graph holds
 two: the citations each paper makes (`out_indptr`/`out_indices`) and the
 undirected adjacency (`indptr`/`indices`). Frontier expansion uses the
 undirected one: being cited is as informative as citing when
-recommending related work. The CGR1 snapshot stores exactly the
-out-degrees and the flat out-adjacency, so it loads with `np.frombuffer`.
+recommending related work.
+
+The CGR2 snapshot is the magic `CGR2`, the node and edge counts n and e
+as little-endian 64-bit integers, each id's UTF-8 byte length, the ids
+as one UTF-8 blob, then the out-degrees and the flat out-targets, every
+array little-endian 32-bit: 20 + 8n + (id bytes) + 4e bytes in all. It
+loads with `np.frombuffer`, and the ids are sliced at cumulative offsets.
 """
 from __future__ import annotations
 
@@ -134,58 +139,51 @@ def build_graph(records: Sequence[PaperRecord]) -> CitationGraph:
     return _graph(node_ids, index_of, _unique(src[keep] * n + dst[keep]))
 
 
-_MAGIC = b"CGR1"
+_MAGIC = b"CGR2"
 
 
 def save_snapshot(graph: CitationGraph, path: str) -> None:
-    """Write the binary snapshot: magic, LE64 counts, id table, adjacency."""
+    """Write `graph` as a CGR2 snapshot (layout in the module docstring)."""
+    raw = [pid.encode("utf-8") for pid in graph.node_ids]
+    lengths = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
+    if max(graph.node_count, lengths.max(initial=0)) >= 2 ** 32:
+        raise ValueError("node count or id length does not fit in 32 bits")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQ", graph.node_count, graph.edge_count))
-        for pid in graph.node_ids:
-            raw = pid.encode("utf-8")
-            fh.write(struct.pack("<Q", len(raw)))
-            fh.write(raw)
-        fh.write(np.diff(graph.out_indptr).astype("<u8").tobytes())
-        fh.write(graph.out_indices.astype("<u8").tobytes())
+        fh.write(_MAGIC + struct.pack("<QQ", graph.node_count, graph.edge_count))
+        fh.write(lengths.astype("<u4").tobytes())
+        fh.write(b"".join(raw))
+        fh.write(np.diff(graph.out_indptr).astype("<u4").tobytes())
+        fh.write(graph.out_indices.astype("<u4").tobytes())
 
 
 def load_snapshot(path: str) -> CitationGraph:
+    """Read a CGR2 snapshot; a malformed one raises ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != _MAGIC:
         raise ValueError("not a citation-graph snapshot (bad magic)")
     try:
         n, edge_count = struct.unpack_from("<QQ", data, 4)
-        offset = 20
-        ids = []
-        for _ in range(n):  # each length prefix locates the next id
-            (length,) = struct.unpack_from("<Q", data, offset)
-            ids.append(data[offset + 8:offset + 8 + length].decode("utf-8"))
-            offset += 8 + length
-        degrees = np.frombuffer(data, dtype="<u8", count=n, offset=offset)
-        offset += 8 * n
-        room = (len(data) - offset) // 8
-        # bounding each degree first keeps the sum from wrapping around
-        if n and (degrees.max() > room or degrees.sum() > room):
-            raise ValueError("adjacency data shorter than the degrees declare")
-        flat = np.frombuffer(data, dtype="<u8", count=int(degrees.sum()),
-                             offset=offset)
+        lengths = np.frombuffer(data, dtype="<u4", count=n, offset=20)
+        start = 20 + 4 * n  # cuts: where each id starts, then the blob's end
+        cuts = [start, *(start + np.cumsum(lengths, dtype=np.int64)).tolist()]
+        degrees = np.frombuffer(data, dtype="<u4", count=n, offset=cuts[-1])
+        flat = np.frombuffer(data, dtype="<u4", offset=cuts[-1] + 4 * n)
+        ids = tuple(map(bytes.decode, map(data.__getitem__,
+                                          map(slice, cuts[:-1], cuts[1:]))))
     except (struct.error, ValueError, OverflowError, MemoryError) as exc:
         raise ValueError(f"truncated or corrupt snapshot: {exc}") from exc
-    if len(flat) != edge_count:
+    if len(flat) != edge_count or degrees.sum(dtype=np.int64) != edge_count:
         raise ValueError("snapshot edge count does not match adjacency data")
-    index_of = {pid: i for i, pid in enumerate(ids)}
+    index_of = dict(zip(ids, range(n)))
     if len(index_of) != n:
         raise ValueError("duplicate node ids")
-    if len(flat) and flat.max() >= n:
+    if (flat >= n).any():
         raise ValueError("edge target out of range")
-    rows = np.repeat(np.arange(n), degrees.astype(np.int64))
-    targets = flat.astype(np.int64)
-    if (rows == targets).any():
-        raise ValueError(f"self-loop at node {rows[rows == targets][0]}")
-    keys = rows * n + targets
+    rows = np.repeat(np.arange(n), degrees)
+    if (rows == flat).any():
+        raise ValueError(f"self-loop at node {rows[rows == flat][0]}")
+    keys = rows * n + flat
     if (np.diff(keys) <= 0).any():
         raise ValueError("snapshot adjacency rows must be sorted and duplicate-free")
-    return _graph(tuple(ids), index_of, keys)
-
+    return _graph(ids, index_of, keys)

@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,14 +192,16 @@ def test_snapshot_truncated_is_value_error(tmp_path):
 
 
 def snapshot_bytes(ids, degrees, flat, edge_count=None):
-    """CGR1 bytes written field by field, valid or not."""
-    parts = [b"CGR1", struct.pack("<QQ", len(ids), sum(degrees)
-                                  if edge_count is None else edge_count)]
-    for pid in ids:
-        parts += [struct.pack("<Q", len(pid)), pid.encode("utf-8")]
-    parts.append(struct.pack(f"<{len(degrees)}Q", *degrees))
-    parts.append(struct.pack(f"<{len(flat)}Q", *flat))
-    return b"".join(parts)
+    """CGR2 bytes written field by field, valid or not; an id is a `str`
+    (stored as UTF-8) or raw `bytes`."""
+    raw = [pid if isinstance(pid, bytes) else pid.encode("utf-8")
+           for pid in ids]
+    return b"".join([
+        b"CGR2", struct.pack("<QQ", len(ids), sum(degrees)
+                             if edge_count is None else edge_count),
+        struct.pack(f"<{len(raw)}I", *map(len, raw)), *raw,
+        struct.pack(f"<{len(degrees)}I", *degrees),
+        struct.pack(f"<{len(flat)}I", *flat)])
 
 
 def test_snapshot_bytes_helper_writes_loadable_layout(tmp_path):
@@ -211,41 +214,124 @@ def test_snapshot_bytes_helper_writes_loadable_layout(tmp_path):
     assert resaved.read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("degrees,flat,edge_count", [
-    ([1, 0, 0], [3], None),        # target out of range
-    ([1, 0, 0], [0], None),        # self-loop
-    ([2, 0, 0], [1, 1], None),     # duplicate target
-    ([5, 0, 0], [1], 5),           # degree sum larger than the data
+def test_snapshot_size_is_exact(tmp_path):
+    """20 header bytes, 8 per paper (id length and out-degree), the ids'
+    UTF-8 bytes and 4 per citation."""
+    g = make_graph({"a": ["b", "é"], "b": ["é"], "é": [], "\U0001F600": ["a"]})
+    path = tmp_path / "graph.cgr"
+    save_snapshot(g, str(path))
+    id_bytes = sum(len(pid.encode("utf-8")) for pid in g.node_ids)
+    assert id_bytes == 1 + 1 + 2 + 4
+    assert path.stat().st_size == 20 + 8 * 4 + id_bytes + 4 * 4
+
+
+def test_cgr1_snapshot_is_bad_magic(tmp_path):
+    """The old layout (64-bit lengths, degrees and targets) is not read."""
+    parts = [b"CGR1", struct.pack("<QQ", 2, 1)]
+    for pid in (b"a", b"b"):
+        parts += [struct.pack("<Q", len(pid)), pid]
+    path = tmp_path / "old.cgr"
+    path.write_bytes(b"".join(parts + [struct.pack("<3Q", 1, 0, 1)]))
+    with pytest.raises(ValueError, match="bad magic"):
+        load_snapshot(str(path))
+
+
+@pytest.mark.parametrize("degrees,flat,edge_count,message", [
+    ([1, 0, 0], [3], None, "target out of range"),
+    ([1, 0, 0], [0], None, "self-loop at node 0"),
+    ([2, 0, 0], [1, 1], None, "sorted and duplicate-free"),
+    ([2, 0, 0], [2, 1], None, "sorted and duplicate-free"),
+    ([5, 0, 0], [1], 5, "edge count does not match"),
+    ([2, 0, 0], [1], 1, "edge count does not match"),
+    ([1, 0, 0], [1, 2], 1, "edge count does not match"),
 ], ids=["target-out-of-range", "self-loop", "duplicate-target",
-        "degrees-exceed-data"])
+        "unsorted-row", "degrees-exceed-data", "edge-count-mismatch",
+        "trailing-bytes"])
 def test_snapshot_corrupt_adjacency_is_value_error(tmp_path, degrees, flat,
-                                                  edge_count):
+                                                  edge_count, message):
     path = tmp_path / "corrupt.cgr"
-    path.write_bytes(snapshot_bytes(["a", "b", "c"], degrees, flat, edge_count))
-    with pytest.raises(ValueError):
+    path.write_bytes(snapshot_bytes(["a", "b", "c"], degrees, flat,
+                                    edge_count))
+    with pytest.raises(ValueError, match=message):
+        load_snapshot(str(path))
+
+
+@pytest.mark.parametrize("ids,message", [
+    (["a", "b", "a"], "duplicate node ids"),
+    (["a", b"\xff", "c"], "can't decode byte 0xff"),
+    (["a", b"\xc3", b"\xa9"], "can't decode byte 0xc3"),
+], ids=["duplicate-id", "invalid-utf8", "length-splits-a-character"])
+def test_snapshot_corrupt_id_table_is_value_error(tmp_path, ids, message):
+    path = tmp_path / "corrupt.cgr"
+    path.write_bytes(snapshot_bytes(ids, [1, 0, 0], [1]))
+    with pytest.raises(ValueError, match=message):
         load_snapshot(str(path))
 
 
 def test_snapshot_huge_id_length_is_value_error(tmp_path):
     data = bytearray(snapshot_bytes(["a", "b"], [1, 0], [1]))
-    data[20:28] = struct.pack("<Q", 2 ** 64 - 1)  # first id's length prefix
+    data[20:24] = struct.pack("<I", 2 ** 32 - 1)  # first id's byte length
     path = tmp_path / "huge.cgr"
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="truncated or corrupt"):
         load_snapshot(str(path))
 
 
-u64 = st.integers(0, 2 ** 64 - 1) | st.integers(0, 6)
+class _HugeId:
+    """An id whose UTF-8 form claims 2**32 bytes."""
+
+    def encode(self, encoding):
+        return type("HugeBytes", (), {"__len__": lambda self: 2 ** 32})()
+
+
+@pytest.mark.parametrize("graph", [
+    SimpleNamespace(node_ids=(), node_count=2 ** 32, edge_count=0),
+    SimpleNamespace(node_ids=(_HugeId(),), node_count=1, edge_count=0),
+], ids=["node-count", "id-length"])
+def test_save_snapshot_rejects_what_32_bits_cannot_hold(tmp_path, graph):
+    path = tmp_path / "graph.cgr"
+    with pytest.raises(ValueError, match="does not fit in 32 bits"):
+        save_snapshot(graph, str(path))
+    assert not path.exists()
+
+
+# ids holding the bytes a text format would trip on
+snapshot_ids = st.lists(st.text(st.characters(codec="utf-8") | st.sampled_from(
+    ["\t", "\n", "\r", "\0", "\U0001F600", "\U0010FFFF"]), max_size=5),
+    min_size=1, max_size=12, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=snapshot_ids, data=st.data())
+def test_snapshot_round_trip_property(ids, data):
+    n = len(ids)
+    edges = data.draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1))))
+    g = build_graph([PaperRecord(id=pid, citations=[
+        ids[v] for u, v in sorted(edges) if u == i and v != i])
+        for i, pid in enumerate(ids)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.cgr")
+        save_snapshot(g, path)
+        loaded = load_snapshot(path)
+    assert loaded.node_ids == g.node_ids == tuple(ids)
+    assert loaded.index_of == g.index_of
+    for name in ("out_indptr", "out_indices", "indptr", "indices"):
+        assert np.array_equal(getattr(loaded, name), getattr(g, name))
+
+
+u32 = st.integers(0, 2 ** 32 - 1) | st.integers(0, 6)
 
 
 @st.composite
 def snapshot_tail(draw):
-    """The bytes after the magic of a CGR1 layout with any field values,
+    """The bytes after the magic of a CGR2 layout with any field values,
     optionally cut short."""
-    ids = draw(st.lists(st.text(max_size=3), max_size=4))
-    degrees = draw(st.lists(u64, min_size=len(ids), max_size=len(ids)))
-    flat = draw(st.lists(u64, max_size=6))
-    edge_count = draw(st.just(sum(degrees) % 2 ** 64) | u64)
+    ids = draw(st.lists(st.text(max_size=3) | st.binary(max_size=3),
+                        max_size=4))
+    degrees = draw(st.lists(u32, min_size=len(ids), max_size=len(ids)))
+    flat = draw(st.lists(u32, max_size=6))
+    edge_count = draw(st.just(sum(degrees)) | st.integers(0, 2 ** 64 - 1))
     data = snapshot_bytes(ids, degrees, flat, edge_count)[4:]
     return data[:draw(st.integers(0, len(data)))] if draw(st.booleans()) \
         else data
@@ -254,13 +340,16 @@ def snapshot_tail(draw):
 @settings(max_examples=300, deadline=None)
 @given(tail=st.binary(max_size=120) | snapshot_tail())
 def test_load_snapshot_loads_or_raises_value_error(tail):
+    """A file that loads is the one `save_snapshot` writes for its graph."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "graph.cgr")
         with open(path, "wb") as fh:
-            fh.write(b"CGR1" + tail)
+            fh.write(b"CGR2" + tail)
         try:
             graph = load_snapshot(path)
         except ValueError:
             return
-    assert isinstance(graph, CitationGraph)
-
+        assert isinstance(graph, CitationGraph)
+        save_snapshot(graph, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == b"CGR2" + tail
