@@ -63,7 +63,6 @@ bad line and its id.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import re
 from dataclasses import dataclass
@@ -183,6 +182,7 @@ class _TokenCodes(dict):
     def __init__(self, dim: int, seed: int) -> None:
         if dim < 1:
             raise ValueError("dim must be >= 1")
+        import hashlib  # here, so commands that do not hash skip OpenSSL
         super().__init__({_SENTINEL: -1, _SENTINEL.encode(): -1})
         self.dim = dim
         # the keyed state, copied for each new token: the key is hashed once

@@ -177,12 +177,16 @@ def train_scorer(graph: CitationGraph, embeddings: EmbeddingMatrix,
     return TrainResult(params=ScorerParams(u=u, b=b), losses=losses)
 
 
-def save_weights(path: str, dim: int, scorer: ScorerParams) -> None:
-    """Write what `train` learns: the scorer and the embedding width."""
+def save_weights(path: str, dim: int, scorer: ScorerParams,
+                 hash_seed: int | None = None) -> None:
+    """Write what `train` learns: the scorer, the embedding width and, when
+    it was fitted on the hashing embedder's rows, that embedder's seed."""
+    obj = {"dim": dim,
+           "scorer": {"u": scorer.u.tolist(), "b": float(scorer.b)}}
+    if hash_seed is not None:
+        obj["embedding"] = {"provider": "hash", "dim": dim, "seed": hash_seed}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"dim": dim,
-                   "scorer": {"u": scorer.u.tolist(), "b": float(scorer.b)}},
-                  fh)
+        json.dump(obj, fh)
         fh.write("\n")
 
 
@@ -191,14 +195,6 @@ def _entry(obj, key, where: str):
         return obj[key]
     except (KeyError, IndexError, TypeError):
         raise ValueError(f"missing key {where!r}") from None
-
-
-def _count(obj, key: str, low: int) -> int:
-    """obj[key] as a JSON integer >= low; errors name the key."""
-    value = _entry(obj, key, key)
-    if type(value) is not int or value < low:
-        raise ValueError(f"{key}: not an integer >= {low}")
-    return value
 
 
 def _numbers(obj, key, where: str) -> np.ndarray:
@@ -218,19 +214,28 @@ def _numbers(obj, key, where: str) -> np.ndarray:
     return arr
 
 
-def load_weights(path: str, width: int | None = None) -> ScorerParams:
+def load_weights(path: str, width: int | None = None,
+                 hash_seed: int | None = None) -> ScorerParams:
     """Read `save_weights` output back into the scorer.
 
-    A bad entry fails naming its key. `dim` must equal `width` when one is
-    given, and `scorer.u` must hold exactly 2*dim values. Any other key,
-    such as the `seed` that older files carry, is ignored.
+    A bad entry fails naming its key. `dim` must equal `width` and a
+    recorded hashing seed `hash_seed`, each when given, and `scorer.u` must
+    hold exactly 2*dim values. Other keys, such as older files' `seed`,
+    are ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    dim = _count(obj, "dim", 1)
+    dim = _entry(obj, "dim", "dim")
+    if type(dim) is not int or dim < 1:
+        raise ValueError("dim: not an integer >= 1")
     if width is not None and dim != width:
         raise ValueError(f"weights dim {dim} does not match the embedding "
                          f"width {width}")
+    if hash_seed is not None and "embedding" in obj:
+        seed = _entry(obj["embedding"], "seed", "embedding.seed")
+        if seed != hash_seed or type(seed) is not int:
+            raise ValueError(f"embedding.seed: the scorer was fitted on hash "
+                             f"embeddings at seed {seed!r}, not {hash_seed}")
     scorer = _entry(obj, "scorer", "scorer")
     u = _numbers(scorer, "u", "scorer.u")
     if u.shape != (2 * dim,):

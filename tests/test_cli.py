@@ -384,8 +384,11 @@ def test_tsv_from_embed_gives_the_same_results_as_hashing(tmp_path):
                        "--output", tmp_path / f"weights-{name}.json") == 0
         assert run_cli("evaluate", *common, *extra, "--method", "dense,hybrid",
                        "--per-query", "--output", tmp_path / name) == 0
-    assert (tmp_path / "weights-hashed.json").read_bytes() == \
-        (tmp_path / "weights-tsv.json").read_bytes()
+    # the same scorer; only weights fitted on hashed rows name the hash seed
+    hashed = json.loads((tmp_path / "weights-hashed.json").read_text())
+    assert hashed.pop("embedding") == {"provider": "hash", "dim": 32,
+                                       "seed": 4}
+    assert hashed == json.loads((tmp_path / "weights-tsv.json").read_text())
     reports = sorted(p.name for p in (tmp_path / "hashed").iterdir())
     assert reports == sorted(p.name for p in (tmp_path / "tsv").iterdir())
     for report in reports:
@@ -481,6 +484,33 @@ def test_bad_weights_name_the_key(tmp_path, corpus_path, capsys, corrupt,
     assert run_cli("retrieve", "--corpus", corpus_path, "--dim", "8",
                    "--weights", weights_path, "--paper-id", "p00h") == 2
     assert message in capsys.readouterr().err
+
+
+def test_weights_from_another_hash_seed_are_a_data_error(tmp_path, capsys):
+    """Weights fitted on seed-0 hash embeddings prune seed-5 ones badly
+    (unchecked, attn R@10 reads 0.85 at --seed 0 and 0.10 at --seed 5 on
+    this corpus), so a command that hashes at another seed stops; with an
+    embeddings file nothing is compared."""
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, component_corpus(20))
+    weights = train_weights(path, DEFAULT_DIM, seed=0)
+    assert json.loads(weights.read_text())["embedding"] == {
+        "provider": "hash", "dim": DEFAULT_DIM, "seed": 0}
+    evaluate = ["evaluate", "--corpus", path, "--weights", weights,
+                "--method", "attn", "--hops", "2"]
+    assert run_cli(*evaluate, "--seed", "0") == 0
+    capsys.readouterr()
+    message = ("data error: embedding.seed: the scorer was fitted on hash "
+               "embeddings at seed 0, not 5\n")
+    assert run_cli(*evaluate, "--seed", "5") == 2
+    assert capsys.readouterr().err == message
+    assert run_cli("retrieve", "--corpus", path, "--weights", weights,
+                   "--query", "graph attention", "--seed", "5") == 2
+    assert capsys.readouterr().err == message
+    tsv = tmp_path / "emb-seed5.tsv"
+    assert run_cli("embed", "--corpus", path, "--output", tsv,
+                   "--seed", "5") == 0
+    assert run_cli(*evaluate, "--seed", "5", "--embeddings", tsv) == 0
 
 
 def test_mismatched_weights_dim_builds_no_layers(tmp_path, corpus_path,
@@ -882,12 +912,13 @@ def test_evaluate_llm_method_without_endpoint(corpus_path, monkeypatch):
 
 
 # runs one command in a fresh interpreter, then prints on a last line its
-# exit code and the citegraph modules loaded
+# exit code and the citegraph modules (and hashlib, if) loaded
 LOADED_AFTER = """
 import sys
 from citegraph import cli
 code = cli.main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("citegraph")))
+print(code, *sorted(m for m in sys.modules
+                    if m.startswith("citegraph") or m == "hashlib"))
 """
 
 
@@ -900,6 +931,24 @@ def modules_loaded_by(*argv):
     code, *modules = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
     return set(modules)
+
+
+def test_only_hashing_loads_hashlib(tmp_path, corpus_path, weights):
+    """hashlib, and OpenSSL under it, loads with the first hash embedding,
+    not with any citegraph module: build, and an evaluate or retrieve that
+    reads an embeddings file, import none of it. (numpy.random imports it
+    too, so `train` and an evaluate that samples its queries load it.)"""
+    tsv = tmp_path / "emb.tsv"
+    assert "hashlib" in modules_loaded_by("embed", "--corpus", corpus_path,
+                                          "--output", tsv, "--dim", "48")
+    common = ["--corpus", corpus_path, "--embeddings", tsv]
+    for argv in (["build", "--corpus", corpus_path, "--output", tmp_path],
+                 ["evaluate", *common, "--weights", weights, "--method",
+                  "bm25,dense,hybrid,attn,attn+llm", "--llm-mock"],
+                 ["retrieve", *common, "--weights", weights, "--paper-id",
+                  "p00h", "--rerank", "--llm-mock"]):
+        loaded = modules_loaded_by(*argv)
+        assert "citegraph.embed" in loaded and "hashlib" not in loaded, argv
 
 
 def test_build_and_embed_load_no_later_stage(tmp_path, corpus_path):
