@@ -465,7 +465,18 @@ def _bool_in_u(obj):
     obj["scorer"]["u"][3] = True
 
 
+def _seed_as_text(obj):
+    obj["embedding"]["seed"] = "0"
+
+
+def _no_seed(obj):
+    del obj["embedding"]["seed"]
+
+
 @pytest.mark.parametrize("corrupt, message", [
+    (_seed_as_text, "embedding.seed: the scorer was fitted on hash "
+                    "embeddings at seed '0', not 0"),
+    (_no_seed, "missing key 'embedding.seed'"),
     (_break_nan, "scorer.u: non-finite value"),
     (_break_missing, "missing key 'scorer'"),
     (_old_format, "missing key 'dim'"),
@@ -912,7 +923,7 @@ def test_evaluate_llm_method_without_endpoint(corpus_path, monkeypatch):
 
 
 # runs one command in a fresh interpreter, then prints on a last line its
-# exit code and the citegraph modules (and hashlib, if) loaded
+# exit code and the citegraph modules (and hashlib, when it is) loaded
 LOADED_AFTER = """
 import sys
 from citegraph import cli

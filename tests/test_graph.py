@@ -277,11 +277,16 @@ def test_snapshot_huge_id_length_is_value_error(tmp_path):
         load_snapshot(str(path))
 
 
+class _HugeBytes:
+    def __len__(self):
+        return 2 ** 32
+
+
 class _HugeId:
     """An id whose UTF-8 form claims 2**32 bytes."""
 
     def encode(self, encoding):
-        return type("HugeBytes", (), {"__len__": lambda self: 2 ** 32})()
+        return _HugeBytes()
 
 
 @pytest.mark.parametrize("graph", [
