@@ -115,11 +115,9 @@ def _get_embeddings(args, records, graph):
     return embed.embed_corpus(records, dim=args.dim, seed=args.seed)
 
 
-def _load_scorer(args, embeddings):
-    """The --weights scorer; a hashing command must use the seed it was fit at."""
-    from . import gat
-    return gat.load_weights(args.weights, width=embeddings.dim,
-                            hash_seed=None if args.embeddings else args.seed)
+def _hash_seed(args):
+    """The seed that hashed the rows, recorded and checked in weights.json."""
+    return None if args.embeddings else args.seed
 
 
 def _llm_client(args):
@@ -366,7 +364,7 @@ def cmd_train(args) -> int:
     picked = sample_queries(eligible[0::2], args.subset, args.seed)
     result = gat.train_scorer(graph, embeddings, picked, args.seed)
     gat.save_weights(args.output, embeddings.dim, result.params,
-                     hash_seed=None if args.embeddings else args.seed)
+                     hash_seed=_hash_seed(args))
     print(f"trained scorer on {len(picked)} queries: "
           f"loss {result.losses[0]:.6f} -> {result.losses[-1]:.6f} "
           f"({gat.EPOCHS} epochs)")
@@ -385,6 +383,7 @@ def _query_vector(args, graph, embeddings):
 
 
 def cmd_retrieve(args) -> int:
+    from . import gat
     from . import retriever as retrievermod
     _require(args, "corpus", "weights")
     if (args.query is None) == (args.paper_id is None):
@@ -396,7 +395,8 @@ def cmd_retrieve(args) -> int:
     records, _ = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
-    scorer = _load_scorer(args, embeddings)
+    scorer = gat.load_weights(args.weights, width=embeddings.dim,
+                              hash_seed=_hash_seed(args))
     query_id, query, node = _query_vector(args, graph, embeddings)
     sub, ranked = _attn_query(graph, embeddings, query,
                               embeddings.scores(query), scorer,
@@ -437,7 +437,11 @@ def cmd_evaluate(args) -> int:
             if {"bm25", "hybrid"} & set(methods) else None)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
-    scorer = _load_scorer(args, embeddings) if prunes else None
+    scorer = None
+    if prunes:
+        from . import gat
+        scorer = gat.load_weights(args.weights, width=embeddings.dim,
+                                  hash_seed=_hash_seed(args))
     client = _llm_client(args) if "attn+llm" in methods else None
     result = evaluate_corpus(
         records, graph=graph, embeddings=embeddings, bm25=bm25,

@@ -197,6 +197,14 @@ def _entry(obj, key, where: str):
         raise ValueError(f"missing key {where!r}") from None
 
 
+def _count(obj, key: str, low: int) -> int:
+    """obj[key] as a JSON integer >= low; errors name the key."""
+    value = _entry(obj, key, key)
+    if type(value) is not int or value < low:
+        raise ValueError(f"{key}: not an integer >= {low}")
+    return value
+
+
 def _numbers(obj, key, where: str) -> np.ndarray:
     """obj[key] as a finite float64 array; errors name the key path."""
     value = _entry(obj, key, where)
@@ -225,9 +233,7 @@ def load_weights(path: str, width: int | None = None,
     """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    dim = _entry(obj, "dim", "dim")
-    if type(dim) is not int or dim < 1:
-        raise ValueError("dim: not an integer >= 1")
+    dim = _count(obj, "dim", 1)
     if width is not None and dim != width:
         raise ValueError(f"weights dim {dim} does not match the embedding "
                          f"width {width}")

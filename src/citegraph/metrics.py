@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Set
 
 from .ranking import RankedList
@@ -26,9 +26,15 @@ class EvalReport:
     excluded_count: int
 
     def to_json_dict(self) -> dict:
-        """Every field, each mean rounded to 6 decimals."""
-        return {key: round(value, 6) if isinstance(value, float) else value
-                for key, value in asdict(self).items()}
+        return {
+            "k": self.k,
+            "recall_at_k": round(self.recall_at_k, 6),
+            "precision_at_k": round(self.precision_at_k, 6),
+            "mrr": round(self.mrr, 6),
+            "ndcg_at_k": round(self.ndcg_at_k, 6),
+            "query_count": self.query_count,
+            "excluded_count": self.excluded_count,
+        }
 
 
 def recall_at_k(ranked: Sequence[str], relevant: Set[str], k: int) -> float:
@@ -125,4 +131,5 @@ def write_per_query_csv(path: str, rows: Sequence[dict]) -> None:
         writer = csv.DictWriter(
             fh, fieldnames=["query_id", "recall", "precision", "rr", "ndcg"])
         writer.writeheader()
-        writer.writerows(rows)
+        for row in rows:
+            writer.writerow(row)
