@@ -7,9 +7,10 @@ one flat `array('i')`, so no per-paper array or text outlives its paper.
 Sorted in place as one int64 key per token (term-major), their runs are
 the postings, grouped by term and ascending by doc. The index is one CSR
 over them: `ptr` (int64), `docs` (int32) and `weights` (float64), each
-posting's BM25 weight idf * tf / (tf + norm[doc]) computed once at build
-time (eager scoring, as in BM25S, Lu 2024). `postings` slices `docs` on
-lookup, so `len()` is the document frequency; no per-term array exists.
+posting's BM25 weight idf * tf / (tf + norm[doc]), idf the smoothed
+ln((N - df + 0.5) / (df + 0.5) + 1), computed once at build time (eager
+scoring, as in BM25S, Lu 2024). `postings` slices `docs` on lookup, so
+`len()` is the document frequency; no per-term array exists.
 A query concatenates its terms' slices of `docs` and `weights` in token
 order and sums per document with one `np.bincount`, which adds in input
 order, as a loop over query tokens and postings does: the scores are
@@ -31,6 +32,8 @@ from .embed import EmbeddingMatrix, tokenize
 from .ranking import RankedList, top_k
 
 _CHUNK = 8192  # postings per step of the weight computation
+K1 = 1.2  # BM25's tf saturation and length normalization: the standard
+B = 0.75  # values (Robertson & Zaragoza 2009)
 
 
 @dataclass
@@ -42,7 +45,6 @@ class Bm25Index:
     ptr: np.ndarray
     docs: np.ndarray
     weights: np.ndarray
-    avg_doc_length: float
     doc_count: int
     ids: tuple[str, ...]
 
@@ -83,15 +85,13 @@ class _Vocab(dict):
         return term_id
 
 
-def bm25_build(texts: Iterable[str], ids: Sequence[str] | None = None,
-               k1: float = 1.2, b: float = 0.75) -> Bm25Index:
-    """Index a corpus of texts (tokenizer shared with the hash embedder).
+def bm25_build(texts: Iterable[str],
+               ids: Sequence[str] | None = None) -> Bm25Index:
+    """Index a corpus of texts (tokenizer shared with the hash embedder)
+    at k1 = `K1` and b = `B`, which have no parameter.
 
     `texts` is read once, in order; the number read is the doc count.
-    k1 and b (standard values by default) are checked before any text is read.
     """
-    if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
-        raise ValueError("BM25 needs a finite k1 >= 0 and b in [0, 1]")
     vocab = _Vocab()
     term_ids = array("i")
     lengths = array("q")
@@ -129,10 +129,10 @@ def bm25_build(texts: Iterable[str], ids: Sequence[str] | None = None,
     np.subtract(firsts[1:], firsts[:-1], out=tf[:-1])
     tf[-1:] = len(starts) - firsts[-1:]
     del starts, firsts
-    # idf * tf / (tf + k1 * (1 - b + b * dl / avg)) step by step, the norm
+    # idf * tf / (tf + K1 * (1 - B + B * dl / avg)) step by step, the norm
     # per doc, over fixed-size chunks of postings; no posting reads the
     # norm when every doc is empty (avg 0)
-    norm = k1 * (1.0 - b + b * (doc_lengths / (avg or 1.0)))
+    norm = K1 * (1.0 - B + B * (doc_lengths / (avg or 1.0)))
     weights = np.repeat([math.log((n - d + 0.5) / (d + 0.5) + 1.0)
                          for d in df.tolist()], df)
     for s in range(0, len(weights), _CHUNK):
@@ -144,13 +144,7 @@ def bm25_build(texts: Iterable[str], ids: Sequence[str] | None = None,
     ptr = np.concatenate(([0], np.cumsum(df)))
     docs.setflags(write=False)  # `postings` hands out views of it
     return Bm25Index(terms=dict(vocab), ptr=ptr, docs=docs, weights=weights,
-                     avg_doc_length=avg, doc_count=n, ids=ids)
-
-
-def idf(index: Bm25Index, term: str) -> float:
-    """Smoothed IDF, ln((N - df + 0.5)/(df + 0.5) + 1); never negative."""
-    df = len(index.postings.get(term, ()))
-    return math.log((index.doc_count - df + 0.5) / (df + 0.5) + 1.0)
+                     doc_count=n, ids=ids)
 
 
 def bm25_scores(index: Bm25Index, query_text: str) -> np.ndarray:

@@ -75,6 +75,8 @@ def _validate(args: argparse.Namespace) -> None:
     `train` load none of the modules that define them.
     """
     settings = vars(args)
+    if not 0 <= settings.get("seed", 0) < 2 ** 63:
+        raise UsageError("seed (--seed) must be in [0, 2**63)")
     if settings.get("dim", 1) < 1:
         raise UsageError("dim must be >= 1")
     if min(settings.get("subset", 1), settings.get("llm_subset", 1)) < 1:
@@ -129,8 +131,7 @@ def _llm_client(args):
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True))
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +328,8 @@ def cmd_build(args) -> int:
     records, report = _load_corpus(args.corpus)
     graph = graphmod.build_graph(records)
     os.makedirs(args.output, exist_ok=True)
-    corpus.write_ingest_report(os.path.join(args.output, "ingest_report.json"),
-                               report)
+    _write_json(os.path.join(args.output, "ingest_report.json"),
+                report.to_dict())
     graphmod.save_snapshot(graph, os.path.join(args.output, "graph.cgr"))
     print(f"records: parsed={report.records_parsed} "
           f"dropped={report.records_dropped}")
@@ -455,8 +456,8 @@ def cmd_evaluate(args) -> int:
         os.makedirs(args.output, exist_ok=True)
         for name, report in result["methods"].items():
             safe = name.replace("+", "_")
-            metrics.write_report_json(
-                os.path.join(args.output, f"report_{safe}.json"), report)
+            _write_json(os.path.join(args.output, f"report_{safe}.json"),
+                        report.to_json_dict())
             if args.per_query:
                 metrics.write_per_query_csv(
                     os.path.join(args.output, f"per_query_{safe}.csv"),
@@ -467,8 +468,7 @@ def cmd_evaluate(args) -> int:
         _write_json(os.path.join(args.output, "comparison.json"), comparison)
         with open(os.path.join(args.output, "comparison.txt"), "w",
                   encoding="utf-8") as fh:
-            fh.write(table)
-            fh.write("\n")
+            fh.write(table + "\n")
     return EXIT_OK
 
 
@@ -558,7 +558,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _endpoint_error() as exc:
         print(f"network error: {exc}", file=sys.stderr)
         return EXIT_NETWORK
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     finally:

@@ -300,9 +300,3 @@ def build_text(record: PaperRecord) -> str:
     parts = [f for f in (record.title, record.abstract, record.keywords,
                          record.doi) if f]
     return " ".join(parts)
-
-
-def write_ingest_report(path: str, report: IngestReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -409,7 +409,7 @@ def _value_texts(block: np.ndarray) -> list[list[str]]:
                 pairs = np.column_stack([pairs, span * span + at[:, -1]])
             return table[pairs].tolist()
     values = _unique(block.ravel())
-    texts = np.array([str(int(x)) for x in values.tolist()], dtype=object)
+    texts = np.array([str(x) for x in values.tolist()], dtype=object)
     return texts[np.searchsorted(values, block)].tolist()
 
 
@@ -418,29 +418,26 @@ def write_embeddings(path: str, ids: Sequence[str],
     """Write the TSV that `load_embeddings` reads, one row of `counts`
     per id, each value as `str(int(x))`, in blocks of 256 rows.
 
-    Every value must be a finite integer, such as a `hash_counts` entry;
-    a float array holding anything else raises ValueError. So does an id
-    holding a tab, CR or LF, which would split its line. Both are checked
-    before the file is opened.
+    `counts` must be an integer array, such as `hash_counts` gives; a
+    float array raises ValueError, whatever values it holds. So does an
+    id holding a tab, CR or LF, which would split its line. Both are
+    checked before the file is opened.
     """
     counts = np.asarray(counts)
     if counts.ndim != 2 or len(counts) != len(ids):
         raise ValueError(f"counts must have one row per id ({len(ids)}), "
                          f"got shape {counts.shape}")
-    starts = range(0, len(ids), _BLOCK)
-    blocks = [counts[start:start + _BLOCK] for start in starts]
-    # checked block by block: no temporary of the matrix
-    if counts.dtype.kind not in "iu" and not all(
-            np.isfinite(block).all() and (np.trunc(block) == block).all()
-            for block in blocks):
-        raise ValueError("embedding counts must be finite integers")
+    if counts.dtype.kind not in "iu":
+        raise ValueError("embedding counts must be an integer array, "
+                         f"not {counts.dtype}")
     for pid in ids:
         if "\t" in pid or "\n" in pid or "\r" in pid:
             raise ValueError(f"paper id {pid!r} holds a tab or line break; "
                              "the embeddings TSV cannot store it")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(ids)}\t{counts.shape[1]}\n")
-        for start, block in zip(starts, blocks):
+        for start in range(0, len(ids), _BLOCK):
+            rows = _value_texts(counts[start:start + _BLOCK])
             fh.write("".join(pid + "\t" + "\t".join(row) + "\n"
                              for pid, row in zip(ids[start:start + _BLOCK],
-                                                 _value_texts(block))))
+                                                 rows)))

@@ -7,7 +7,6 @@ recall/nDCG and are excluded from means (and counted) rather than scored.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Set
@@ -118,12 +117,6 @@ def report_from_rows(rows: Sequence[dict], k: int,
         query_count=n,
         excluded_count=excluded_count,
     )
-
-
-def write_report_json(path: str, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_per_query_csv(path: str, rows: Sequence[dict]) -> None:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,9 +43,6 @@ class RankedList:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def __iter__(self) -> Iterator[RankedItem]:
-        return iter(self.items)
 
     def to_dicts(self) -> list[dict]:
         return [

@@ -75,8 +75,8 @@ def test_criterion_03_bm25_oracle_and_hybrid_degenerate():
         "citation graphs and ranking graphs together",
     ]
     ids = tuple(f"d{i}" for i in range(5))
-    k1, b = 1.2, 0.75
-    index = bm25_build(texts, ids=ids, k1=k1, b=b)
+    k1, b = 1.2, 0.75  # the standard values, baselines.K1 and baselines.B
+    index = bm25_build(texts, ids=ids)
     docs = [tokenize(t) for t in texts]
     avg = sum(len(d) for d in docs) / 5
     worst = 0.0

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citegraph import cli
-from citegraph.baselines import (HybridConfig, bm25_build, bm25_rank,
+from citegraph.baselines import (B, K1, HybridConfig, bm25_build, bm25_rank,
                                  bm25_scores, dense_rank, hybrid_rank,
-                                 hybrid_scores, idf)
+                                 hybrid_scores)
 from citegraph.embed import EmbeddingMatrix, embed_corpus, tokenize
 from citegraph.graph import build_graph
 from citegraph.corpus import PaperRecord, build_text
@@ -41,14 +41,16 @@ def test_build_single_empty_doc():
     index = bm25_build([""])
     assert index.doc_count == 1
     assert index.postings == {}
-    assert index.avg_doc_length == 0.0
+    assert len(index.weights) == 0
 
 
 def test_idf_smoothed_floor_for_ubiquitous_term():
+    # tf 1 in docs of average length: each weight is idf / (1 + K1)
     index = bm25_build(["cat", "cat", "cat"])
     expected = math.log(1.0 + 0.5 / 3.5)
-    assert idf(index, "cat") == pytest.approx(expected, abs=1e-12)
-    assert idf(index, "cat") > 0.0
+    assert index.weights.tolist() == pytest.approx(
+        [expected / (1.0 + K1)] * 3, abs=1e-12)
+    assert np.all(index.weights > 0.0)
 
 
 def term_weights(index, term):
@@ -62,15 +64,16 @@ def test_postings_match_hand_count():
     assert {t: docs.tolist() for t, docs in index.postings.items()} == \
         {"a": [0], "b": [0, 1], "c": [1, 2]}
     assert index.ptr.tolist() == [0, 1, 3, 5]
-    assert index.avg_doc_length == pytest.approx(8.0 / 3.0)
     # (term, doc, tf, doc length) counted by hand; norm at k1 1.2, b 0.75
     for term, doc, tf, length in (("a", 0, 2, 3), ("b", 0, 1, 3),
                                   ("b", 1, 1, 2), ("c", 1, 1, 2),
                                   ("c", 2, 3, 3)):
         norm = 1.2 * (0.25 + 0.75 * length / (8.0 / 3.0))
+        df = len(index.postings[term])
+        idf = math.log((3 - df + 0.5) / (df + 0.5) + 1.0)
         at = index.postings[term].tolist().index(doc)
         assert term_weights(index, term)[at] == pytest.approx(
-            idf(index, term) * tf / (tf + norm), abs=1e-12), (term, doc)
+            idf * tf / (tf + norm), abs=1e-12), (term, doc)
 
 
 def test_rank_absent_term_empty():
@@ -88,7 +91,8 @@ def test_rank_identical_docs_tie_by_index():
 
 def test_bm25_scores_match_formula_oracle():
     k1, b = 1.2, 0.75
-    index = bm25_build(FIVE_DOCS, k1=k1, b=b)
+    assert (K1, B) == (k1, b)
+    index = bm25_build(FIVE_DOCS)
     queries = ["attention ranking", "citation graphs", "dense lexical graph",
                "attention attention", "networks"]
     n = len(FIVE_DOCS)
@@ -116,16 +120,14 @@ query_strategy = st.lists(st.sampled_from(WORDS + ["unknown"]), max_size=6)
 
 
 @settings(max_examples=200, deadline=None)
-@given(docs=docs_strategy, query=query_strategy,
-       k1=st.floats(0.0, 3.0), b=st.floats(0.0, 1.0))
-@example(docs=[["alpha", "beta"]], query=["alpha", "alpha"], k1=1.2, b=0.75)
-@example(docs=[[], ["alpha"], []], query=["alpha", "unknown"], k1=1.2,
-         b=0.75)
-@example(docs=[[], []], query=["alpha"], k1=1.2, b=0.75)
-def test_bm25_scores_bit_identical_to_posting_loop(docs, query, k1, b):
-    index = bm25_build([" ".join(doc) for doc in docs], k1=k1, b=b)
+@given(docs=docs_strategy, query=query_strategy)
+@example(docs=[["alpha", "beta"]], query=["alpha", "alpha"])
+@example(docs=[[], ["alpha"], []], query=["alpha", "unknown"])
+@example(docs=[[], []], query=["alpha"])
+def test_bm25_scores_bit_identical_to_posting_loop(docs, query):
+    index = bm25_build([" ".join(doc) for doc in docs])
     scores = bm25_scores(index, " ".join(query))
-    assert scores.tobytes() == oracle_bm25_loop(docs, query, k1, b).tobytes()
+    assert scores.tobytes() == oracle_bm25_loop(docs, query, K1, B).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -143,8 +145,8 @@ def test_bm25_build_from_a_generator_equals_build_from_the_list(docs, query):
     for name in ("ptr", "docs", "weights"):
         assert getattr(streamed, name).tobytes() == \
             getattr(listed, name).tobytes(), name
-    assert (streamed.avg_doc_length, streamed.doc_count, streamed.ids) == \
-        (listed.avg_doc_length, listed.doc_count, listed.ids)
+    assert (streamed.doc_count, streamed.ids) == \
+        (listed.doc_count, listed.ids)
     text = " ".join(query)
     assert bm25_scores(streamed, text).tobytes() == \
         bm25_scores(listed, text).tobytes()
@@ -184,7 +186,7 @@ def test_bm25_build_peak_memory_per_token():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert index.avg_doc_length == length
+    assert index.doc_count == docs
     assert peak <= 20 * docs * length, peak / (docs * length)
 
 
@@ -246,8 +248,6 @@ def test_postings_ascend_by_doc_and_their_length_is_df(docs):
         assert hits.tolist() == [d for d, doc in enumerate(docs)
                                  if term in doc]
         assert len(hits) == sum(term in doc for doc in docs)
-        assert idf(index, term) == math.log(
-            (len(docs) - len(hits) + 0.5) / (len(hits) + 0.5) + 1.0)
         assert term_weights(index, term).tobytes() == \
             oracle_bm25_loop(docs, [term])[hits].tobytes()
     assert index.postings.get("unknown", ()) == ()
@@ -264,22 +264,6 @@ def test_bm25_scores_on_raw_text_match_posting_loop():
         expected = oracle_bm25_loop(
             docs, re.findall(r"[^\W_]+", query.lower()))
         assert bm25_scores(index, query).tobytes() == expected.tobytes()
-
-
-def test_bm25_build_rejects_bad_parameters():
-    for k1, b in ((-0.1, 0.75), (1.2, 1.5), (1.2, -0.5), (float("nan"), 0.5),
-                  (float("inf"), 0.75)):
-        with pytest.raises(ValueError, match="k1"):
-            bm25_build(FIVE_DOCS, k1=k1, b=b)
-
-
-def test_bm25_build_checks_parameters_before_reading_a_text():
-    def texts():
-        raise AssertionError("a text was read")
-        yield  # a generator: the body runs on the first read
-
-    with pytest.raises(ValueError, match="finite k1 >= 0"):
-        bm25_build(texts(), k1=-1.0)
 
 
 def test_bm25_scores_nonnegative_property():
@@ -434,13 +418,6 @@ def test_adding_unrelated_doc_keeps_existing_tf_terms():
         assert term_weights(grown, term).tobytes() == oracle_bm25_loop(
             [tokenize(t) for t in texts], [term])[docs].tobytes()
     assert grown.doc_count == base.doc_count + 1
-    # IDF and avg length shift consistently with the new corpus statistics
-    assert grown.avg_doc_length == pytest.approx(
-        (base.avg_doc_length * 5 + 4) / 6.0)
-    for term in base.postings:
-        df = len(grown.postings[term])
-        assert idf(grown, term) == pytest.approx(
-            math.log((6 - df + 0.5) / (df + 0.5) + 1.0), abs=1e-12)
 
 
 def test_bm25_repeated_query_token_counts_twice():

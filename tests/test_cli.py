@@ -427,6 +427,55 @@ def test_bad_retriever_or_hybrid_setting_names_the_flag(
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+def hashing_run(command, corpus_path, tmp_path, weights):
+    """The argv of a run of `command` that hashes the corpus in process
+    and exits 0 at --seed 0."""
+    extra = {
+        "embed": ["--output", tmp_path / "emb.tsv", "--dim", "8"],
+        "train": ["--output", tmp_path / "w.json", "--dim", "8"],
+        "retrieve": ["--weights", weights, "--dim", "48", "--paper-id",
+                     "p00h"],
+        "evaluate": ["--method", "dense", "--dim", "8"],
+    }[command]
+    return [command, "--corpus", corpus_path, *extra]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 63)])
+@pytest.mark.parametrize("command", ["embed", "train", "retrieve", "evaluate"])
+def test_seed_outside_its_range_is_usage_error_naming_the_flag(
+        tmp_path, corpus_path, weights, capsys, command, seed):
+    """One rule on every command that takes --seed: numpy's generators
+    refuse a negative seed, and the hashing key (8 signed bytes) cannot
+    hold 2**63, so both exit 1 before any file is read or written."""
+    argv = hashing_run(command, corpus_path, tmp_path, weights)
+    assert run_cli(*argv, "--seed", seed) == 1
+    assert capsys.readouterr().err == \
+        "usage error: seed (--seed) must be in [0, 2**63)\n"
+    assert not (tmp_path / "emb.tsv").exists()
+    assert not (tmp_path / "w.json").exists()
+    assert run_cli(*argv, "--seed", "0") == 0
+
+
+@pytest.mark.parametrize("command", ["embed", "train", "evaluate"])
+def test_largest_seed_runs(tmp_path, corpus_path, weights, command):
+    argv = hashing_run(command, corpus_path, tmp_path, weights)
+    assert run_cli(*argv, "--seed", str(2 ** 63 - 1)) == 0
+
+
+@pytest.mark.parametrize("command", ["embed", "train", "retrieve", "evaluate"])
+def test_allocation_past_the_address_space_is_data_error(
+        tmp_path, corpus_path, weights, capsys, command):
+    """At --dim 10**14 the first count or embedding array of the 18
+    papers is petabytes, more than the address space, so numpy refuses
+    it without touching memory."""
+    argv = hashing_run(command, corpus_path, tmp_path, weights)
+    assert run_cli(*argv, "--dim", "100000000000000") == 2
+    assert capsys.readouterr().err.startswith(
+        "data error: Unable to allocate ")
+    assert not (tmp_path / "emb.tsv").exists()
+    assert not (tmp_path / "w.json").exists()
+
+
 def test_evaluate_per_query_without_output_is_usage_error(corpus_path,
                                                           capsys):
     assert run_cli("evaluate", "--corpus", corpus_path, "--method", "dense",
@@ -891,6 +940,29 @@ def test_evaluate_all_methods_deterministic(tmp_path, corpus_path):
     assert set(comparison["methods"]) == {"bm25", "dense", "hybrid", "attn",
                                           "attn+llm"}
     assert comparison["methods"]["attn+llm"]["query_count"] == 2
+
+
+def test_json_reports_are_indented_sorted_and_newline_terminated(
+        tmp_path, corpus_path, weights):
+    """build's ingest_report.json and evaluate's report_<method>.json hold
+    json.dumps(obj, indent=2, sort_keys=True) and a newline."""
+    def layout(obj):
+        return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+    assert run_cli("build", "--corpus", corpus_path,
+                   "--output", tmp_path / "build") == 0
+    _, ingest = parse_records(iter(corpus_path.read_text().splitlines()))
+    assert (tmp_path / "build" / "ingest_report.json").read_bytes() == \
+        layout(ingest.to_dict())
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", "--corpus", corpus_path, "--dim", "48",
+                   "--weights", weights, "--llm-mock", "--output", out,
+                   "--method", "bm25,attn+llm") == 0
+    comparison = json.loads((out / "comparison.json").read_text())
+    assert set(comparison["methods"]) == {"bm25", "attn+llm"}
+    for name, report in comparison["methods"].items():
+        safe = name.replace("+", "_")
+        assert (out / f"report_{safe}.json").read_bytes() == layout(report)
 
 
 @pytest.mark.parametrize("methods, flags, llm", [

@@ -2,12 +2,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from citegraph.embed import EmbeddingMatrix
 from citegraph.gat import relevance_scores
-from citegraph.ranking import RankedItem, RankedList
+from citegraph.ranking import RankedItem, RankedList, top_k
 from citegraph.retriever import (RetrievedSubgraph, RetrieverConfig,
                                  decode_and_rank, retrieve_subgraph,
                                  retrieval_to_json, select_seed)
@@ -217,6 +217,39 @@ def test_deep_hops_reuse_last_layer():
     assert sub.hops.tolist() == [hops[v] for v in kept] == list(range(n))
     assert sub.scores.tolist() == pytest.approx(
         [scores[v] for v in kept], abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 5).flatmap(lambda dim: st.lists(
+    st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+    min_size=1, max_size=20)),
+       pick=st.integers(0, 19), k=st.integers(1, 25),
+       sigma=st.floats(0.0, 1.0), hops=st.integers(1, 4),
+       scorer_seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=[[1, 0], [1, 0], [0, 1]], pick=1, k=2, sigma=0.5, hops=3,
+         scorer_seed=0)  # q = 1: its twin, node 0, is the seed
+def test_attn_without_edges_lists_the_cosine_top_k_but_the_query(
+        rows, pick, k, sigma, hops, scorer_seed):
+    """With no edge to walk, attn (seed, walk, decode, leaving q out)
+    lists the ids and scores that `top_k` gives over q's cosine row with
+    every paper but q in the pool, whether the seed is q or its twin."""
+    vectors = np.array(rows, dtype=np.float64)
+    norms = np.linalg.norm(vectors, axis=1)
+    nonzero = np.flatnonzero(norms > 0.0).tolist()
+    assume(nonzero)
+    vectors[nonzero] /= norms[nonzero, None]
+    q = nonzero[pick % len(nonzero)]  # any node whose row is non-zero
+    n, dim = vectors.shape
+    emb, graph = matrix(vectors), citation_graph(n, [])
+    cos = emb.scores(emb.row(q))
+    seed = select_seed(cos, emb, graph)
+    sub = retrieve_subgraph(graph, emb, emb.row(q), seed,
+                            random_scorer(dim, scorer_seed),
+                            RetrieverConfig(hops=hops, prune_threshold=sigma))
+    ranked = decode_and_rank(sub, cos, emb, k, q)
+    dense = top_k(cos, emb.ids, k, "dense", candidates=np.arange(n) != q)
+    assert [(it.id, it.score) for it in ranked.items] == \
+        [(it.id, it.score) for it in dense.items]
 
 
 def graph_tier(ranked):
