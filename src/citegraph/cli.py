@@ -77,12 +77,10 @@ def _validate(args: argparse.Namespace) -> None:
     settings = vars(args)
     if not 0 <= settings.get("seed", 0) < 2 ** 63:
         raise UsageError("seed (--seed) must be in [0, 2**63)")
-    if settings.get("dim", 1) < 1:
-        raise UsageError("dim must be >= 1")
-    if min(settings.get("subset", 1), settings.get("llm_subset", 1)) < 1:
-        raise UsageError("subset sizes must be >= 1")
-    if settings.get("k", 1) < 1:
-        raise UsageError("k (--k) must be >= 1")
+    for name in ("dim", "subset", "llm_subset", "k"):
+        if settings.get(name, 1) < 1:
+            flag = name.replace("_", "-")
+            raise UsageError(f"{name} (--{flag}) must be >= 1")
     try:
         if args.command in ("retrieve", "evaluate"):
             from .retriever import RetrieverConfig
@@ -143,12 +141,12 @@ def eligible_queries(graph, embeddings) -> tuple[list[int], int]:
 
     A paper qualifies when it has at least one in-corpus citation (the
     ground truth; a record never cites itself, so that is an out-edge)
-    and a non-degenerate embedding row; everything else is excluded and
-    counted. The rows' sums of squares come from `einsum`, which forms no
-    (n, d) temporary.
+    and a non-degenerate embedding row, one whose stored norm is positive
+    and finite (a norm that overflows to inf makes the unit row zero);
+    everything else is excluded and counted.
     """
-    v = embeddings.vectors
-    ok = (np.diff(graph.out_indptr) > 0) & (np.einsum("ij,ij->i", v, v) > 0.0)
+    norms = embeddings.norms
+    ok = (np.diff(graph.out_indptr) > 0) & (norms > 0.0) & (norms < np.inf)
     eligible = np.flatnonzero(ok).tolist()
     return eligible, len(ok) - len(eligible)
 
@@ -270,8 +268,9 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
     for block in (queries[s:s + chunk] for s in range(0, len(queries), chunk)):
         # one pass over the matrix scores every cosine row a method reads
         scored = [i for i in block if set(todo[i]) - {"bm25"}]
+        # unit rows: normalizing counts in `scores` would change the last bits
         cos_rows = dict(zip(scored, embeddings.scores(
-            embeddings.vectors[scored]))) if scored else {}
+            embeddings.rows(scored)))) if scored else {}
         for i in block:
             # the query's BM25 row and (subgraph, ranking), each computed
             # once and shared by every method that reads it

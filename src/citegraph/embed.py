@@ -4,7 +4,8 @@ Precomputed sentence embeddings are loaded from a TSV file and aligned to
 the graph's node order. When no file is available, a feature-hashing
 bag-of-words embedder provides a self-contained, fully deterministic
 substitute so the whole pipeline runs without any external model. Rows are
-L2-normalized at load time so cosine similarity reduces to a dot product.
+kept as stored and divided by their L2 norm where they are read, so cosine
+similarity reduces to a dot product.
 
 `tokenize` (shared with BM25) keeps the maximal runs of `[^\W_]` of the
 lowercased text. For ASCII text it maps every ASCII non-alphanumeric
@@ -29,7 +30,8 @@ is the keyed blake2b of its UTF-8 bytes in either form, and the sentinel
 codes to -1 in both. A token's row is the number of sentinels before it.
 Each token is keyed `row * 2*dim + code`, and one `np.bincount` reshaped
 to (rows, dim, 2) gives every row's positive and negative counts.
-`hash_counts` fills an int32 matrix, half the size of float64. A
+`hash_counts` fills an int8 matrix, an eighth of float64's size, that a
+block holding a larger count widens once to int16 or int32. A
 single-text `hash_embed` is a one-row block. Every count is a small
 integer, so the row, its norm and the normalized vector are exact
 whatever the summation order.
@@ -41,13 +43,15 @@ pair of integers in that span is formatted once into a table (4,096
 texts at most) indexed by `(left - least) * span + (right - least)`, so
 a row is joined from half as many texts; an odd width's last column
 looks up the text of its single value. A wider block looks its values
-up among its distinct ones by binary search. The loader normalizes every
-row, so a loaded count file is bit-equal to `embed_corpus` at the same
-dim and seed, and the file is a fraction of the size of 17-digit floats.
+up among its distinct ones by binary search. The loader keeps the counts,
+so a loaded count file is bit-equal to `embed_corpus` at the same dim and
+seed, and the file is a fraction of the size of 17-digit floats.
 
 The loader reads the TSV's non-blank lines in blocks of 1024, keeping no
-line numbers, into one (nodes, dim) float64 matrix allocated once the
-first block has parsed, each row going straight to its graph node's row.
+line numbers, into one (nodes, dim) matrix allocated once the first block
+has parsed, of the smallest of int8, int16 and int32 that holds its counts
+(float64 for floats); each row goes straight to its graph node's row, and
+a block that needs more widens the matrix once.
 A block's value texts (the id cut off at the first tab) are parsed first
 as int32, the format `embed` writes, in one `np.loadtxt` call, then as
 float64 on the first token that is not such an integer, so float TSVs
@@ -55,17 +59,17 @@ float64 on the first token that is not such an integer, so float TSVs
 holds a `-` only as the sign of a negative value or of a zero (`-0`), so
 a block whose texts hold more `-` characters than it has negative values
 holds a `-0`-like token and is parsed again as float64, which keeps the
-sign of zero; every other int32 is exact in float64, so a block loads to
-the same bits whichever parse reads it. A block that fails to parse,
-repeats an id or holds a non-finite value rejects the file, which is
-then read again from the start, one line at a time, to name the first
+sign of zero; every other int32 is exact in float64, so a block's unit
+rows are the same bits whichever parse reads it. A block that fails to
+parse, repeats an id or holds a non-finite value rejects the file, which
+is then read again from the start, one line at a time, to name the first
 bad line and its id.
 """
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -99,42 +103,56 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class EmbeddingMatrix:
-    """Dense vectors aligned with a graph's node order.
+    """Embedding rows aligned with a graph's node order, kept as stored.
 
-    `ids[i]` names the paper whose vector is `vectors[i]`. Every non-zero
-    row has unit L2 norm, so the dot product with a unit query is its
-    cosine similarity. Zero rows (papers with no usable text) are allowed
-    and score 0 against everything.
+    `ids[i]` names the paper whose row is `vectors[i]`: integer rows (hash
+    counts) stay integers and other rows are float64. `norms[i]` is row
+    i's L2 norm; `row`, `rows` and `scores` divide each row they read by
+    it, so a row's dot product with a unit query is its cosine. Zero rows
+    (papers with no usable text) stay zero and score 0 against everything.
     """
 
     ids: tuple[str, ...]
     vectors: np.ndarray
     dim: int
+    norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
+        v = np.asarray(self.vectors)
+        self.vectors = v if v.dtype.kind in "iu" else v.astype(np.float64, copy=False)
         if self.vectors.ndim != 2 or self.vectors.shape != (len(self.ids), self.dim):
             raise ValueError(
                 f"vectors must be ({len(self.ids)}, {self.dim}), "
                 f"got {self.vectors.shape}")
+        # in blocks, so the float64 squares stay a small copy of the matrix
+        self.norms = np.empty(len(self.ids))
+        for start in range(0, len(self.ids), _BLOCK):
+            self.norms[start:start + _BLOCK] = np.linalg.norm(
+                self.vectors[start:start + _BLOCK], axis=1)
 
     @property
     def node_count(self) -> int:
         return len(self.ids)
 
     def row(self, index: int) -> np.ndarray:
-        return self.vectors[index]
+        return _unit(self.vectors[index], self.norms[index])
+
+    def rows(self, indices) -> np.ndarray:
+        """The unit rows of the nodes `indices` (float64, divided in place)."""
+        rows = self.vectors.take(indices, axis=0).astype(np.float64, copy=False)
+        return _unit(rows, self.norms[indices], rows)
 
     def scores(self, query: np.ndarray) -> np.ndarray:
         """Cosine similarity of `query` against every row (zero rows give 0).
 
         `query` is one (dim,) vector, giving an (n,) row, or an (m, dim)
         stack, giving one row per query; an all-zero query is rejected.
-        The matrix is read in slices of `_SLICE` rows, each scored against
-        every query while it is in cache, so a stack reads it once. Under
-        one BLAS thread each cosine keeps the bytes of a lone `vectors @
-        (q / norm(q))` scan: each query is normalized alone, and slices
-        start at multiples of 16 rows, so each row meets the same kernel.
+        The matrix is read in slices of `_SLICE` rows, each divided by its
+        norms into one reused float64 buffer and scored against every query
+        while it is in cache, so a stack reads it once. Under one BLAS
+        thread each cosine keeps the bytes of a lone `rows(all) @ (q /
+        norm(q))` scan: each query is normalized alone, and slices start
+        at multiples of 16 rows, so each row meets the same kernel.
         """
         q = np.asarray(query, dtype=np.float64)
         if q.ndim not in (1, 2) or q.shape[-1] != self.dim:
@@ -148,25 +166,35 @@ class EmbeddingMatrix:
         # numpy scores a one-row slice as a vector dot product, not with the
         # matrix-vector kernel, so a one-row tail joins the slice before it
         bounds = [0, *range(_SLICE, n - 1, _SLICE), n]
+        buffer = np.empty((min(n, _SLICE + 1), self.dim))
         for start, stop in zip(bounds, bounds[1:]):
+            unit_rows = _unit(self.vectors[start:stop], self.norms[start:stop],
+                              buffer[:stop - start])
             for unit, row in zip(units, out):
-                np.matmul(self.vectors[start:stop], unit, out=row[start:stop])
+                np.matmul(unit_rows, unit, out=row[start:stop])
         np.clip(out, -1.0, 1.0, out=out)
         return out if q.ndim == 2 else out[0]
 
 
-def _normalize_in_place(out: np.ndarray) -> np.ndarray:
-    """Divide every non-zero row of `out` by its L2 norm, in place.
+def _unit(rows: np.ndarray, norms: np.ndarray, out=None) -> np.ndarray:
+    """`rows` divided in float64 by their `norms`; a zero row stays zero."""
+    return np.divide(rows, np.where(norms > 0.0, norms, 1.0)[..., None], out=out)
 
-    Rows go in blocks of `_BLOCK` so the squares `np.linalg.norm` forms
-    never take more than a small copy of the matrix; a row's norm does not
-    depend on the block.
-    """
-    for start in range(0, len(out), _BLOCK):
-        rows = out[start:start + _BLOCK]
-        norms = np.linalg.norm(rows, axis=1)
-        rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
-    return out
+
+def _fitting(block: np.ndarray) -> np.dtype:
+    """The smallest of int8, int16 and int32 (int64 past it) that holds
+    every value of a non-empty integer block; float64 for a float block."""
+    if block.dtype.kind == "f":
+        return np.dtype(np.float64)
+    lo, hi = int(block.min()), int(block.max())
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+
+
+def _widened(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """`matrix`, or a copy widened once to hold the values of `block` too."""
+    wanted = np.promote_types(matrix.dtype, _fitting(block))
+    return matrix if wanted == matrix.dtype else matrix.astype(wanted)
 
 
 class _TokenCodes(dict):
@@ -228,38 +256,32 @@ def hash_embed(text: str, dim: int = DEFAULT_DIM, seed: int = 0) -> np.ndarray:
     Word order does not matter; empty text gives the zero vector. Stable
     across runs, platforms and thread counts.
     """
-    return _normalize_in_place(
-        _TokenCodes(dim, seed).counts([text]).astype(np.float64))[0]
-
-
-def _counted(records: Sequence[PaperRecord], dim: int, seed: int,
-             dtype: type) -> np.ndarray:
-    """An (n, dim) `dtype` array of every record's signed token counts,
-    filled one `_BLOCK`-row block at a time."""
-    codes = _TokenCodes(dim, seed)
-    counts = np.empty((len(records), dim), dtype=dtype)
-    for start in range(0, len(records), _BLOCK):
-        counts[start:start + _BLOCK] = codes.counts(
-            [build_text(r) for r in records[start:start + _BLOCK]])
-    return counts
+    counts = _TokenCodes(dim, seed).counts([text])
+    return _unit(counts[0], np.linalg.norm(counts, axis=1)[0])
 
 
 def hash_counts(records: Sequence[PaperRecord], dim: int,
                 seed: int) -> np.ndarray:
     """Signed token counts of every record's concatenated text, in corpus
-    order: an (n, dim) int32 array, half the size of float64, holding the
-    rows `embed_corpus` normalizes and `embed` writes."""
-    return _counted(records, dim, seed, np.int32)
+    order: an (n, dim) array of the smallest of int8, int16 and int32 that
+    holds them, filled one `_BLOCK`-row block at a time, holding the rows
+    `embed_corpus` wraps and `embed` writes."""
+    codes = _TokenCodes(dim, seed)
+    counts = np.empty((len(records), dim), dtype=np.int8)
+    for start in range(0, len(records), _BLOCK):
+        block = codes.counts(
+            [build_text(r) for r in records[start:start + _BLOCK]])
+        counts = _widened(counts, block)
+        counts[start:start + _BLOCK] = block
+    return counts
 
 
 def embed_corpus(records: Sequence[PaperRecord], dim: int = DEFAULT_DIM,
                  seed: int = 0) -> EmbeddingMatrix:
     """Hash-embed every record's concatenated text, in corpus order; the
-    counts go straight into the float64 matrix that is normalized."""
+    matrix keeps the counts and normalizes each row where it is read."""
     return EmbeddingMatrix(ids=tuple(r.id for r in records),
-                           vectors=_normalize_in_place(
-                               _counted(records, dim, seed, np.float64)),
-                           dim=dim)
+                           vectors=hash_counts(records, dim, seed), dim=dim)
 
 
 def _parse_block(tails: list[str], dim: int) -> np.ndarray | None:
@@ -296,7 +318,8 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
     line per paper, in any order; blank lines are skipped. Every graph
     node must have exactly one row; ids not in the graph are ignored.
     Values must be finite numbers; an error names the first bad line in
-    file order and its paper id. Rows are L2-normalized.
+    file order and its paper id. Integer rows are kept as the smallest
+    integer type that holds them, and float rows as float64.
     """
     node_ids, index_of = graph.node_ids, graph.index_of
     seen: set[str] = set()
@@ -323,8 +346,8 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
             if (block is None or len(seen) != rows
                     or block.dtype.kind == "f" and not np.isfinite(block).all()):
                 raise ValueError(_first_bad_line(path, dim))
-            if values is None:
-                values = np.empty((len(node_ids), dim), dtype=np.float64)
+            values = (np.empty((len(node_ids), dim), dtype=_fitting(block))
+                      if values is None else _widened(values, block))
             at = np.fromiter(map(index_of.get, ids, itertools.repeat(-1)),
                              dtype=np.intp, count=len(ids))
             kept = at >= 0
@@ -342,9 +365,8 @@ def load_embeddings(path: str, graph) -> EmbeddingMatrix:
         more = f" (+{len(missing) - 20} more)" if len(missing) > 20 else ""
         raise ValueError(f"embedding file is missing node ids: {shown}{more}")
     if values is None:  # no rows and no nodes
-        values = np.empty((0, dim), dtype=np.float64)
-    return EmbeddingMatrix(ids=tuple(node_ids),
-                           vectors=_normalize_in_place(values), dim=dim)
+        values = np.empty((0, dim), dtype=np.int8)
+    return EmbeddingMatrix(ids=tuple(node_ids), vectors=values, dim=dim)
 
 
 def _first_bad_line(path: str, dim: int) -> str:

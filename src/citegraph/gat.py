@@ -134,8 +134,7 @@ def _training_pairs(graph: CitationGraph, embeddings: EmbeddingMatrix,
         nodes.append(np.concatenate([positives, negatives]))
         labels.append(np.repeat([1.0, 0.0], [len(positives), len(negatives)]))
     group = np.repeat(np.arange(len(queries)), [len(v) for v in nodes])
-    return (embeddings.vectors[np.concatenate(nodes)],
-            embeddings.vectors[np.asarray(queries, dtype=np.intp)],
+    return (embeddings.rows(np.concatenate(nodes)), embeddings.rows(queries),
             group, np.concatenate(labels))
 
 

@@ -108,7 +108,7 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
             trace.append(HopTrace(hop=hop, expanded=0, pruned=0))
             break
         visited[frontier] = True
-        frontier_scores = relevance_scores(embeddings.vectors[frontier],
+        frontier_scores = relevance_scores(embeddings.rows(frontier),
                                            query, scorer)
         passed = frontier_scores >= config.prune_threshold
         kept.append(frontier[passed])  # ascending node index

@@ -239,6 +239,19 @@ def oracle_scores(vectors, query):
     return np.clip(np.asarray(vectors) @ (q / np.linalg.norm(q)), -1.0, 1.0)
 
 
+def oracle_unit_rows(vectors):
+    """Each row divided, one row at a time, by its L2 norm as numpy's row
+    reduction `np.linalg.norm(row[None], axis=1)` gives it, in float64;
+    a zero row stays zero. For integer rows whose sums of squares stay
+    below 2**53 that norm is exact, so it equals `np.linalg.norm(row)`."""
+    out = np.array(vectors, dtype=np.float64)
+    for row in out:
+        norm = np.linalg.norm(row[None], axis=1)[0]
+        if norm > 0.0:
+            row /= norm
+    return out
+
+
 def oracle_retrieve(n, edges, vectors, query, seed, u, b, sigma, hops):
     """Straight-line expand / score / prune loop.
 

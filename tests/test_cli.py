@@ -420,6 +420,10 @@ def test_train_bad_setting_is_usage_error_naming_the_flag(
     ("evaluate", "--alpha", "1.5", "alpha (--alpha) must be in [0, 1]"),
     ("retrieve", "--sigma", "-0.1",
      "prune_threshold (--sigma) must be in [0, 1]"),
+    ("embed", "--dim", "0", "dim (--dim) must be >= 1"),
+    ("train", "--subset", "0", "subset (--subset) must be >= 1"),
+    ("evaluate", "--llm-subset", "0",
+     "llm_subset (--llm-subset) must be >= 1"),
 ])
 def test_bad_retriever_or_hybrid_setting_names_the_flag(
         corpus_path, capsys, command, flag, value, message):

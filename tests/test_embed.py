@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from citegraph.corpus import PaperRecord, build_text
@@ -19,11 +19,24 @@ from citegraph.embed import (EmbeddingMatrix, _TokenCodes, embed_corpus,
 from citegraph.graph import build_graph
 
 from helpers import (oracle_cosine, oracle_hash_counts, oracle_hash_embed,
-                     oracle_scores, oracle_write_counts)
+                     oracle_scores, oracle_unit_rows, oracle_write_counts)
 
 
 def small_graph(ids):
     return build_graph([PaperRecord(id=pid) for pid in ids])
+
+
+def unit_rows(matrix):
+    """Every row of an `EmbeddingMatrix` as `rows` reads it."""
+    return matrix.rows(range(matrix.node_count))
+
+
+def smallest_int(values):
+    """The smallest of int8, int16 and int32 that holds every value, or
+    None."""
+    return next((t for t in (np.int8, np.int16, np.int32)
+                 if np.iinfo(t).min <= np.min(values, initial=0)
+                 and np.max(values, initial=0) <= np.iinfo(t).max), None)
 
 
 def write_tsv(path, rows, dim, count=None):
@@ -61,9 +74,10 @@ def test_load_embeddings_aligns_and_normalizes(tmp_path):
     write_tsv(path, [("b", [3.0, 4.0]), ("a", [1.0, 0.0])], dim=2)
     m = load_embeddings(str(path), g)
     assert m.ids == ("a", "b")
-    assert np.allclose(m.vectors[0], [1.0, 0.0])
-    assert np.allclose(m.vectors[1], [0.6, 0.8])
-    assert abs(np.linalg.norm(m.vectors[1]) - 1.0) < 1e-6
+    assert np.array_equal(m.vectors, [[1.0, 0.0], [3.0, 4.0]])  # as stored
+    assert np.allclose(m.row(0), [1.0, 0.0])
+    assert np.allclose(m.row(1), [0.6, 0.8])
+    assert abs(np.linalg.norm(m.row(1)) - 1.0) < 1e-6
 
 
 def test_load_embeddings_missing_id(tmp_path):
@@ -135,9 +149,11 @@ def test_write_then_load_round_trip(tmp_path):
     write_embeddings(str(path), [r.id for r in records],
                      hash_counts(records, 16, 3))
     loaded = load_embeddings(str(path), g)
-    # the file holds the counts, so the loader normalizes them only once
-    assert loaded.vectors.tobytes() == \
-        embed_corpus(records, dim=16, seed=3).vectors.tobytes()
+    # the file holds the counts, and both keep them as the same integers
+    hashed = embed_corpus(records, dim=16, seed=3)
+    assert loaded.vectors.dtype == hashed.vectors.dtype == np.int8
+    assert loaded.vectors.tobytes() == hashed.vectors.tobytes()
+    assert loaded.rows(range(5)).tobytes() == hashed.rows(range(5)).tobytes()
 
 
 def test_hash_embed_empty_and_deterministic():
@@ -209,7 +225,7 @@ BLOCK_TEXTS = ["" if i % 7 == 0 or i in (255, 256, 511, 512, 599)
 def test_embed_corpus_bit_identical_to_hash_loop(texts, dim, seed):
     records = [PaperRecord(id=f"p{i}", title=t) for i, t in enumerate(texts)]
     matrix = embed_corpus(records, dim=dim, seed=seed)
-    for record, row in zip(records, matrix.vectors):
+    for record, row in zip(records, matrix.rows(range(len(records)))):
         expected = oracle_hash_embed(build_text(record), dim, seed)
         assert row.tobytes() == expected.tobytes()
         assert hash_embed(build_text(record), dim, seed).tobytes() == \
@@ -248,8 +264,91 @@ def test_block_counts_equal_a_per_text_loop(pool, rows, step, dim, seed):
         assert np.array_equal(row, expected[text]), text
     counts = hash_counts([PaperRecord(id=f"p{i}", title=text)
                           for i, text in enumerate(texts)], dim, seed)
-    assert counts.dtype == np.int32
+    assert counts.dtype == smallest_int(got)
     assert np.array_equal(counts, got)
+
+
+def check_unit_rows(matrix, counts):
+    """Every `row(i)` and `rows` row is `c / np.linalg.norm(c)` in float64
+    for the integer counts c, and a zero row stays zero."""
+    expected = []
+    for c in np.asarray(counts):
+        norm = np.linalg.norm(c)
+        expected.append(c / norm if norm > 0.0 else np.zeros(len(c)))
+    for i, want in enumerate(expected):
+        assert matrix.row(i).tobytes() == want.tobytes()
+    assert unit_rows(matrix).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("repeats, dtype", [
+    (127, np.int8), (200, np.int16), (40_000, np.int32)])
+def test_hash_counts_widen_past_int8(repeats, dtype):
+    """A record repeating one token `repeats` times, after a first block
+    of small counts and an empty text, widens the count matrix to the
+    smallest type that holds that count, keeping the rows before it."""
+    texts = [""] + [f"w{i} graph w{i}" for i in range(1, 299)] + [
+        " ".join(["token"] * repeats)]
+    records = [PaperRecord(id=f"p{i}", title=t) for i, t in enumerate(texts)]
+    expected = np.array([oracle_hash_counts(t, 16, 1) for t in texts])
+    assert np.abs(expected).max() == repeats
+    counts = hash_counts(records, 16, 1)
+    assert counts.dtype == dtype and np.array_equal(counts, expected)
+    matrix = embed_corpus(records, dim=16, seed=1)
+    assert matrix.vectors.dtype == dtype
+    check_unit_rows(matrix, expected)
+
+
+@pytest.mark.parametrize("wide, dtype", [
+    ({}, np.int8), ({1500: 200}, np.int16),
+    ({1500: 200, 2090: -70_000}, np.int32), ({600: -70_000}, np.int32)])
+def test_loaded_counts_widen_past_int8(tmp_path, wide, dtype):
+    """A count file whose later 1024-row blocks hold 200 or -70,000 loads
+    widened to the smallest type that holds every count, keeping the rows
+    of the blocks before."""
+    counts = np.random.default_rng(3).integers(-3, 4, size=(2100, 3))
+    counts[[0, 1023, 2099]] = 0
+    for at, value in wide.items():
+        counts[at, 1] = value
+    ids = [f"p{i}" for i in range(len(counts))]
+    path = tmp_path / "emb.tsv"
+    write_embeddings(str(path), ids, counts)
+    loaded = load_embeddings(str(path), small_graph(ids))
+    assert loaded.vectors.dtype == dtype
+    assert np.array_equal(loaded.vectors, counts)
+    check_unit_rows(loaded, counts)
+
+
+INT_KINDS = {t: st.integers(np.iinfo(t).min, np.iinfo(t).max)
+             for t in (np.int8, np.int16, np.int32)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), dim=st.integers(1, 6),
+       kind=st.sampled_from([np.int8, np.int16, np.int32, np.float64]))
+def test_unit_rows_and_scores_match_oracles(data, n, dim, kind):
+    """Random integer and float rows, zero rows among them: `rows` of any
+    index list and `row` are bit-equal to each row divided by its L2
+    norm, and `scores` matches the straight-line cosine to 1e-12."""
+    values = INT_KINDS.get(kind, st.floats(-1e100, 1e100))
+    vectors = np.array(data.draw(st.lists(values, min_size=n * dim,
+                                          max_size=n * dim)),
+                       dtype=kind).reshape(n, dim)
+    vectors[data.draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0
+    matrix = EmbeddingMatrix(ids=tuple(f"p{i}" for i in range(n)),
+                             vectors=vectors, dim=dim)
+    assert matrix.vectors.dtype == kind
+    idx = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    expected = oracle_unit_rows(vectors)
+    assert matrix.rows(idx).tobytes() == expected[idx].tobytes()
+    for i in range(n):
+        assert matrix.row(i).tobytes() == expected[i].tobytes()
+    query = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=dim,
+                                        max_size=dim)))
+    assume(np.linalg.norm(query) > 0.0)
+    got = matrix.scores(query)
+    for i in range(n):
+        assert got[i] == pytest.approx(oracle_cosine(vectors[i], query),
+                                       abs=1e-12)
 
 
 # 700 rows over three 256-row blocks, drawn from a few repeated counts;
@@ -298,10 +397,10 @@ def check_write_matches_str_int_writer(counts):
         with open(got, "rb") as a, open(want, "rb") as b:
             assert a.read() == b.read()
         loaded = load_embeddings(got, small_graph(ids))
-    source = counts + 0.0  # the file holds integers: -0.0 reads back as 0.0
-    norms = np.linalg.norm(source, axis=1)
-    source[norms > 0.0] /= norms[norms > 0.0, None]
-    assert loaded.vectors.tobytes() == source.tobytes()
+    # the loader parses int32; a block past it is read as float64
+    assert loaded.vectors.dtype == (smallest_int(counts) or np.float64)
+    assert np.array_equal(loaded.vectors, counts)
+    assert unit_rows(loaded).tobytes() == oracle_unit_rows(counts).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.int64])
@@ -376,7 +475,7 @@ def check_load_matches_normalized_source(source, order, extra, blank_every):
             fh.write("\n".join(lines) + "\n")
         loaded = load_embeddings(path, small_graph(ids))
     assert loaded.ids == tuple(ids)
-    assert loaded.vectors.tobytes() == expected.tobytes()
+    assert unit_rows(loaded).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -445,7 +544,7 @@ def test_integer_tokens_load_bit_equal_to_float_parse(data, dim, n, seed,
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(("\r\n" if crlf else "\n").join(lines) + "\n")
             loaded = load_embeddings(path, small_graph(ids))
-    assert loaded.vectors.tobytes() == expected.tobytes()
+    assert unit_rows(loaded).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("token", ["-0", "-00", "+0", "-3", "0"])
@@ -461,8 +560,8 @@ def test_signed_zero_token_keeps_its_sign(tmp_path, token):
     norms = np.linalg.norm(expected, axis=1)
     expected[norms > 0.0] /= norms[norms > 0.0, None]
     loaded = load_embeddings(str(path), small_graph(ids))
-    assert loaded.vectors.tobytes() == expected.tobytes()
-    assert np.signbit(loaded.vectors[1, 0])
+    assert unit_rows(loaded).tobytes() == expected.tobytes()
+    assert np.signbit(loaded.vectors[1, 0]) and np.signbit(loaded.row(1)[0])
 
 
 # the two plain cases keep their ids; the others add an inf or nan on the
@@ -551,11 +650,9 @@ def test_one_defect_is_named_by_its_line_and_id(data, defect, n, dim, floats,
     assert str(err.value) == f"line {line_no}: {message}"
 
 
-def test_load_embeddings_peak_memory_stays_near_the_matrix(tmp_path):
-    """The file streams through blocks into one preallocated matrix: the
-    peak traced while loading 8000 rows of counts, the matrix included,
-    stays within 1.25 times the matrix."""
-    n, dim = 8000, 256
+def load_counts_traced(tmp_path, n, dim):
+    """The matrix loaded from a file of n rows of counts in [-4, 4], and
+    the peak traced while loading it."""
     ids = [f"p{i}" for i in range(n)]
     counts = np.random.default_rng(2).integers(-4, 5, size=(n, dim))
     path = tmp_path / "emb.tsv"
@@ -569,8 +666,25 @@ def test_load_embeddings_peak_memory_stays_near_the_matrix(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert loaded.vectors.shape == (n, dim)
-    assert peak <= 1.25 * loaded.vectors.nbytes, peak / loaded.vectors.nbytes
+    return loaded, peak
+
+
+def test_load_embeddings_peak_memory_stays_near_the_matrix(tmp_path):
+    """The file streams through blocks into one preallocated matrix: the
+    peak traced while loading 8000 rows of counts, the matrix included,
+    stays within the matrix plus 4 MiB for the one block of text and
+    parsed values alive at a time."""
+    loaded, peak = load_counts_traced(tmp_path, 8000, 256)
+    assert loaded.vectors.shape == (8000, 256)
+    assert peak <= loaded.vectors.nbytes + (4 << 20), peak
+
+
+def test_loaded_counts_peak_below_half_a_float64_matrix(tmp_path):
+    """Counts in [-4, 4] are held as int8, with no float64 copy: loading
+    8000 x 256 of them peaks below half the 16.4 MB float64 matrix."""
+    loaded, peak = load_counts_traced(tmp_path, 8000, 256)
+    assert loaded.vectors.dtype == np.int8
+    assert peak < 0.5 * 8000 * 256 * 8, peak
 
 
 def test_scores_matches_cosine_scan():
@@ -581,7 +695,7 @@ def test_scores_matches_cosine_scan():
     s = m.scores(q)
     for i in range(m.node_count):
         assert s[i] == pytest.approx(oracle_cosine(m.vectors[i], q),
-                                     abs=1e-12)
+                                     abs=1e-12)  # the counts' cosine
     assert s[-1] == 0.0  # empty text row scores zero
 
 
@@ -599,9 +713,9 @@ def test_scores_matches_cosine_scan():
 @example(n=1026, m=3, dim=2, zeros=[1025], seed=6)
 def test_batched_scores_rows_bit_equal_to_one_scan_per_query(n, m, dim, zeros,
                                                             seed):
-    """A stack's rows keep the bytes of one whole-matrix scan per query,
-    across slice edges, a one-row tail, n below one slice and zero rows;
-    unnormalized rows also make the clipping bite."""
+    """A stack's rows keep the bytes of one whole-matrix scan of the unit
+    rows per query, across slice edges, a one-row tail, n below one slice
+    and zero rows; the rows are stored unnormalized and divided per slice."""
     rng = np.random.default_rng(seed)
     vectors = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, (n, 1))
     vectors[[z for z in zeros if z < n]] = 0.0
@@ -611,7 +725,8 @@ def test_batched_scores_rows_bit_equal_to_one_scan_per_query(n, m, dim, zeros,
     got = matrix.scores(stack)
     assert got.shape == (m, n) and got.dtype == np.float64
     for query, row in zip(stack, got):
-        assert row.tobytes() == oracle_scores(vectors, query).tobytes()
+        assert row.tobytes() == oracle_scores(oracle_unit_rows(vectors),
+                                              query).tobytes()
     one = matrix.scores(stack[-1])
     assert one.shape == (n,)
     assert one.tobytes() == got[-1].tobytes()

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from citegraph import gat
 from citegraph.embed import EmbeddingMatrix
 from citegraph.gat import (EPOCHS, LEARNING_RATE, NEGATIVES_PER_POSITIVE,
                            ScorerParams, _training_pairs,
                            load_weights, loss_and_gradient, relevance_scores,
                            save_weights, sigmoid, train_scorer)
 from helpers import (citation_graph, oracle_loss_and_gradient, oracle_sigmoid,
-                     oracle_training_pairs, random_pairs, random_scorer)
+                     oracle_training_pairs, oracle_unit_rows, random_pairs,
+                     random_scorer)
 
 
 def test_sigmoid_bit_equal_to_two_branch_oracle():
@@ -109,7 +111,8 @@ def test_factored_loss_equals_full_matrix_oracle(sizes, d, seed):
 
 def test_training_matches_full_matrix_oracle_descent():
     """200 epochs at lr 0.5 on a seeded corpus: the weights and the loss
-    trace equal plain gradient descent on the oracle's full pair matrix."""
+    trace equal plain gradient descent on the oracle's full pair matrix,
+    built from the unit rows that training reads."""
     rng = np.random.default_rng(14)
     n, dim = 40, 6
     vectors = rng.normal(size=(n, dim))
@@ -121,7 +124,8 @@ def test_training_matches_full_matrix_oracle_descent():
         0, n - 1, int(rng.integers(1, 5)))) % n]
     assert (LEARNING_RATE, EPOCHS, NEGATIVES_PER_POSITIVE) == (0.5, 200, 1)
     result = train_scorer(citation_graph(n, edges), embeddings, queries, 3)
-    X, y = oracle_training_pairs(vectors, edges, queries, 1, 3)
+    X, y = oracle_training_pairs(oracle_unit_rows(vectors), edges, queries,
+                                 1, 3)
     u, b = np.zeros(2 * dim), 0.0
     loss, gu, gb = oracle_loss_and_gradient(u, b, X, y)
     losses = [loss]
@@ -185,15 +189,22 @@ def test_training_loss_never_rises_on_unit_rows(n, dim, cites, seed):
 
 
 @pytest.mark.parametrize("scale, final", [(1e3, "109375"), (1e200, "nan")])
-def test_training_divergence_is_value_error(scale, final):
+def test_training_divergence_is_value_error(monkeypatch, scale, final):
     """Rows far longer than unit overshoot at the fixed rate, and the run
-    fails on its final loss, finite or not."""
+    fails on its final loss, finite or not. Training reads unit rows, so
+    the pairs it builds are scaled up here to reach that check."""
     # not separable: query nodes 2 and 3 share node 0's row and cite nodes
     # 0 and 1, so every negative pair [row ; query] repeats a positive one
     embeddings = EmbeddingMatrix(ids=("n0", "n1", "n2", "n3"), dim=2,
-                                 vectors=scale * np.array([
-                                     [1.0, 0.0], [0.0, 1.0], [1.0, 0.0],
-                                     [1.0, 0.0]]))
+                                 vectors=np.array([[1.0, 0.0], [0.0, 1.0],
+                                                   [1.0, 0.0], [1.0, 0.0]]))
+    unit_pairs = gat._training_pairs
+
+    def scaled_pairs(*args):
+        R, Q, group, y = unit_pairs(*args)
+        return scale * R, scale * Q, group, y
+
+    monkeypatch.setattr(gat, "_training_pairs", scaled_pairs)
     message = (f"^training diverged: loss 0.693147 -> {final}; the fixed "
                "rate 0.5 needs rows and queries of norm <= 1$")
     with pytest.raises(ValueError, match=message):
@@ -242,9 +253,9 @@ def test_training_pairs_bit_equal_to_row_by_row_oracle(n, dim, cites, seed):
     edges = [(j % n, v % n) for j, vs in enumerate(cites) for v in vs]
     graph = citation_graph(n, edges)
     try:
-        X_ref, y_ref = oracle_training_pairs(embeddings.vectors, edges,
-                                             queries, NEGATIVES_PER_POSITIVE,
-                                             seed)
+        X_ref, y_ref = oracle_training_pairs(
+            oracle_unit_rows(embeddings.vectors), edges, queries,
+            NEGATIVES_PER_POSITIVE, seed)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             _training_pairs(graph, embeddings, queries, seed)
