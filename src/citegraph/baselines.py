@@ -1,16 +1,18 @@
 """Retrieval baselines: BM25, dense cosine scan, and their hybrid blend.
 
 Each baseline scores every document and ranks with `top_k` (ranking.py).
-`bm25_build` makes one pass over the texts, which may be any iterable:
-each paper's tokens (the embedder's `tokenize`) become 32-bit term ids in
-one flat `array('i')`, so no per-paper array or text outlives its paper.
-Sorted in place as one int64 key per token (term-major), their runs are
-the postings, grouped by term and ascending by doc. The index is one CSR
-over them: `ptr` (int64), `docs` (int32) and `weights` (float64), each
-posting's BM25 weight idf * tf / (tf + norm[doc]), idf the smoothed
-ln((N - df + 0.5) / (df + 0.5) + 1), computed once at build time (eager
-scoring, as in BM25S, Lu 2024). `postings` slices `docs` on lookup, so
-`len()` is the document frequency; no per-term array exists.
+`bm25_build` reads the texts, any iterable, once, in blocks of `_TEXTS`,
+each split by the embedder's tokenizer in one call and mapped through
+one vocabulary of token bytes, the sentinel between texts at -1: a doc's
+length is the gap between its cuts, and the other codes go as 32-bit
+term ids into one `array('i')`. Sorted in place as one int64 key per
+token (term-major), their runs are the postings, grouped by term and
+ascending by doc. The index is one CSR over them: `ptr` (int64), `docs`
+(int32) and `weights` (float64), each posting's BM25 weight idf * tf /
+(tf + norm[doc]), idf the smoothed ln((N - df + 0.5) / (df + 0.5) + 1),
+computed once per distinct df at build time (eager scoring, as in BM25S,
+Lu 2024). `postings` slices `docs` on lookup, so `len()` is the document
+frequency; no per-term array exists.
 A query concatenates its terms' slices of `docs` and `weights` in token
 order and sums per document with one `np.bincount`, which adds in input
 order, as a loop over query tokens and postings does: the scores are
@@ -20,6 +22,7 @@ hybrid from it; `bm25_rank` is the one-call form for library callers.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from collections.abc import Mapping
@@ -28,10 +31,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embed import EmbeddingMatrix, tokenize
+from .embed import _SENTINEL, EmbeddingMatrix, _tokens, tokenize
 from .ranking import RankedList, top_k
 
 _CHUNK = 8192  # postings per step of the weight computation
+_TEXTS = 16  # texts per tokenizing block; a larger one raises evaluate's peak
 K1 = 1.2  # BM25's tf saturation and length normalization: the standard
 B = 0.75  # values (Robertson & Zaragoza 2009)
 
@@ -78,10 +82,10 @@ class HybridConfig:
 
 
 class _Vocab(dict):
-    """term -> id, numbered in first-appearance order on first lookup."""
+    """term bytes -> id in first-appearance order; the sentinel is -1."""
 
-    def __missing__(self, term: str) -> int:
-        self[term] = term_id = len(self)
+    def __missing__(self, term: bytes) -> int:
+        self[term] = term_id = len(self) - 1
         return term_id
 
 
@@ -92,20 +96,25 @@ def bm25_build(texts: Iterable[str],
 
     `texts` is read once, in order; the number read is the doc count.
     """
-    vocab = _Vocab()
+    vocab = _Vocab({_SENTINEL: -1})
     term_ids = array("i")
-    lengths = array("q")
-    for text in texts:
-        tokens = tokenize(text)
-        lengths.append(len(tokens))
-        term_ids.extend(map(vocab.__getitem__, tokens))
-    n = len(lengths)
+    gaps = array("q")  # 1 + each doc's length
+    texts = iter(texts)
+    while block := list(itertools.islice(texts, _TEXTS)):
+        tokens = _tokens(block)
+        codes = np.fromiter(map(vocab.__getitem__, tokens), np.intc,
+                            len(tokens))
+        cuts = np.flatnonzero(codes < 0)
+        gaps.extend(np.diff(cuts, prepend=-1, append=len(codes)).tolist())
+        term_ids.frombytes(np.delete(codes, cuts).tobytes())
+    n = len(gaps)
     if n == 0:
         raise ValueError("cannot build a BM25 index over an empty corpus")
     ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
     if len(ids) != n:
         raise ValueError("ids and texts must have equal length")
-    doc_lengths = np.frombuffer(lengths, dtype=np.int64)
+    vocab = {term.decode(): i for term, i in vocab.items() if i >= 0}
+    doc_lengths = np.frombuffer(gaps, dtype=np.int64) - 1
     avg = int(doc_lengths.sum()) / n
     # one int64 key per token, term-major, so sorting groups each term's
     # docs; the int64 scalar keeps term_id * n from wrapping in int32
@@ -133,8 +142,10 @@ def bm25_build(texts: Iterable[str],
     # per doc, over fixed-size chunks of postings; no posting reads the
     # norm when every doc is empty (avg 0)
     norm = K1 * (1.0 - B + B * (doc_lengths / (avg or 1.0)))
-    weights = np.repeat([math.log((n - d + 0.5) / (d + 0.5) + 1.0)
-                         for d in df.tolist()], df)
+    dfs, term_df = np.unique(df, return_inverse=True)
+    idf = np.array([math.log((n - d + 0.5) / (d + 0.5) + 1.0)
+                    for d in dfs.tolist()])
+    weights = np.repeat(idf[term_df], df)
     for s in range(0, len(weights), _CHUNK):
         w, t = weights[s:s + _CHUNK], tf[s:s + _CHUNK]
         den = norm[docs[s:s + _CHUNK]]
@@ -143,7 +154,7 @@ def bm25_build(texts: Iterable[str],
         w /= den
     ptr = np.concatenate(([0], np.cumsum(df)))
     docs.setflags(write=False)  # `postings` hands out views of it
-    return Bm25Index(terms=dict(vocab), ptr=ptr, docs=docs, weights=weights,
+    return Bm25Index(terms=vocab, ptr=ptr, docs=docs, weights=weights,
                      doc_count=n, ids=ids)
 
 

@@ -7,29 +7,23 @@ substitute so the whole pipeline runs without any external model. Rows are
 kept as stored and divided by their L2 norm where they are read, so cosine
 similarity reduces to a dot product.
 
-`tokenize` (shared with BM25) keeps the maximal runs of `[^\W_]` of the
-lowercased text. For ASCII text it maps every ASCII non-alphanumeric
-character to a space with one `str.translate` and calls `str.split()`.
-That is exact: over ASCII, `[^\W_]` is `[A-Za-z0-9]`, and every ASCII
-whitespace character is non-alphanumeric, so the split returns exactly
-the runs the regex finds. Other text goes through the regex.
+`_tokens`, the package's one tokenizer (hashing, BM25 and queries), keeps
+the maximal runs of `[^\W_]` of the lowercased text as UTF-8 bytes. It
+reads a block of texts in one pass, each lowercased alone (a capital
+sigma's lowercase depends on the letters around it) and joined around
+the sentinel token `Q`, which no lowercased text holds. An ASCII block
+is split as bytes, one `bytes.translate` of every non-alphanumeric byte
+to a space and `bytes.split()`: exact, as over ASCII `[^\W_]` is
+`[A-Za-z0-9]` and every whitespace byte is non-alphanumeric. Any other
+block goes through the regex, each token then encoded (no run of
+`[^\W_]` holds a lone surrogate). `tokenize` is the one-text case, as `str`.
 
-The hashing embedder counts rows in blocks of at most 256 texts and
-tokenizes a block in one pass: each text is lowercased alone, as
-`tokenize` lowercases it (a capital sigma's lowercase depends on the
-letters around it), and the block is joined around the sentinel token
-`Q`, which no lowercased text holds, then split as one text by
-`tokenize`'s rule. An ASCII block is split as bytes (its UTF-8 encoding,
-one `bytes.translate` that maps every non-alphanumeric byte to a space,
-and `bytes.split()`, exact for the reason `tokenize`'s ASCII split is),
-so no `str` is made for any of its tokens; a block holding other text
-goes through the regex. Each token is looked up once in a table that
-hashes each distinct token on first use, as `str` or as bytes, from a
-copy of one blake2b state that has already taken the key; a token's code
-is the keyed blake2b of its UTF-8 bytes in either form, and the sentinel
-codes to -1 in both. A token's row is the number of sentinels before it.
-Each token is keyed `row * 2*dim + code`, and one `np.bincount` reshaped
-to (rows, dim, 2) gives every row's positive and negative counts.
+The hashing embedder counts rows in blocks of at most 256 texts. A table
+keyed by token bytes hashes each distinct token on first use, from a copy
+of one blake2b state that has already taken the key, and codes the
+sentinel to -1. A token's row is the number of sentinels before it; it
+is keyed `row * 2*dim + code`, and one `np.bincount` reshaped to (rows,
+dim, 2) gives every row's positive and negative counts.
 `hash_counts` fills an int8 matrix, an eighth of float64's size, that a
 block holding a larger count widens once to int16 or int32. A
 single-text `hash_embed` is a one-row block. Every count is a small
@@ -78,9 +72,7 @@ from .corpus import PaperRecord, build_text
 from .graph import _unique
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_ASCII_SPLIT = str.maketrans({c: " " for c in map(chr, range(128))
-                              if not c.isalnum()})
-# the same map over bytes; an ASCII block holds no byte above 127
+# every byte but an ASCII letter or digit to a space
 _BYTES_SPLIT = bytes(c if chr(c).isalnum() and c < 128 else 32
                      for c in range(256))
 _BLOCK = 256  # rows per counting block
@@ -88,17 +80,22 @@ _ROWS = 1024  # rows per parsing block of the TSV loader
 _SLICE = 512  # matrix rows per cosine slice: 1.5 MB at dim 384, within L2
 _PAIRED = 64  # widest value span the writer formats from a two-value table
 
-_SENTINEL = "Q"  # parts a block's texts: lower() leaves no text an upper Q
+_SENTINEL = b"Q"  # parts a block's texts: lower() leaves no text an upper Q
 
 DEFAULT_DIM = 384
 
 
+def _tokens(texts: Sequence[str]) -> list[bytes]:
+    """Every text's tokens in order as UTF-8 bytes, the sentinel between."""
+    joined = " Q ".join([text.lower() for text in texts])  # Q: _SENTINEL
+    if joined.isascii():
+        return joined.encode().translate(_BYTES_SPLIT).split()
+    return [token.encode() for token in _TOKEN_RE.findall(joined)]
+
+
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumerics (shared with BM25)."""
-    lowered = text.lower()
-    if lowered.isascii():
-        return lowered.translate(_ASCII_SPLIT).split()
-    return _TOKEN_RE.findall(lowered)
+    """Lowercase and split on non-alphanumerics: `_tokens` of one text."""
+    return list(map(bytes.decode, _tokens([text])))
 
 
 @dataclass
@@ -198,28 +195,24 @@ def _widened(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 class _TokenCodes(dict):
-    """token -> 2*bucket + (1 if the sign is +1 else 0), hashed on first use;
-    the sentinel token that parts a block's texts codes to -1.
-
-    A token is a key as `str` or, from an ASCII block, as its UTF-8
-    `bytes`; both hash the same bytes, so both forms of a token get the
-    same code. One instance serves one call, so nothing is shared between
-    callers.
+    """token bytes -> 2*bucket + (1 if the sign is +1 else 0), hashed on
+    first use; the sentinel token that parts a block's texts codes to -1.
+    One instance serves one call, so nothing is shared between callers.
     """
 
     def __init__(self, dim: int, seed: int) -> None:
         if dim < 1:
             raise ValueError("dim must be >= 1")
         import hashlib  # here, so commands that do not hash skip OpenSSL
-        super().__init__({_SENTINEL: -1, _SENTINEL.encode(): -1})
+        super().__init__({_SENTINEL: -1})
         self.dim = dim
         # the keyed state, copied for each new token: the key is hashed once
         self.keyed = hashlib.blake2b(
             key=int(seed).to_bytes(8, "little", signed=True), digest_size=9)
 
-    def __missing__(self, token: str | bytes) -> int:
+    def __missing__(self, token: bytes) -> int:
         state = self.keyed.copy()
-        state.update(token if type(token) is bytes else token.encode("utf-8"))
+        state.update(token)
         digest = state.digest()
         code = 2 * (int.from_bytes(digest[:8], "little") % self.dim) \
             + (digest[8] & 1)
@@ -228,16 +221,8 @@ class _TokenCodes(dict):
 
     def counts(self, texts: Sequence[str]) -> np.ndarray:
         """Signed token counts per bucket, one integer row of length dim
-        per text; at most `_BLOCK` texts keep the count array small.
-
-        The texts are tokenized in one pass: each is lowercased alone,
-        the block is joined around the sentinel token, which codes to -1,
-        and a token's row is the number of sentinels before it. An ASCII
-        block is split as bytes, with no `str` made per token.
-        """
-        joined = f" {_SENTINEL} ".join([text.lower() for text in texts])
-        tokens = (joined.encode().translate(_BYTES_SPLIT).split()
-                  if joined.isascii() else _TOKEN_RE.findall(joined))
+        per text; at most `_BLOCK` texts keep the count array small."""
+        tokens = _tokens(texts)
         codes = np.fromiter(map(self.__getitem__, tokens), dtype=np.intp,
                             count=len(tokens))
         rows, width = len(texts), 2 * self.dim

@@ -29,13 +29,16 @@ than k, after every kept node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .embed import EmbeddingMatrix
-from .gat import ScorerParams, relevance_scores
 from .graph import CitationGraph
 from .ranking import RankedItem, RankedList, top_k_indices
+
+if TYPE_CHECKING:  # gat loads with the first retrieval, not with the config
+    from .gat import ScorerParams
 
 
 @dataclass
@@ -92,6 +95,7 @@ def retrieve_subgraph(graph: CitationGraph, embeddings: EmbeddingMatrix,
                       query: np.ndarray, seed: int, scorer: ScorerParams,
                       config: RetrieverConfig) -> RetrievedSubgraph:
     """Expand and prune around the seed for up to `hops` rings."""
+    from .gat import relevance_scores
     if not 0 <= seed < graph.node_count:
         raise IndexError(f"seed index {seed} out of range")
     query = np.asarray(query, dtype=np.float64)

@@ -343,6 +343,37 @@ def oracle_bm25_loop(docs, query, k1=1.2, b=0.75):
     return scores
 
 
+def oracle_bm25_index(texts, k1=1.2, b=0.75):
+    """The BM25 CSR `(terms, ptr, docs, weights)` built one text at a time.
+
+    Each text's tokens (lowercased alphanumeric runs) get term ids in
+    first-appearance order; one int64 key per token, term * N + doc,
+    sorted, gives the postings, and each posting's weight is idf * tf /
+    (tf + norm[doc]) with the smoothed idf, in the arithmetic order the
+    package uses, so the arrays compare byte for byte.
+    """
+    terms, term_ids, lengths = {}, [], []
+    for text in texts:
+        tokens = re.findall(r"[^\W_]+", text.lower())
+        lengths.append(len(tokens))
+        term_ids.extend(terms.setdefault(t, len(terms)) for t in tokens)
+    n = len(lengths)
+    keys = (np.array(term_ids, dtype=np.int64) * n
+            + np.repeat(np.arange(n), lengths))
+    keys.sort()
+    run_keys, firsts = np.unique(keys, return_index=True)
+    docs = (run_keys % n).astype(np.int32)
+    df = np.bincount(run_keys // n, minlength=len(terms))
+    tf = np.diff(np.append(firsts, len(keys))).astype(np.int32)
+    dl = np.array(lengths, dtype=np.int64)
+    avg = dl.sum() / n
+    norm = k1 * (1.0 - b + b * (dl / (avg or 1.0)))
+    idf = np.repeat([math.log((n - d + 0.5) / (d + 0.5) + 1.0)
+                     for d in df.tolist()], df)
+    weights = idf * tf / (norm[docs] + tf)
+    return terms, np.concatenate(([0], np.cumsum(df))), docs, weights
+
+
 def oracle_hash_counts(text, dim, seed):
     """Signed feature-hash counts by a per-occurrence loop: every token
     (lowercased alphanumeric run) is hashed with blake2b keyed on the seed,

@@ -8,17 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citegraph import cli
-from citegraph.baselines import (B, K1, HybridConfig, bm25_build, bm25_rank,
-                                 bm25_scores, dense_rank, hybrid_rank,
-                                 hybrid_scores)
+from citegraph.baselines import (_TEXTS, B, K1, HybridConfig, bm25_build,
+                                 bm25_rank, bm25_scores, dense_rank,
+                                 hybrid_rank, hybrid_scores)
 from citegraph.embed import EmbeddingMatrix, embed_corpus, tokenize
 from citegraph.graph import build_graph
 from citegraph.corpus import PaperRecord, build_text
 from citegraph.ranking import (RankedItem, RankedList, top_k,
                                top_k_indices)
 from citegraph.retriever import select_seed
-from helpers import (evaluation_inputs, oracle_bm25_loop, oracle_cosine,
-                     oracle_top_k)
+from helpers import (evaluation_inputs, oracle_bm25_index, oracle_bm25_loop,
+                     oracle_cosine, oracle_top_k)
 
 FIVE_DOCS = [
     "graph attention networks for citation ranking",
@@ -150,6 +150,33 @@ def test_bm25_build_from_a_generator_equals_build_from_the_list(docs, query):
     text = " ".join(query)
     assert bm25_scores(streamed, text).tobytes() == \
         bm25_scores(listed, text).tobytes()
+
+
+# three full tokenizing blocks and a short fourth: empty texts close the
+# first block and open the third, the sentinel letter Q and q appear in
+# ASCII texts, and the one non-ASCII text, with a capital-sigma word, sits
+# in the second block, so that block alone takes the regex path
+BLOCK_TEXTS = ["" if i in (_TEXTS - 1, 2 * _TEXTS, 3 * _TEXTS + 2)
+               else "ΟΔΟΣ naïve Q graph qq Straße" if i == _TEXTS + 3
+               else f"w{i % 11} Graph-{i % 4} Q{i} q w{i % 11} x_{i % 3}"
+               for i in range(3 * _TEXTS + 3)]
+
+
+def test_bm25_build_across_blocks_equals_a_per_text_build():
+    index = bm25_build(text for text in BLOCK_TEXTS)
+    terms, ptr, docs, weights = oracle_bm25_index(BLOCK_TEXTS)
+    assert index.doc_count == len(BLOCK_TEXTS)
+    assert list(index.terms.items()) == list(terms.items())
+    assert {"οδος", "naïve", "q", "straße", "q2"} <= set(index.terms)
+    for got, want in ((index.ptr, ptr), (index.docs, docs),
+                      (index.weights, weights)):
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    tokens = [re.findall(r"[^\W_]+", t.lower()) for t in BLOCK_TEXTS]
+    for query in ("ΟΔΟΣ graph q", "Q5 w3 naïve x_1", "straße STRASSE w0 w0",
+                  BLOCK_TEXTS[_TEXTS + 3], BLOCK_TEXTS[7]):
+        expected = oracle_bm25_loop(
+            tokens, re.findall(r"[^\W_]+", query.lower()))
+        assert bm25_scores(index, query).tobytes() == expected.tobytes()
 
 
 def test_bm25_keys_past_int32_do_not_wrap():

@@ -1051,6 +1051,15 @@ def test_build_and_embed_load_no_later_stage(tmp_path, corpus_path):
     assert not later & embedded
 
 
+def test_lexical_evaluate_loads_no_scorer(corpus_path):
+    """bm25 and hybrid rank without the relevance scorer: checking the
+    retriever's --sigma and --hops loads the retriever, not gat."""
+    loaded = modules_loaded_by("evaluate", "--corpus", corpus_path,
+                               "--method", "bm25,hybrid")
+    assert {"citegraph.baselines", "citegraph.retriever"} <= loaded
+    assert "citegraph.gat" not in loaded
+
+
 def test_package_names_load_on_first_use():
     import citegraph
     from citegraph import RetrieverConfig, build_graph, verbalize_triplets

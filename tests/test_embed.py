@@ -13,9 +13,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from citegraph.corpus import PaperRecord, build_text
-from citegraph.embed import (EmbeddingMatrix, _TokenCodes, embed_corpus,
-                             hash_counts, hash_embed, load_embeddings,
-                             tokenize, write_embeddings)
+from citegraph.embed import (_SENTINEL, EmbeddingMatrix, _TokenCodes,
+                             _tokens, embed_corpus, hash_counts, hash_embed,
+                             load_embeddings, tokenize, write_embeddings)
 from citegraph.graph import build_graph
 
 from helpers import (oracle_cosine, oracle_hash_counts, oracle_hash_embed,
@@ -57,15 +57,35 @@ def test_tokenize_lowercase_nonalnum_split():
 # on), and non-ASCII letters, digits and spaces
 TOKEN_CHARS = (string.printable + "_\x00\x0b\x0c\x1c\x1d\x1e\x1f\x7f"
                + "éßİ東京٣\u00a0\u2028")
+TOKEN_TEXTS = st.one_of(st.text(st.characters(max_codepoint=127)),
+                        st.text(st.sampled_from(TOKEN_CHARS)), st.text())
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=st.one_of(st.text(st.characters(max_codepoint=127)),
-                      st.text(st.sampled_from(TOKEN_CHARS)), st.text()))
+@given(text=TOKEN_TEXTS)
 @example(text="Graph_Attention\x0bNETS\x1c2024\x1fx1-y2")
 @example(text="naïve Straße, İstanbul_東京 ٣4")
 def test_tokenize_equals_regex_runs(text):
     assert tokenize(text) == re.findall(r"[^\W_]+", text.lower())
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(TOKEN_TEXTS, min_size=1, max_size=8))
+@example(texts=["Graph_Attention\x0bNETS", "", "QQ q Q", "ΟΔΟΣ Σ naïve"])
+@example(texts=["QQ q Q", "x_Q\x1cq", ""])
+@example(texts=["", ""])
+def test_block_tokens_cut_at_the_sentinel_are_each_texts_tokens(texts):
+    """One block's tokens, cut at the sentinel, are each text's tokens:
+    a block of only ASCII texts (split as bytes) and one holding any
+    other text (split by the regex) alike."""
+    parts = [[]]
+    for token in _tokens(texts):
+        if token == _SENTINEL:
+            parts.append([])
+        else:
+            parts[-1].append(token.decode())
+    assert parts == [tokenize(text) for text in texts]
+    assert parts == [re.findall(r"[^\W_]+", t.lower()) for t in texts]
 
 
 def test_load_embeddings_aligns_and_normalizes(tmp_path):
@@ -250,7 +270,7 @@ tricky_texts = st.one_of(
 @example(pool=["QQ q Q", "ΟΔΟΣ Σ", "\u212a K k", "İi", "", "_Q_"],
          rows=600, step=5, dim=16, seed=0)
 # a block of 256 ASCII rows, split as bytes, then a non-ASCII row sharing
-# their words: one table holds bytes and str keys for the same tokens
+# their words, split by the regex: both reach the table as the same bytes
 @example(pool=["Graph attention graph Q"] * 256 + ["graph attention naïve"],
          rows=257, step=1, dim=16, seed=0)
 def test_block_counts_equal_a_per_text_loop(pool, rows, step, dim, seed):
