@@ -68,11 +68,11 @@ _SETTINGS = {
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Check the parsed settings of a command; a setting the command has
-    no flag for is not checked. The config classes own sigma, hops and
-    alpha, name the flag in their errors, and are built here once,
-    each only for the commands that take it, so `build`, `embed` and
-    `train` load none of the modules that define them.
+    """Check the parsed settings of a command (one it has no flag for is
+    not checked) and parse `evaluate`'s --method list into `args.methods`.
+    The config classes own sigma, hops and alpha, name the flag in their
+    errors, and are built here once, each only for the commands that take
+    it, so `build`, `embed` and `train` load none of their modules.
     """
     settings = vars(args)
     if not 0 <= settings.get("seed", 0) < 2 ** 63:
@@ -89,8 +89,20 @@ def _validate(args: argparse.Namespace) -> None:
         if args.command == "evaluate":
             from .baselines import HybridConfig
             args.hybrid = HybridConfig(alpha=args.alpha)
+            args.methods = _checked_methods(
+                [m.strip() for m in args.method.split(",") if m.strip()])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _checked_methods(methods: Sequence[str]) -> Sequence[str]:
+    if not methods:
+        raise UsageError("no methods requested")
+    for method in methods:
+        if method not in METHODS:
+            raise UsageError(f"unknown method {method!r}; "
+                             f"choose from {', '.join(METHODS)}")
+    return methods
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -139,11 +151,9 @@ def _write_json(path: str, obj) -> None:
 def eligible_queries(graph, embeddings) -> tuple[list[int], int]:
     """Indices usable as evaluation queries, plus the excluded count.
 
-    A paper qualifies when it has at least one in-corpus citation (the
-    ground truth; a record never cites itself, so that is an out-edge)
-    and a non-degenerate embedding row, one whose stored norm is positive
-    and finite (a norm that overflows to inf makes the unit row zero);
-    everything else is excluded and counted.
+    A paper qualifies when it cites a corpus paper (an out-edge: a record
+    never cites itself) and its embedding row has a positive, finite norm,
+    as every nonzero finite row has; the rest are excluded and counted.
     """
     norms = embeddings.norms
     ok = (np.diff(graph.out_indptr) > 0) & (norms > 0.0) & (norms < np.inf)
@@ -217,10 +227,7 @@ def evaluate_corpus(records, *, graph, embeddings, bm25,
     from . import baselines, metrics
     from . import retriever as retrievermod
     from .ranking import top_k
-    for method in methods:
-        if method not in METHODS:
-            raise UsageError(f"unknown method {method!r}; "
-                             f"choose from {', '.join(METHODS)}")
+    _checked_methods(methods)
     if scorer is None and any(m in _ATTN_METHODS for m in methods):
         raise UsageError("attn needs a trained scorer: pass --weights "
                          "(written by train)")
@@ -421,10 +428,7 @@ def cmd_retrieve(args) -> int:
 def cmd_evaluate(args) -> int:
     from . import baselines, metrics
     _require(args, "corpus")
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
-    if not methods:
-        raise UsageError("no methods requested")
-    prunes = any(m in _ATTN_METHODS for m in methods)
+    prunes = any(m in _ATTN_METHODS for m in args.methods)
     if prunes:
         _require(args, "weights")
     if args.per_query and not args.output:
@@ -434,7 +438,7 @@ def cmd_evaluate(args) -> int:
     # BM25 first: its build temporaries are freed before the embeddings load
     bm25 = (baselines.bm25_build(map(corpus.build_text, records),
                                  ids=[r.id for r in records])
-            if {"bm25", "hybrid"} & set(methods) else None)
+            if {"bm25", "hybrid"} & set(args.methods) else None)
     graph = graphmod.build_graph(records)
     embeddings = _get_embeddings(args, records, graph)
     scorer = None
@@ -442,10 +446,10 @@ def cmd_evaluate(args) -> int:
         from . import gat
         scorer = gat.load_weights(args.weights, width=embeddings.dim,
                                   hash_seed=_hash_seed(args))
-    client = _llm_client(args) if "attn+llm" in methods else None
+    client = _llm_client(args) if "attn+llm" in args.methods else None
     result = evaluate_corpus(
         records, graph=graph, embeddings=embeddings, bm25=bm25,
-        methods=methods, k=args.k, retriever=args.retriever,
+        methods=args.methods, k=args.k, retriever=args.retriever,
         hybrid=args.hybrid, seed=args.seed, subset=args.subset,
         llm_subset=args.llm_subset, scorer=scorer, llm_client=client,
         llm_model=args.model)
@@ -554,7 +558,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _endpoint_error() as exc:
+    except BrokenPipeError as exc:  # a closed stdout, not the network
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ConnectionError as exc:  # rerank.EndpointError
         print(f"network error: {exc}", file=sys.stderr)
         return EXIT_NETWORK
     except (OSError, ValueError, KeyError, MemoryError) as exc:
@@ -563,13 +570,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         if was_enabled:
             gc.enable()
-
-
-def _endpoint_error() -> type[Exception] | tuple:
-    """rerank.EndpointError once rerank has loaded, else an empty tuple
-    (which matches nothing): nothing raises it before rerank loads."""
-    rerank = sys.modules.get(f"{__package__}.rerank")
-    return rerank.EndpointError if rerank is not None else ()
 
 
 def entry() -> None:

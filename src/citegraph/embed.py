@@ -103,7 +103,8 @@ class EmbeddingMatrix:
     """Embedding rows aligned with a graph's node order, kept as stored.
 
     `ids[i]` names the paper whose row is `vectors[i]`: integer rows (hash
-    counts) stay integers and other rows are float64. `norms[i]` is row
+    counts) stay integers and other rows float64, scaled by a power of two
+    where too small or large to square (`_in_range`). `norms[i]` is row
     i's L2 norm; `row`, `rows` and `scores` divide each row they read by
     it, so a row's dot product with a unit query is its cosine. Zero rows
     (papers with no usable text) stay zero and score 0 against everything.
@@ -116,11 +117,11 @@ class EmbeddingMatrix:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vectors)
-        self.vectors = v if v.dtype.kind in "iu" else v.astype(np.float64, copy=False)
-        if self.vectors.ndim != 2 or self.vectors.shape != (len(self.ids), self.dim):
-            raise ValueError(
-                f"vectors must be ({len(self.ids)}, {self.dim}), "
-                f"got {self.vectors.shape}")
+        if v.shape != (len(self.ids), self.dim):
+            raise ValueError(f"vectors must be ({len(self.ids)}, {self.dim}), "
+                             f"got {v.shape}")
+        self.vectors = v if v.dtype.kind in "iu" else _in_range(
+            v.astype(np.float64, copy=False))
         # in blocks, so the float64 squares stay a small copy of the matrix
         self.norms = np.empty(len(self.ids))
         for start in range(0, len(self.ids), _BLOCK):
@@ -154,10 +155,11 @@ class EmbeddingMatrix:
         q = np.asarray(query, dtype=np.float64)
         if q.ndim not in (1, 2) or q.shape[-1] != self.dim:
             raise ValueError(f"query must have dimension {self.dim}, got {q.shape}")
-        norms = [np.linalg.norm(v) for v in q.reshape(-1, self.dim)]
+        queries = _in_range(q.reshape(-1, self.dim))  # scaled like the rows
+        norms = [np.linalg.norm(v) for v in queries]
         if 0.0 in norms:
             raise ValueError("degenerate query: zero vector")
-        units = [v / qn for v, qn in zip(q.reshape(-1, self.dim), norms)]
+        units = [v / qn for v, qn in zip(queries, norms)]
         n = self.node_count
         out = np.empty((len(units), n))
         # numpy scores a one-row slice as a vector dot product, not with the
@@ -171,6 +173,20 @@ class EmbeddingMatrix:
                 np.matmul(unit_rows, unit, out=row[start:stop])
         np.clip(out, -1.0, 1.0, out=out)
         return out if q.ndim == 2 else out[0]
+
+
+def _in_range(vectors: np.ndarray) -> np.ndarray:
+    """`vectors`, or a copy whose rows too small or large to square (peak
+    outside [2**-501, 2**500)) are scaled by 2**k to a peak in [2**499,
+    2**500). No unit row changes: the scaling is exact but for values it
+    takes below 2**-1021, which divide by the norm (over 2**499) to 0."""
+    exps = np.frexp(np.maximum(vectors.max(axis=1, initial=0.0),  # no copy
+                               -vectors.min(axis=1, initial=0.0)))[1]
+    far = np.flatnonzero(abs(exps) > 500)  # a zero row's exponent is 0
+    if len(far):
+        vectors = vectors.copy()  # the caller's array stays as given
+        vectors[far] = np.ldexp(vectors[far], 500 - exps[far, None])
+    return vectors
 
 
 def _unit(rows: np.ndarray, norms: np.ndarray, out=None) -> np.ndarray:

@@ -102,21 +102,14 @@ def per_query_metrics(run: Mapping[str, RankedList],
 
 def report_from_rows(rows: Sequence[dict], k: int,
                      excluded_count: int) -> EvalReport:
-    """Mean metrics over `per_query_metrics` rows, one per included query."""
+    """Mean metrics over `per_query_metrics` rows, one per included query:
+    each an exact sum (`math.fsum`) over n, as `statistics.fmean` gives."""
     if not rows:
         raise ValueError("no evaluable queries (all had empty relevant sets)")
     n = len(rows)
-    means = {key: sum(row[key] for row in rows) / n
-             for key in ("recall", "precision", "rr", "ndcg")}
-    return EvalReport(
-        k=k,
-        recall_at_k=means["recall"],
-        precision_at_k=means["precision"],
-        mrr=means["rr"],
-        ndcg_at_k=means["ndcg"],
-        query_count=n,
-        excluded_count=excluded_count,
-    )
+    means = [math.fsum(row[key] for row in rows) / n  # in field order
+             for key in ("recall", "precision", "rr", "ndcg")]
+    return EvalReport(k, *means, query_count=n, excluded_count=excluded_count)
 
 
 def write_per_query_csv(path: str, rows: Sequence[dict]) -> None:
@@ -124,5 +117,4 @@ def write_per_query_csv(path: str, rows: Sequence[dict]) -> None:
         writer = csv.DictWriter(
             fh, fieldnames=["query_id", "recall", "precision", "rr", "ndcg"])
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)

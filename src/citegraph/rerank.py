@@ -33,7 +33,7 @@ MAX_TOKENS = 512
 TEMPERATURE = 0.0  # deterministic output is required for testing
 
 
-class EndpointError(Exception):
+class EndpointError(ConnectionError):
     """The chat endpoint is unreachable, misconfigured, or kept failing."""
 
 

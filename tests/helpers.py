@@ -12,6 +12,8 @@ import io
 import json
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -223,12 +225,22 @@ def oracle_loss_and_gradient(u, b, X, y):
     return loss, X.T @ residual, float(residual.sum())
 
 
-def oracle_cosine(u, v):
-    """Cosine similarity as one straight-line formula; 0 when either
-    vector is zero."""
-    u = np.asarray(u, dtype=np.float64)
+def _peak_scaled(v):
+    """`v` in float64 times 2**-e, and e: 2**e is the power of two just
+    above its largest magnitude (`math.frexp`), 0 for a zero vector."""
     v = np.asarray(v, dtype=np.float64)
-    norms = math.sqrt(float(u @ u)) * math.sqrt(float(v @ v))
+    e = math.frexp(float(np.abs(v).max(initial=0.0)))[1]
+    return np.ldexp(v, -e), e
+
+
+def oracle_cosine(u, v):
+    """Cosine similarity as one straight-line formula, over the two
+    vectors scaled by powers of two (no cosine changes) to a largest
+    magnitude in [0.5, 1), with `math.hypot` norms: nothing underflows or
+    overflows, however small or large the values. 0 when either vector is
+    zero."""
+    u, v = _peak_scaled(u)[0], _peak_scaled(v)[0]
+    norms = math.hypot(*u) * math.hypot(*v)
     return float(u @ v) / norms if norms > 0.0 else 0.0
 
 
@@ -240,15 +252,24 @@ def oracle_scores(vectors, query):
 
 
 def oracle_unit_rows(vectors):
-    """Each row divided, one row at a time, by its L2 norm as numpy's row
-    reduction `np.linalg.norm(row[None], axis=1)` gives it, in float64;
-    a zero row stays zero. For integer rows whose sums of squares stay
-    below 2**53 that norm is exact, so it equals `np.linalg.norm(row)`."""
+    """Each row divided, one row at a time, by its L2 norm, in float64 and
+    rounded once; a zero row stays zero. The norm is numpy's row reduction
+    `np.linalg.norm(s[None], axis=1)` of the row scaled to s = row * 2**-e,
+    whose largest magnitude is in [0.5, 1), times 2**e, so no square
+    underflows or overflows. Where that norm is not a normal float, each
+    value is divided by it as an exact fraction, keeping its sign. For
+    integer rows whose sums of squares stay below 2**53 the norm is
+    exact."""
     out = np.array(vectors, dtype=np.float64)
     for row in out:
-        norm = np.linalg.norm(row[None], axis=1)[0]
-        if norm > 0.0:
-            row /= norm
+        scaled, e = _peak_scaled(row)
+        norm = Fraction(np.linalg.norm(scaled[None], axis=1)[0])
+        norm *= Fraction(2) ** e  # exact, whatever e is
+        if 2.0 ** -1022 <= norm <= sys.float_info.max:
+            row /= float(norm)
+        elif norm > 0:
+            row[:] = [math.copysign(float(Fraction(x) / norm), x)
+                      for x in row]
     return out
 
 
@@ -308,12 +329,13 @@ def oracle_top_k(scores, k, candidates=None):
 
 def oracle_eligible_queries(records, index_of, vectors):
     """Per-record loop: a paper qualifies when one of its citations is a
-    corpus id and its embedding row has a non-zero norm; the rest are
+    corpus id and its embedding row has a positive, finite norm
+    (`math.hypot`, which neither underflows nor overflows); the rest are
     counted as excluded."""
     eligible, excluded = [], 0
     for i, record in enumerate(records):
         has_relevant = any(c in index_of for c in record.citations)
-        if has_relevant and np.linalg.norm(vectors[i]) > 0.0:
+        if has_relevant and 0.0 < math.hypot(*vectors[i].tolist()) < math.inf:
             eligible.append(i)
         else:
             excluded += 1

@@ -480,6 +480,17 @@ def test_allocation_past_the_address_space_is_data_error(
     assert not (tmp_path / "w.json").exists()
 
 
+def test_evaluate_method_is_checked_before_any_file_is_read(tmp_path,
+                                                           capsys):
+    """--method is parsed and checked with the other settings: the corpus
+    path does not exist, and the run exits 1 naming the method."""
+    assert run_cli("evaluate", "--corpus", tmp_path / "absent.jsonl",
+                   "--method", "dense,sorcery") == 1
+    assert capsys.readouterr().err == (
+        "usage error: unknown method 'sorcery'; choose from bm25, dense, "
+        "hybrid, attn, attn+llm\n")
+
+
 def test_evaluate_per_query_without_output_is_usage_error(corpus_path,
                                                           capsys):
     assert run_cli("evaluate", "--corpus", corpus_path, "--method", "dense",
@@ -914,6 +925,21 @@ def test_rerank_without_endpoint_is_network_error(corpus_path, weights,
                    "--sigma", "0.0", "--dim", "48", "--weights", weights,
                    "--rerank") == 3
     assert "network error:" in capsys.readouterr().err
+
+
+class ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_write_to_a_closed_pipe_is_data_error(tmp_path, corpus_path,
+                                              monkeypatch, capsys):
+    """A closed stdout raises BrokenPipeError, a ConnectionError that no
+    chat endpoint raised: it exits 2 as a data error, not 3."""
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run_cli("build", "--corpus", corpus_path,
+                   "--output", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "data error: [Errno 32] Broken pipe\n"
 
 
 def test_evaluate_single_method(tmp_path, corpus_path, capsys):

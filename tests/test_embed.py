@@ -161,6 +161,55 @@ def test_load_embeddings_header_only_is_value_error(tmp_path):
             load_embeddings(str(path), g)
 
 
+# what a header or a row is made of: ids, numbers the loader must take or
+# refuse, empty fields, and whitespace that `str.split` and line reading
+# treat unlike a tab or a newline
+LOADER_IDS = ["p0", "p1", "p2", "ghost", "é", "", "0", "2"]
+LOADER_PIECES = ["0", "1", "-3", "2", "-0", "2.5", "nan", "inf", "-1e400",
+                 "1e-320", "1e200", "", "\t", "\r", "\x0b", "\x0c", "\x1c",
+                 "\x85", "\u00e9t\u00e9", " "]
+
+
+@st.composite
+def embedding_files(draw):
+    """The bytes of an embeddings TSV, from a header and rows of pieces
+    joined by tabs, ending with or without a newline and non-UTF-8 bytes."""
+    field = st.lists(st.sampled_from(LOADER_PIECES), max_size=2).map("".join)
+
+    def line(first):
+        return "\t".join([draw(first), *draw(st.lists(field, max_size=3))])
+
+    lines = [line(st.sampled_from(["0", "1", "2", "3", "-1", "2.5", ""]))]
+    lines += [line(st.sampled_from(LOADER_IDS))
+              for _ in range(draw(st.integers(0, 5)))]
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    return text.encode() + draw(st.sampled_from([b"", b"\xff", b"\xc3",
+                                                 b"\x80\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=embedding_files())
+@example(raw=b"2\t1\np1\t-0\np0\t1e-320\n")
+@example(raw=b"3\t2\np0\t1\t2\nghost\t2.5\t-3\np1\t0\t0\n")
+def test_load_embeddings_returns_aligned_rows_or_value_error(raw):
+    """Any file loads as a matrix aligned to the graph, of finite rows
+    with finite norms, or fails with a ValueError that says why."""
+    graph = small_graph(["p0", "p1"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "emb.tsv")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            matrix = load_embeddings(path, graph)
+        except ValueError as exc:
+            assert str(exc)
+            return
+    assert matrix.ids == graph.node_ids
+    assert matrix.vectors.shape == (graph.node_count, matrix.dim)
+    assert np.isfinite(matrix.vectors).all()
+    assert np.isfinite(matrix.norms).all()
+
+
 def test_write_then_load_round_trip(tmp_path):
     records = [PaperRecord(id=f"p{i}", title=f"title {i} words")
                for i in range(5)]
@@ -342,29 +391,53 @@ INT_KINDS = {t: st.integers(np.iinfo(t).min, np.iinfo(t).max)
              for t in (np.int8, np.int16, np.int32)}
 
 
+@st.composite
+def unit_row_cases(draw):
+    """Random integer or float rows, up to three of them zero, an index
+    list into them and a query."""
+    n, dim = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from([np.int8, np.int16, np.int32, np.float64]))
+    values = INT_KINDS.get(kind, st.floats(-1e100, 1e100))
+    vectors = np.array(draw(st.lists(values, min_size=n * dim,
+                                     max_size=n * dim)),
+                       dtype=kind).reshape(n, dim)
+    vectors[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0
+    idx = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    query = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=dim,
+                                   max_size=dim)))
+    return vectors, idx, query
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(1, 40), dim=st.integers(1, 6),
-       kind=st.sampled_from([np.int8, np.int16, np.int32, np.float64]))
-def test_unit_rows_and_scores_match_oracles(data, n, dim, kind):
+@given(case=unit_row_cases())
+# rows whose squares underflow, to 0 or to a few digits, a subnormal row
+# and rows whose squares overflow, one with a subnormal unit value: each
+# is scaled before its norm
+@example(case=(np.array([[0.0], [5.98302442205159e-162]]), [1, 0],
+               np.array([1.0])))
+@example(case=(np.array([[5.407816096390033e-163]]), [0], np.array([1.0])))
+@example(case=(np.array([[1e-320, -3e-321], [0.5, 0.25]]), [0, 1],
+               np.array([1.0, 1.0])))
+@example(case=(np.array([[1e200, -3e199],
+                         [2.4375671040207424e+288, 1.1855884626713777e-32]]),
+               [0, 1], np.array([1.0, -2.0])))
+@example(case=(np.array([[1, 1]], dtype=np.int8), [0],
+               np.array([0.0, 1.6e-161])))  # so can the query's
+def test_unit_rows_and_scores_match_oracles(case):
     """Random integer and float rows, zero rows among them: `rows` of any
     index list and `row` are bit-equal to each row divided by its L2
-    norm, and `scores` matches the straight-line cosine to 1e-12."""
-    values = INT_KINDS.get(kind, st.floats(-1e100, 1e100))
-    vectors = np.array(data.draw(st.lists(values, min_size=n * dim,
-                                          max_size=n * dim)),
-                       dtype=kind).reshape(n, dim)
-    vectors[data.draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0
+    norm, and `scores` matches the straight-line cosine to 1e-12 for any
+    nonzero query."""
+    vectors, idx, query = case
+    n, dim = vectors.shape
     matrix = EmbeddingMatrix(ids=tuple(f"p{i}" for i in range(n)),
                              vectors=vectors, dim=dim)
-    assert matrix.vectors.dtype == kind
-    idx = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    assert matrix.vectors.dtype == vectors.dtype
     expected = oracle_unit_rows(vectors)
     assert matrix.rows(idx).tobytes() == expected[idx].tobytes()
     for i in range(n):
         assert matrix.row(i).tobytes() == expected[i].tobytes()
-    query = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=dim,
-                                        max_size=dim)))
-    assume(np.linalg.norm(query) > 0.0)
+    assume(query.any())
     got = matrix.scores(query)
     for i in range(n):
         assert got[i] == pytest.approx(oracle_cosine(vectors[i], query),
@@ -475,7 +548,8 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def check_load_matches_normalized_source(source, order, extra, blank_every):
     """Rows written in `order`, plus `extra` ids outside the graph and a
     blank line after every `blank_every` rows, load bit-equal to the
-    source divided row by row by its L2 norm."""
+    source divided row by row by its L2 norm, taken without underflow or
+    overflow (`oracle_unit_rows`)."""
     n, dim = source.shape
     ids = [f"p#{i}" for i in range(n)]
     lines = [f"{n + len(extra)}\t{dim}"]
@@ -484,18 +558,13 @@ def check_load_matches_normalized_source(source, order, extra, blank_every):
         lines.append(pid + "\t" + "\t".join(repr(float(x)) for x in row))
         if (j + 1) % blank_every == 0:
             lines.append("")
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(source, axis=1)
-    expected = source.copy()
-    expected[norms > 0.0] /= norms[norms > 0.0, None]
-    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
-        # a norm overflows to inf near 1e308, alike on both sides
+    with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "emb.tsv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         loaded = load_embeddings(path, small_graph(ids))
     assert loaded.ids == tuple(ids)
-    assert unit_rows(loaded).tobytes() == expected.tobytes()
+    assert unit_rows(loaded).tobytes() == oracle_unit_rows(source).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -555,15 +624,12 @@ def test_integer_tokens_load_bit_equal_to_float_parse(data, dim, n, seed,
     for _ in range(data.draw(st.integers(0, 2))):
         lines.insert(data.draw(st.integers(1, len(lines))),
                      data.draw(st.sampled_from(["", " ", "\t "])))
-    expected = np.array([[float(t) for t in row] for row in rows])
-    with np.errstate(over="ignore"):  # a norm near 1e308 overflows alike
-        norms = np.linalg.norm(expected, axis=1)
-        expected[norms > 0.0] /= norms[norms > 0.0, None]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "emb.tsv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(("\r\n" if crlf else "\n").join(lines) + "\n")
-            loaded = load_embeddings(path, small_graph(ids))
+    expected = oracle_unit_rows([[float(t) for t in row] for row in rows])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "emb.tsv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(("\r\n" if crlf else "\n").join(lines) + "\n")
+        loaded = load_embeddings(path, small_graph(ids))
     assert unit_rows(loaded).tobytes() == expected.tobytes()
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 
 import pytest
 
@@ -218,6 +219,20 @@ def test_evaluate_matches_oracle_on_random_fixture():
     assert report.mrr == pytest.approx(sum(expected["rr"]) / 20, abs=1e-9)
     assert report.ndcg_at_k == pytest.approx(
         sum(expected["ndcg"]) / 20, abs=1e-9)
+
+
+def test_report_mean_is_the_correctly_rounded_mean():
+    """The mean of these 16 values sits just below 0.6453125, which
+    `round(x, 6)` turns into 0.645312; a left-to-right sum lands one ulp
+    above the float nearest the mean and reports 0.645313, while the exact
+    sum gives the mean that `statistics.fmean` gives."""
+    values = [0.4, 0.0, 0.5, 1.0, 1.0, 0.5, 0.6, 0.7, 2 / 3, 1.0, 0.75,
+              2 / 3, 1.0, 1.0, 1 / 6, 0.375]
+    rows = [{"query_id": f"q{i}", "recall": v, "precision": v, "rr": v,
+             "ndcg": v} for i, v in enumerate(values)]
+    report = report_from_rows(rows, 10, 0)
+    assert report.recall_at_k == statistics.fmean(values)
+    assert report.to_json_dict()["recall_at_k"] == 0.645312
 
 
 def test_per_query_rows_and_report_json():
