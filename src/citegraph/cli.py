@@ -152,11 +152,10 @@ def eligible_queries(graph, embeddings) -> tuple[list[int], int]:
     """Indices usable as evaluation queries, plus the excluded count.
 
     A paper qualifies when it cites a corpus paper (an out-edge: a record
-    never cites itself) and its embedding row has a positive, finite norm,
-    as every nonzero finite row has; the rest are excluded and counted.
+    never cites itself) and its embedding row is not zero (a positive
+    norm); the rest are excluded and counted.
     """
-    norms = embeddings.norms
-    ok = (np.diff(graph.out_indptr) > 0) & (norms > 0.0) & (norms < np.inf)
+    ok = (np.diff(graph.out_indptr) > 0) & (embeddings.norms > 0.0)
     eligible = np.flatnonzero(ok).tolist()
     return eligible, len(ok) - len(eligible)
 
@@ -344,14 +343,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    _require(args, "corpus")
+    _require(args, "corpus", "output")
     records, _ = _load_corpus(args.corpus)
-    if args.embeddings:
-        matrix = embed.load_embeddings(args.embeddings,
-                                       graphmod.build_graph(records))
-        print(f"embeddings ok: {matrix.node_count} rows, dim={matrix.dim}")
-        return EXIT_OK
-    _require(args, "output")
     embed.write_embeddings(args.output, [r.id for r in records],
                            embed.hash_counts(records, args.dim, args.seed))
     print(f"wrote {len(records)} hash embeddings (dim={args.dim}) "
@@ -379,13 +372,22 @@ def cmd_train(args) -> int:
 
 
 def _query_vector(args, graph, embeddings):
-    """The query's id, vector and node index (None for free text)."""
+    """The query's id, vector and node index (None for free text); a zero
+    vector, which has no cosine to any paper, is rejected naming its cause."""
     if args.paper_id is None:
-        return "query", embed.hash_embed(args.query, dim=args.dim,
-                                         seed=args.seed), None
+        query = embed.hash_embed(args.query, dim=args.dim, seed=args.seed)
+        if not query.any():
+            raise ValueError("degenerate query: the query text embeds to the "
+                             "zero vector (it has no tokens, or their signed "
+                             "hash counts cancel)")
+        return "query", query, None
     if args.paper_id not in graph.index_of:
         raise ValueError(f"unknown paper id {args.paper_id!r}")
     node = graph.index_of[args.paper_id]
+    if embeddings.norms[node] == 0:
+        raise ValueError(f"degenerate query: paper {args.paper_id!r} has a "
+                         "zero embedding row (its text hashes to nothing, "
+                         "or its row in the embeddings file is zero)")
     return args.paper_id, embeddings.row(node), node
 
 
@@ -506,8 +508,8 @@ def _build_parser() -> _Parser:
     _add_common(p, "corpus", "output")
     p.set_defaults(func=cmd_build)
 
-    p = subs.add_parser("embed", help="hash-embed the corpus or validate a TSV")
-    _add_common(p, "corpus", "embeddings", "output", "dim", "seed")
+    p = subs.add_parser("embed", help="hash-embed the corpus")
+    _add_common(p, "corpus", "output", "dim", "seed")
     p.set_defaults(func=cmd_embed)
 
     p = subs.add_parser("train", help="train the relevance scorer")

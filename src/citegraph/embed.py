@@ -103,8 +103,9 @@ class EmbeddingMatrix:
     """Embedding rows aligned with a graph's node order, kept as stored.
 
     `ids[i]` names the paper whose row is `vectors[i]`: integer rows (hash
-    counts) stay integers and other rows float64, scaled by a power of two
-    where too small or large to square (`_in_range`). `norms[i]` is row
+    counts) stay integers and other rows float64, which must be finite,
+    scaled by a power of two where too small or large to square
+    (`_in_range`), so every norm is finite. `norms[i]` is row
     i's L2 norm; `row`, `rows` and `scores` divide each row they read by
     it, so a row's dot product with a unit query is its cosine. Zero rows
     (papers with no usable text) stay zero and score 0 against everything.
@@ -120,8 +121,12 @@ class EmbeddingMatrix:
         if v.shape != (len(self.ids), self.dim):
             raise ValueError(f"vectors must be ({len(self.ids)}, {self.dim}), "
                              f"got {v.shape}")
-        self.vectors = v if v.dtype.kind in "iu" else _in_range(
-            v.astype(np.float64, copy=False))
+        if v.dtype.kind not in "iu":
+            v = v.astype(np.float64, copy=False)
+            if not np.isfinite(v).all():
+                raise ValueError("embedding vectors must be finite")
+            v = _in_range(v)
+        self.vectors = v
         # in blocks, so the float64 squares stay a small copy of the matrix
         self.norms = np.empty(len(self.ids))
         for start in range(0, len(self.ids), _BLOCK):

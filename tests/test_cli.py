@@ -185,12 +185,13 @@ def test_config_is_an_unrecognised_argument(tmp_path, corpus_path, weights,
 @pytest.mark.parametrize("command, flag", [
     ("evaluate", "--k1 1.2"), ("evaluate", "--b 0.75"),
     ("build", "--edge-list"), ("evaluate", "--no-dense-fallback"),
-    ("retrieve", "--dense-fallback")])
+    ("retrieve", "--dense-fallback"), ("embed", "--embeddings emb.tsv")])
 def test_retired_flag_is_unrecognised_even_at_its_one_value(
         tmp_path, corpus_path, capsys, command, flag):
     """BM25's k1 and b, the text edge list and the dense fill have no
     flag: passing the one value each took exits 1 before any file is
-    written."""
+    written. Nor does `embed` validate a TSV: the commands that read one
+    check it."""
     out = tmp_path / "out"
     assert run_cli(command, "--corpus", corpus_path, "--output", out,
                    *flag.split()) == 1
@@ -240,66 +241,90 @@ def test_evaluate_baselines_never_read_weights(tmp_path, corpus_path):
             path.read_bytes(), path.name
 
 
-def test_embed_write_then_validate(tmp_path, corpus_path, capsys):
-    tsv = tmp_path / "emb.tsv"
+def test_train_reads_the_tsv_embed_writes(tmp_path, corpus_path, capsys):
+    tsv, out = tmp_path / "emb.tsv", tmp_path / "w.json"
     assert run_cli("embed", "--corpus", corpus_path, "--output", tsv,
                    "--dim", "32") == 0
     assert tsv.exists()
-    assert run_cli("embed", "--corpus", corpus_path,
-                   "--embeddings", tsv) == 0
-    assert "embeddings ok: 18 rows, dim=32" in capsys.readouterr().out
+    assert run_cli("train", "--corpus", corpus_path, "--embeddings", tsv,
+                   "--output", out) == 0
+    assert "trained scorer on 3 queries" in capsys.readouterr().out
+    assert load_weights(str(out), width=32).u.shape == (64,)
 
 
-def test_embed_validation_failure(tmp_path, corpus_path):
+def test_train_rejects_a_malformed_embeddings_tsv(tmp_path, corpus_path):
     tsv = tmp_path / "emb.tsv"
     tsv.write_text("1\t2\nonly_one\t0.5\t0.5\n")
-    assert run_cli("embed", "--corpus", corpus_path,
-                   "--embeddings", tsv) == 2
+    assert run_cli("train", "--corpus", corpus_path, "--embeddings", tsv,
+                   "--output", tmp_path / "w.json") == 2
+    assert not (tmp_path / "w.json").exists()
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_embed_nonfinite_value_is_data_error(tmp_path, corpus_path, capsys,
-                                             bad):
+def write_bad_tsv(tmp_path, corpus_path, edit):
+    """The 4-wide TSV `embed` writes for the corpus, its lines (header
+    first) passed through `edit`; returns the path and the id of line 4."""
     tsv = tmp_path / "emb.tsv"
     assert run_cli("embed", "--corpus", corpus_path, "--output", tsv,
                    "--dim", "4") == 0
     lines = tsv.read_text().splitlines()
-    pid, *values = lines[3].split("\t")
-    lines[3] = "\t".join([pid, bad] + values[1:])
-    tsv.write_text("\n".join(lines) + "\n")
+    pid = lines[3].split("\t")[0]
+    tsv.write_text("\n".join(edit(lines)) + "\n")
+    return tsv, pid
+
+
+def train_on(tsv, corpus_path, tmp_path):
+    return run_cli("train", "--corpus", corpus_path, "--embeddings", tsv,
+                   "--output", tmp_path / "w.json")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_train_nonfinite_embedding_value_is_data_error(tmp_path, corpus_path,
+                                                       capsys, bad):
+    def edit(lines):
+        pid, *values = lines[3].split("\t")
+        lines[3] = "\t".join([pid, bad] + values[1:])
+        return lines
+
+    tsv, pid = write_bad_tsv(tmp_path, corpus_path, edit)
     capsys.readouterr()
-    assert run_cli("embed", "--corpus", corpus_path, "--embeddings", tsv) == 2
+    assert train_on(tsv, corpus_path, tmp_path) == 2
     err = capsys.readouterr().err
     assert "line 4" in err and repr(pid) in err and "non-finite" in err
 
 
-def test_embed_non_numeric_value_is_data_error(tmp_path, corpus_path, capsys):
-    tsv = tmp_path / "emb.tsv"
-    assert run_cli("embed", "--corpus", corpus_path, "--output", tsv,
-                   "--dim", "4") == 0
-    lines = tsv.read_text().splitlines()
-    pid, *values = lines[3].split("\t")
-    lines[3] = "\t".join([pid] + values[:-1] + ["abc"])
-    tsv.write_text("\n".join(lines) + "\n")
+def test_train_non_numeric_embedding_value_is_data_error(tmp_path,
+                                                         corpus_path, capsys):
+    def edit(lines):
+        lines[3] = lines[3].rsplit("\t", 1)[0] + "\tabc"
+        return lines
+
+    tsv, pid = write_bad_tsv(tmp_path, corpus_path, edit)
     capsys.readouterr()
-    assert run_cli("embed", "--corpus", corpus_path, "--embeddings", tsv) == 2
+    assert train_on(tsv, corpus_path, tmp_path) == 2
     err = capsys.readouterr().err
     assert "line 4" in err and repr(pid) in err and "non-numeric" in err
 
 
-def test_embed_names_the_first_of_several_bad_lines(tmp_path, corpus_path,
-                                                    capsys):
-    tsv = tmp_path / "emb.tsv"
-    assert run_cli("embed", "--corpus", corpus_path, "--output", tsv,
-                   "--dim", "4") == 0
-    lines = tsv.read_text().splitlines()
-    pid, *values = lines[3].split("\t")
-    lines[3] = "\t".join([pid, "inf"] + values[1:])
-    lines[10] = lines[10].rsplit("\t", 1)[0] + "\tabc"
-    lines[12] = "\t".join([pid] + values)
-    tsv.write_text("\n".join(lines) + "\n")
+@pytest.mark.parametrize("reader", ["train", "retrieve", "evaluate"])
+def test_every_reader_names_the_first_of_several_bad_lines(
+        tmp_path, corpus_path, weights, capsys, reader):
+    """train, retrieve and evaluate read an embeddings TSV through the one
+    loader, so each rejects a bad file with the same exit code and the
+    same line-numbered message (before retrieve reads its weights)."""
+    def edit(lines):
+        pid, *values = lines[3].split("\t")
+        lines[3] = "\t".join([pid, "inf"] + values[1:])
+        lines[10] = lines[10].rsplit("\t", 1)[0] + "\tabc"
+        lines[12] = "\t".join([pid] + values)
+        return lines
+
+    tsv, pid = write_bad_tsv(tmp_path, corpus_path, edit)
     capsys.readouterr()
-    assert run_cli("embed", "--corpus", corpus_path, "--embeddings", tsv) == 2
+    extra = {"train": ["--output", tmp_path / "w.json"],
+             "retrieve": ["--weights", weights, "--paper-id", "p00h"],
+             "evaluate": ["--method", "dense"]}[reader]
+    assert run_cli(reader, "--corpus", corpus_path, "--embeddings", tsv,
+                   *extra) == 2
     assert capsys.readouterr().err == (
         f"data error: line 4: non-finite value in row for id {pid!r}\n")
 
@@ -373,27 +398,46 @@ def test_a_lone_eligible_paper_trains_but_leaves_nothing_to_evaluate(
 
 def test_tsv_from_embed_gives_the_same_results_as_hashing(tmp_path):
     # the TSV holds the hash counts, so the loaded matrix is embed_corpus's
-    # to the bit, and train and evaluate read it the same way
+    # to the bit, and train, evaluate and retrieve read it the same way. A
+    # float TSV of the counts times 0.5 gives the same unit rows: scaling
+    # by a power of two is exact, in each value and in each norm
     corpus = tmp_path / "corpus.jsonl"
     write_jsonl(corpus, component_corpus(20))
-    tsv = tmp_path / "emb.tsv"
+    tsv, halved = tmp_path / "emb.tsv", tmp_path / "halved.tsv"
     common = ["--corpus", corpus, "--dim", "32", "--seed", "4"]
     assert run_cli("embed", *common, "--output", tsv) == 0
-    for name, extra in (("hashed", []), ("tsv", ["--embeddings", tsv])):
-        assert run_cli("train", *common, *extra,
-                       "--output", tmp_path / f"weights-{name}.json") == 0
-        assert run_cli("evaluate", *common, *extra, "--method", "dense,hybrid",
-                       "--per-query", "--output", tmp_path / name) == 0
+    header, *lines = tsv.read_text().splitlines()
+    for line in lines:
+        pid, *counts = line.split("\t")
+        header += "\n" + "\t".join([pid] + [repr(int(c) * 0.5)
+                                            for c in counts])
+    halved.write_text(header + "\n")
+    assert "\t0.5\t" in halved.read_text()
+    sources = (("hashed", []), ("tsv", ["--embeddings", tsv]),
+               ("float", ["--embeddings", halved]))
+    for name, extra in sources:
+        weights = tmp_path / f"weights-{name}.json"
+        assert run_cli("train", *common, *extra, "--output", weights) == 0
+        assert run_cli("evaluate", *common, *extra, "--weights", weights,
+                       "--method", "dense,hybrid,attn", "--per-query",
+                       "--output", tmp_path / name) == 0
+        assert run_cli("retrieve", *common, *extra, "--weights", weights,
+                       "--paper-id", "p03h", "--output",
+                       tmp_path / name / "retrieval.json") == 0
     # the same scorer; only weights fitted on hashed rows name the hash seed
     hashed = json.loads((tmp_path / "weights-hashed.json").read_text())
     assert hashed.pop("embedding") == {"provider": "hash", "dim": 32,
                                        "seed": 4}
-    assert hashed == json.loads((tmp_path / "weights-tsv.json").read_text())
+    for name in ("tsv", "float"):
+        assert hashed == json.loads(
+            (tmp_path / f"weights-{name}.json").read_text())
     reports = sorted(p.name for p in (tmp_path / "hashed").iterdir())
-    assert reports == sorted(p.name for p in (tmp_path / "tsv").iterdir())
-    for report in reports:
-        assert (tmp_path / "hashed" / report).read_bytes() == \
-            (tmp_path / "tsv" / report).read_bytes()
+    assert "retrieval.json" in reports
+    for name in ("tsv", "float"):
+        assert reports == sorted(p.name for p in (tmp_path / name).iterdir())
+        for report in reports:
+            assert (tmp_path / "hashed" / report).read_bytes() == \
+                (tmp_path / name / report).read_bytes(), (name, report)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -889,6 +933,33 @@ def test_retrieve_unknown_paper_id(corpus_path):
                    "--paper-id", "ghost") == 2
 
 
+def test_retrieve_paper_with_a_zero_row_is_data_error_naming_it(tmp_path,
+                                                               capsys):
+    """A paper with no title, abstract, keywords or doi hashes to the zero
+    vector, which has no cosine to any paper."""
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, component_corpus(2) + [corpus_line("blank", ["p00a"])])
+    weights = train_weights(path, 16)
+    assert run_cli("retrieve", "--corpus", path, "--weights", weights,
+                   "--dim", "16", "--paper-id", "blank") == 2
+    assert capsys.readouterr().err == (
+        "data error: degenerate query: paper 'blank' has a zero embedding "
+        "row (its text hashes to nothing, or its row in the embeddings file "
+        "is zero)\n")
+
+
+def test_retrieve_text_that_hashes_to_zero_is_data_error_saying_so(
+        corpus_path, capsys):
+    """At --dim 16 and --seed 0, "the" and "of" hash to one bucket with
+    opposite signs, so the text's counts cancel."""
+    weights = train_weights(corpus_path, 16)
+    assert run_cli("retrieve", "--corpus", corpus_path, "--weights", weights,
+                   "--dim", "16", "--query", "the of") == 2
+    assert capsys.readouterr().err == (
+        "data error: degenerate query: the query text embeds to the zero "
+        "vector (it has no tokens, or their signed hash counts cancel)\n")
+
+
 def test_retrieve_free_text_with_tsv_is_data_error(tmp_path, corpus_path,
                                                    capsys):
     tsv = tmp_path / "emb.tsv"
@@ -1086,15 +1157,16 @@ def test_lexical_evaluate_loads_no_scorer(corpus_path):
     assert "citegraph.gat" not in loaded
 
 
-def test_package_names_load_on_first_use():
-    import citegraph
-    from citegraph import RetrieverConfig, build_graph, verbalize_triplets
-    assert RetrieverConfig is retriever.RetrieverConfig
-    assert build_graph.__module__ == "citegraph.graph"
-    assert verbalize_triplets.__module__ == "citegraph.rerank"
-    assert citegraph.parse_records.__module__ == "citegraph.corpus"
-    with pytest.raises(ImportError, match="no_such_name"):
-        from citegraph import no_such_name  # noqa: F401
+def test_importing_the_package_loads_no_stage():
+    """Each public name lives in the module that defines it: the package
+    itself imports none of them."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, citegraph; print(sorted("
+         "m for m in sys.modules if m.startswith('citegraph.')))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_help_exits_zero():

@@ -839,6 +839,13 @@ def test_scores_rejects_a_wrong_width_or_rank(shape):
         matrix.scores(np.ones(shape))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_embedding_matrix_rejects_a_non_finite_value(bad):
+    """Like the loader, the matrix refuses a row it cannot normalize."""
+    with pytest.raises(ValueError, match="must be finite"):
+        EmbeddingMatrix(("a", "b"), [[bad, 0.0], [1.0, 0.0]], 2)
+
+
 def test_embedding_matrix_shape_validation():
     with pytest.raises(ValueError):
         EmbeddingMatrix(ids=("a",), vectors=np.zeros((2, 3)), dim=3)
